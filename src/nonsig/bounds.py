@@ -21,10 +21,9 @@ from .core import (
     BellFunctional,
     ConditionalDistribution,
     LocalVertex,
-    ResourceLimitError,
     SIGNS,
     TOL_RECON,
-    enumerate_local_vertices,
+    check_vertex_cap,
     product_distribution,
     validate,
     vertex_table_matrix,
@@ -90,6 +89,22 @@ def _project_onto_span(y: np.ndarray, basis_cols: np.ndarray) -> np.ndarray:
     return U @ (U.T @ y)
 
 
+def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str):
+    """min sum |q| s.t. S q = target, as an LP over the split q = q+ - q-.
+
+    Returns the LP solution, the weights q, the equality multipliers
+    projected onto the column span of S (the optimal dual functional y)
+    and its normalization max |y . column| over every column of S.
+    """
+    V = S.shape[1]
+    sol = solve_lp(LinearProgram(c=np.ones(2 * V), A_eq=np.hstack([S, -S]), b_eq=target,
+                                 lb=np.zeros(2 * V), ub=np.full(2 * V, np.inf)))
+    if sol.status != "optimal":
+        raise RuntimeError(f"{name} LP returned {sol.status}")
+    y = _project_onto_span(sol.dual_eq, S)
+    return sol, sol.x[:V] - sol.x[V:], y, float(np.abs(y @ S).max())
+
+
 # ---------------------------------------------------------------------------
 # nu_tilde and its epsilon variant (LP over local deterministic vertices)
 
@@ -99,31 +114,17 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
 
     LP over split weights q = q+ - q- on all local deterministic
     vertices; the equality multipliers give the dual Bell functional.
+    Every valid p lies in the affine hull of the local vertices, so a
+    non-optimal LP is an engine failure, not a property of p.
     """
     _require_valid(p)
     alph = p.alphabets
-    Vt = vertex_table_matrix(alph)
-    V = Vt.shape[1]
-    prob = LinearProgram(
-        c=np.ones(2 * V),
-        A_eq=np.hstack([Vt, -Vt]),
-        b_eq=p.flat(),
-        lb=np.zeros(2 * V),
-        ub=np.full(2 * V, np.inf),
-    )
-    sol = solve_lp(prob)
-    if sol.status != "optimal":
-        # Every valid non-signaling p lies in the affine hull of the local
-        # vertices, so this indicates a bug upstream, not a property of p.
-        raise RuntimeError(f"nu_tilde LP unexpectedly returned {sol.status}")
-    q = sol.x[:V] - sol.x[V:]
+    sol, q, y, norm = _min_l1_combination(vertex_table_matrix(alph), p.flat(), "nu_tilde")
     model = AffineModel.from_vertex_weights(alph, q)
-    y = _project_onto_span(sol.dual_eq, Vt)
-    values_on_vertices = y @ Vt
     bell = BellFunctional(
         coeffs=y.reshape(alph.shape),
         claimed_bound_class="local",
-        normalization=float(np.abs(values_on_vertices).max()),
+        normalization=norm,
     )
     recon = np.abs(model.evaluate() - p.table).max() if model.components else np.inf
     return BoundResult(
@@ -296,6 +297,16 @@ def _block_component(alph: Alphabets, G: np.ndarray, t: float) -> ConditionalDis
     return ConditionalDistribution(alph, tab)
 
 
+def _moment_model(alph: Alphabets, blocks: list) -> AffineModel:
+    """Affine model from the positive and negative moment blocks."""
+    comps = []
+    for sign, G in zip((1.0, -1.0), blocks[:2]):
+        t = float(G[0, 0])
+        if t > 1e-8:
+            comps.append((sign * t, _block_component(alph, G, t)))
+    return AffineModel(comps, certified_class="npa-level-1")
+
+
 def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     """Level-1 relaxation of gamma2_tilde: a lower bound on it and on nu_tilde.
 
@@ -340,14 +351,8 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     sol = solve_sdp(prog)
     if sol.status != "optimal":
         raise RuntimeError(f"gamma2_tilde_1 SDP returned {sol.status}")
-
-    comps = []
-    for sign, G in zip((1.0, -1.0), sol.blocks):
-        t = float(G[0, 0])
-        if t > 1e-8:
-            comps.append((sign * t, _block_component(alph, G, t)))
-    model = AffineModel(comps, certified_class="npa-level-1")
-    recon = float(np.abs(model.evaluate() - p.table).max()) if comps else np.inf
+    model = _moment_model(alph, sol.blocks)
+    recon = float(np.abs(model.evaluate() - p.table).max()) if model.components else np.inf
     return BoundResult(
         quantity="gamma2_tilde_1",
         value=float(sol.objective),
@@ -418,17 +423,11 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     sol = solve_sdp(prog)
     if sol.status != "optimal":
         raise RuntimeError(f"gamma2_tilde_1_eps SDP returned {sol.status}")
-    comps = []
-    for sign, G in zip((1.0, -1.0), sol.blocks[:2]):
-        t = float(G[0, 0])
-        if t > 1e-8:
-            comps.append((sign * t, _block_component(alph, G, t)))
-    model = AffineModel(comps, certified_class="npa-level-1")
     return BoundResult(
         quantity="gamma2_tilde_1_eps",
         value=float(sol.objective),
         epsilon=float(eps),
-        primal_certificate=model,
+        primal_certificate=_moment_model(alph, sol.blocks),
         diagnostics={
             "sdp_status": sol.status,
             "iterations": sol.iterations,
@@ -443,13 +442,9 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
 # Correlation-space quantities
 
 
-def _sign_vertex_matrix(nx: int, ny: int, cap: int = 2_000_000) -> tuple[np.ndarray, list]:
+def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, list]:
     """Columns are flattened rank-one sign matrices u v^T, u in {+-1}^nx etc."""
-    count = 2 ** (nx + ny)
-    if count > cap:
-        raise ResourceLimitError(
-            f"sign-vertex enumeration would produce {count} columns (cap {cap})"
-        )
+    check_vertex_cap(2 ** (nx + ny), "sign vertices")
     us = [np.array(bits) for bits in np.ndindex(*(2,) * nx)]
     vs = [np.array(bits) for bits in np.ndindex(*(2,) * ny)]
     cols, pairs = [], []
@@ -469,25 +464,12 @@ def nu_corr(C: np.ndarray) -> BoundResult:
         raise ValueError("correlation entries must lie in [-1, 1]")
     nx, ny = C.shape
     S, pairs = _sign_vertex_matrix(nx, ny)
-    V = S.shape[1]
-    prob = LinearProgram(
-        c=np.ones(2 * V),
-        A_eq=np.hstack([S, -S]),
-        b_eq=C.reshape(-1),
-        lb=np.zeros(2 * V),
-        ub=np.full(2 * V, np.inf),
-    )
-    sol = solve_lp(prob)
-    if sol.status != "optimal":
-        raise RuntimeError(f"nu_corr LP returned {sol.status}")
-    q = sol.x[:V] - sol.x[V:]
-    y = _project_onto_span(sol.dual_eq, S)
+    sol, q, y, norm = _min_l1_combination(S, C.reshape(-1), "nu_corr")
     corr_B = y.reshape(nx, ny)
-    coeffs = np.einsum("xy,a,b->xyab", corr_B, SIGNS, SIGNS)
     bell = BellFunctional(
-        coeffs=coeffs,
+        coeffs=np.einsum("xy,a,b->xyab", corr_B, SIGNS, SIGNS),
         claimed_bound_class="local",
-        normalization=float(np.abs(y @ S).max()),
+        normalization=norm,
         corr_coeffs=corr_B,
     )
     keep = np.abs(q) > 1e-12
@@ -566,44 +548,21 @@ def nu_corr_alpha(C: np.ndarray, alpha: float) -> float:
 # Dual certificates
 
 
-def dual_bell(p: ConditionalDistribution, bound_class: str = "local",
-              vertex_cap: int = 4096) -> BellFunctional:
+def dual_bell(p: ConditionalDistribution, bound_class: str = "local") -> BellFunctional:
     """Optimal Bell (or level-1 Tsirelson) functional for p.
 
-    local: LP maximizing B(p) subject to |B(vertex)| <= 1 on every local
-    deterministic vertex; by duality the optimum equals nu_tilde(p).
-    npa-level-1: read off the data-constraint multipliers of the
+    local: the dual of the nu_tilde LP, "maximize B(p) subject to
+    |B(vertex)| <= 1 on every local deterministic vertex", is solved by
+    the projected equality multipliers nu_tilde already returns, so
+    B(p) = nu_tilde(p); the normalization is max |B(vertex)| over every
+    vertex.  npa-level-1: read off the data-constraint multipliers of the
     gamma2_tilde_1 SDP, folded into a plain coefficient tensor.
     """
-    _require_valid(p)
+    if bound_class == "local":
+        return nu_tilde(p).dual_certificate
     if bound_class == "npa-level-1":
         return _dual_tsirelson(p)
-    if bound_class != "local":
-        raise ValueError(f"unknown bound class {bound_class!r}")
-    alph = p.alphabets
-    if alph.vertex_count > vertex_cap:
-        raise ResourceLimitError(
-            f"dual LP needs {2 * alph.vertex_count} rows (cap {2 * vertex_cap})"
-        )
-    Vt = vertex_table_matrix(alph)
-    n_cells, V = Vt.shape
-    # maximize p.B  <=>  minimize -p.(B1 - B2), |vertex value| <= 1
-    c = np.concatenate([-p.flat(), p.flat()])
-    block = np.hstack([Vt.T, -Vt.T])
-    A_ub = np.vstack([block, -block])
-    b_ub = np.ones(2 * V)
-    sol = solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub,
-                                 lb=np.zeros(2 * n_cells),
-                                 ub=np.full(2 * n_cells, np.inf)))
-    if sol.status != "optimal":
-        raise RuntimeError(f"dual Bell LP returned {sol.status}")
-    B = sol.x[:n_cells] - sol.x[n_cells:]
-    B = _project_onto_span(B, Vt)
-    return BellFunctional(
-        coeffs=B.reshape(alph.shape),
-        claimed_bound_class="local",
-        normalization=float(np.abs(B @ Vt).max()),
-    )
+    raise ValueError(f"unknown bound class {bound_class!r}")
 
 
 def _dual_tsirelson(p: ConditionalDistribution) -> BellFunctional:

@@ -24,7 +24,8 @@ TOL_FEAS = 1e-9
 # Tolerance for affine-model reconstruction checks.
 TOL_RECON = 1e-7
 
-# Largest number of local deterministic vertices we agree to enumerate.
+# Largest number of vertices (local, sign or strategy) we agree to
+# enumerate; the NONSIG_VERTEX_CAP environment variable overrides it.
 DEFAULT_VERTEX_CAP = 2_000_000
 
 # Outcome-index -> sign map for binary outcomes.
@@ -47,9 +48,18 @@ class ResourceLimitError(RuntimeError):
     """A configured enumeration or size cap would be exceeded."""
 
 
-def _vertex_cap() -> int:
+def check_vertex_cap(count: int, items: str, cap: int | None = None) -> None:
+    """Refuse to enumerate ``count`` items above the cap.
+
+    The one cap policy for every vertex-type enumeration (local vertices,
+    sign vertices, classical strategies): ``cap`` if given, else
+    NONSIG_VERTEX_CAP, else DEFAULT_VERTEX_CAP.
+    """
     env = os.environ.get("NONSIG_VERTEX_CAP")
-    return int(env) if env else DEFAULT_VERTEX_CAP
+    limit = cap if cap is not None else (int(env) if env else DEFAULT_VERTEX_CAP)
+    if count > limit:
+        raise ResourceLimitError(
+            f"enumeration would produce {count} {items} (cap {limit})")
 
 
 @dataclass(frozen=True)
@@ -351,12 +361,7 @@ def enumerate_local_vertices(alphabets: Alphabets, cap: int | None = None):
     Order is lexicographic over (lambda_B, lambda_A) with lambda_A varying
     fastest; first input coordinate is most significant.
     """
-    count = alphabets.vertex_count
-    limit = cap if cap is not None else _vertex_cap()
-    if count > limit:
-        raise ResourceLimitError(
-            f"vertex enumeration would produce {count} vertices (cap {limit})"
-        )
+    check_vertex_cap(alphabets.vertex_count, "local vertices", cap)
     for lb in itertools.product(range(alphabets.nb), repeat=alphabets.ny):
         for la in itertools.product(range(alphabets.na), repeat=alphabets.nx):
             yield LocalVertex(alphabets, la, lb)

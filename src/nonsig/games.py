@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BellFunctional, ResourceLimitError, SIGNS
-from .bounds import _sign_vertex_matrix, nu_corr  # noqa: F401  (re-used LP pieces)
+from .core import BellFunctional, SIGNS, check_vertex_cap
+from .bounds import _sign_vertex_matrix
 from .lp import LinearProgram, solve_lp
 from .sdp import SdpProgram, solve_sdp
 
@@ -64,10 +64,7 @@ def classical_bias(game: XorGame) -> dict:
     one side only; the game is transposed first so that side is the
     smaller one.
     """
-    if min(game.nx, game.ny) > 20:
-        raise ResourceLimitError(
-            f"classical bias enumeration over 2^{min(game.nx, game.ny)} strategies refused"
-        )
+    check_vertex_cap(2 ** min(game.nx, game.ny), "classical strategies")
     W = game.mu * game.G
     transposed = game.nx > game.ny
     if transposed:

@@ -3,7 +3,9 @@
 Two-phase revised primal simplex with Bland's anti-cycling rule and
 bounded variables.  Deterministic: a given program always takes the same
 pivot sequence.  Sizes here are desk-scale (hundreds of rows), so the
-basis inverse is kept dense and refactorized periodically.
+basis inverse is kept dense and refactorized periodically.  A singular
+basis matrix at a refactorization (a numerical breakdown) ends the solve
+with status ``numerical-error`` instead of raising ``LinAlgError``.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    status: str  # optimal | infeasible | unbounded | iteration-limit | numerical-error
     x: np.ndarray | None = None
     dual_eq: np.ndarray | None = None
     dual_ub: np.ndarray | None = None
@@ -108,6 +110,7 @@ class _Simplex:
         self.at_upper = np.zeros(self.n, dtype=bool)  # nonbasic side
         self.Binv = None
         self.xB = None
+        self.iterations = 0  # pivots and bound flips over all phases
 
     def set_basis(self, basis):
         self.basis = list(basis)
@@ -154,7 +157,7 @@ class _Simplex:
                     entering, direction = j, -1.0
                     break
             if entering < 0:
-                return "optimal", it
+                return "optimal"
             w = self.Binv @ self.A[:, entering]
             # Ratio test: basic vars move by -t*direction*w.
             t_flip = self.up[entering] - self.lo[entering]
@@ -170,7 +173,8 @@ class _Simplex:
                     candidates.append((t, bi, i, True))
             t_row = min([t for t, *_ in candidates], default=np.inf)
             if not np.isfinite(min(t_row, t_flip)):
-                return "unbounded", it
+                return "unbounded"
+            self.iterations += 1
             if t_flip < t_row - _PIVOT_TOL:
                 leave_pos = -1  # bound flip, no basis change
                 leave_to_upper = False
@@ -200,7 +204,7 @@ class _Simplex:
             row = self.Binv[leave_pos, :] / piv
             self.Binv -= np.outer(w, row)
             self.Binv[leave_pos, :] = row
-        return "iteration-limit", max_iter
+        return "iteration-limit"
 
 
 def solve_lp(prog: LinearProgram, max_iter: int | None = None) -> LpSolution:
@@ -234,26 +238,36 @@ def solve_lp(prog: LinearProgram, max_iter: int | None = None) -> LpSolution:
     A_full = np.hstack([A, np.diag(signs)])
     lo_full = np.concatenate([lo, np.zeros(m)])
     up_full = np.concatenate([up, np.full(m, np.inf)])
-    n_total = n + m_ub + m
-    art = list(range(n + m_ub, n_total))
-
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    limit = max_iter if max_iter is not None else 50 * (m + n_total)
+    limit = max_iter if max_iter is not None else 50 * (m + A_full.shape[1])
 
     sx = _Simplex(A_full, b, lo_full, up_full)
+    try:
+        return _two_phase(prog, sx, A, limit)
+    except np.linalg.LinAlgError:
+        # A singular basis matrix at a refactorization: the engine broke
+        # down, which is a status for the caller, not an exception.
+        return LpSolution("numerical-error", iterations=sx.iterations)
+
+
+def _two_phase(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int) -> LpSolution:
+    """Phase 1 from the artificial basis (the columns of ``sx`` after A's),
+    then phase 2 for prog.c."""
+    n, m_eq, m_ub = prog.n_vars, prog.n_eq, prog.n_ub
+    b, m, n_total = sx.b, sx.m, sx.n
+    art = list(range(n + m_ub, n_total))
+    scale = 1.0 + float(np.abs(b).max(initial=0.0))
     sx.set_basis(art)
 
     # Phase 1: minimize artificial mass.
     c1 = np.zeros(n_total)
     c1[art] = 1.0
-    status, it1 = sx.iterate(c1, limit)
-    if status == "iteration-limit":
-        return LpSolution("iteration-limit", iterations=it1)
+    if sx.iterate(c1, limit) == "iteration-limit":
+        return LpSolution("iteration-limit", iterations=sx.iterations)
     sx.refactor()
     art_set = set(art)
     art_mass = sum(sx.xB[i] for i, j in enumerate(sx.basis) if j in art_set)
     if art_mass > _FEAS_TOL * scale:
-        return LpSolution("infeasible", iterations=it1)
+        return LpSolution("infeasible", iterations=sx.iterations)
 
     # Drive artificials out of the basis where possible; freeze the rest
     # (their rows are redundant equalities).
@@ -290,8 +304,8 @@ def solve_lp(prog: LinearProgram, max_iter: int | None = None) -> LpSolution:
 
     # Phase 2.
     c2 = np.concatenate([prog.c, np.zeros(m_ub + m)])
-    status, it2 = sx.iterate(c2, limit)
-    iters = it1 + it2
+    status = sx.iterate(c2, limit)
+    iters = sx.iterations
     if status != "optimal":
         return LpSolution(status, iterations=iters)
 

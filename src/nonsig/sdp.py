@@ -3,9 +3,10 @@
 Solves  min sum_j <C_j, X_j>  s.t.  sum_j <A_ij, X_j> = b_i,  X_j >= 0 (PSD)
 over a list of symmetric matrix blocks, via an infeasible-start primal-dual
 interior-point method (HKM search direction).  Intended for the small
-moment-matrix problems in this package (total dimension <= ~200); the
-returned residuals and per-block minimum eigenvalues let callers verify
-the solution independently of the algorithm.
+moment-matrix problems in this package: a program of total dimension
+above 200 is refused with ``ResourceLimitError``.  The returned
+residuals and per-block minimum eigenvalues let callers verify the
+solution independently of the algorithm.
 
 A numerical breakdown inside an iteration (a Cholesky or inverse of an
 iterate that has lost definiteness) ends the run with status
@@ -21,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import ResourceLimitError
 
 DEFAULT_DIM_CAP = 200
 DEFAULT_MAX_ITER = 500
@@ -105,7 +108,7 @@ def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
               tol: float = 1e-9, dim_cap: int = DEFAULT_DIM_CAP) -> SdpSolution:
     """Interior-point solve; see module docstring for the problem form."""
     if prog.total_dim > dim_cap:
-        raise ValueError(f"total block dimension {prog.total_dim} exceeds cap {dim_cap}")
+        raise ResourceLimitError(f"total block dimension {prog.total_dim} exceeds cap {dim_cap}")
     nb = len(prog.block_dims)
     m = prog.n_constraints
     b = np.array([rhs for _, rhs in prog.constraints])

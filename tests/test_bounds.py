@@ -325,6 +325,32 @@ class TestDualBell:
         with pytest.raises(ValueError):
             dual_bell(pr_box(), "npa-level-9")
 
+    def test_local_functional_3333(self):
+        # Half a three-outcome PR box (b - a = x*y mod 3), half a seeded
+        # local mixture: a nonlocal point.
+        alph = Alphabets(3, 3, 3, 3)
+        box = np.zeros(alph.shape)
+        for x, y, a in itertools.product(range(3), repeat=3):
+            box[x, y, a, (a + x * y) % 3] = 1.0 / 3.0
+        local = random_local_mixture(np.random.default_rng(64), alph)
+        p = ConditionalDistribution(alph, 0.5 * box + 0.5 * local.table)
+        nu = nu_tilde(p).value
+        assert nu > 1.0 + 1e-3
+        bell = dual_bell(p)
+        assert bell.value(p) == pytest.approx(nu, abs=1e-6)
+        values = [bell.value(v.table()) for v in enumerate_local_vertices(alph)]
+        assert len(values) == 729
+        assert max(abs(v) for v in values) <= 1.0 + 1e-6
+        assert bell.normalization == pytest.approx(max(abs(v) for v in values), abs=1e-12)
+
+    def test_lp_breakdown_is_runtime_error(self, monkeypatch):
+        def broken(self):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("nonsig.lp._Simplex.refactor", broken)
+        with pytest.raises(RuntimeError, match="numerical-error"):
+            nu_tilde(pr_box())
+
 
 class TestDecomposition:
     def test_pr_box_block_structure(self):

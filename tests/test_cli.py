@@ -199,6 +199,31 @@ class TestExitCodes:
         monkeypatch.setenv("NONSIG_VERTEX_CAP", "4")
         assert main(["nu", pr_file]) == 2
 
+    def test_bell_over_vertex_cap_is_exit_2(self, monkeypatch, pr_file):
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "4")
+        assert main(["bell", pr_file]) == 2
+
+    def test_nu_corr_over_vertex_cap_is_exit_2(self, monkeypatch, tmp_path):
+        # A 3x3 matrix has 2^6 = 64 sign vertices.
+        path = tmp_path / "c3.json"
+        path.write_text(json.dumps({"C": [[1, 1, 1], [1, -1, 1], [1, 1, -1]]}))
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "32")
+        assert main(["nu-corr", str(path)]) == 2
+
+    def test_sdp_over_dimension_cap_is_exit_2(self, capsys, tmp_path):
+        # The 3x3x3x3 eps program has total block dimension 359 > 200.
+        path = tmp_path / "u3333.json"
+        dump_distribution(uniform_distribution(Alphabets(3, 3, 3, 3)), path)
+        assert main(["gamma2-eps", str(path), "--epsilon", "0.1"]) == 2
+        assert "cap 200" in capsys.readouterr().err
+
+    def test_forced_lp_breakdown_is_exit_3(self, monkeypatch, pr_file):
+        def broken(self):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("nonsig.lp._Simplex.refactor", broken)
+        assert main(["nu", pr_file]) == 3
+
     def test_gamma2_corr_near_breakdown_is_exit_0(self, capsys, signs_6x6_file):
         code, report = run_json(capsys, ["gamma2-corr", signs_6x6_file])
         assert code == 0

@@ -65,6 +65,14 @@ class TestClassicalBias:
         with pytest.raises(ResourceLimitError):
             classical_bias(XorGame(G, mu))
 
+    def test_size_cap_env_override(self, monkeypatch):
+        # 2^3 = 8 Alice strategies on a 3x4 game.
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "7")
+        with pytest.raises(ResourceLimitError):
+            classical_bias(random_game(np.random.default_rng(3), 3, 4))
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "8")
+        assert classical_bias(random_game(np.random.default_rng(3), 3, 4))["bias"] > 0
+
 
 class TestQuantumBias:
     def test_chsh_tsirelson(self):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nonsig.lp import LinearProgram, LpSolution, solve_lp
+from nonsig.lp import LinearProgram, LpSolution, _Simplex, solve_lp
 
 
 def brute_force_minimum(prog):
@@ -203,3 +203,25 @@ class TestDualSigns:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.6, abs=1e-9)
         assert sol.dual_eq[0] == pytest.approx(1.0, abs=1e-8)
+
+
+class TestNumericalBreakdown:
+    def test_singular_basis_is_a_status(self, monkeypatch):
+        # The start basis factors; every later refactorization fails.
+        refactor = _Simplex.refactor
+        calls = []
+
+        def failing(self):
+            calls.append(1)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            refactor(self)
+
+        monkeypatch.setattr(_Simplex, "refactor", failing)
+        prog = LinearProgram(c=[1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                             ub=[np.inf, 0.4])
+        sol = solve_lp(prog)
+        assert sol.status == "numerical-error"
+        assert sol.x is None
+        # The phase-1 pivots before the failing refactorization count.
+        assert sol.iterations >= 1

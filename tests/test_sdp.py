@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nonsig.core import ResourceLimitError
 from nonsig.sdp import SdpProgram, solve_sdp
 
 
@@ -123,7 +124,7 @@ class TestValidationAndLimits:
         prog = SdpProgram([150, 100])
         prog.set_objective({0: np.eye(150)})
         prog.add_constraint({0: np.eye(150)}, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceLimitError):
             solve_sdp(prog)
 
     def test_bad_block_shape(self):
