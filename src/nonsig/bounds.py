@@ -29,7 +29,7 @@ from .core import (
     vertex_table_matrix,
 )
 from .lp import LinearProgram, solve_lp
-from .sdp import SdpProgram, solve_sdp
+from .sdp import LINEAR, SdpProgram, solve_sdp
 
 
 class InvalidDistributionError(ValueError):
@@ -300,7 +300,7 @@ def _block_component(alph: Alphabets, G: np.ndarray, t: float) -> ConditionalDis
 def _moment_model(alph: Alphabets, blocks: list) -> AffineModel:
     """Affine model from the positive and negative moment blocks."""
     comps = []
-    for sign, G in zip((1.0, -1.0), blocks[:2]):
+    for sign, G in zip((1.0, -1.0), blocks):
         t = float(G[0, 0])
         if t > 1e-8:
             comps.append((sign * t, _block_component(alph, G, t)))
@@ -373,34 +373,26 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
 def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     """Epsilon-smoothed level-1 relaxation, as one joint SDP.
 
-    The perturbed target p' is whatever the two moment blocks represent;
-    scalar slack blocks bound |p - p'| cellwise with per-input budgets
-    2*eps and keep p' nonnegative.
+    The perturbed target p' is whatever the two moment blocks represent.
+    A nonnegative linear block holds a bound s on |p - p'| per cell, the
+    slacks that turn |p - p'| <= s and p' >= 0 into equalities, and the
+    slacks of the per-input budgets sum s <= 2*eps.
     """
     _require_valid(p)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     alph = p.alphabets
     d, ia, ib = _npa_layout(alph)
-    n_cells = alph.n_cells
+    n, per_input = alph.n_cells, alph.na * alph.nb
     cells = [(x, y, a, b)
              for x in range(alph.nx) for y in range(alph.ny)
              for a in range(alph.na) for b in range(alph.nb)]
 
-    # Blocks: Gamma+, Gamma-, s (one per cell), then inequality slacks.
-    dims = [d, d] + [1] * n_cells
-    s0 = 2
-    w_abs_plus = len(dims)
-    dims += [1] * n_cells
-    w_abs_minus = len(dims)
-    dims += [1] * n_cells
-    w_pos = len(dims)
-    dims += [1] * n_cells
-    w_budget = len(dims)
-    dims += [1] * (alph.nx * alph.ny)
-    prog = SdpProgram(dims)
+    # Linear block: s, then the slacks of p' - p <= s, p - p' <= s, p' >= 0
+    # (n entries each) and of the nx*ny budgets; row k of `e` selects entry k.
+    e = np.eye(4 * n + alph.nx * alph.ny)
+    prog = SdpProgram([d, d], len(e))
     E00 = _sym_unit(d, 0, 0)
-    one = np.array([[1.0]])
     prog.set_objective({0: E00, 1: E00})
 
     _structural_constraints(prog, 0, alph)
@@ -410,15 +402,12 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     for k, (x, y, a, b) in enumerate(cells):
         A = _cell_coefficient(alph, x, y, a, b)
         pv = p.table[x, y, a, b]
-        # p' - p <= s  and  p - p' <= s  and  p' >= 0
-        prog.add_constraint({0: A, 1: -A, s0 + k: -one, w_abs_plus + k: one}, pv)
-        prog.add_constraint({0: -A, 1: A, s0 + k: -one, w_abs_minus + k: one}, -pv)
-        prog.add_constraint({0: A, 1: -A, w_pos + k: -one}, 0.0)
+        prog.add_constraint({0: A, 1: -A, LINEAR: e[n + k] - e[k]}, pv)
+        prog.add_constraint({0: -A, 1: A, LINEAR: e[2 * n + k] - e[k]}, -pv)
+        prog.add_constraint({0: A, 1: -A, LINEAR: -e[3 * n + k]}, 0.0)
     for i in range(alph.nx * alph.ny):
-        coeffs = {w_budget + i: one}
-        for k in range(i * alph.na * alph.nb, (i + 1) * alph.na * alph.nb):
-            coeffs[s0 + k] = one
-        prog.add_constraint(coeffs, 2.0 * eps)
+        s_i = e[i * per_input:(i + 1) * per_input].sum(axis=0)
+        prog.add_constraint({LINEAR: s_i + e[4 * n + i]}, 2.0 * eps)
 
     sol = solve_sdp(prog)
     if sol.status != "optimal":
@@ -433,7 +422,7 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
             "iterations": sol.iterations,
             "relative_gap": sol.relative_gap,
             "max_equality_residual": sol.max_equality_residual,
-            "min_eigenvalue": min(sol.min_eigenvalues[:2]),
+            "min_eigenvalue": sol.block_min_eig(),
         },
     )
 

@@ -140,36 +140,35 @@ def bell_to_game(B) -> XorGame:
     return XorGame(G, np.abs(corr) / total)
 
 
-def equal_bias_value(C: np.ndarray) -> float:
-    """nu(C) through the equal-bias characterization 1 / epsilon_=(C).
-
-    LP: maximize beta over local correlation matrices S (convex hull of
-    the sign rank-ones) achieving bias C(x,y)*S(x,y) = beta on every
-    input simultaneously.
-    """
+def _max_common_bias(C: np.ndarray, equal: bool, name: str) -> float:
+    """LP max beta over local correlation matrices S (the convex hull of the
+    sign rank-ones, weights w) and beta in [-1, 1], with C(x,y)*S(x,y) equal
+    to beta on every input (``equal``) or at least beta (otherwise)."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    nx, ny = C.shape
-    S, _ = _sign_vertex_matrix(nx, ny)
+    S, _ = _sign_vertex_matrix(*C.shape)
     V = S.shape[1]
-    n_cells = nx * ny
-    # variables: hull weights w (V of them), then beta in [-1, 1]
-    n = V + 1
-    c = np.zeros(n)
+    c = np.zeros(V + 1)
     c[-1] = -1.0
-    A_eq = np.zeros((n_cells + 1, n))
-    A_eq[:n_cells, :V] = C.reshape(-1)[:, None] * S
-    A_eq[:n_cells, -1] = -1.0
-    A_eq[n_cells, :V] = 1.0
-    b_eq = np.zeros(n_cells + 1)
-    b_eq[n_cells] = 1.0
-    lb = np.zeros(n)
-    lb[-1] = -1.0
-    ub = np.full(n, np.inf)
-    ub[-1] = 1.0
-    sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub))
+    # Row per cell: C*(S w) - beta.  Then the hull row: sum w = 1.
+    cells = np.hstack([C.reshape(-1)[:, None] * S, np.full((C.size, 1), -1.0)])
+    hull = np.append(np.ones(V), 0.0)[None, :]
+    box = {"lb": np.append(np.zeros(V), -1.0), "ub": np.append(np.full(V, np.inf), 1.0)}
+    if equal:
+        lp = LinearProgram(c=c, A_eq=np.vstack([cells, hull]),
+                           b_eq=np.append(np.zeros(C.size), 1.0), **box)
+    else:
+        lp = LinearProgram(c=c, A_eq=hull, b_eq=np.array([1.0]),
+                           A_ub=-cells, b_ub=np.zeros(C.size), **box)
+    sol = solve_lp(lp)
     if sol.status != "optimal":
-        raise RuntimeError(f"equal-bias LP returned {sol.status}")
-    beta = -float(sol.objective)
+        raise RuntimeError(f"{name} LP returned {sol.status}")
+    return -float(sol.objective)
+
+
+def equal_bias_value(C: np.ndarray) -> float:
+    """nu(C) through the equal-bias characterization 1 / epsilon_=(C): the
+    largest bias beta that one local strategy achieves on every input at once."""
+    beta = _max_common_bias(C, True, "equal-bias")
     if beta <= 1e-12:
         raise ValueError(
             f"no equal-bias strategy with positive bias exists (beta* = {beta:.3g})"
@@ -179,31 +178,7 @@ def equal_bias_value(C: np.ndarray) -> float:
 
 def epsilon_pub(C: np.ndarray) -> float:
     """Worst-input-distribution public-coin bias: max_S min_xy C(x,y) S(x,y)."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    nx, ny = C.shape
-    S, _ = _sign_vertex_matrix(nx, ny)
-    V = S.shape[1]
-    n_cells = nx * ny
-    n = V + 1
-    c = np.zeros(n)
-    c[-1] = -1.0
-    # m <= C*(S w) per cell
-    A_ub = np.zeros((n_cells, n))
-    A_ub[:, :V] = -(C.reshape(-1)[:, None] * S)
-    A_ub[:, -1] = 1.0
-    b_ub = np.zeros(n_cells)
-    A_eq = np.zeros((1, n))
-    A_eq[0, :V] = 1.0
-    b_eq = np.array([1.0])
-    lb = np.zeros(n)
-    lb[-1] = -1.0
-    ub = np.full(n, np.inf)
-    ub[-1] = 1.0
-    sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
-                                 lb=lb, ub=ub))
-    if sol.status != "optimal":
-        raise RuntimeError(f"epsilon_pub LP returned {sol.status}")
-    return -float(sol.objective)
+    return _max_common_bias(C, False, "epsilon_pub")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Random non-signaling distributions are produced by optimizing random
 objectives over the non-signaling polytope with the package's own LP
-engine (giving polytope vertices such as PR-like boxes) and blending
-them with random local mixtures, so both local and nonlocal points are
-covered.
+engine and blending the optimum with a random local mixture.  That
+optimum is usually a local deterministic vertex, so these points are
+mostly local (nu_tilde = 1).  Points that are nonlocal by construction
+come from ``random_nonlocal``: a local mixture blended with a PR box
+whose inputs and outcomes are relabelled at random.
 """
 
 import numpy as np
@@ -75,6 +77,28 @@ def random_nonsignaling(rng, alph: Alphabets, nonlocal_weight=0.5) -> Conditiona
     m = random_local_mixture(rng, alph)
     t = rng.uniform(0, nonlocal_weight)
     return ConditionalDistribution(alph, (1 - t) * m.table + t * v.table)
+
+
+def random_nonlocal(rng, alph: Alphabets) -> ConditionalDistribution:
+    """Local mixture blended with a randomly relabelled generalised PR box.
+
+    The box has p(a,b|x,y) = 1/d iff b - a = x*y (mod d), d = na = nb;
+    permuting the inputs, and the outcomes of each input, keeps it
+    non-signaling.  On binary outcomes a PR weight t >= 0.7 makes the
+    CHSH functional certify nu_tilde >= 3t - 1 >= 1.1.
+    """
+    nx, ny, na, nb = alph.shape
+    assert na == nb, "the generalised PR box needs na == nb"
+    box = np.zeros(alph.shape)
+    for x, y, a in np.ndindex(nx, ny, na):
+        box[x, y, a, (a + x * y) % na] = 1.0 / na
+    box = box[rng.permutation(nx)][:, rng.permutation(ny)]
+    pa = [rng.permutation(na) for _ in range(nx)]
+    pb = [rng.permutation(nb) for _ in range(ny)]
+    for x, y in np.ndindex(nx, ny):
+        box[x, y] = box[x, y][np.ix_(pa[x], pb[y])]
+    t = rng.uniform(0.7, 0.95)
+    return ConditionalDistribution(alph, t * box + (1 - t) * random_local_mixture(rng, alph).table)
 
 
 def random_correlation_rep(rng, nx, ny, scale=0.4):

@@ -38,7 +38,12 @@ from nonsig.core import (
     to_correlation_rep,
     uniform_distribution,
 )
-from helpers import random_correlation_rep, random_local_mixture, random_nonsignaling
+from helpers import (
+    random_correlation_rep,
+    random_local_mixture,
+    random_nonlocal,
+    random_nonsignaling,
+)
 
 
 B22 = Alphabets(2, 2, 2, 2)
@@ -208,11 +213,36 @@ class TestGamma2Tilde1Eps:
 
     def test_monotone_and_below_nu_eps(self):
         rng = np.random.default_rng(42)
-        p = random_nonsignaling(rng, B22)
-        v1 = gamma2_tilde_1_eps(p, 0.05).value
-        v2 = gamma2_tilde_1_eps(p, 0.10).value
-        assert v2 <= v1 + 1e-5
-        assert v1 <= nu_tilde_eps(p, 0.05).value + 1e-5
+        points = [random_nonsignaling(rng, B22)]
+        points += [random_nonlocal(rng, B22) for _ in range(2)]
+        for p in points:
+            v1 = gamma2_tilde_1_eps(p, 0.05).value
+            v2 = gamma2_tilde_1_eps(p, 0.10).value
+            assert v2 <= v1 + 1e-5
+            assert v1 <= nu_tilde_eps(p, 0.05).value + 1e-5
+        for p in points[1:]:
+            assert nu_tilde(p).value > 1.0 + 1e-3
+
+    def test_program_shape(self, monkeypatch):
+        # Two moment blocks and one linear block: s, three slacks per cell
+        # and one budget slack per input pair.
+        progs = []
+        solve = bounds.solve_sdp
+        monkeypatch.setattr(bounds, "solve_sdp",
+                            lambda prog: progs.append(prog) or solve(prog))
+        gamma2_tilde_1_eps(pr_box(), 0.1)
+        assert progs[0].block_dims == [5, 5]
+        assert progs[0].n_linear == 4 * 16 + 4
+
+    @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
+    def test_pr_box_closed_form(self, eps):
+        # The optimal perturbation spends the whole per-input budget 2*eps
+        # on mixing in the uniform point, which scales every correlation,
+        # and both bounds, by 1 - 2*eps.
+        assert gamma2_tilde_1_eps(pr_box(), eps).value == pytest.approx(
+            SQRT2 * (1.0 - 2.0 * eps), abs=1e-6)
+        assert nu_tilde_eps(pr_box(), eps).value == pytest.approx(
+            2.0 * (1.0 - 2.0 * eps), abs=1e-6)
 
 
 class TestCorrelationQuantities:
@@ -311,10 +341,16 @@ class TestDualBell:
 
     def test_matches_primal_on_random_instances(self):
         rng = np.random.default_rng(62)
-        for _ in range(4):
-            p = random_nonsignaling(rng, B22)
+        points = [random_nonsignaling(rng, B22) for _ in range(4)]
+        points += [random_nonlocal(rng, B22) for _ in range(3)]
+        for k, p in enumerate(points):
             bell = dual_bell(p)
-            assert bell.value(p) == pytest.approx(nu_tilde(p).value, abs=1e-5)
+            nu = nu_tilde(p).value
+            assert bell.value(p) == pytest.approx(nu, abs=1e-5)
+            if k >= 4:
+                assert nu > 1.0 + 1e-3
+                for v in enumerate_local_vertices(B22):
+                    assert abs(bell.value(v.distribution())) <= 1.0 + 1e-6
 
     def test_npa_level_1_functional(self):
         bell = dual_bell(pr_box(), "npa-level-1")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nonsig.core import ResourceLimitError
-from nonsig.sdp import SdpProgram, solve_sdp
+from nonsig.lp import LinearProgram, solve_lp
+from nonsig.sdp import LINEAR, SdpProgram, solve_sdp
 
 
 def unit(d, i, j):
@@ -48,6 +49,58 @@ class TestClosedForm:
         assert sol.status == "optimal"
         # each block needs diagonal >= |off-diagonal| entries: min trace 2 each
         assert sol.objective == pytest.approx(4.0, abs=1e-3)
+
+
+class TestLinearBlock:
+    def test_linear_only_matches_lp(self):
+        # min c.x s.t. A x = b, x >= 0, made feasible by a positive x0 and
+        # bounded by a dual-feasible c = A^T y0 + s0 with s0 > 0.
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(5, 10))
+            A = rng.normal(size=(m, n))
+            b = A @ rng.uniform(0.5, 2.0, size=n)
+            c = A.T @ rng.normal(size=m) + rng.uniform(0.1, 1.0, size=n)
+            prog = SdpProgram([], n)
+            prog.set_objective({LINEAR: c})
+            for i in range(m):
+                prog.add_constraint({LINEAR: A[i]}, b[i])
+            sol = solve_sdp(prog)
+            ref = solve_lp(LinearProgram(c=c, A_eq=A, b_eq=b))
+            assert sol.status == ref.status == "optimal"
+            assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+            assert sol.blocks == [] and sol.linear.min() >= -1e-7
+            assert sol.max_equality_residual <= 1e-6
+
+    @pytest.mark.parametrize("floor", [0.5, 2.0])
+    def test_mixed_psd_and_linear(self, floor):
+        # min t s.t. [[t, 1], [1, t]] >= 0 and t - x = floor, x >= 0:
+        # t = max(1, floor), with slack x = t - floor.
+        prog = SdpProgram([2], 1)
+        prog.set_objective({0: 0.5 * (unit(2, 0, 0) + unit(2, 1, 1))})
+        prog.add_constraint({0: unit(2, 0, 1) + unit(2, 1, 0)}, 2.0)
+        prog.add_constraint({0: unit(2, 0, 0) - unit(2, 1, 1)}, 0.0)
+        prog.add_constraint({0: unit(2, 0, 0), LINEAR: [-1.0]}, floor)
+        sol = solve_sdp(prog)
+        t = max(1.0, floor)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(t, abs=1e-6)
+        assert sol.linear[0] == pytest.approx(t - floor, abs=1e-6)
+        assert sol.blocks[0][0, 0] == pytest.approx(t, abs=1e-6)
+
+    def test_wrong_length_rejected(self):
+        prog = SdpProgram([2], 3)
+        with pytest.raises(ValueError):
+            prog.add_constraint({LINEAR: np.ones(2)}, 1.0)
+        with pytest.raises(ValueError):
+            prog.set_objective({LINEAR: np.ones(4)})
+
+    def test_total_dim_counts_linear_length(self):
+        assert SdpProgram([2, 3], 4).total_dim == 9
+        prog = SdpProgram([100], 101)
+        prog.add_constraint({LINEAR: np.ones(101)}, 1.0)
+        with pytest.raises(ResourceLimitError):
+            solve_sdp(prog)
 
 
 class TestLambdaMaxOracle:
