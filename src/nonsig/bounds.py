@@ -166,9 +166,8 @@ def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     b_eq = np.array([1.0])
 
     eye = np.eye(n_cells)
-    budgets = np.zeros((alph.nx * alph.ny, n_cells))
-    for i in range(alph.nx * alph.ny):
-        budgets[i, i * alph.na * alph.nb:(i + 1) * alph.na * alph.nb] = 1.0
+    # Row i sums the slacks of input pair i, whose na*nb cells are contiguous.
+    budgets = np.kron(np.eye(alph.nx * alph.ny), np.ones((1, alph.na * alph.nb)))
     A_ub = np.vstack([
         np.hstack([Vt, -Vt, -eye]),          # p' - p <= s
         np.hstack([-Vt, Vt, -eye]),          # p - p' <= s
@@ -370,6 +369,10 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     )
 
 
+_EPS_SDP_KEYS = ("sdp_status", "iterations", "relative_gap", "max_equality_residual",
+                 "min_eigenvalue")
+
+
 def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     """Epsilon-smoothed level-1 relaxation, as one joint SDP.
 
@@ -381,6 +384,16 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     _require_valid(p)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
+    if eps == 0.0:
+        # The ball is {p}: every s is forced to 0, so the joint program has
+        # no interior.  Solve the exact program instead.
+        exact = gamma2_tilde_1(p)
+        return BoundResult(
+            quantity="gamma2_tilde_1_eps",
+            value=exact.value,
+            primal_certificate=exact.primal_certificate,
+            diagnostics={k: exact.diagnostics[k] for k in _EPS_SDP_KEYS},
+        )
     alph = p.alphabets
     d, ia, ib = _npa_layout(alph)
     n, per_input = alph.n_cells, alph.na * alph.nb
@@ -417,13 +430,8 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
         value=float(sol.objective),
         epsilon=float(eps),
         primal_certificate=_moment_model(alph, sol.blocks),
-        diagnostics={
-            "sdp_status": sol.status,
-            "iterations": sol.iterations,
-            "relative_gap": sol.relative_gap,
-            "max_equality_residual": sol.max_equality_residual,
-            "min_eigenvalue": sol.block_min_eig(),
-        },
+        diagnostics=dict(zip(_EPS_SDP_KEYS, (sol.status, sol.iterations, sol.relative_gap,
+                                             sol.max_equality_residual, sol.block_min_eig()))),
     )
 
 
@@ -431,19 +439,20 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
 # Correlation-space quantities
 
 
-def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, list]:
-    """Columns are flattened rank-one sign matrices u v^T, u in {+-1}^nx etc."""
+def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns are flattened rank-one sign matrices u v^T, u in {+-1}^nx etc.
+
+    Returns the matrix and the sign vectors: rows of ``us`` and ``vs``, with
+    column k built from ``us[k // len(vs)]`` and ``vs[k % len(vs)]``.
+    """
     check_vertex_cap(2 ** (nx + ny), "sign vertices")
-    us = [np.array(bits) for bits in np.ndindex(*(2,) * nx)]
-    vs = [np.array(bits) for bits in np.ndindex(*(2,) * ny)]
-    cols, pairs = [], []
-    for ub in us:
-        u = 1.0 - 2.0 * ub
-        for vb in vs:
-            v = 1.0 - 2.0 * vb
-            cols.append(np.outer(u, v).reshape(-1))
-            pairs.append((u.copy(), v.copy()))
-    return np.array(cols).T, pairs
+
+    def signs(n):  # every sign vector, the first entry flipping slowest
+        return 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+
+    us, vs = signs(nx), signs(ny)
+    S = (us[:, None, :, None] * vs[None, :, None, :]).reshape(len(us) * len(vs), nx * ny).T
+    return S, us, vs
 
 
 def nu_corr(C: np.ndarray) -> BoundResult:
@@ -452,7 +461,7 @@ def nu_corr(C: np.ndarray) -> BoundResult:
     if np.abs(C).max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("correlation entries must lie in [-1, 1]")
     nx, ny = C.shape
-    S, pairs = _sign_vertex_matrix(nx, ny)
+    S, us, vs = _sign_vertex_matrix(nx, ny)
     sol, q, y, norm = _min_l1_combination(S, C.reshape(-1), "nu_corr")
     corr_B = y.reshape(nx, ny)
     bell = BellFunctional(
@@ -470,7 +479,7 @@ def nu_corr(C: np.ndarray) -> BoundResult:
             "lp_status": sol.status,
             "iterations": sol.iterations,
             "weights": q[keep],
-            "sign_pairs": [pairs[i] for i in np.flatnonzero(keep)],
+            "sign_pairs": [(us[k // len(vs)], vs[k % len(vs)]) for k in np.flatnonzero(keep)],
         },
     )
 
@@ -519,7 +528,7 @@ def nu_corr_alpha(C: np.ndarray, alpha: float) -> float:
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
     nx, ny = C.shape
-    S, _ = _sign_vertex_matrix(nx, ny)
+    S = _sign_vertex_matrix(nx, ny)[0]
     V = S.shape[1]
     sign = C.reshape(-1)
     # sign * (S q) in [1, alpha] cellwise

@@ -145,7 +145,7 @@ def _max_common_bias(C: np.ndarray, equal: bool, name: str) -> float:
     sign rank-ones, weights w) and beta in [-1, 1], with C(x,y)*S(x,y) equal
     to beta on every input (``equal``) or at least beta (otherwise)."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    S, _ = _sign_vertex_matrix(*C.shape)
+    S = _sign_vertex_matrix(*C.shape)[0]
     V = S.shape[1]
     c = np.zeros(V + 1)
     c[-1] = -1.0

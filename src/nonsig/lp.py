@@ -1,16 +1,18 @@
 """Dense linear programming engine.
 
 Two-phase revised primal simplex with Bland's anti-cycling rule and
-bounded variables.  Deterministic: a given program always takes the same
-pivot sequence.  Sizes here are desk-scale (hundreds of rows), so the
-basis inverse is kept dense and refactorized periodically.  A singular
-basis matrix at a refactorization (a numerical breakdown) ends the solve
-with status ``numerical-error`` instead of raising ``LinAlgError``.
+bounded variables.  Pricing and the ratio test are numpy operations over
+all columns and rows; the entering column is the first eligible one.
+Deterministic: a given program always takes the same pivot sequence.
+Sizes here are desk-scale (hundreds of rows), so the basis inverse is kept
+dense and refactorized periodically.  A singular basis matrix at a
+refactorization (a numerical breakdown) ends the solve with status
+``numerical-error`` instead of raising ``LinAlgError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,12 +92,6 @@ class LpSolution:
     duality_gap: float = np.nan
     iterations: int = 0
 
-    @property
-    def dual(self) -> np.ndarray:
-        """Multipliers, equality rows first then inequality rows."""
-        parts = [d for d in (self.dual_eq, self.dual_ub) if d is not None]
-        return np.concatenate(parts) if parts else np.array([])
-
 
 class _Simplex:
     """Bounded-variable simplex state over A z = b, l <= z <= u."""
@@ -106,14 +102,17 @@ class _Simplex:
         self.lo = lo
         self.up = up
         self.m, self.n = A.shape
-        self.basis: list[int] = []
+        self.basis = np.empty(0, dtype=int)  # basic variable of each row
+        self.in_basis = np.zeros(self.n, dtype=bool)
         self.at_upper = np.zeros(self.n, dtype=bool)  # nonbasic side
         self.Binv = None
         self.xB = None
         self.iterations = 0  # pivots and bound flips over all phases
 
     def set_basis(self, basis):
-        self.basis = list(basis)
+        self.basis = np.array(basis, dtype=int)
+        self.in_basis[:] = False
+        self.in_basis[self.basis] = True
         self.refactor()
 
     def refactor(self):
@@ -123,87 +122,73 @@ class _Simplex:
 
     def recompute_xB(self):
         xN = self.nonbasic_values()
-        nonbasic = [j for j in range(self.n) if j not in set(self.basis)]
+        nonbasic = ~self.in_basis
         rhs = self.b - self.A[:, nonbasic] @ xN[nonbasic]
         self.xB = self.Binv @ rhs
 
     def nonbasic_values(self):
-        x = np.where(self.at_upper, self.up, self.lo)
-        return x
+        return np.where(self.at_upper, self.up, self.lo)
 
     def solution(self):
         x = self.nonbasic_values()
         x[self.basis] = self.xB
         return x
 
+    def pivot(self, pos, entering, w):
+        """Column ``entering`` (with w = Binv A[:, entering]) replaces the
+        basic variable of row ``pos``: product-form update of Binv."""
+        self.in_basis[self.basis[pos]] = False
+        self.basis[pos] = entering
+        self.in_basis[entering] = True
+        row = self.Binv[pos, :] / w[pos]
+        self.Binv -= np.outer(w, row)
+        self.Binv[pos, :] = row
+
     def iterate(self, c, max_iter):
         """Run Bland-rule pivots for objective c.  Returns status string."""
-        in_basis = np.zeros(self.n, dtype=bool)
-        in_basis[self.basis] = True
+        movable = self.lo != self.up
         for it in range(max_iter):
             if it % 64 == 63:
                 self.refactor()
             y = c[self.basis] @ self.Binv
             d = c - y @ self.A
-            entering = -1
-            direction = 0.0
-            for j in range(self.n):
-                if in_basis[j] or self.lo[j] == self.up[j]:
-                    continue
-                if not self.at_upper[j] and d[j] < -_DUAL_TOL:
-                    entering, direction = j, 1.0
-                    break
-                if self.at_upper[j] and d[j] > _DUAL_TOL:
-                    entering, direction = j, -1.0
-                    break
-            if entering < 0:
+            # Bland: the first nonbasic column whose move off its bound helps.
+            improving = np.where(self.at_upper, d > _DUAL_TOL, d < -_DUAL_TOL)
+            eligible = improving & movable & ~self.in_basis
+            entering = int(np.argmax(eligible))
+            if not eligible[entering]:
                 return "optimal"
+            direction = -1.0 if self.at_upper[entering] else 1.0
             w = self.Binv @ self.A[:, entering]
-            # Ratio test: basic vars move by -t*direction*w.
+            # Ratio test: basic vars move by -t*direction*w; a row blocks
+            # when its variable falls to its lower or rises to its upper bound.
+            dw = direction * w
+            lo_B, up_B = self.lo[self.basis], self.up[self.basis]
+            to_lower = dw > _PIVOT_TOL
+            to_upper = (dw < -_PIVOT_TOL) & np.isfinite(up_B)
+            t_rows = np.full(self.m, np.inf)
+            t_rows[to_lower] = (self.xB[to_lower] - lo_B[to_lower]) / dw[to_lower]
+            t_rows[to_upper] = (up_B[to_upper] - self.xB[to_upper]) / -dw[to_upper]
+            t_rows[t_rows < 0.0] = 0.0  # a basic variable just outside its bound
+            t_row = t_rows[np.argmin(t_rows)]
             t_flip = self.up[entering] - self.lo[entering]
-            candidates = []  # (t, leaving var index, basis position, hits upper)
-            for i in range(self.m):
-                bi = self.basis[i]
-                dw = direction * w[i]
-                if dw > _PIVOT_TOL:
-                    t = max((self.xB[i] - self.lo[bi]) / dw, 0.0)
-                    candidates.append((t, bi, i, False))
-                elif dw < -_PIVOT_TOL and np.isfinite(self.up[bi]):
-                    t = max((self.up[bi] - self.xB[i]) / (-dw), 0.0)
-                    candidates.append((t, bi, i, True))
-            t_row = min([t for t, *_ in candidates], default=np.inf)
             if not np.isfinite(min(t_row, t_flip)):
                 return "unbounded"
             self.iterations += 1
             if t_flip < t_row - _PIVOT_TOL:
-                leave_pos = -1  # bound flip, no basis change
-                leave_to_upper = False
-                t = t_flip
-            else:
-                # Bland tie-break: smallest variable index among blocking rows.
-                ties = [(bi, i, hu) for t, bi, i, hu in candidates if t <= t_row + _PIVOT_TOL]
-                _, leave_pos, leave_to_upper = min(ties)
-                t = t_row
-            if leave_pos < 0:
-                # Bound flip of the entering variable.
+                # Bound flip of the entering variable, no basis change.
                 self.at_upper[entering] = not self.at_upper[entering]
-                self.xB -= t * direction * w
+                self.xB -= t_flip * direction * w
                 continue
-            # Pivot: entering replaces basis[leave_pos].
-            self.xB -= t * direction * w
+            # Bland tie-break: smallest variable index among blocking rows.
+            ties = np.flatnonzero(t_rows <= t_row + _PIVOT_TOL)
+            leave_pos = ties[np.argmin(self.basis[ties])]
+            self.xB -= t_row * direction * w
             enter_val = (self.up[entering] if self.at_upper[entering] else self.lo[entering]) \
-                + direction * t
-            old = self.basis[leave_pos]
-            in_basis[old] = False
-            self.at_upper[old] = leave_to_upper
-            self.basis[leave_pos] = entering
-            in_basis[entering] = True
+                + direction * t_row
+            self.at_upper[self.basis[leave_pos]] = to_upper[leave_pos]
+            self.pivot(leave_pos, entering, w)
             self.xB[leave_pos] = enter_val
-            # Product-form update of Binv.
-            piv = w[leave_pos]
-            row = self.Binv[leave_pos, :] / piv
-            self.Binv -= np.outer(w, row)
-            self.Binv[leave_pos, :] = row
         return "iteration-limit"
 
 
@@ -253,57 +238,45 @@ def _two_phase(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int) -> 
     """Phase 1 from the artificial basis (the columns of ``sx`` after A's),
     then phase 2 for prog.c."""
     n, m_eq, m_ub = prog.n_vars, prog.n_eq, prog.n_ub
-    b, m, n_total = sx.b, sx.m, sx.n
-    art = list(range(n + m_ub, n_total))
+    b, n_total = sx.b, sx.n
+    first_art = n + m_ub
     scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    sx.set_basis(art)
+    sx.set_basis(range(first_art, n_total))
 
     # Phase 1: minimize artificial mass.
     c1 = np.zeros(n_total)
-    c1[art] = 1.0
+    c1[first_art:] = 1.0
     if sx.iterate(c1, limit) == "iteration-limit":
         return LpSolution("iteration-limit", iterations=sx.iterations)
     sx.refactor()
-    art_set = set(art)
-    art_mass = sum(sx.xB[i] for i, j in enumerate(sx.basis) if j in art_set)
+    art_rows = np.flatnonzero(sx.basis >= first_art)
+    art_mass = sum(sx.xB[art_rows])  # in row order, as a running sum
     if art_mass > _FEAS_TOL * scale:
         return LpSolution("infeasible", iterations=sx.iterations)
 
     # Drive artificials out of the basis where possible; freeze the rest
     # (their rows are redundant equalities).
-    for i in range(sx.m):
-        j = sx.basis[i]
-        if j not in art_set:
-            continue
-        alphas = sx.Binv[i, :] @ sx.A[:, : n + m_ub]
-        replaced = False
-        for k in np.argsort(-np.abs(alphas)):
-            k = int(k)
-            if abs(alphas[k]) < 1e-7 or k in set(sx.basis):
-                continue
+    for i in art_rows:
+        alphas = sx.Binv[i, :] @ sx.A[:, :first_art]
+        order = np.argsort(-np.abs(alphas))
+        order = order[(np.abs(alphas[order]) >= 1e-7) & ~sx.in_basis[order]]
+        for k in order:
             w = sx.Binv @ sx.A[:, k]
-            piv = w[i]
-            if abs(piv) < 1e-7:
-                continue
-            enter_val = sx.up[k] if sx.at_upper[k] else sx.lo[k]
-            sx.basis[i] = k
-            row = sx.Binv[i, :] / piv
-            sx.Binv -= np.outer(w, row)
-            sx.Binv[i, :] = row
-            sx.recompute_xB()
-            replaced = True
-            break
-        if not replaced:
-            sx.up[j] = 0.0  # inert artificial pins a redundant row
+            if abs(w[i]) >= 1e-7:
+                sx.pivot(i, k, w)
+                sx.recompute_xB()
+                break
+        else:
+            sx.up[sx.basis[i]] = 0.0  # inert artificial pins a redundant row
 
     # Any nonbasic artificial must stay at zero.
-    for j in art:
-        if j not in set(sx.basis):
-            sx.up[j] = 0.0
-            sx.at_upper[j] = False
+    frozen = ~sx.in_basis
+    frozen[:first_art] = False
+    sx.up[frozen] = 0.0
+    sx.at_upper[frozen] = False
 
     # Phase 2.
-    c2 = np.concatenate([prog.c, np.zeros(m_ub + m)])
+    c2 = np.concatenate([prog.c, np.zeros(n_total - n)])
     status = sx.iterate(c2, limit)
     iters = sx.iterations
     if status != "optimal":
@@ -316,19 +289,16 @@ def _two_phase(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int) -> 
     d = c2 - y @ sx.A
     obj = float(prog.c @ x)
 
-    # Dual objective with bound terms from nonbasic reduced costs.
-    basic = set(sx.basis)
-    dual_obj = float(y @ b)
-    for j in range(n + m_ub):
-        if j in basic or sx.lo[j] == sx.up[j]:
-            continue
-        val = sx.up[j] if sx.at_upper[j] else sx.lo[j]
-        if val != 0.0:
-            dual_obj += d[j] * val
-    gap = abs(obj - dual_obj)
+    # Dual objective with bound terms from nonbasic reduced costs, added
+    # left to right in column order.
+    vals = x_full[:first_art]
+    at_bound = ~sx.in_basis[:first_art] & (sx.lo != sx.up)[:first_art] & (vals != 0.0)
+    terms = d[:first_art][at_bound] * vals[at_bound]
+    dual_obj = np.add.accumulate(np.append(y @ b, terms))[-1]
+    gap = abs(obj - float(dual_obj))
 
     # Primal feasibility residual check.
-    resid = float(np.abs(A @ x_full[: n + m_ub] - b).max(initial=0.0)) if m else 0.0
+    resid = float(np.abs(A @ x_full[:first_art] - b).max(initial=0.0))
     if resid > _FEAS_TOL * scale or gap > 1e-7 * (1.0 + abs(obj)):
         # Refuse to report a sloppy optimum as optimal.
         return LpSolution("iteration-limit", x, y[:m_eq], y[m_eq:], obj, gap, iters)

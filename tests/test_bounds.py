@@ -206,6 +206,19 @@ class TestGamma2Tilde1Eps:
         assert gamma2_tilde_1_eps(p, 0.0).value == pytest.approx(
             gamma2_tilde_1(p).value, abs=1e-4)
 
+    def test_eps_zero_is_the_exact_program(self):
+        # At eps = 0 the ball is {p} and the joint program has no interior;
+        # the exact program is solved instead, with the same iterations.
+        rng = np.random.default_rng(17)
+        points = [pr_box()] + [random_nonlocal(rng, Alphabets(3, 3, 2, 2)) for _ in range(3)]
+        for p in points:
+            smoothed, exact = gamma2_tilde_1_eps(p, 0.0), gamma2_tilde_1(p)
+            assert smoothed.quantity == "gamma2_tilde_1_eps"
+            assert smoothed.epsilon == 0.0
+            assert smoothed.value == exact.value
+            assert smoothed.diagnostics["iterations"] == exact.diagnostics["iterations"]
+            assert set(smoothed.diagnostics) == set(gamma2_tilde_1_eps(p, 0.05).diagnostics)
+
     def test_pr_box_quantum_threshold(self):
         # quantum winnability of CHSH: eps = (1 - sqrt(2)/2)/2
         eps = (1.0 - SQRT2 / 2.0) / 2.0
@@ -257,6 +270,18 @@ class TestCorrelationQuantities:
     def test_chsh_sign_matrix(self):
         assert nu_corr(CHSH_SIGNS).value == pytest.approx(2.0, abs=1e-7)
         assert gamma2_corr(CHSH_SIGNS).value == pytest.approx(SQRT2, abs=1e-5)
+
+    def test_sign_vertices_and_pairs(self):
+        # Column order is that of a nested loop over u, then v; the LP's
+        # pivots depend on it.
+        for nx, ny in [(1, 1), (2, 3), (3, 2)]:
+            cols = [np.outer(1.0 - 2.0 * np.array(ub), 1.0 - 2.0 * np.array(vb)).ravel()
+                    for ub in np.ndindex(*(2,) * nx) for vb in np.ndindex(*(2,) * ny)]
+            assert np.array_equal(bounds._sign_vertex_matrix(nx, ny)[0], np.array(cols).T)
+        C = np.random.default_rng(8).uniform(-0.9, 0.9, size=(3, 4))
+        d = nu_corr(C).diagnostics
+        recon = sum(w * np.outer(u, v) for w, (u, v) in zip(d["weights"], d["sign_pairs"]))
+        assert np.abs(recon - C).max() <= 1e-9
 
     @pytest.mark.parametrize("C", [
         [[-1, -1, 1, 1, 1, -1], [-1, 1, -1, -1, -1, 1], [-1, 1, -1, 1, 1, 1],

@@ -5,6 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from nonsig.bounds import nu_corr, nu_tilde, nu_tilde_eps
+from nonsig.core import pr_box
+from nonsig import lp
 from nonsig.lp import LinearProgram, LpSolution, _Simplex, solve_lp
 
 
@@ -124,6 +127,85 @@ class TestBasics:
             LinearProgram(c=[1.0], lb=[-np.inf])
 
 
+class _LoopSimplex(_Simplex):
+    """Bland's pricing and ratio test written as loops over columns and
+    rows: the reference that the engine's numpy iteration must match."""
+
+    def iterate(self, c, max_iter):
+        for it in range(max_iter):
+            if it % 64 == 63:
+                self.refactor()
+            y = c[self.basis] @ self.Binv
+            d = c - y @ self.A
+            entering, direction = -1, 0.0
+            for j in range(self.n):
+                if self.in_basis[j] or self.lo[j] == self.up[j]:
+                    continue
+                if not self.at_upper[j] and d[j] < -lp._DUAL_TOL:
+                    entering, direction = j, 1.0
+                    break
+                if self.at_upper[j] and d[j] > lp._DUAL_TOL:
+                    entering, direction = j, -1.0
+                    break
+            if entering < 0:
+                return "optimal"
+            w = self.Binv @ self.A[:, entering]
+            t_flip = self.up[entering] - self.lo[entering]
+            blocking = []  # (leaving variable, row, step, leaves at upper bound)
+            for i in range(self.m):
+                bi, dw = self.basis[i], direction * w[i]
+                if dw > lp._PIVOT_TOL:
+                    blocking.append((bi, i, max((self.xB[i] - self.lo[bi]) / dw, 0.0), False))
+                elif dw < -lp._PIVOT_TOL and np.isfinite(self.up[bi]):
+                    blocking.append((bi, i, max((self.up[bi] - self.xB[i]) / -dw, 0.0), True))
+            t_row = min([t for _, _, t, _ in blocking], default=np.inf)
+            if not np.isfinite(min(t_row, t_flip)):
+                return "unbounded"
+            self.iterations += 1
+            if t_flip < t_row - lp._PIVOT_TOL:
+                self.at_upper[entering] = not self.at_upper[entering]
+                self.xB -= t_flip * direction * w
+                continue
+            old, pos, _, to_upper = min(b for b in blocking if b[2] <= t_row + lp._PIVOT_TOL)
+            self.xB -= t_row * direction * w
+            enter_val = (self.up[entering] if self.at_upper[entering] else self.lo[entering]) \
+                + direction * t_row
+            self.at_upper[old] = to_upper
+            self.pivot(pos, entering, w)
+            self.xB[pos] = enter_val
+        return "iteration-limit"
+
+
+class TestLoopReference:
+    @staticmethod
+    def outputs(sol):
+        return (sol.status, sol.iterations, sol.x, sol.dual_eq, sol.dual_ub,
+                sol.objective, sol.duality_gap)
+
+    def test_same_pivots_and_bits(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        programs = []
+        for k in range(24):
+            n = int(rng.integers(3, 40))
+            m_eq, m_ub = int(rng.integers(0, 5)), int(rng.integers(1, 10))
+            x0 = rng.uniform(0.1, 0.9, size=n)
+            A_eq, A_ub = rng.normal(size=(m_eq, n)), np.abs(rng.normal(size=(m_ub, n)))
+            programs.append(LinearProgram(
+                c=rng.normal(size=n),
+                A_eq=A_eq if m_eq else None, b_eq=A_eq @ x0 if m_eq else None,
+                # every third program is infeasible
+                A_ub=A_ub, b_ub=A_ub @ x0 * (1.2 if k % 3 else -1.0),
+                ub=np.where(rng.uniform(size=n) < 0.5, 1.0, np.inf)))
+        fast = [self.outputs(solve_lp(prog)) for prog in programs]
+        eps_fast = nu_tilde_eps(pr_box(), 0.1)
+        monkeypatch.setattr(lp, "_Simplex", _LoopSimplex)
+        for prog, out in zip(programs, fast):
+            np.testing.assert_equal(out, self.outputs(solve_lp(prog)))
+        eps_ref = nu_tilde_eps(pr_box(), 0.1)
+        assert eps_fast.value == eps_ref.value
+        assert eps_fast.diagnostics["iterations"] == eps_ref.diagnostics["iterations"]
+
+
 class TestDeterminism:
     def test_repeat_solves_identical(self):
         rng = np.random.default_rng(0)
@@ -137,6 +219,51 @@ class TestDeterminism:
         if a.status == "optimal":
             assert np.array_equal(a.x, b.x)
             assert a.iterations == b.iterations
+
+
+class TestPivotRule:
+    """Pivot counts of Bland's rule on fixed programs.
+
+    A change of pivot rule changes these counts (and may change which
+    optimal vertex and certificate come out); update them on purpose.
+    """
+
+    H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    SYLVESTER_8 = np.kron(np.kron(H2, H2), H2)
+
+    @pytest.mark.parametrize("n, pivots, value", [
+        (5, 255, 2.5333333333333328),
+        (6, 2011, 2.7272727272727186),
+    ])
+    def test_nu_corr_sylvester_blocks(self, n, pivots, value):
+        res = nu_corr(self.SYLVESTER_8[:n, :n])
+        assert res.diagnostics["iterations"] == pivots
+        assert res.value == pytest.approx(value, rel=1e-12)
+
+    def test_nu_tilde_pr_box(self):
+        res = nu_tilde(pr_box())
+        assert res.diagnostics["iterations"] == 12
+        assert res.value == pytest.approx(2.0, rel=1e-12)
+
+    def test_nu_tilde_eps_pr_box(self):
+        res = nu_tilde_eps(pr_box(), 0.1)
+        assert res.diagnostics["iterations"] == 138
+        assert res.value == pytest.approx(1.6, rel=1e-12)
+
+    def test_boxed_program(self):
+        # Unit boxes under loose packing rows: 10 of the 154 iterations are
+        # bound flips of the entering variable.
+        rng = np.random.default_rng(5)
+        n = 30
+        A_eq = rng.normal(size=(3, n))
+        A_ub = np.abs(rng.normal(size=(6, n)))
+        prog = LinearProgram(c=rng.normal(size=n),
+                             A_eq=A_eq, b_eq=A_eq @ rng.uniform(0, 1, size=n),
+                             A_ub=A_ub, b_ub=A_ub.sum(axis=1) * 0.6, ub=np.ones(n))
+        sol = solve_lp(prog)
+        check_optimal(prog, sol)
+        assert sol.iterations == 154
+        assert sol.objective == pytest.approx(-11.3976346917502, rel=1e-12)
 
 
 class TestBruteForceOracle:
