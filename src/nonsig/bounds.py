@@ -206,23 +206,6 @@ def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
 # gamma2_tilde_1: level-1 moment-matrix relaxation
 
 
-def _npa_layout(alph: Alphabets):
-    """Index map for the homogenized level-1 moment matrix.
-
-    Row/column 0 is the identity; one outcome per input is eliminated via
-    completeness, leaving na-1 (nb-1) projectors per Alice (Bob) input.
-    """
-    d = 1 + alph.nx * (alph.na - 1) + alph.ny * (alph.nb - 1)
-
-    def ia(x, a):
-        return 1 + x * (alph.na - 1) + a
-
-    def ib(y, b):
-        return 1 + alph.nx * (alph.na - 1) + y * (alph.nb - 1) + b
-
-    return d, ia, ib
-
-
 def _sym_unit(d: int, i: int, j: int) -> np.ndarray:
     """Symmetric matrix E with <E, G> = G[i, j] for symmetric G."""
     E = np.zeros((d, d))
@@ -233,77 +216,93 @@ def _sym_unit(d: int, i: int, j: int) -> np.ndarray:
     return E
 
 
-def _structural_constraints(prog: SdpProgram, block: int, alph: Alphabets) -> None:
-    """Projector structure of one homogenized moment block.
+def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(u v^T + v u^T) / 2 over the last axis, broadcasting the others."""
+    uv = u[..., :, None] * v[..., None, :]
+    return 0.5 * (uv + np.swapaxes(uv, -1, -2))
 
-    Diagonal entries equal the first-row entries (E^2 = E) and projectors
-    of the same input are orthogonal.
+
+class _MomentLayout:
+    """The homogenized level-1 moment matrix of one alphabet, compiled once.
+
+    Row/column 0 is the identity; one outcome per input is eliminated via
+    completeness, leaving na-1 (nb-1) projectors per Alice (Bob) input.
+    Alice's outcome (x, a) is the unit vector of its row if retained and
+    e_0 minus the input's retained rows if eliminated (Bob's likewise),
+    and ``cells[x, y, a, b]`` is the symmetrized outer product of the two,
+    so <cells[x, y, a, b], G> is the (a,b|x,y) value a block G implies.
+
+    ``structural`` holds the projector constraints (each = 0): diagonal
+    entries equal first-row entries (E^2 = E) and projectors of the same
+    input are orthogonal.  ``data`` holds the moments a target fixes, a
+    linearly independent set: retained cells, Alice's and Bob's retained
+    marginals, normalization; ``data_rhs`` gives their values and
+    ``fold`` is its adjoint.
     """
-    d, ia, ib = _npa_layout(alph)
-    for k in range(1, d):
-        M = _sym_unit(d, k, k) - _sym_unit(d, 0, k)
-        prog.add_constraint({block: M}, 0.0)
-    for x in range(alph.nx):
-        for a in range(alph.na - 1):
-            for a2 in range(a + 1, alph.na - 1):
-                prog.add_constraint({block: _sym_unit(d, ia(x, a), ia(x, a2))}, 0.0)
-    for y in range(alph.ny):
-        for b in range(alph.nb - 1):
-            for b2 in range(b + 1, alph.nb - 1):
-                prog.add_constraint({block: _sym_unit(d, ib(y, b), ib(y, b2))}, 0.0)
 
+    def __init__(self, alph: Alphabets):
+        nx, ny, na, nb = alph.shape
+        self.alph = alph
+        self.d = d = 1 + nx * (na - 1) + ny * (nb - 1)
+        eye = np.eye(d)
+        ea = eye[1:1 + nx * (na - 1)].reshape(nx, na - 1, d)
+        eb = eye[1 + nx * (na - 1):].reshape(ny, nb - 1, d)
+        alice = np.concatenate([ea, eye[0] - ea.sum(axis=1, keepdims=True)], axis=1)
+        bob = np.concatenate([eb, eye[0] - eb.sum(axis=1, keepdims=True)], axis=1)
+        self.cells = _sym_outer(alice[:, None, :, None], bob[None, :, None, :])
+        pairs = [(eye[k], eye[k] - eye[0]) for k in range(1, d)]
+        pairs += [(u[i], u[j]) for u in (*ea, *eb)
+                  for i in range(len(u)) for j in range(i + 1, len(u))]
+        self.structural = [_sym_outer(u, v) for u, v in pairs]
+        self.data = np.concatenate([self.cells[:, :, :-1, :-1].reshape(-1, d, d),
+                                    _sym_outer(eye[0], ea).reshape(-1, d, d),
+                                    _sym_outer(eye[0], eb).reshape(-1, d, d),
+                                    _sym_outer(eye[0], eye[:1])])
 
-def _cell_coefficient(alph: Alphabets, x: int, y: int, a: int, b: int) -> np.ndarray:
-    """Matrix A with <A, Gamma> = the (a,b|x,y) value implied by a block.
+    def data_rhs(self, p: ConditionalDistribution) -> np.ndarray:
+        """p's values of the ``data`` moments."""
+        return np.concatenate([p.table[:, :, :-1, :-1].reshape(-1),
+                               p.marginal_a()[:, :-1].reshape(-1),
+                               p.marginal_b()[:, :-1].reshape(-1), [1.0]])
 
-    Eliminated outcomes are recovered through completeness, so cells in
-    the last outcome row/column are differences of retained moments.
-    """
-    d, ia, ib = _npa_layout(alph)
-    ra, rb = alph.na - 1, alph.nb - 1
-    A = np.zeros((d, d))
-    if a < ra and b < rb:
-        A += _sym_unit(d, ia(x, a), ib(y, b))
-    elif a < ra:  # b is the eliminated outcome
-        A += _sym_unit(d, 0, ia(x, a))
-        for b2 in range(rb):
-            A -= _sym_unit(d, ia(x, a), ib(y, b2))
-    elif b < rb:
-        A += _sym_unit(d, 0, ib(y, b))
-        for a2 in range(ra):
-            A -= _sym_unit(d, ia(x, a2), ib(y, b))
-    else:
-        A += _sym_unit(d, 0, 0)
-        for a2 in range(ra):
-            A -= _sym_unit(d, 0, ia(x, a2))
-        for b2 in range(rb):
-            A -= _sym_unit(d, 0, ib(y, b2))
-        for a2 in range(ra):
-            for b2 in range(rb):
-                A += _sym_unit(d, ia(x, a2), ib(y, b2))
-    return A
+    def fold(self, y: np.ndarray) -> np.ndarray:
+        """Coefficient tensor B with <B, p> = <y, data_rhs(p)> for normalized p.
 
+        Marginal multipliers are spread uniformly over the summed-out
+        input, and the normalization multiplier over all cells.
+        """
+        nx, ny, na, nb = self.alph.shape
+        cell, mA, mB, norm = np.split(y, np.cumsum(
+            [nx * ny * (na - 1) * (nb - 1), nx * (na - 1), ny * (nb - 1)]))
+        B = np.zeros(self.alph.shape)
+        B[:, :, :-1, :-1] += cell.reshape(nx, ny, na - 1, nb - 1)
+        B[:, :, :-1, :] += (mA.reshape(nx, na - 1) / ny)[:, None, :, None]
+        B[:, :, :, :-1] += (mB.reshape(ny, nb - 1) / nx)[None, :, None, :]
+        B += norm[0] / (nx * ny)
+        return B
 
-def _block_component(alph: Alphabets, G: np.ndarray, t: float) -> ConditionalDistribution:
-    """Distribution represented by one moment block with weight t."""
-    tab = np.empty(alph.shape)
-    for x in range(alph.nx):
-        for y in range(alph.ny):
-            for a in range(alph.na):
-                for b in range(alph.nb):
-                    A = _cell_coefficient(alph, x, y, a, b)
-                    tab[x, y, a, b] = np.sum(A * G) / t
-    return ConditionalDistribution(alph, tab)
+    def program(self, n_linear: int = 0) -> SdpProgram:
+        """Positive and negative moment blocks, each with the projector
+        constraints, minimizing the total scale t+ + t-."""
+        prog = SdpProgram([self.d, self.d], n_linear)
+        E00 = self.data[-1]
+        prog.set_objective({0: E00, 1: E00})
+        for block in (0, 1):
+            for M in self.structural:
+                prog.add_constraint({block: M}, 0.0)
+        return prog
 
-
-def _moment_model(alph: Alphabets, blocks: list) -> AffineModel:
-    """Affine model from the positive and negative moment blocks."""
-    comps = []
-    for sign, G in zip((1.0, -1.0), blocks):
-        t = float(G[0, 0])
-        if t > 1e-8:
-            comps.append((sign * t, _block_component(alph, G, t)))
-    return AffineModel(comps, certified_class="npa-level-1")
+    def model(self, blocks: list) -> AffineModel:
+        """Affine model from the positive and negative moment blocks."""
+        comps = []
+        for sign, G in zip((1.0, -1.0), blocks):
+            t = float(G[0, 0])
+            if t > 1e-8:
+                # A numpy sum per cell, not a BLAS product (tensordot), so
+                # the tables' last bits do not depend on the BLAS build.
+                tab = (self.cells * G).reshape(*self.alph.shape, -1).sum(-1) / t
+                comps.append((sign * t, ConditionalDistribution(self.alph, tab)))
+        return AffineModel(comps, certified_class="npa-level-1")
 
 
 def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
@@ -315,42 +314,15 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     normalization), and the objective is the total scale t+ + t-.
     """
     _require_valid(p)
-    alph = p.alphabets
-    d, ia, ib = _npa_layout(alph)
-    prog = SdpProgram([d, d])
-    E00 = _sym_unit(d, 0, 0)
-    prog.set_objective({0: E00, 1: E00})
-    _structural_constraints(prog, 0, alph)
-    _structural_constraints(prog, 1, alph)
-
-    margA = p.marginal_a()
-    margB = p.marginal_b()
-    data_start = prog.n_constraints
-    data_keys = []
-    for x in range(alph.nx):
-        for y in range(alph.ny):
-            for a in range(alph.na - 1):
-                for b in range(alph.nb - 1):
-                    E = _sym_unit(d, ia(x, a), ib(y, b))
-                    prog.add_constraint({0: E, 1: -E}, p.table[x, y, a, b])
-                    data_keys.append(("cell", x, y, a, b))
-    for x in range(alph.nx):
-        for a in range(alph.na - 1):
-            E = _sym_unit(d, 0, ia(x, a))
-            prog.add_constraint({0: E, 1: -E}, margA[x, a])
-            data_keys.append(("margA", x, a))
-    for y in range(alph.ny):
-        for b in range(alph.nb - 1):
-            E = _sym_unit(d, 0, ib(y, b))
-            prog.add_constraint({0: E, 1: -E}, margB[y, b])
-            data_keys.append(("margB", y, b))
-    prog.add_constraint({0: E00, 1: -E00}, 1.0)
-    data_keys.append(("norm",))
+    layout = _MomentLayout(p.alphabets)
+    prog = layout.program()
+    for M, rhs in zip(layout.data, layout.data_rhs(p)):
+        prog.add_constraint({0: M, 1: -M}, rhs)
 
     sol = solve_sdp(prog)
     if sol.status != "optimal":
         raise RuntimeError(f"gamma2_tilde_1 SDP returned {sol.status}")
-    model = _moment_model(alph, sol.blocks)
+    model = layout.model(sol.blocks)
     recon = float(np.abs(model.evaluate() - p.table).max()) if model.components else np.inf
     return BoundResult(
         quantity="gamma2_tilde_1",
@@ -363,8 +335,7 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
             "max_equality_residual": sol.max_equality_residual,
             "min_eigenvalue": sol.block_min_eig(),
             "reconstruction_residual": recon,
-            "data_dual": sol.dual[data_start:],
-            "data_keys": data_keys,
+            "data_dual": sol.dual[-len(layout.data):],
         },
     )
 
@@ -395,26 +366,16 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
             diagnostics={k: exact.diagnostics[k] for k in _EPS_SDP_KEYS},
         )
     alph = p.alphabets
-    d, ia, ib = _npa_layout(alph)
+    layout = _MomentLayout(alph)
     n, per_input = alph.n_cells, alph.na * alph.nb
-    cells = [(x, y, a, b)
-             for x in range(alph.nx) for y in range(alph.ny)
-             for a in range(alph.na) for b in range(alph.nb)]
 
     # Linear block: s, then the slacks of p' - p <= s, p - p' <= s, p' >= 0
     # (n entries each) and of the nx*ny budgets; row k of `e` selects entry k.
     e = np.eye(4 * n + alph.nx * alph.ny)
-    prog = SdpProgram([d, d], len(e))
-    E00 = _sym_unit(d, 0, 0)
-    prog.set_objective({0: E00, 1: E00})
-
-    _structural_constraints(prog, 0, alph)
-    _structural_constraints(prog, 1, alph)
+    prog = layout.program(len(e))
+    E00 = layout.data[-1]
     prog.add_constraint({0: E00, 1: -E00}, 1.0)
-
-    for k, (x, y, a, b) in enumerate(cells):
-        A = _cell_coefficient(alph, x, y, a, b)
-        pv = p.table[x, y, a, b]
+    for k, (A, pv) in enumerate(zip(layout.cells.reshape(n, layout.d, layout.d), p.flat())):
         prog.add_constraint({0: A, 1: -A, LINEAR: e[n + k] - e[k]}, pv)
         prog.add_constraint({0: -A, 1: A, LINEAR: e[2 * n + k] - e[k]}, -pv)
         prog.add_constraint({0: A, 1: -A, LINEAR: -e[3 * n + k]}, 0.0)
@@ -429,7 +390,7 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
         quantity="gamma2_tilde_1_eps",
         value=float(sol.objective),
         epsilon=float(eps),
-        primal_certificate=_moment_model(alph, sol.blocks),
+        primal_certificate=layout.model(sol.blocks),
         diagnostics=dict(zip(_EPS_SDP_KEYS, (sol.status, sol.iterations, sol.relative_gap,
                                              sol.max_equality_residual, sol.block_min_eig()))),
     )
@@ -564,31 +525,10 @@ def dual_bell(p: ConditionalDistribution, bound_class: str = "local") -> BellFun
 
 
 def _dual_tsirelson(p: ConditionalDistribution) -> BellFunctional:
-    """Fold the gamma2_tilde_1 dual multipliers into a coefficient tensor.
-
-    Marginal multipliers are spread uniformly over the summed-out input,
-    and the normalization multiplier over all cells, so that the tensor
-    evaluates to the same number on every normalized non-signaling p.
-    """
-    result = gamma2_tilde_1(p)
-    alph = p.alphabets
-    y = result.diagnostics["data_dual"]
-    keys = result.diagnostics["data_keys"]
-    B = np.zeros(alph.shape)
-    for mult, key in zip(y, keys):
-        if key[0] == "cell":
-            _, x, yy, a, b = key
-            B[x, yy, a, b] += mult
-        elif key[0] == "margA":
-            _, x, a = key
-            B[x, :, a, :] += mult / alph.ny
-        elif key[0] == "margB":
-            _, yy, b = key
-            B[:, yy, :, b] += mult / alph.nx
-        else:  # normalization
-            B += mult / (alph.nx * alph.ny)
+    """The gamma2_tilde_1 data multipliers, folded into a coefficient tensor."""
+    y = gamma2_tilde_1(p).diagnostics["data_dual"]
     return BellFunctional(
-        coeffs=B,
+        coeffs=_MomentLayout(p.alphabets).fold(y),
         claimed_bound_class="npa-level-1",
         normalization=1.0,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,8 +201,8 @@ class LocalVertex:
 class AffineModel:
     """A signed decomposition p = sum_i q_i p_i over component distributions.
 
-    Components may be ConditionalDistribution, LocalVertex, or a
-    (weights, vertices) mixture created by :meth:`from_vertex_weights`.
+    Components are ConditionalDistribution or LocalVertex instances;
+    :meth:`from_vertex_weights` builds a model of LocalVertex components.
     """
 
     components: list  # list of (weight, component)

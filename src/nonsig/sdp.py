@@ -160,7 +160,7 @@ def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
 
     status, it = "max-iterations", 0
     # Best iterate so far by max(primal residual, dual residual, gap).
-    best_merit, best_X, best_y = np.inf, X.copy(), y.copy()
+    best_merit, best_X, best_y, best_it = np.inf, X.copy(), y.copy(), 0
     for it in range(1, max_iter + 1):
         rp = b - apply_A(X)
         Rd = c - apply_AT(y) - S
@@ -177,7 +177,7 @@ def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
             break
         merit = max(prim_res, dual_res, gap_rel)
         if merit < best_merit:
-            best_merit, best_X, best_y = merit, X.copy(), y.copy()
+            best_merit, best_X, best_y, best_it = merit, X.copy(), y.copy(), it
 
         sigma = 0.3 if it <= 2 else sigma_next
         try:
@@ -208,7 +208,7 @@ def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
             # The iterate has lost definiteness (rank-deficient optimum,
             # ill-conditioned Schur system): stop on the best iterate.
             status = "numerical-error"
-            X, y = best_X, best_y
+            X, y, it = best_X, best_y, best_it
             break
         X, S = X + alpha_p * dX, S + alpha_d * dS
         for B in psd(X) + psd(S):

@@ -258,6 +258,29 @@ class TestGamma2Tilde1Eps:
             2.0 * (1.0 - 2.0 * eps), abs=1e-6)
 
 
+class TestMomentLayout:
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 2, 4)])
+    def test_local_vertex_moments(self, shape):
+        # A local vertex has the rank-one moment matrix g g^T, where g holds
+        # 1 and the indicators of its retained outcomes.  The layout's
+        # projector constraints vanish on it, its cells give the vertex
+        # table and its data moments give data_rhs, all without the SDP.
+        alph = Alphabets(*shape)
+        nx, ny, na, nb = shape
+        layout = bounds._MomentLayout(alph)
+        for v in enumerate_local_vertices(alph):
+            g = np.concatenate(
+                [[1.0]] + [np.arange(na - 1) == a for a in v.lambda_a]
+                + [np.arange(nb - 1) == b for b in v.lambda_b]).astype(float)
+            assert g.shape == (layout.d,)
+            G = np.outer(g, g)
+            for M in layout.structural:
+                assert np.sum(M * G) == 0.0
+            assert np.array_equal(np.einsum("...ij,ij->...", layout.cells, G), v.table())
+            assert np.array_equal(np.einsum("kij,ij->k", layout.data, G),
+                                  layout.data_rhs(v.distribution()))
+
+
 class TestCorrelationQuantities:
     def test_rank_one_sign_matrix(self):
         rng = np.random.default_rng(51)
@@ -283,19 +306,21 @@ class TestCorrelationQuantities:
         recon = sum(w * np.outer(u, v) for w, (u, v) in zip(d["weights"], d["sign_pairs"]))
         assert np.abs(recon - C).max() <= 1e-9
 
-    @pytest.mark.parametrize("C", [
-        [[-1, -1, 1, 1, 1, -1], [-1, 1, -1, -1, -1, 1], [-1, 1, -1, 1, 1, 1],
-         [-1, -1, 1, 1, 1, 1], [-1, 1, 1, -1, -1, -1], [1, -1, -1, 1, 1, 1]],
-        [[-1, -1, 1, 1, 1], [-1, -1, -1, -1, -1], [1, 1, 1, -1, 1],
-         [-1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]],
+    @pytest.mark.parametrize("C, iterations", [
+        ([[-1, -1, 1, 1, 1, -1], [-1, 1, -1, -1, -1, 1], [-1, 1, -1, 1, 1, 1],
+          [-1, -1, 1, 1, 1, 1], [-1, 1, 1, -1, -1, -1], [1, -1, -1, 1, 1, 1]], 22),
+        ([[-1, -1, 1, 1, 1], [-1, -1, -1, -1, -1], [1, 1, 1, -1, 1],
+          [-1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]], 22),
     ], ids=["6x6", "5x5"])
-    def test_gamma2_corr_rank_deficient_optimum(self, C):
+    def test_gamma2_corr_rank_deficient_optimum(self, C, iterations):
         # The engine's iterate loses definiteness on these sign matrices;
-        # the best iterate must still be a certified optimum.
+        # the best iterate must still be a certified optimum, reported with
+        # its own iteration count (the breakdowns come at 45 and 35).
         C = np.array(C, dtype=float)
         nx, ny = C.shape
         result = gamma2_corr(C)
         assert result.diagnostics["sdp_status"] == "optimal"
+        assert result.diagnostics["iterations"] == iterations
         G = result.diagnostics["gram"]
         residual = max(np.abs(G[:nx, nx:] - C).max(),
                        np.abs(np.diag(G) - G[0, 0]).max())
@@ -381,6 +406,27 @@ class TestDualBell:
         bell = dual_bell(pr_box(), "npa-level-1")
         assert bell.claimed_bound_class == "npa-level-1"
         assert bell.value(pr_box()) == pytest.approx(SQRT2, abs=1e-4)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 2, 4), (3, 2, 4, 2)])
+    def test_npa_level_1_fold_on_larger_alphabets(self, shape):
+        # The fold spreads marginal and normalization multipliers over the
+        # cells; on outcome counts above two, and unequal ones, B(p) must
+        # still equal gamma2_tilde_1(p) and stay within 1 on every local
+        # vertex.
+        # The point is a PR box on the first two outcomes (b = a xor xy),
+        # blended with a seeded local mixture: nonlocal on every shape.
+        alph = Alphabets(*shape)
+        box = np.zeros(shape)
+        for x, y, a in np.ndindex(alph.nx, alph.ny, 2):
+            box[x, y, a, a ^ (x * y % 2)] = 0.5
+        local = random_local_mixture(np.random.default_rng(list(shape)), alph)
+        p = ConditionalDistribution(alph, 0.8 * box + 0.2 * local.table)
+        value = gamma2_tilde_1(p).value
+        assert value > 1.0 + 1e-3
+        bell = dual_bell(p, "npa-level-1")
+        assert bell.value(p) == pytest.approx(value, abs=1e-6)
+        for v in enumerate_local_vertices(alph):
+            assert abs(bell.value(v.distribution())) <= 1.0 + 1e-6
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,9 @@ class TestSolutionQuality:
             prog = self._random_feasible_program(rng)
         sol = solve_sdp(prog)
         assert sol.status == "optimal"
+        # The count is that of the returned iterate, not of the breakdown
+        # (iteration 39).
+        assert sol.iterations == 21
         assert sol.max_equality_residual <= 1e-6
         assert sol.block_min_eig() >= -1e-7
         assert sol.relative_gap <= 1e-5
