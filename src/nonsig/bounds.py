@@ -24,6 +24,7 @@ from .core import (
     SIGNS,
     TOL_RECON,
     check_vertex_cap,
+    deterministic_strategies,
     product_distribution,
     validate,
     vertex_table_matrix,
@@ -407,11 +408,7 @@ def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.nd
     column k built from ``us[k // len(vs)]`` and ``vs[k % len(vs)]``.
     """
     check_vertex_cap(2 ** (nx + ny), "sign vertices")
-
-    def signs(n):  # every sign vector, the first entry flipping slowest
-        return 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-
-    us, vs = signs(nx), signs(ny)
+    us, vs = SIGNS[deterministic_strategies(nx, 2)], SIGNS[deterministic_strategies(ny, 2)]
     S = (us[:, None, :, None] * vs[None, :, None, :]).reshape(len(us) * len(vs), nx * ny).T
     return S, us, vs
 

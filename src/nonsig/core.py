@@ -5,8 +5,9 @@ Conventions used throughout the package:
 * tables are numpy arrays indexed ``[x, y, a, b]``;
 * for binary outcomes, outcome index 0 maps to the sign +1 and index 1 to
   the sign -1 (fixed convention for file I/O and correlation algebra);
-* local deterministic vertices are enumerated lexicographically with
-  Alice's strategy varying fastest, so LP column indices are reproducible.
+* deterministic strategies are enumerated by :func:`deterministic_strategies`
+  alone (lexicographic, first input most significant); local vertex k pairs
+  Alice's strategy k % na^nx with Bob's k // na^nx, so LP columns are fixed.
 """
 
 from __future__ import annotations
@@ -55,8 +56,12 @@ def check_vertex_cap(count: int, items: str, cap: int | None = None) -> None:
     sign vertices, classical strategies): ``cap`` if given, else
     NONSIG_VERTEX_CAP, else DEFAULT_VERTEX_CAP.
     """
+    limit = cap if cap is not None else DEFAULT_VERTEX_CAP
     env = os.environ.get("NONSIG_VERTEX_CAP")
-    limit = cap if cap is not None else (int(env) if env else DEFAULT_VERTEX_CAP)
+    if cap is None and env:
+        if not env.strip().isdecimal():
+            raise ValueError(f"NONSIG_VERTEX_CAP must be a nonnegative integer, got {env!r}")
+        limit = int(env)
     if count > limit:
         raise ResourceLimitError(
             f"enumeration would produce {count} {items} (cap {limit})")
@@ -186,11 +191,9 @@ class LocalVertex:
             raise ShapeError("strategy length does not match input alphabet")
 
     def table(self) -> np.ndarray:
-        nx, ny, na, nb = self.alphabets.shape
-        t = np.zeros((nx, ny, na, nb))
-        for x in range(nx):
-            for y in range(ny):
-                t[x, y, self.lambda_a[x], self.lambda_b[y]] = 1.0
+        t = np.zeros(self.alphabets.shape)
+        x, y = np.ix_(range(self.alphabets.nx), range(self.alphabets.ny))
+        t[x, y, np.array(self.lambda_a)[x], np.array(self.lambda_b)[y]] = 1.0
         return t
 
     def distribution(self) -> ConditionalDistribution:
@@ -209,13 +212,14 @@ class AffineModel:
     certified_class: str = "local-deterministic"
 
     @staticmethod
-    def from_vertex_weights(alphabets: Alphabets, weights: np.ndarray,
-                            vertices: list[LocalVertex] | None = None,
-                            tol: float = 1e-12) -> "AffineModel":
+    def from_vertex_weights(alphabets: Alphabets, weights: np.ndarray) -> "AffineModel":
         """Build a model from per-vertex signed weights, dropping ~0 terms."""
-        if vertices is None:
-            vertices = list(enumerate_local_vertices(alphabets))
-        comps = [(float(w), v) for w, v in zip(weights, vertices) if abs(w) > tol]
+        keep = np.flatnonzero(np.abs(weights) > 1e-12)
+        n_a = alphabets.na ** alphabets.nx
+        las = deterministic_strategies(alphabets.nx, alphabets.na, keep % n_a).tolist()
+        lbs = deterministic_strategies(alphabets.ny, alphabets.nb, keep // n_a).tolist()
+        comps = [(float(weights[k]), LocalVertex(alphabets, tuple(la), tuple(lb)))
+                 for k, la, lb in zip(keep, las, lbs)]
         return AffineModel(comps, certified_class="local-deterministic")
 
     @property
@@ -355,22 +359,61 @@ def from_correlation_rep(rep: CorrelationRep) -> ConditionalDistribution:
     return ConditionalDistribution(alph, np.clip(t, 0.0, None))
 
 
+def deterministic_strategies(n_inputs: int, n_outcomes: int, rows=None) -> np.ndarray:
+    """Every map [n_inputs] -> [n_outcomes] as one int row, in lexicographic
+    order with the first input most significant; ``rows`` picks some rows."""
+    k = np.arange(n_outcomes ** n_inputs) if rows is None else np.asarray(rows)
+    return k[:, None] // n_outcomes ** np.arange(n_inputs - 1, -1, -1) % n_outcomes
+
+
 def enumerate_local_vertices(alphabets: Alphabets, cap: int | None = None):
-    """Yield all na^nx * nb^ny local deterministic vertices.
-
-    Order is lexicographic over (lambda_B, lambda_A) with lambda_A varying
-    fastest; first input coordinate is most significant.
-    """
+    """Yield all na^nx * nb^ny local deterministic vertices: vertex k pairs
+    Alice's strategy k % na^nx with Bob's k // na^nx."""
     check_vertex_cap(alphabets.vertex_count, "local vertices", cap)
-    for lb in itertools.product(range(alphabets.nb), repeat=alphabets.ny):
-        for la in itertools.product(range(alphabets.na), repeat=alphabets.nx):
-            yield LocalVertex(alphabets, la, lb)
+    las = deterministic_strategies(alphabets.nx, alphabets.na).tolist()
+    for lb in deterministic_strategies(alphabets.ny, alphabets.nb).tolist():
+        for la in las:
+            yield LocalVertex(alphabets, tuple(la), tuple(lb))
 
 
-def vertex_table_matrix(alphabets: Alphabets, cap: int | None = None) -> np.ndarray:
-    """Dense matrix whose columns are flattened vertex tables (n_cells x V)."""
-    cols = [v.table().reshape(-1) for v in enumerate_local_vertices(alphabets, cap)]
-    return np.array(cols).T
+def vertex_table_matrix(alphabets: Alphabets) -> np.ndarray:
+    """Dense matrix whose columns are flattened vertex tables (n_cells x V),
+    in the order of :func:`enumerate_local_vertices`."""
+    check_vertex_cap(alphabets.vertex_count, "local vertices")
+    nx, ny, na, nb = alphabets.shape
+    ta = deterministic_strategies(nx, na)[:, :, None] == np.arange(na)  # [ka, x, a]
+    tb = deterministic_strategies(ny, nb)[:, :, None] == np.arange(nb)  # [kb, y, b]
+    cols = tb[:, None, None, :, None, :] & ta[None, :, :, None, :, None]
+    return cols.reshape(alphabets.vertex_count, alphabets.n_cells).astype(float).T
+
+
+# Rows of the enumerated party's strategies that are scored at once.
+_RESPONSE_BLOCK = 4096
+
+
+def best_local_response(B: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact max of <B, v> over local deterministic vertices v; B is [x, y, a, b].
+
+    The party with fewer strategies is enumerated in blocks; the other
+    answers each input with its best outcome, as <B, v> splits over its
+    inputs.  Returns (value, lambda_a, lambda_b): the first maximizer in
+    enumeration order, per-input ties going to the first outcome.
+    """
+    B = np.asarray(B, dtype=float)
+    swap = B.shape[3] ** B.shape[1] < B.shape[2] ** B.shape[0]
+    by_a = np.ascontiguousarray(B.transpose((1, 3, 0, 2) if swap else (0, 2, 1, 3)))
+    nx, na = by_a.shape[:2]  # by_a is [x, a, y, b] with the enumerated party as x
+    count = na ** nx
+    check_vertex_cap(count, "classical strategies")
+    best = (-np.inf, None, None)
+    for start in range(0, count, _RESPONSE_BLOCK):
+        la = deterministic_strategies(nx, na, range(start, count)[:_RESPONSE_BLOCK])
+        score = sum(by_a[x][la[:, x]] for x in range(nx))  # [k, y, b]
+        values = score.max(axis=2).sum(axis=1)
+        k = int(np.argmax(values))
+        if values[k] > best[0]:
+            best = (float(values[k]), la[k], score[k].argmax(axis=1))
+    return (best[0], best[2], best[1]) if swap else best
 
 
 def affine_basis(nx: int, ny: int) -> list[CorrelationRep]:

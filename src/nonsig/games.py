@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BellFunctional, SIGNS, check_vertex_cap
+from .core import BellFunctional, SIGNS, best_local_response
 from .bounds import _sign_vertex_matrix
 from .lp import LinearProgram, solve_lp
 from .sdp import SdpProgram, solve_sdp
@@ -57,31 +57,10 @@ def bias_of_correlations(game: XorGame, C: np.ndarray) -> float:
 
 
 def classical_bias(game: XorGame) -> dict:
-    """Exact maximum bias over deterministic sign strategies.
-
-    For each of the 2^nx Alice sign vectors the best Bob reply is
-    computed greedily per column, so the enumeration is exponential in
-    one side only; the game is transposed first so that side is the
-    smaller one.
-    """
-    check_vertex_cap(2 ** min(game.nx, game.ny), "classical strategies")
-    W = game.mu * game.G
-    transposed = game.nx > game.ny
-    if transposed:
-        W = W.T
-    n = W.shape[0]
-    best = (-np.inf, None, None)
-    for bits in np.ndindex(*(2,) * n):
-        u = 1.0 - 2.0 * np.array(bits)
-        col = u @ W
-        v = np.where(col >= 0, 1.0, -1.0)
-        val = float(col @ v)
-        if val > best[0]:
-            best = (val, u, v)
-    bias, u, v = best
-    if transposed:
-        u, v = v, u
-    return {"bias": bias, "u": u, "v": v}
+    """Exact maximum bias over deterministic sign strategies: the local
+    bound of the correlation functional mu*G, by best_local_response."""
+    bias, la, lb = best_local_response(np.einsum("xy,a,b->xyab", game.mu * game.G, SIGNS, SIGNS))
+    return {"bias": bias, "u": SIGNS[la], "v": SIGNS[lb]}
 
 
 def quantum_bias(game: XorGame) -> dict:

@@ -203,6 +203,14 @@ class TestExitCodes:
         monkeypatch.setenv("NONSIG_VERTEX_CAP", "4")
         assert main(["bell", pr_file]) == 2
 
+    @pytest.mark.parametrize("setting", ["2e6", "-5", "many"])
+    def test_malformed_vertex_cap_is_exit_1_and_named(self, capsys, monkeypatch, pr_file,
+                                                      setting):
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", setting)
+        assert main(["nu", pr_file]) == 1
+        err = capsys.readouterr().err
+        assert "NONSIG_VERTEX_CAP" in err and repr(setting) in err
+
     def test_nu_corr_over_vertex_cap_is_exit_2(self, monkeypatch, tmp_path):
         # A 3x3 matrix has 2^6 = 64 sign vertices.
         path = tmp_path / "c3.json"

@@ -7,15 +7,20 @@ import numpy as np
 import pytest
 
 from nonsig.core import (
+    AffineModel,
     Alphabets,
     ConditionalDistribution,
     CorrelationRep,
     InfeasibleRepresentationError,
+    LocalVertex,
     ResourceLimitError,
     ShapeError,
     UnsupportedRepresentationError,
     affine_basis,
+    best_local_response,
     boolean_distribution,
+    check_vertex_cap,
+    deterministic_strategies,
     distribution_from_json,
     distribution_to_json,
     enumerate_local_vertices,
@@ -153,6 +158,99 @@ class TestVertexEnumeration:
         monkeypatch.setenv("NONSIG_VERTEX_CAP", "15")
         with pytest.raises(ResourceLimitError):
             list(enumerate_local_vertices(B22))
+
+
+    @pytest.mark.parametrize("setting", ["2e6", "-5", "1.5", "cap"])
+    def test_malformed_cap_env_names_the_variable(self, monkeypatch, setting):
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", setting)
+        with pytest.raises(ValueError, match=f"NONSIG_VERTEX_CAP.*{setting!r}"):
+            check_vertex_cap(1, "local vertices")
+
+    def test_zero_cap_env_refuses_everything(self, monkeypatch):
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "0")
+        with pytest.raises(ResourceLimitError, match="cap 0"):
+            check_vertex_cap(1, "local vertices")
+
+
+VERTEX_SHAPES = [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (3, 3, 3, 3), (2, 3, 2, 4), (4, 4, 3, 3)]
+
+
+def _reference_vertex_matrix(alph):
+    """Columns from nested loops: Bob's strategy outer, Alice's inner, each
+    lexicographic with the first input most significant."""
+    nx, ny, na, nb = alph.shape
+    cols = []
+    for lb in itertools.product(range(nb), repeat=ny):
+        for la in itertools.product(range(na), repeat=nx):
+            t = np.zeros(alph.shape)
+            for x in range(nx):
+                for y in range(ny):
+                    t[x, y, la[x], lb[y]] = 1.0
+            cols.append(t.reshape(-1))
+    return np.array(cols).T
+
+
+class TestStrategyEnumeration:
+    def test_lexicographic_first_input_most_significant(self):
+        assert deterministic_strategies(2, 3).tolist() == [
+            list(s) for s in itertools.product(range(3), repeat=2)]
+        assert deterministic_strategies(3, 2, [6, 1]).tolist() == [[1, 1, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize("shape", VERTEX_SHAPES)
+    def test_vertex_table_matrix_matches_nested_loops(self, shape):
+        alph = Alphabets(*shape)
+        M = vertex_table_matrix(alph)
+        assert np.array_equal(M, _reference_vertex_matrix(alph))
+        assert M.dtype == float and M.flags.f_contiguous
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 4), (3, 2, 3, 2)])
+    def test_vertices_match_matrix_columns(self, shape):
+        alph = Alphabets(*shape)
+        tables = [v.table().reshape(-1) for v in enumerate_local_vertices(alph)]
+        assert np.array_equal(np.array(tables).T, vertex_table_matrix(alph))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 4), (3, 3, 3, 3)])
+    def test_model_keeps_the_weighted_vertices(self, shape):
+        alph = Alphabets(*shape)
+        rng = np.random.default_rng(sum(shape))
+        weights = np.where(rng.uniform(size=alph.vertex_count) < 0.1,
+                           rng.normal(size=alph.vertex_count), 0.0)
+        weights[1] = 1e-13  # dropped as ~0
+        expected = [(float(w), v.lambda_a, v.lambda_b)
+                    for w, v in zip(weights, enumerate_local_vertices(alph)) if abs(w) > 1e-12]
+        model = AffineModel.from_vertex_weights(alph, weights)
+        assert [(w, v.lambda_a, v.lambda_b) for w, v in model.components] == expected
+
+
+class TestBestLocalResponse:
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 2, 4),
+                                       (3, 2, 4, 2), (3, 3, 3, 3), (1, 4, 5, 2)])
+    def test_matches_brute_force(self, shape):
+        alph = Alphabets(*shape)
+        rng = np.random.default_rng(list(shape))
+        for _ in range(4):
+            B = rng.normal(size=shape)
+            value, la, lb = best_local_response(B)
+            assert value == pytest.approx(float(np.max(B.reshape(-1) @ vertex_table_matrix(alph))),
+                                          abs=1e-12)
+            attained = LocalVertex(alph, tuple(la.tolist()), tuple(lb.tolist())).table()
+            assert float(np.sum(B * attained)) == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 4), (4, 1, 2, 5), (13, 13, 2, 2)])
+    def test_first_maximizer_on_ties(self, shape):
+        # 13x13x2x2 has 8192 strategies per party: ties across blocks too.
+        value, la, lb = best_local_response(np.zeros(shape))
+        assert value == 0.0
+        assert la.tolist() == [0] * shape[0] and lb.tolist() == [0] * shape[1]
+
+    def test_cap_counts_the_enumerated_party(self, monkeypatch):
+        # min(2^21, 2^21) strategies: refused before any enumeration.
+        with pytest.raises(ResourceLimitError, match="2097152 classical strategies"):
+            best_local_response(np.zeros((21, 21, 2, 2)))
+        # The party with 5 strategies is enumerated, not the one with 16.
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "5")
+        best_local_response(np.zeros((1, 4, 5, 2)))
+        best_local_response(np.zeros((4, 1, 2, 5)))
 
 
 class TestAffineBasis:

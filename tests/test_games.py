@@ -39,6 +39,8 @@ class TestClassicalBias:
         # the returned strategy attains the bias
         C = np.outer(res["u"], res["v"])
         assert bias_of_correlations(chsh_game(), C) == pytest.approx(res["bias"])
+        # the first maximizer in enumeration order: all +1
+        assert res["u"].tolist() == [1.0, 1.0] and res["v"].tolist() == [1.0, 1.0]
 
     def test_constant_game(self):
         game = XorGame(np.ones((3, 3)), np.full((3, 3), 1.0 / 9.0))

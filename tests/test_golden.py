@@ -1,0 +1,53 @@
+"""Golden ``--json`` reports: the CLI output must stay byte-identical.
+
+Only LP-backed and combinatorial commands are pinned; SDP and Monte-Carlo
+reports may differ in their last digits between BLAS or numpy versions.
+The inputs live in ``tests/golden/inputs`` and each expected report in
+``tests/golden/<case>.json``.  After an intended output change, rewrite
+the expected reports with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from nonsig.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+CASES = {
+    "validate": ["validate", "pr_box.json"],
+    "nu": ["nu", "pr_box.json"],
+    "nu-eps": ["nu-eps", "pr_box.json", "--epsilon", "0.1"],
+    "bell": ["bell", "pr_box.json"],
+    "decompose": ["decompose", "pr_box.json"],
+    "nu-corr-chsh": ["nu-corr", "chsh.json"],
+    "nu-corr-sylvester6": ["nu-corr", "sylvester6.json"],
+    "basis": ["basis", "--nx", "2", "--ny", "3"],
+}
+
+
+def _argv(case):
+    return [str(INPUTS / a) if a.endswith(".json") else a for a in CASES[case]] + ["--json"]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_json_report_is_golden(capsys, case):
+    assert main(_argv(case)) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{case}.json").read_text()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    for case in CASES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(_argv(case))
+        if code != 0:
+            sys.exit(f"{case}: exit {code}")
+        (GOLDEN / f"{case}.json").write_text(buf.getvalue())
