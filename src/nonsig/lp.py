@@ -1,8 +1,12 @@
 """Dense linear programming engine.
 
-Two-phase revised primal simplex with Bland's anti-cycling rule and
-bounded variables.  Pricing and the ratio test are numpy operations over
-all columns and rows; the entering column is the first eligible one.
+Two-phase revised primal simplex with bounded variables.  Pricing and the
+ratio test are numpy operations over all columns and rows.  The entering
+column is chosen by Dantzig's rule: the largest reduced cost in magnitude,
+the first index among those within ``_DUAL_TOL`` of it.  After
+``_BLAND_AFTER`` consecutive degenerate pivots the engine prices by Bland's
+rule (the first eligible column) until the next nondegenerate step, so it
+cannot cycle (Bland 1977).
 Deterministic: a given program always takes the same pivot sequence.
 Sizes here are desk-scale (hundreds of rows), so the basis inverse is kept
 dense and refactorized periodically.  A singular basis matrix at a
@@ -19,6 +23,9 @@ import numpy as np
 _PIVOT_TOL = 1e-10
 _DUAL_TOL = 1e-9
 _FEAS_TOL = 1e-8
+# Consecutive degenerate pivots after which pricing switches from Dantzig's
+# rule to Bland's until the objective moves again.
+_BLAND_AFTER = 50
 
 
 @dataclass
@@ -145,17 +152,33 @@ class _Simplex:
         self.Binv[pos, :] = row
 
     def iterate(self, c, max_iter):
-        """Run Bland-rule pivots for objective c.  Returns status string."""
+        """Run pivots for objective c.  Returns status string.
+
+        A column is eligible when it is nonbasic, not fixed, and moving it off
+        its bound lowers the objective.  Dantzig's rule enters the eligible
+        column with the largest |d_j|, the first of those within
+        ``_DUAL_TOL`` of it.  A basis change with a zero step is degenerate;
+        once ``_BLAND_AFTER`` of them come in a row, Bland's rule enters the
+        first eligible column instead, until a nondegenerate pivot or a
+        bound flip.
+        """
         movable = self.lo != self.up
+        degenerate = 0  # consecutive degenerate pivots
         for it in range(max_iter):
             if it % 64 == 63:
                 self.refactor()
             y = c[self.basis] @ self.Binv
             d = c - y @ self.A
-            # Bland: the first nonbasic column whose move off its bound helps.
             improving = np.where(self.at_upper, d > _DUAL_TOL, d < -_DUAL_TOL)
             eligible = improving & movable & ~self.in_basis
-            entering = int(np.argmax(eligible))
+            if degenerate >= _BLAND_AFTER:
+                entering = int(np.argmax(eligible))
+            else:
+                # Scores within _DUAL_TOL of the best tie, so that rounding
+                # (which varies with the BLAS thread count) cannot pick
+                # among columns of equal reduced cost.
+                score = np.where(eligible, np.abs(d), 0.0)
+                entering = int(np.argmax(score >= score.max() - _DUAL_TOL))
             if not eligible[entering]:
                 return "optimal"
             direction = -1.0 if self.at_upper[entering] else 1.0
@@ -179,7 +202,9 @@ class _Simplex:
                 # Bound flip of the entering variable, no basis change.
                 self.at_upper[entering] = not self.at_upper[entering]
                 self.xB -= t_flip * direction * w
+                degenerate = 0
                 continue
+            degenerate = degenerate + 1 if t_row <= _PIVOT_TOL else 0
             # Bland tie-break: smallest variable index among blocking rows.
             ties = np.flatnonzero(t_rows <= t_row + _PIVOT_TOL)
             leave_pos = ties[np.argmin(self.basis[ties])]

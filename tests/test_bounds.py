@@ -30,6 +30,7 @@ from nonsig.core import (
     Alphabets,
     ConditionalDistribution,
     CorrelationRep,
+    best_local_response,
     boolean_distribution,
     enumerate_local_vertices,
     from_correlation_rep,
@@ -118,6 +119,18 @@ class TestNuTilde:
             before = nu_tilde(p).value
             after = nu_tilde(symmetrize_marginals(p)).value
             assert after <= before + 1e-6
+
+    def test_past_the_vertex_wall(self):
+        # 4x4x3x3 has 6,561 local vertices.  Bland's rule alone took 184,509
+        # pivots (~224 s) on this point; Dantzig pricing takes ~2,000.
+        p = random_nonlocal(np.random.default_rng(5), Alphabets(4, 4, 3, 3))
+        result = nu_tilde(p)
+        assert result.value == pytest.approx(1.6210622562, abs=1e-8)
+        assert result.diagnostics["iterations"] < 5000
+        bell = result.dual_certificate
+        assert best_local_response(bell.coeffs)[0] <= 1.0 + 1e-9
+        assert best_local_response(-bell.coeffs)[0] <= 1.0 + 1e-9
+        assert bell.value(p) == pytest.approx(result.value, abs=1e-9)
 
     def test_invalid_distribution_rejected(self):
         t = pr_box().table.copy()

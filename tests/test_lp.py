@@ -127,28 +127,49 @@ class TestBasics:
             LinearProgram(c=[1.0], lb=[-np.inf])
 
 
+def _packing_program(rng, m=24, n=80):
+    """0/1 packing rows through a sparse 0/1 point, in unit boxes: highly
+    degenerate, with runs of degenerate pivots long enough for the Bland
+    fallback."""
+    A_ub = (rng.uniform(size=(m, n)) < 0.3).astype(float)
+    x0 = (rng.uniform(size=n) < 0.1).astype(float)
+    return LinearProgram(c=rng.integers(-5, 6, size=n).astype(float),
+                         A_ub=A_ub, b_ub=A_ub @ x0, ub=np.ones(n))
+
+
 class _LoopSimplex(_Simplex):
-    """Bland's pricing and ratio test written as loops over columns and
-    rows: the reference that the engine's numpy iteration must match."""
+    """The engine's pricing and ratio test written as loops over columns and
+    rows: the reference that the engine's numpy iteration must match.
+    ``bland_priced`` counts the iterations priced by the Bland fallback."""
+
+    bland_priced = 0
 
     def iterate(self, c, max_iter):
+        degenerate = 0
         for it in range(max_iter):
             if it % 64 == 63:
                 self.refactor()
             y = c[self.basis] @ self.Binv
             d = c - y @ self.A
-            entering, direction = -1, 0.0
+            bland = degenerate >= lp._BLAND_AFTER
+            eligible = []  # (column, direction of its move off its bound)
             for j in range(self.n):
                 if self.in_basis[j] or self.lo[j] == self.up[j]:
                     continue
                 if not self.at_upper[j] and d[j] < -lp._DUAL_TOL:
-                    entering, direction = j, 1.0
-                    break
-                if self.at_upper[j] and d[j] > lp._DUAL_TOL:
-                    entering, direction = j, -1.0
-                    break
-            if entering < 0:
+                    eligible.append((j, 1.0))
+                elif self.at_upper[j] and d[j] > lp._DUAL_TOL:
+                    eligible.append((j, -1.0))
+            if not eligible:
                 return "optimal"
+            if bland:
+                entering, direction = eligible[0]
+            else:
+                # Dantzig: the first column within _DUAL_TOL of the largest |d_j|.
+                best = max(abs(d[j]) for j, _ in eligible)
+                entering, direction = next((j, move) for j, move in eligible
+                                           if abs(d[j]) >= best - lp._DUAL_TOL)
+            self.bland_priced += bland
             w = self.Binv @ self.A[:, entering]
             t_flip = self.up[entering] - self.lo[entering]
             blocking = []  # (leaving variable, row, step, leaves at upper bound)
@@ -165,7 +186,9 @@ class _LoopSimplex(_Simplex):
             if t_flip < t_row - lp._PIVOT_TOL:
                 self.at_upper[entering] = not self.at_upper[entering]
                 self.xB -= t_flip * direction * w
+                degenerate = 0
                 continue
+            degenerate = degenerate + 1 if t_row <= lp._PIVOT_TOL else 0
             old, pos, _, to_upper = min(b for b in blocking if b[2] <= t_row + lp._PIVOT_TOL)
             self.xB -= t_row * direction * w
             enter_val = (self.up[entering] if self.at_upper[entering] else self.lo[entering]) \
@@ -196,14 +219,22 @@ class TestLoopReference:
                 # every third program is infeasible
                 A_ub=A_ub, b_ub=A_ub @ x0 * (1.2 if k % 3 else -1.0),
                 ub=np.where(rng.uniform(size=n) < 0.5, 1.0, np.inf)))
+        programs += [_packing_program(rng) for _ in range(4)]
         fast = [self.outputs(solve_lp(prog)) for prog in programs]
         eps_fast = nu_tilde_eps(pr_box(), 0.1)
-        monkeypatch.setattr(lp, "_Simplex", _LoopSimplex)
+        engines = []
+
+        def loop_simplex(*args):
+            engines.append(_LoopSimplex(*args))
+            return engines[-1]
+
+        monkeypatch.setattr(lp, "_Simplex", loop_simplex)
         for prog, out in zip(programs, fast):
             np.testing.assert_equal(out, self.outputs(solve_lp(prog)))
         eps_ref = nu_tilde_eps(pr_box(), 0.1)
         assert eps_fast.value == eps_ref.value
         assert eps_fast.diagnostics["iterations"] == eps_ref.diagnostics["iterations"]
+        assert any(sx.bland_priced for sx in engines)
 
 
 class TestDeterminism:
@@ -221,8 +252,20 @@ class TestDeterminism:
             assert a.iterations == b.iterations
 
 
+def _boxed_program():
+    """Unit boxes under loose packing rows, so that some iterations are bound
+    flips of the entering variable."""
+    rng = np.random.default_rng(5)
+    n = 30
+    A_eq = rng.normal(size=(3, n))
+    A_ub = np.abs(rng.normal(size=(6, n)))
+    return LinearProgram(c=rng.normal(size=n),
+                         A_eq=A_eq, b_eq=A_eq @ rng.uniform(0, 1, size=n),
+                         A_ub=A_ub, b_ub=A_ub.sum(axis=1) * 0.6, ub=np.ones(n))
+
+
 class TestPivotRule:
-    """Pivot counts of Bland's rule on fixed programs.
+    """Pivot counts of the pricing rule on fixed programs.
 
     A change of pivot rule changes these counts (and may change which
     optimal vertex and certificate come out); update them on purpose.
@@ -232,8 +275,8 @@ class TestPivotRule:
     SYLVESTER_8 = np.kron(np.kron(H2, H2), H2)
 
     @pytest.mark.parametrize("n, pivots, value", [
-        (5, 255, 2.5333333333333328),
-        (6, 2011, 2.7272727272727186),
+        pytest.param(5, 85, 2.5333333333333337, id="5x5"),
+        pytest.param(6, 138, 2.727272727272726, id="6x6"),
     ])
     def test_nu_corr_sylvester_blocks(self, n, pivots, value):
         res = nu_corr(self.SYLVESTER_8[:n, :n])
@@ -242,28 +285,55 @@ class TestPivotRule:
 
     def test_nu_tilde_pr_box(self):
         res = nu_tilde(pr_box())
-        assert res.diagnostics["iterations"] == 12
+        assert res.diagnostics["iterations"] == 13
         assert res.value == pytest.approx(2.0, rel=1e-12)
 
     def test_nu_tilde_eps_pr_box(self):
         res = nu_tilde_eps(pr_box(), 0.1)
-        assert res.diagnostics["iterations"] == 138
+        assert res.diagnostics["iterations"] == 117
         assert res.value == pytest.approx(1.6, rel=1e-12)
 
     def test_boxed_program(self):
-        # Unit boxes under loose packing rows: 10 of the 154 iterations are
-        # bound flips of the entering variable.
-        rng = np.random.default_rng(5)
-        n = 30
-        A_eq = rng.normal(size=(3, n))
-        A_ub = np.abs(rng.normal(size=(6, n)))
-        prog = LinearProgram(c=rng.normal(size=n),
-                             A_eq=A_eq, b_eq=A_eq @ rng.uniform(0, 1, size=n),
-                             A_ub=A_ub, b_ub=A_ub.sum(axis=1) * 0.6, ub=np.ones(n))
+        # 2 of the 68 iterations are bound flips of the entering variable.
+        prog = _boxed_program()
         sol = solve_lp(prog)
         check_optimal(prog, sol)
-        assert sol.iterations == 154
+        assert sol.iterations == 68
         assert sol.objective == pytest.approx(-11.3976346917502, rel=1e-12)
+
+    def test_degenerate_packing_program(self):
+        # The Bland fallback engages here; with it after 49 or 51 degenerate
+        # pivots in place of 50 the count is 207 or 205, under Bland's rule
+        # alone 515.
+        prog = _packing_program(np.random.default_rng([11, 3]))
+        sol = solve_lp(prog)
+        check_optimal(prog, sol)
+        assert sol.iterations == 204
+        assert sol.objective == pytest.approx(-13.0, rel=1e-12)
+
+    @pytest.mark.parametrize("case, pivots, value", [
+        ("sylvester-5x5", 255, 2.5333333333333328),
+        ("sylvester-6x6", 2011, 2.7272727272727186),
+        ("nu-pr-box", 12, 2.0),
+        ("nu-eps-pr-box", 138, 1.6),
+        ("boxed", 154, -11.3976346917502),
+    ])
+    def test_bland_rule_alone(self, monkeypatch, case, pivots, value):
+        # With the fallback engaged from the first pivot, every column is
+        # priced by Bland's rule: the counts and values of the Bland-only
+        # engine, to the last bit.
+        monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+        if case == "boxed":
+            sol = solve_lp(_boxed_program())
+            assert (sol.iterations, sol.objective) == (pivots, value)
+            return
+        res = {
+            "sylvester-5x5": lambda: nu_corr(self.SYLVESTER_8[:5, :5]),
+            "sylvester-6x6": lambda: nu_corr(self.SYLVESTER_8[:6, :6]),
+            "nu-pr-box": lambda: nu_tilde(pr_box()),
+            "nu-eps-pr-box": lambda: nu_tilde_eps(pr_box(), 0.1),
+        }[case]()
+        assert (res.diagnostics["iterations"], res.value) == (pivots, value)
 
 
 class TestBruteForceOracle:
