@@ -79,30 +79,29 @@ def _require_valid(p: ConditionalDistribution) -> None:
 def _project_onto_span(y: np.ndarray, basis_cols: np.ndarray) -> np.ndarray:
     """Orthogonal projection of y onto the column span of basis_cols.
 
-    The dual multipliers of the nu_tilde LP are only determined up to
-    directions that vanish on the span of the vertex tables; projecting
-    fixes a canonical representative without changing any B(p) value
-    for p in that span.
+    basis_cols must have full column rank (a basis, not merely a spanning
+    set), so a reduced QR factorization gives an orthonormal basis of the
+    span.
     """
-    U, s, _ = np.linalg.svd(basis_cols, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
-    U = U[:, :rank]
-    return U @ (U.T @ y)
+    Q = np.linalg.qr(basis_cols)[0]
+    return Q @ (Q.T @ y)
 
 
 def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str):
     """min sum |q| s.t. S q = target, as an LP over the split q = q+ - q-.
 
-    Returns the LP solution, the weights q, the equality multipliers
-    projected onto the column span of S (the optimal dual functional y)
-    and its normalization max |y . column| over every column of S.
+    S must have full row rank, so phase 1 leaves no redundant row and the
+    equality multipliers have no null directions.  Returns the LP
+    solution, the weights q, the multipliers y (an optimal dual
+    functional: |y . column| <= 1 on every column of S, and y . target is
+    the optimum) and their normalization max |y . column|.
     """
     V = S.shape[1]
     sol = solve_lp(LinearProgram(c=np.ones(2 * V), A_eq=np.hstack([S, -S]), b_eq=target,
                                  lb=np.zeros(2 * V), ub=np.full(2 * V, np.inf)))
     if sol.status != "optimal":
         raise RuntimeError(f"{name} LP returned {sol.status}")
-    y = _project_onto_span(sol.dual_eq, S)
+    y = sol.dual_eq
     return sol, sol.x[:V] - sol.x[V:], y, float(np.abs(y @ S).max())
 
 
@@ -114,16 +113,27 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     """Minimum sum |q_i| over affine models of p with local components.
 
     LP over split weights q = q+ - q- on all local deterministic
-    vertices; the equality multipliers give the dual Bell functional.
-    Every valid p lies in the affine hull of the local vertices, so a
-    non-optimal LP is an engine failure, not a property of p.
+    vertices.  Its rows are the Collins-Gisin coordinates of the
+    decomposition (``_DataMap``: retained cells, marginals,
+    normalization), which have full row rank on the span of the vertex
+    tables; a signaling part of p below the validation tolerance is
+    ignored.  The equality multipliers, folded into a coefficient tensor
+    and projected onto the span of the vertex tables, give the dual Bell
+    functional.  Every valid p lies in the affine hull of the local
+    vertices, so a non-optimal LP is an engine failure, not a property
+    of p.
     """
     _require_valid(p)
     alph = p.alphabets
-    sol, q, y, norm = _min_l1_combination(vertex_table_matrix(alph), p.flat(), "nu_tilde")
+    cg = _DataMap(alph)
+    rows = cg.data_rhs(vertex_table_matrix(alph).reshape(*alph.shape, -1))
+    sol, q, y, norm = _min_l1_combination(rows, cg.data_rhs(p.table), "nu_tilde")
+    # The non-signaling tables with unit coordinates span the vertex tables.
+    span = cg.tables(np.eye(len(y))).reshape(alph.n_cells, -1)
+    coeffs = _project_onto_span(cg.fold(y).reshape(-1), span)
     model = AffineModel.from_vertex_weights(alph, q)
     bell = BellFunctional(
-        coeffs=y.reshape(alph.shape),
+        coeffs=coeffs.reshape(alph.shape),
         claimed_bound_class="local",
         normalization=norm,
     )
@@ -223,7 +233,74 @@ def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 0.5 * (uv + np.swapaxes(uv, -1, -2))
 
 
-class _MomentLayout:
+class _DataMap:
+    """Collins-Gisin coordinates of the tables of one alphabet.
+
+    Retained cells (a < na-1, b < nb-1), Alice's and Bob's retained
+    marginals and the normalization (Collins and Gisin, J. Phys. A 37,
+    1775 (2004)): a linearly independent set on non-signaling tables, and
+    the values a decomposition of p must reproduce.  ``data_rhs`` gives
+    them, ``fold`` is its adjoint and ``tables`` its inverse on
+    non-signaling tables.
+    """
+
+    def __init__(self, alph: Alphabets):
+        self.alph = alph
+
+    def _split(self, c: np.ndarray) -> list:
+        """The cell, Alice-marginal, Bob-marginal and normalization parts of c."""
+        nx, ny, na, nb = self.alph.shape
+        return np.split(c, np.cumsum(
+            [nx * ny * (na - 1) * (nb - 1), nx * (na - 1), ny * (nb - 1)]))
+
+    def data_rhs(self, table: np.ndarray) -> np.ndarray:
+        """Coordinates of a normalized table [x, y, a, b].
+
+        Trailing axes broadcast, e.g. one per column of a matrix of tables.
+        """
+        t = np.ascontiguousarray(table)  # reductions over strided axes are slow
+        rest = t.shape[4:]
+        return np.concatenate([t[:, :, :-1, :-1].reshape(-1, *rest),
+                               t.sum(axis=3).mean(axis=1)[:, :-1].reshape(-1, *rest),
+                               t.sum(axis=2).mean(axis=0)[:, :-1].reshape(-1, *rest),
+                               np.ones((1, *rest))])
+
+    def tables(self, c: np.ndarray) -> np.ndarray:
+        """The non-signaling tables [x, y, a, b, ...] whose coordinates are c.
+
+        Inverts ``data_rhs`` on the non-signaling subspace, reading the
+        normalization coordinate as each input pair's total mass; trailing
+        axes of c broadcast.  Eliminated outcomes take what their marginals
+        and the normalization leave over.
+        """
+        nx, ny, na, nb = self.alph.shape
+        rest = c.shape[1:]
+        cell, mA, mB, norm = self._split(c)
+        T = np.zeros((*self.alph.shape, *rest))
+        T[:, :, :-1, :-1] = cell.reshape(nx, ny, na - 1, nb - 1, *rest)
+        T[:, :, :-1, -1] = mA.reshape(nx, 1, na - 1, *rest) - T[:, :, :-1, :-1].sum(axis=3)
+        T[:, :, -1, :-1] = mB.reshape(1, ny, nb - 1, *rest) - T[:, :, :-1, :-1].sum(axis=2)
+        T[:, :, -1, -1] = (norm[0] - T[:, :, :-1, :].sum(axis=(2, 3))
+                           - T[:, :, -1, :-1].sum(axis=2))
+        return T
+
+    def fold(self, y: np.ndarray) -> np.ndarray:
+        """Coefficient tensor B with <B, p> = <y, data_rhs(p)> for normalized p.
+
+        Marginal multipliers are spread uniformly over the summed-out
+        input, and the normalization multiplier over all cells.
+        """
+        nx, ny, na, nb = self.alph.shape
+        cell, mA, mB, norm = self._split(y)
+        B = np.zeros(self.alph.shape)
+        B[:, :, :-1, :-1] += cell.reshape(nx, ny, na - 1, nb - 1)
+        B[:, :, :-1, :] += (mA.reshape(nx, na - 1) / ny)[:, None, :, None]
+        B[:, :, :, :-1] += (mB.reshape(ny, nb - 1) / nx)[None, :, None, :]
+        B += norm[0] / (nx * ny)
+        return B
+
+
+class _MomentLayout(_DataMap):
     """The homogenized level-1 moment matrix of one alphabet, compiled once.
 
     Row/column 0 is the identity; one outcome per input is eliminated via
@@ -235,15 +312,13 @@ class _MomentLayout:
 
     ``structural`` holds the projector constraints (each = 0): diagonal
     entries equal first-row entries (E^2 = E) and projectors of the same
-    input are orthogonal.  ``data`` holds the moments a target fixes, a
-    linearly independent set: retained cells, Alice's and Bob's retained
-    marginals, normalization; ``data_rhs`` gives their values and
-    ``fold`` is its adjoint.
+    input are orthogonal.  ``data`` holds the moments a target fixes, one
+    per Collins-Gisin coordinate and in the same order.
     """
 
     def __init__(self, alph: Alphabets):
+        super().__init__(alph)
         nx, ny, na, nb = alph.shape
-        self.alph = alph
         self.d = d = 1 + nx * (na - 1) + ny * (nb - 1)
         eye = np.eye(d)
         ea = eye[1:1 + nx * (na - 1)].reshape(nx, na - 1, d)
@@ -259,28 +334,6 @@ class _MomentLayout:
                                     _sym_outer(eye[0], ea).reshape(-1, d, d),
                                     _sym_outer(eye[0], eb).reshape(-1, d, d),
                                     _sym_outer(eye[0], eye[:1])])
-
-    def data_rhs(self, p: ConditionalDistribution) -> np.ndarray:
-        """p's values of the ``data`` moments."""
-        return np.concatenate([p.table[:, :, :-1, :-1].reshape(-1),
-                               p.marginal_a()[:, :-1].reshape(-1),
-                               p.marginal_b()[:, :-1].reshape(-1), [1.0]])
-
-    def fold(self, y: np.ndarray) -> np.ndarray:
-        """Coefficient tensor B with <B, p> = <y, data_rhs(p)> for normalized p.
-
-        Marginal multipliers are spread uniformly over the summed-out
-        input, and the normalization multiplier over all cells.
-        """
-        nx, ny, na, nb = self.alph.shape
-        cell, mA, mB, norm = np.split(y, np.cumsum(
-            [nx * ny * (na - 1) * (nb - 1), nx * (na - 1), ny * (nb - 1)]))
-        B = np.zeros(self.alph.shape)
-        B[:, :, :-1, :-1] += cell.reshape(nx, ny, na - 1, nb - 1)
-        B[:, :, :-1, :] += (mA.reshape(nx, na - 1) / ny)[:, None, :, None]
-        B[:, :, :, :-1] += (mB.reshape(ny, nb - 1) / nx)[None, :, None, :]
-        B += norm[0] / (nx * ny)
-        return B
 
     def program(self, n_linear: int = 0) -> SdpProgram:
         """Positive and negative moment blocks, each with the projector
@@ -317,7 +370,7 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     _require_valid(p)
     layout = _MomentLayout(p.alphabets)
     prog = layout.program()
-    for M, rhs in zip(layout.data, layout.data_rhs(p)):
+    for M, rhs in zip(layout.data, layout.data_rhs(p.table)):
         prog.add_constraint({0: M, 1: -M}, rhs)
 
     sol = solve_sdp(prog)
@@ -509,10 +562,12 @@ def dual_bell(p: ConditionalDistribution, bound_class: str = "local") -> BellFun
 
     local: the dual of the nu_tilde LP, "maximize B(p) subject to
     |B(vertex)| <= 1 on every local deterministic vertex", is solved by
-    the projected equality multipliers nu_tilde already returns, so
-    B(p) = nu_tilde(p); the normalization is max |B(vertex)| over every
-    vertex.  npa-level-1: read off the data-constraint multipliers of the
-    gamma2_tilde_1 SDP, folded into a plain coefficient tensor.
+    the functional nu_tilde already returns: its equality multipliers on
+    the Collins-Gisin rows, folded into a coefficient tensor and projected
+    onto the span of the local vertex tables, so B(p) = nu_tilde(p); the
+    normalization is max |B(vertex)| over every vertex.  npa-level-1:
+    read off the data-constraint multipliers of the gamma2_tilde_1 SDP,
+    folded into a plain coefficient tensor.
     """
     if bound_class == "local":
         return nu_tilde(p).dual_certificate

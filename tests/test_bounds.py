@@ -30,6 +30,8 @@ from nonsig.core import (
     Alphabets,
     ConditionalDistribution,
     CorrelationRep,
+    TOL_FEAS,
+    TOL_RECON,
     best_local_response,
     boolean_distribution,
     enumerate_local_vertices,
@@ -38,6 +40,8 @@ from nonsig.core import (
     symmetrize_marginals,
     to_correlation_rep,
     uniform_distribution,
+    validate,
+    vertex_table_matrix,
 )
 from helpers import (
     random_correlation_rep,
@@ -131,6 +135,23 @@ class TestNuTilde:
         assert best_local_response(bell.coeffs)[0] <= 1.0 + 1e-9
         assert best_local_response(-bell.coeffs)[0] <= 1.0 + 1e-9
         assert bell.value(p) == pytest.approx(result.value, abs=1e-9)
+
+    def test_signaling_part_below_tolerance(self):
+        # The Collins-Gisin rows see only the non-signaling part of p.  A
+        # signaling perturbation that validation accepts moves neither the
+        # value nor the reconstruction beyond its tolerance.
+        alph = Alphabets(2, 2, 3, 3)
+        p = random_nonlocal(np.random.default_rng(31), alph)
+        assert p.table[0, 0, 0, :2].min() > TOL_FEAS
+        d = np.zeros(alph.shape)
+        d[0, 0, 0, 0], d[0, 0, 0, 1] = 1.0, -1.0  # Bob's marginal at x=0, y=0
+        q = ConditionalDistribution(alph, p.table + 0.9 * TOL_FEAS * d)
+        report = validate(q)
+        assert report.ok and report.max_ns_violation > 0.4 * TOL_FEAS
+        result = nu_tilde(q)
+        assert result.diagnostics["reconstruction_residual"] <= TOL_RECON
+        assert np.abs(result.primal_certificate.evaluate() - q.table).max() <= TOL_RECON
+        assert result.value == pytest.approx(nu_tilde(p).value, abs=1e-8)
 
     def test_invalid_distribution_rejected(self):
         t = pr_box().table.copy()
@@ -291,7 +312,50 @@ class TestMomentLayout:
                 assert np.sum(M * G) == 0.0
             assert np.array_equal(np.einsum("...ij,ij->...", layout.cells, G), v.table())
             assert np.array_equal(np.einsum("kij,ij->k", layout.data, G),
-                                  layout.data_rhs(v.distribution()))
+                                  layout.data_rhs(v.table()))
+
+
+class TestDataMap:
+    SHAPES = [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (3, 3, 3, 3),
+              (2, 3, 2, 4), (1, 4, 5, 2), (2, 2, 1, 3), (4, 1, 2, 2)]
+
+    @staticmethod
+    def size(shape):
+        nx, ny, na, nb = shape
+        return 1 + nx * (na - 1) + ny * (nb - 1) + nx * ny * (na - 1) * (nb - 1)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_vertex_coordinates_have_full_row_rank(self, shape):
+        # The nu_tilde LP's rows: one per Collins-Gisin coordinate, none
+        # redundant.
+        alph = Alphabets(*shape)
+        rows = bounds._DataMap(alph).data_rhs(vertex_table_matrix(alph).reshape(*shape, -1))
+        assert rows.shape == (self.size(shape), alph.vertex_count)
+        assert np.linalg.matrix_rank(rows) == self.size(shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_fold_is_the_adjoint(self, shape):
+        # On normalized tables, signaling or not, stacked as columns.
+        nx, ny, na, nb = shape
+        cg = bounds._DataMap(Alphabets(*shape))
+        rng = np.random.default_rng(list(shape))
+        tables = rng.dirichlet(np.ones(na * nb), size=(nx, ny, 6)).reshape(nx, ny, 6, na, nb)
+        tables = np.moveaxis(tables, 2, -1)
+        y = rng.normal(size=self.size(shape))
+        np.testing.assert_allclose(np.einsum("xyab,xyabk->k", cg.fold(y), tables),
+                                   y @ cg.data_rhs(tables), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_tables_invert_the_coordinates(self, shape):
+        alph = Alphabets(*shape)
+        cg = bounds._DataMap(alph)
+        rng = np.random.default_rng(list(shape))
+        p = random_local_mixture(rng, alph)
+        np.testing.assert_allclose(cg.tables(cg.data_rhs(p.table)), p.table,
+                                   rtol=0, atol=1e-14)
+        c = rng.normal(size=(self.size(shape), 3))
+        c[-1] = 1.0
+        np.testing.assert_allclose(cg.data_rhs(cg.tables(c)), c, rtol=0, atol=1e-12)
 
 
 class TestCorrelationQuantities:
@@ -463,6 +527,20 @@ class TestDualBell:
         assert max(abs(v) for v in values) <= 1.0 + 1e-6
         assert bell.normalization == pytest.approx(max(abs(v) for v in values), abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 3, 2, 2), (3, 3, 3, 3)])
+    def test_local_functional_in_vertex_span(self, shape):
+        # The representative is the projection onto the span of the local
+        # vertex tables; it is a valid Bell functional and is tight at p.
+        alph = Alphabets(*shape)
+        p = random_nonlocal(np.random.default_rng(83), alph)
+        B = dual_bell(p).coeffs
+        Vt = vertex_table_matrix(alph)
+        w = np.linalg.lstsq(Vt, B.reshape(-1), rcond=None)[0]
+        assert np.abs(Vt @ w - B.reshape(-1)).max() <= 1e-12
+        assert best_local_response(B)[0] <= 1.0 + 1e-9
+        assert best_local_response(-B)[0] <= 1.0 + 1e-9
+        assert np.sum(B * p.table) == pytest.approx(nu_tilde(p).value, abs=1e-9)
+
     def test_lp_breakdown_is_runtime_error(self, monkeypatch):
         def broken(self):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -482,7 +560,6 @@ class TestDecomposition:
         assert np.abs(model.evaluate() - extended_table(p)).max() <= 1e-10
 
     def test_blocks_are_valid_distributions(self):
-        from nonsig.core import validate
         model = quantum_to_local_decomposition(pr_box())
         for w, comp in model.components[:4]:
             assert w == 1.0
