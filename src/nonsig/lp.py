@@ -230,13 +230,16 @@ def solve_lp(prog: LinearProgram, max_iter: int | None = None) -> LpSolution:
         obj = float(prog.c @ x)
         return LpSolution("optimal", x, np.array([]), np.array([]), obj, 0.0, 0)
 
-    # Standard form: columns = [vars | ub slacks | artificials].
-    rows = []
+    # Standard form, written into one array: rows [A_eq 0; A_ub I], columns
+    # [vars | ub slacks | artificials].  A is its view without the artificials.
+    first_art = n + m_ub
+    A_full = np.zeros((m, first_art + m))
+    A = A_full[:, :first_art]
     if m_eq:
-        rows.append(np.hstack([prog.A_eq, np.zeros((m_eq, m_ub))]))
+        A[:m_eq, :n] = prog.A_eq
     if m_ub:
-        rows.append(np.hstack([prog.A_ub, np.eye(m_ub)]))
-    A = np.vstack(rows)
+        A[m_eq:, :n] = prog.A_ub
+        A[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = 1.0
     b = np.concatenate([prog.b_eq if m_eq else np.empty(0),
                         prog.b_ub if m_ub else np.empty(0)])
     lo = np.concatenate([prog.lb, np.zeros(m_ub)])
@@ -244,8 +247,7 @@ def solve_lp(prog: LinearProgram, max_iter: int | None = None) -> LpSolution:
 
     # Artificials with signs making their start value nonnegative.
     resid = b - A @ lo
-    signs = np.where(resid >= 0, 1.0, -1.0)
-    A_full = np.hstack([A, np.diag(signs)])
+    A_full[np.arange(m), first_art + np.arange(m)] = np.where(resid >= 0, 1.0, -1.0)
     lo_full = np.concatenate([lo, np.zeros(m)])
     up_full = np.concatenate([up, np.full(m, np.inf)])
     limit = max_iter if max_iter is not None else 50 * (m + A_full.shape[1])

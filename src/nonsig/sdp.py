@@ -11,18 +11,38 @@ dimensions plus linear length exceed 200 is refused with
 eigenvalues and linear block let callers verify the solution
 independently of the algorithm.
 
-A numerical breakdown inside an iteration (a Cholesky or inverse of an
-iterate that has lost definiteness) ends the run with status
-``numerical-error`` and returns the best iterate seen, by the largest of
-its primal residual, dual residual and relative gap.  If that iterate
-meets the contract (residual <= 1e-6, relative gap <= 1e-5, minimum
-eigenvalue or linear entry >= -1e-7) it is reported as ``optimal``, as
-after ``max-iterations``.
+Each run of consecutive PSD blocks of one size d is handled as one
+(k, d, d) stack, and every per-block step runs on the stack: one batched
+inverse of S, batched products for the Schur complement, its right-hand
+side and dX, and one ``_max_step`` call that factors the X and S stacks
+together.  A program whose blocks all have one size (every program the
+package builds) makes five ``numpy.linalg`` calls per iteration: that
+inverse, a Cholesky, an inverse and an ``eigvalsh`` for both step lengths,
+and the Schur solve.  Batched ``numpy.linalg`` runs the same LAPACK
+routine on each matrix, and every sum keeps its order (block by block,
+then over constraints in order), so the iterates do not depend on how the
+blocks are grouped.
+
+A run ends at the inner tolerance, after ``max_iter`` iterations, or on
+the best iterate seen (by the largest of its primal residual, dual
+residual and relative gap) in one of two cases:
+
+* a numerical breakdown inside an iteration (a Cholesky or inverse of an
+  iterate that has lost definiteness): status ``numerical-error``, or
+  ``optimal`` if that iterate meets the contract (residual <= 1e-6,
+  relative gap <= 1e-5, minimum eigenvalue or linear entry >= -1e-7), as
+  after ``max-iterations``;
+* a best iterate that meets the residual and gap parts of the contract and
+  has not been improved on for ``_PATIENCE`` iterations: status
+  ``optimal`` (the iterate is interior, hence positive definite).  Near a
+  rank-deficient optimum the iterates drift away from the best one and
+  would otherwise run on to the breakdown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -31,6 +51,13 @@ from .core import ResourceLimitError
 DEFAULT_DIM_CAP = 200
 DEFAULT_MAX_ITER = 500
 LINEAR = "lin"  # key of the nonnegative linear block in coefficient dicts
+# The contract a returned "optimal" iterate meets: equality residual, relative
+# duality gap, and smallest eigenvalue of a PSD block or entry of the linear block.
+_RES_OK, _GAP_OK, _EIG_OK = 1e-6, 1e-5, -1e-7
+# Iterations without a better merit after which a best iterate that meets the
+# contract ends the run.  Runs that go on to the inner tolerance were seen to
+# stall for up to 3.
+_PATIENCE = 5
 
 
 @dataclass
@@ -96,24 +123,36 @@ class SdpSolution:
 
 
 def _sym(M):
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _max_step(X, dX, tau=0.98):
-    """Largest alpha <= 1 with X + alpha*dX still positive definite."""
-    L = np.linalg.cholesky(X)
-    Linv = np.linalg.inv(L)
-    W = _sym(Linv @ dX @ Linv.T)
-    lam = np.linalg.eigvalsh(W)[0]
-    if lam >= 0:
-        return 1.0
-    return min(1.0, -tau / lam)
+    """For each stack X[s] of shape (k, d, d): the largest alpha <= 1 with
+    every X[s, i] + alpha*dX[s, i] still positive definite.  One Cholesky,
+    one inverse and one eigvalsh cover every matrix of every stack."""
+    Linv = np.linalg.inv(np.linalg.cholesky(X))
+    lam = np.linalg.eigvalsh(_sym(Linv @ dX @ Linv.swapaxes(-1, -2)))[..., 0]
+    alpha = np.minimum(1.0, np.divide(-tau, lam, out=np.ones_like(lam), where=lam < 0))
+    return alpha.min(axis=-1)
 
 
 def _max_ratio(x, dx, tau=0.98):
-    """Largest alpha <= 1 with x + alpha*dx still entrywise positive."""
-    neg = dx < 0
-    return float(np.min(-tau * x[neg] / dx[neg], initial=1.0))
+    """For each row of x: the largest alpha <= 1 with x + alpha*dx still
+    entrywise positive."""
+    ratios = np.divide(-tau * x, dx, out=np.ones_like(x), where=dx < 0)
+    return ratios.min(axis=-1, initial=1.0)
+
+
+def _runs(dims):
+    """(d, k, slice) for each run of k consecutive PSD blocks of size d, the
+    slice covering the run in the vectorized layout."""
+    runs, start = [], 0
+    for d, group in groupby(dims):
+        k = len(list(group))
+        runs.append((d, k, slice(start, start + k * d * d)))
+        start += k * d * d
+    return runs
 
 
 def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
@@ -123,51 +162,60 @@ def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
         raise ResourceLimitError(f"total block dimension {prog.total_dim} exceeds cap {dim_cap}")
     dims, m = prog.block_dims, prog.n_constraints
     # Compile once.  An iterate is one vector [vec X_0, ..., vec X_k, x] and
-    # row i of A holds constraint i's coefficients in that layout.
+    # row i of A holds constraint i's coefficients in that layout.  W stacks
+    # A, the objective c and a row for S, so that one elementwise product with
+    # an iterate X gives A X, c.X and S.X.
     span, end = {}, 0
     for j, size in [(j, d * d) for j, d in enumerate(dims)] + [(LINEAR, prog.n_linear)]:
         span[j], end = slice(end, end + size), end + size
-    lin, spans = span[LINEAR], list(span.values())
-    A, c = np.zeros((m, end)), np.zeros(end)
+    lin, spans, runs = span[LINEAR], list(span.values()), _runs(dims)
+    W = np.zeros((m + 2, end))
+    A, c = W[:m], W[m]
     for j, M in prog.objective.items():
         c[span[j]] = M.reshape(-1)
     for i, (coeffs, _) in enumerate(prog.constraints):
         for j, M in coeffs.items():
             A[i, span[j]] = M.reshape(-1)
     b = np.array([rhs for _, rhs in prog.constraints])
+    # Row block of A for each run, as (k, m, d*d): block j's coefficients.
+    A_runs = [A[:, sl].reshape(m, k, d * d).transpose(1, 0, 2) for d, k, sl in runs]
 
-    def psd(v):  # the PSD blocks of a vector in that layout, as views
-        return [v[span[j]].reshape(d, d) for j, d in enumerate(dims)]
+    def stacks(v):  # the PSD runs of v's rows in that layout, as (..., k, d, d) views
+        return [v[..., sl].reshape(*v.shape[:-1], k, d, d) for d, k, sl in runs]
 
     # Sums run block by block, and over constraints in order, rather than
     # through one BLAS product: near a rank-deficient optimum the iteration
     # count follows rounding, and this order keeps it fixed.
-    def apply_A(v):
-        return sum((A[:, sl] * v[sl]).sum(axis=1) for sl in spans)
+    def products(v):  # (A v, c.v, S.v), S being the last row of W
+        P = W * v
+        sums = sum(P[:, sl].sum(axis=1) for sl in spans)
+        return sums[:m], float(sums[m]), float(sums[m + 1])
 
     def apply_AT(w):
         return (w[:, None] * A).sum(axis=0)
 
-    def inner(u, v):
-        return float(sum(np.sum(u[sl] * v[sl]) for sl in spans))
-
-    def max_step(V, dV):
-        return min([_max_step(*B) for B in zip(psd(V), psd(dV))] + [_max_ratio(V[lin], dV[lin])])
-
     scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(c).max(initial=0.0)))
+    ridge = 1e-14 * scale * np.eye(m)
+    # The primal iterate X and the dual slack S are the rows of XS, so that
+    # each run's X and S stacks are one (2, k, d, d) view.
     X = np.concatenate([np.eye(d).reshape(-1) for d in dims] + [np.ones(prog.n_linear)])
-    X, S, y = 10.0 * scale * X, 10.0 * scale * X, np.zeros(m)
+    XS, y = np.stack([10.0 * scale * X] * 2), np.zeros(m)
+    X, S = XS
 
     status, it = "max-iterations", 0
-    # Best iterate so far by max(primal residual, dual residual, gap).
-    best_merit, best_X, best_y, best_it = np.inf, X.copy(), y.copy(), 0
+    # Best iterate so far by max(primal residual, dual residual, gap), and
+    # whether it meets the contract's residual and gap.
+    best_merit, best_X, best_y, best_it, best_ok = np.inf, X.copy(), y.copy(), 0, False
     for it in range(1, max_iter + 1):
-        rp = b - apply_A(X)
+        W[m + 1] = S
+        AX, pobj, SX = products(X)
+        rp = b - AX
         Rd = c - apply_AT(y) - S
-        mu = inner(X, S) / prog.total_dim
-        pobj, dobj = inner(c, X), float(b @ y)
+        mu = SX / prog.total_dim
+        dobj = float(b @ y)
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        prim_res = float(np.abs(rp).max(initial=0.0)) / scale
+        res = float(np.abs(rp).max(initial=0.0))
+        prim_res = res / scale
         dual_res = float(np.abs(Rd).max(initial=0.0)) / scale
         if prim_res <= tol * 10 and dual_res <= tol * 10 and (gap_rel <= tol or mu / scale <= tol):
             status = "optimal"
@@ -178,54 +226,73 @@ def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
         merit = max(prim_res, dual_res, gap_rel)
         if merit < best_merit:
             best_merit, best_X, best_y, best_it = merit, X.copy(), y.copy(), it
+            best_ok = res <= _RES_OK and gap_rel <= _GAP_OK
+        elif best_ok and it - best_it >= _PATIENCE:
+            # The best iterate meets the contract (it is interior, so
+            # positive definite) and the merit has stopped improving: stop
+            # on it rather than drift on toward a breakdown.
+            status = "optimal"
+            X, y, it = best_X, best_y, best_it
+            break
 
         sigma = 0.3 if it <= 2 else sigma_next
         try:
-            Sinv = [np.linalg.inv(Sj) for Sj in psd(S)]
+            XS_runs = stacks(XS)
+            Sinv = [np.linalg.inv(V[1]) for V in XS_runs]
             x, sinv = X[lin], 1.0 / S[lin]
             # Schur complement M[i,k] = sum_j tr(A_ij X_j A_kj Sinv_j), where
             # the linear block acts as the diagonal blocks diag(x), diag(s).
+            # Each block's term is its own product, added in block order, and
+            # one m x m temporary is alive at a time.
             M, rhs = np.zeros((m, m)), rp.copy()
-            for j, (Xj, Si, Rj) in enumerate(zip(psd(X), Sinv, psd(Rd))):
-                Aj = A[:, span[j]]
-                M += (Xj @ Aj.reshape(m, *Xj.shape) @ Si).transpose(0, 2, 1).reshape(m, -1) @ Aj.T
-                rhs += Aj @ (Xj - sigma * mu * Si + Xj @ Rj @ Si).T.reshape(-1)
+            for (d, k, sl), Ak, (Xk, _), Si, Rk in zip(runs, A_runs, XS_runs, Sinv, stacks(Rd)):
+                XAS = Xk @ A[:, sl].reshape(m, k, d, d) @ Si
+                w = (Xk - sigma * mu * Si + Xk @ Rk @ Si).transpose(0, 2, 1).reshape(k, d * d)
+                for j, (Aj, rj) in enumerate(zip(Ak, Ak @ w[:, :, None])):
+                    M += XAS[:, j].transpose(0, 2, 1).reshape(m, d * d) @ Aj.T
+                    rhs += rj[:, 0]
             M += (A[:, lin] * (x * sinv)) @ A[:, lin].T
             rhs += A[:, lin] @ (x - sigma * mu * sinv + x * Rd[lin] * sinv)
             M = _sym(M)
             try:
-                dy = np.linalg.solve(M + 1e-14 * scale * np.eye(m), rhs)
+                dy = np.linalg.solve(M + ridge, rhs)
             except np.linalg.LinAlgError:
                 dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
 
-            dS = Rd - apply_AT(dy)
-            dX = np.empty_like(X)
-            for dXj, Xj, Si, dSj in zip(psd(dX), psd(X), Sinv, psd(dS)):
-                dXj[...] = _sym(sigma * mu * Si - Xj - Xj @ dSj @ Si)
+            dXS = np.empty_like(XS)
+            dX, dS = dXS
+            dS[...] = Rd - apply_AT(dy)
+            for (dXk, dSk), (Xk, _), Si in zip(stacks(dXS), XS_runs, Sinv):
+                dXk[...] = _sym(sigma * mu * Si - Xk - Xk @ dSk @ Si)
             dX[lin] = sigma * mu * sinv - x - x * dS[lin] * sinv
-            alpha_p, alpha_d = max_step(X, dX), max_step(S, dS)
+            # Step lengths of X (entry 0) and S (entry 1): one call per run.
+            steps = [_max_step(V, dV) for V, dV in zip(XS_runs, stacks(dXS))]
+            steps.append(_max_ratio(XS[:, lin], dXS[:, lin]))
+            alpha_p, alpha_d = min(a for a, _ in steps), min(a for _, a in steps)
         except np.linalg.LinAlgError:
             # The iterate has lost definiteness (rank-deficient optimum,
             # ill-conditioned Schur system): stop on the best iterate.
             status = "numerical-error"
             X, y, it = best_X, best_y, best_it
             break
-        X, S = X + alpha_p * dX, S + alpha_d * dS
-        for B in psd(X) + psd(S):
-            B[...] = _sym(B)
+        XS = XS + np.array([[alpha_p], [alpha_d]]) * dXS
+        for V in stacks(XS):
+            V[...] = _sym(V)
+        X, S = XS
         y = y + alpha_d * dy
 
         a = min(alpha_p, alpha_d)
         sigma_next = 0.05 if a > 0.9 else (0.2 if a > 0.5 else 0.5)
 
-    rp = b - apply_A(X)
-    pobj, dobj = inner(c, X), float(b @ y)
-    blocks = psd(X)
-    min_eigs = [float(np.linalg.eigvalsh(Xj)[0]) for Xj in blocks]
+    AX, pobj, _ = products(X)
+    rp = b - AX
+    dobj = float(b @ y)
+    blocks = [X[span[j]].reshape(d, d) for j, d in enumerate(dims)]
+    min_eigs = [float(e) for Xk in stacks(X) for e in np.linalg.eigvalsh(Xk)[:, 0]]
     gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     max_res = float(np.abs(rp).max(initial=0.0))
-    if status in ("max-iterations", "numerical-error") and max_res <= 1e-6 \
-            and gap_rel <= 1e-5 and min(min_eigs + [X[lin].min(initial=np.inf)]) >= -1e-7:
+    if status in ("max-iterations", "numerical-error") and max_res <= _RES_OK \
+            and gap_rel <= _GAP_OK and min(min_eigs + [X[lin].min(initial=np.inf)]) >= _EIG_OK:
         # Good enough for the contract even though the inner tolerance
         # was not reached.
         status = "optimal"

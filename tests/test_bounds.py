@@ -390,9 +390,10 @@ class TestCorrelationQuantities:
           [-1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]], 22),
     ], ids=["6x6", "5x5"])
     def test_gamma2_corr_rank_deficient_optimum(self, C, iterations):
-        # The engine's iterate loses definiteness on these sign matrices;
-        # the best iterate must still be a certified optimum, reported with
-        # its own iteration count (the breakdowns come at 45 and 35).
+        # The engine's iterates drift from the best one on these sign
+        # matrices toward a loss of definiteness (at iterations 45 and 35
+        # without the early stop); the best iterate must still be a
+        # certified optimum, reported with its own iteration count.
         C = np.array(C, dtype=float)
         nx, ny = C.shape
         result = gamma2_corr(C)

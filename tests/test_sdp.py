@@ -1,11 +1,17 @@
 """Tests for the interior-point SDP engine."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nonsig.core import ResourceLimitError
+from nonsig import bounds, games, sdp
+from nonsig.core import ResourceLimitError, pr_box
 from nonsig.lp import LinearProgram, solve_lp
-from nonsig.sdp import LINEAR, SdpProgram, solve_sdp
+from nonsig.sdp import _PATIENCE, LINEAR, SdpProgram, solve_sdp
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def unit(d, i, j):
@@ -151,20 +157,34 @@ class TestSolutionQuality:
             assert abs(sol.objective - sol.dual_objective) / denom <= 2e-5
 
     def test_rank_deficient_optimum_seed_11(self):
-        # The 5th draw of seed 11 has a rank-deficient optimum: the
-        # Cholesky of the iterate fails long after the iterate met the
-        # contract, and the engine must return its best iterate.
+        # The 5th draw of seed 11 has a rank-deficient optimum: after the
+        # best iterate the iterates drift toward a loss of definiteness (a
+        # failed Cholesky at iteration 39 without the early stop), and the
+        # engine must return its best iterate.
         rng = np.random.default_rng(11)
         for _ in range(5):
             prog = self._random_feasible_program(rng)
         sol = solve_sdp(prog)
         assert sol.status == "optimal"
-        # The count is that of the returned iterate, not of the breakdown
-        # (iteration 39).
+        # The count is that of the returned iterate, not of the last one.
         assert sol.iterations == 21
         assert sol.max_equality_residual <= 1e-6
         assert sol.block_min_eig() >= -1e-7
         assert sol.relative_gap <= 1e-5
+
+    def test_stalled_best_iterate_ends_the_run(self, monkeypatch):
+        # Same program: once its best iterate (21) meets the contract, the
+        # run stops _PATIENCE iterations later instead of running on to the
+        # breakdown at iteration 39.  Steps are computed before the stop only.
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            prog = self._random_feasible_program(rng)
+        steps = []
+        real = sdp._max_step
+        monkeypatch.setattr(sdp, "_max_step", lambda X, dX: steps.append(1) or real(X, dX))
+        sol = solve_sdp(prog)
+        assert (sol.status, sol.iterations) == ("optimal", 21)
+        assert len(steps) == 21 + _PATIENCE - 1
 
     def test_reported_residual_matches_recomputation(self):
         rng = np.random.default_rng(12)
@@ -173,6 +193,50 @@ class TestSolutionQuality:
         res = max(abs(sum(np.tensordot(M, sol.blocks[j]) for j, M in coeffs.items()) - rhs)
                   for coeffs, rhs in prog.constraints)
         assert res == pytest.approx(sol.max_equality_residual, abs=1e-9)
+
+
+class TestStackedBlocks:
+    def test_unequal_runs_and_linear_block(self):
+        # Block sizes [3, 2, 3] form three runs, the equal sizes not adjacent.
+        # min sum_j <C_j, X_j> + c.x  s.t.  tr X_j = 1, sum(x) = 2  splits into
+        # independent parts: lambda_min(C_j) for each block, 2 min(c).
+        rng = np.random.default_rng(7)
+        dims, c = [3, 2, 3], np.array([0.7, 0.3, 1.1])
+        Cs = [0.5 * (G + G.T) for G in (rng.normal(size=(d, d)) for d in dims)]
+        lams = [float(np.linalg.eigvalsh(C)[0]) for C in Cs]
+        assert abs(lams[0] - lams[2]) > 0.1  # so a swap of blocks 0 and 2 shows
+        prog = SdpProgram(dims, 3)
+        prog.set_objective({**dict(enumerate(Cs)), LINEAR: c})
+        for j, d in enumerate(dims):
+            prog.add_constraint({j: np.eye(d)}, 1.0)
+        prog.add_constraint({LINEAR: np.ones(3)}, 2.0)
+        sol = solve_sdp(prog)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(sum(lams) + 2 * c.min(), abs=1e-6)
+        assert [B.shape for B in sol.blocks] == [(d, d) for d in dims]
+        assert len(sol.min_eigenvalues) == 3 and sol.block_min_eig() >= -1e-7
+        for B, C, lam in zip(sol.blocks, Cs, lams):
+            assert np.trace(B) == pytest.approx(1.0, abs=1e-6)
+            assert np.sum(C * B) == pytest.approx(lam, abs=1e-6)
+        assert np.abs(sol.linear - [0.0, 2.0, 0.0]).max() <= 1e-6
+
+
+class TestIterationCounts:
+    """Iteration counts of four package solves.  They are deterministic, the
+    same under one or two BLAS threads, and move only if the iterates do."""
+
+    def test_gamma2_tilde_1_pr_box(self):
+        assert bounds.gamma2_tilde_1(pr_box()).diagnostics["iterations"] == 16
+
+    def test_gamma2_tilde_1_eps_pr_box(self):
+        assert bounds.gamma2_tilde_1_eps(pr_box(), 0.1).diagnostics["iterations"] == 18
+
+    def test_gamma2_corr_sylvester6(self):
+        C = np.array(json.loads((INPUTS / "sylvester6.json").read_text())["C"], dtype=float)
+        assert bounds.gamma2_corr(C).diagnostics["iterations"] == 13
+
+    def test_quantum_bias_chsh(self):
+        assert games.quantum_bias(games.chsh_game())["diagnostics"]["iterations"] == 12
 
 
 class TestValidationAndLimits:
