@@ -217,16 +217,6 @@ def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
 # gamma2_tilde_1: level-1 moment-matrix relaxation
 
 
-def _sym_unit(d: int, i: int, j: int) -> np.ndarray:
-    """Symmetric matrix E with <E, G> = G[i, j] for symmetric G."""
-    E = np.zeros((d, d))
-    if i == j:
-        E[i, i] = 1.0
-    else:
-        E[i, j] = E[j, i] = 0.5
-    return E
-
-
 def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(u v^T + v u^T) / 2 over the last axis, broadcasting the others."""
     uv = u[..., :, None] * v[..., None, :]
@@ -329,7 +319,8 @@ class _MomentLayout(_DataMap):
         pairs = [(eye[k], eye[k] - eye[0]) for k in range(1, d)]
         pairs += [(u[i], u[j]) for u in (*ea, *eb)
                   for i in range(len(u)) for j in range(i + 1, len(u))]
-        self.structural = [_sym_outer(u, v) for u, v in pairs]
+        uv = np.reshape(pairs, (-1, 2, d))  # (k, 2, d), also for k = 0
+        self.structural = _sym_outer(uv[:, 0], uv[:, 1])
         self.data = np.concatenate([self.cells[:, :, :-1, :-1].reshape(-1, d, d),
                                     _sym_outer(eye[0], ea).reshape(-1, d, d),
                                     _sym_outer(eye[0], eb).reshape(-1, d, d),
@@ -342,8 +333,7 @@ class _MomentLayout(_DataMap):
         E00 = self.data[-1]
         prog.set_objective({0: E00, 1: E00})
         for block in (0, 1):
-            for M in self.structural:
-                prog.add_constraint({block: M}, 0.0)
+            prog.add_constraint({block: self.structural}, np.zeros(len(self.structural)))
         return prog
 
     def model(self, blocks: list) -> AffineModel:
@@ -370,8 +360,7 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     _require_valid(p)
     layout = _MomentLayout(p.alphabets)
     prog = layout.program()
-    for M, rhs in zip(layout.data, layout.data_rhs(p.table)):
-        prog.add_constraint({0: M, 1: -M}, rhs)
+    prog.add_constraint({0: layout.data, 1: -layout.data}, layout.data_rhs(p.table))
 
     sol = solve_sdp(prog)
     if sol.status != "optimal":
@@ -421,21 +410,25 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
         )
     alph = p.alphabets
     layout = _MomentLayout(alph)
-    n, per_input = alph.n_cells, alph.na * alph.nb
+    n, n_in, per_input = alph.n_cells, alph.nx * alph.ny, alph.na * alph.nb
 
     # Linear block: s, then the slacks of p' - p <= s, p - p' <= s, p' >= 0
     # (n entries each) and of the nx*ny budgets; row k of `e` selects entry k.
-    e = np.eye(4 * n + alph.nx * alph.ny)
+    e = np.eye(4 * n + n_in)
     prog = layout.program(len(e))
     E00 = layout.data[-1]
     prog.add_constraint({0: E00, 1: -E00}, 1.0)
-    for k, (A, pv) in enumerate(zip(layout.cells.reshape(n, layout.d, layout.d), p.flat())):
-        prog.add_constraint({0: A, 1: -A, LINEAR: e[n + k] - e[k]}, pv)
-        prog.add_constraint({0: -A, 1: A, LINEAR: e[2 * n + k] - e[k]}, -pv)
-        prog.add_constraint({0: A, 1: -A, LINEAR: -e[3 * n + k]}, 0.0)
-    for i in range(alph.nx * alph.ny):
-        s_i = e[i * per_input:(i + 1) * per_input].sum(axis=0)
-        prog.add_constraint({LINEAR: s_i + e[4 * n + i]}, 2.0 * eps)
+    # Three rows per cell, interleaved: p' - p <= s, p - p' <= s and p' >= 0,
+    # each made an equality by its slack.
+    d, pv = layout.d, p.flat()
+    cells = layout.cells.reshape(n, 1, d, d) * np.array([1.0, -1.0, 1.0])[:, None, None]
+    slacks = np.stack([e[n:2 * n] - e[:n], e[2 * n:3 * n] - e[:n], -e[3 * n:4 * n]], axis=1)
+    prog.add_constraint({0: cells.reshape(3 * n, d, d), 1: -cells.reshape(3 * n, d, d),
+                         LINEAR: slacks.reshape(3 * n, len(e))},
+                        np.stack([pv, -pv, np.zeros(n)], axis=1).reshape(-1))
+    # Per-input budgets: the input pair's s entries plus its slack = 2 eps.
+    budgets = e[:n].reshape(n_in, per_input, len(e)).sum(axis=1) + e[4 * n:]
+    prog.add_constraint({LINEAR: budgets}, np.full(n_in, 2.0 * eps))
 
     sol = solve_sdp(prog)
     if sol.status != "optimal":
@@ -505,13 +498,13 @@ def gamma2_corr(C: np.ndarray) -> BoundResult:
     C = np.atleast_2d(np.asarray(C, dtype=float))
     nx, ny = C.shape
     n = nx + ny
+    eye = np.eye(n)
+    E00 = _sym_outer(eye[0], eye[0])
     prog = SdpProgram([n])
-    prog.set_objective({0: _sym_unit(n, 0, 0)})
-    for k in range(1, n):
-        prog.add_constraint({0: _sym_unit(n, k, k) - _sym_unit(n, 0, 0)}, 0.0)
-    for i in range(nx):
-        for j in range(ny):
-            prog.add_constraint({0: _sym_unit(n, i, nx + j)}, C[i, j])
+    prog.set_objective({0: E00})
+    prog.add_constraint({0: _sym_outer(eye[1:], eye[1:]) - E00}, np.zeros(n - 1))
+    prog.add_constraint({0: _sym_outer(eye[:nx, None], eye[None, nx:]).reshape(-1, n, n)},
+                        C.reshape(-1))
     sol = solve_sdp(prog)
     if sol.status != "optimal":
         raise RuntimeError(f"gamma2_corr SDP returned {sol.status}")

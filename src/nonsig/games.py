@@ -71,14 +71,11 @@ def quantum_bias(game: XorGame) -> dict:
     """
     n = game.nx + game.ny
     W = np.zeros((n, n))
-    W[:game.nx, game.nx:] = game.mu * game.G
-    W = 0.5 * (W + W.T)
+    W[:game.nx, game.nx:] = game.mu * game.G  # the program symmetrizes it
     prog = SdpProgram([n])
     prog.set_objective({0: -W})
-    for k in range(n):
-        E = np.zeros((n, n))
-        E[k, k] = 1.0
-        prog.add_constraint({0: E}, 1.0)
+    eye = np.eye(n)
+    prog.add_constraint({0: eye[:, :, None] * eye[:, None, :]}, np.ones(n))  # X_kk = 1
     sol = solve_sdp(prog)
     if sol.status != "optimal":
         raise RuntimeError(f"quantum bias SDP returned {sol.status}")

@@ -217,7 +217,7 @@ class _Simplex:
         return "iteration-limit"
 
 
-def solve_lp(prog: LinearProgram, max_iter: int | None = None) -> LpSolution:
+def solve_lp(prog: LinearProgram) -> LpSolution:
     """Solve with two-phase simplex; returns primal, duals, and gap."""
     n = prog.n_vars
     m_eq, m_ub = prog.n_eq, prog.n_ub
@@ -250,7 +250,7 @@ def solve_lp(prog: LinearProgram, max_iter: int | None = None) -> LpSolution:
     A_full[np.arange(m), first_art + np.arange(m)] = np.where(resid >= 0, 1.0, -1.0)
     lo_full = np.concatenate([lo, np.zeros(m)])
     up_full = np.concatenate([up, np.full(m, np.inf)])
-    limit = max_iter if max_iter is not None else 50 * (m + A_full.shape[1])
+    limit = 50 * (m + A_full.shape[1])  # pivots per phase
 
     sx = _Simplex(A_full, b, lo_full, up_full)
     try:

@@ -7,9 +7,12 @@ infeasible-start primal-dual interior-point method (HKM direction, which
 on x is the diagonal x/s scaling of linear programming).  Intended for
 the small moment-matrix problems in this package: a program whose PSD
 dimensions plus linear length exceed 200 is refused with
-``ResourceLimitError``.  The returned residuals, per-block minimum
-eigenvalues and linear block let callers verify the solution
-independently of the algorithm.
+``ResourceLimitError`` when it is made, before its arrays are built.  The
+returned residuals, per-block minimum eigenvalues and linear block let
+callers verify the solution independently of the algorithm.
+
+An ``SdpProgram`` holds the arrays the engine solves, and its
+``add_constraint`` takes a whole stack of constraints in one call.
 
 Each run of consecutive PSD blocks of one size d is handled as one
 (k, d, d) stack, and every per-block step runs on the stack: one batched
@@ -23,7 +26,7 @@ routine on each matrix, and every sum keeps its order (block by block,
 then over constraints in order), so the iterates do not depend on how the
 blocks are grouped.
 
-A run ends at the inner tolerance, after ``max_iter`` iterations, or on
+A run ends at the inner tolerance, after 500 iterations, or on
 the best iterate seen (by the largest of its primal residual, dual
 residual and relative gap) in one of two cases:
 
@@ -48,8 +51,7 @@ import numpy as np
 
 from .core import ResourceLimitError
 
-DEFAULT_DIM_CAP = 200
-DEFAULT_MAX_ITER = 500
+_DIM_CAP, _MAX_ITER, _TOL = 200, 500, 1e-9  # size cap, iteration limit, inner tolerance
 LINEAR = "lin"  # key of the nonnegative linear block in coefficient dicts
 # The contract a returned "optimal" iterate meets: equality residual, relative
 # duality gap, and smallest eigenvalue of a PSD block or entry of the linear block.
@@ -60,41 +62,61 @@ _RES_OK, _GAP_OK, _EIG_OK = 1e-6, 1e-5, -1e-7
 _PATIENCE = 5
 
 
-@dataclass
 class SdpProgram:
-    """Block-diagonal SDP in equality form.
+    """Block-diagonal SDP in equality form, held as the arrays the engine solves.
 
-    ``constraints`` holds (coeffs, rhs) pairs where coeffs maps a block
-    index to its symmetric coefficient matrix, and ``LINEAR`` to a vector
-    of length ``n_linear``; ``objective`` maps blocks the same way
-    (missing blocks cost 0).
+    An iterate is one vector ``[vec X_0, ..., vec X_k, x]``, and ``span[j]``
+    is block j's slice of it (``span[LINEAR]`` the linear block's).  In that
+    layout ``c`` is the objective, row i of ``A`` is constraint i and ``b``
+    holds the right-hand sides.  Coefficient dicts map a block index to a
+    matrix (symmetrized on entry) and ``LINEAR`` to a vector; missing blocks
+    cost 0.  Bad input raises ``ValueError`` when it is given.
     """
 
-    block_dims: list
-    n_linear: int = 0
-    objective: dict = field(default_factory=dict)
-    constraints: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.block_dims = [int(d) for d in self.block_dims]
-        self.n_linear = int(self.n_linear)
+    def __init__(self, block_dims, n_linear: int = 0):
+        self.block_dims = [int(d) for d in block_dims]
+        self.n_linear = int(n_linear)
         if any(d < 1 for d in self.block_dims) or self.n_linear < 0:
             raise ValueError("block dimensions must be positive, the linear length >= 0")
+        if self.total_dim > _DIM_CAP:  # refused before any array is built
+            raise ResourceLimitError(
+                f"total block dimension {self.total_dim} exceeds cap {_DIM_CAP}")
+        sizes = [d * d for d in self.block_dims] + [self.n_linear]
+        self.span, end = {}, 0
+        for j, size in zip([*range(len(self.block_dims)), LINEAR], sizes):
+            self.span[j], end = slice(end, end + size), end + size
+        self.c, self.A, self.b = np.zeros(end), np.zeros((0, end)), np.zeros(0)
 
     def set_objective(self, coeffs: dict) -> None:
-        self.objective = {j: self._check(j, M) for j, M in coeffs.items()}
+        self.c = self._rows(coeffs, ())
 
-    def add_constraint(self, coeffs: dict, rhs: float) -> None:
+    def add_constraint(self, coeffs: dict, rhs) -> None:
+        """Add one constraint (scalar ``rhs``) or a stack of m (``rhs`` of
+        length m, every coefficient with a leading axis of length m)."""
+        rhs = np.asarray(rhs, dtype=float)
         if not coeffs:
             raise ValueError("constraint touches no block")
-        self.constraints.append(({j: self._check(j, M) for j, M in coeffs.items()}, float(rhs)))
+        if rhs.ndim > 1 or not np.isfinite(rhs).all():
+            raise ValueError("the right-hand side must be a finite scalar or vector")
+        rows = self._rows(coeffs, rhs.shape).reshape(rhs.size, len(self.c))
+        self.A, self.b = np.concatenate([self.A, rows]), np.concatenate([self.b, rhs.reshape(-1)])
 
-    def _check(self, j, M):
-        M = np.asarray(M, dtype=float)
-        shape = (self.n_linear,) if j == LINEAR else (self.block_dims[j],) * 2
-        if M.shape != shape:
-            raise ValueError(f"block {j} expects shape {shape}, got {M.shape}")
-        return M if j == LINEAR else _sym(M)
+    def _rows(self, coeffs: dict, lead: tuple) -> np.ndarray:
+        """The coefficients laid out as rows of the iterate, one per index of
+        the leading shape ``lead``."""
+        rows = np.zeros((*lead, len(self.c)))
+        for j, M in coeffs.items():
+            if j not in self.span:
+                raise ValueError(f"no block {j!r} in a program of {len(self.block_dims)}")
+            M = np.asarray(M, dtype=float)
+            shape = lead + ((self.n_linear,) if j == LINEAR else (self.block_dims[int(j)],) * 2)
+            if M.shape != shape:  # a stack's leading axis is one per right-hand side
+                raise ValueError(f"block {j!r} expects shape {shape}, got {M.shape}")
+            if not np.isfinite(M).all():
+                raise ValueError(f"block {j!r} has a non-finite coefficient")
+            block = rows[..., self.span[j]]
+            block[...] = (M if j == LINEAR else _sym(M)).reshape(block.shape)
+        return rows
 
     @property
     def total_dim(self) -> int:
@@ -102,7 +124,7 @@ class SdpProgram:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.b)
 
 
 @dataclass
@@ -144,39 +166,25 @@ def _max_ratio(x, dx, tau=0.98):
     return ratios.min(axis=-1, initial=1.0)
 
 
-def _runs(dims):
+def _runs(prog: SdpProgram):
     """(d, k, slice) for each run of k consecutive PSD blocks of size d, the
-    slice covering the run in the vectorized layout."""
-    runs, start = [], 0
-    for d, group in groupby(dims):
+    slice covering the run in the program's layout."""
+    runs, j = [], 0
+    for d, group in groupby(prog.block_dims):
         k = len(list(group))
-        runs.append((d, k, slice(start, start + k * d * d)))
-        start += k * d * d
+        runs.append((d, k, slice(prog.span[j].start, prog.span[j + k - 1].stop)))
+        j += k
     return runs
 
 
-def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
-              tol: float = 1e-9, dim_cap: int = DEFAULT_DIM_CAP) -> SdpSolution:
+def solve_sdp(prog: SdpProgram) -> SdpSolution:
     """Interior-point solve; see module docstring for the problem form."""
-    if prog.total_dim > dim_cap:
-        raise ResourceLimitError(f"total block dimension {prog.total_dim} exceeds cap {dim_cap}")
-    dims, m = prog.block_dims, prog.n_constraints
-    # Compile once.  An iterate is one vector [vec X_0, ..., vec X_k, x] and
-    # row i of A holds constraint i's coefficients in that layout.  W stacks
-    # A, the objective c and a row for S, so that one elementwise product with
-    # an iterate X gives A X, c.X and S.X.
-    span, end = {}, 0
-    for j, size in [(j, d * d) for j, d in enumerate(dims)] + [(LINEAR, prog.n_linear)]:
-        span[j], end = slice(end, end + size), end + size
-    lin, spans, runs = span[LINEAR], list(span.values()), _runs(dims)
-    W = np.zeros((m + 2, end))
+    dims, m, b = prog.block_dims, prog.n_constraints, prog.b
+    # W stacks A, the objective c and a row for S, so that one elementwise
+    # product with an iterate X gives A X, c.X and S.X.
+    W = np.concatenate([prog.A, prog.c[None], np.zeros((1, len(prog.c)))])
     A, c = W[:m], W[m]
-    for j, M in prog.objective.items():
-        c[span[j]] = M.reshape(-1)
-    for i, (coeffs, _) in enumerate(prog.constraints):
-        for j, M in coeffs.items():
-            A[i, span[j]] = M.reshape(-1)
-    b = np.array([rhs for _, rhs in prog.constraints])
+    lin, spans, runs = prog.span[LINEAR], list(prog.span.values()), _runs(prog)
     # Row block of A for each run, as (k, m, d*d): block j's coefficients.
     A_runs = [A[:, sl].reshape(m, k, d * d).transpose(1, 0, 2) for d, k, sl in runs]
 
@@ -206,7 +214,7 @@ def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
     # Best iterate so far by max(primal residual, dual residual, gap), and
     # whether it meets the contract's residual and gap.
     best_merit, best_X, best_y, best_it, best_ok = np.inf, X.copy(), y.copy(), 0, False
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         W[m + 1] = S
         AX, pobj, SX = products(X)
         rp = b - AX
@@ -217,7 +225,8 @@ def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
         res = float(np.abs(rp).max(initial=0.0))
         prim_res = res / scale
         dual_res = float(np.abs(Rd).max(initial=0.0)) / scale
-        if prim_res <= tol * 10 and dual_res <= tol * 10 and (gap_rel <= tol or mu / scale <= tol):
+        if prim_res <= _TOL * 10 and dual_res <= _TOL * 10 \
+                and (gap_rel <= _TOL or mu / scale <= _TOL):
             status = "optimal"
             break
         if np.abs(y).max(initial=0.0) > 1e10 * scale and prim_res > 1e-6:
@@ -287,7 +296,7 @@ def solve_sdp(prog: SdpProgram, max_iter: int = DEFAULT_MAX_ITER,
     AX, pobj, _ = products(X)
     rp = b - AX
     dobj = float(b @ y)
-    blocks = [X[span[j]].reshape(d, d) for j, d in enumerate(dims)]
+    blocks = [X[prog.span[j]].reshape(d, d) for j, d in enumerate(dims)]
     min_eigs = [float(e) for Xk in stacks(X) for e in np.linalg.eigvalsh(Xk)[:, 0]]
     gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     max_res = float(np.abs(rp).max(initial=0.0))

@@ -103,10 +103,9 @@ class TestLinearBlock:
 
     def test_total_dim_counts_linear_length(self):
         assert SdpProgram([2, 3], 4).total_dim == 9
-        prog = SdpProgram([100], 101)
-        prog.add_constraint({LINEAR: np.ones(101)}, 1.0)
-        with pytest.raises(ResourceLimitError):
-            solve_sdp(prog)
+        assert SdpProgram([100], 100).total_dim == 200  # at the cap
+        with pytest.raises(ResourceLimitError, match="201 exceeds cap 200"):
+            SdpProgram([100], 101)
 
 
 class TestLambdaMaxOracle:
@@ -190,8 +189,8 @@ class TestSolutionQuality:
         rng = np.random.default_rng(12)
         prog = self._random_feasible_program(rng)
         sol = solve_sdp(prog)
-        res = max(abs(sum(np.tensordot(M, sol.blocks[j]) for j, M in coeffs.items()) - rhs)
-                  for coeffs, rhs in prog.constraints)
+        x = np.concatenate([B.reshape(-1) for B in sol.blocks] + [sol.linear])
+        res = np.abs(prog.A @ x - prog.b).max()
         assert res == pytest.approx(sol.max_equality_residual, abs=1e-9)
 
 
@@ -221,6 +220,99 @@ class TestStackedBlocks:
         assert np.abs(sol.linear - [0.0, 2.0, 0.0]).max() <= 1e-6
 
 
+def sym_unit(d, i, j):
+    """Symmetric E with <E, G> = G[i, j] for symmetric G."""
+    return 0.5 * (unit(d, i, j) + unit(d, j, i))
+
+
+class TestStackedPrograms:
+    """The package's builders add their constraints as stacks; each program
+    must equal the one built one ``add_constraint`` call at a time."""
+
+    def captured(self, monkeypatch, mod, build):
+        progs = []
+        real = mod.solve_sdp
+        monkeypatch.setattr(mod, "solve_sdp", lambda prog: progs.append(prog) or real(prog))
+        build()
+        return progs[0]
+
+    def assert_same(self, prog, ref):
+        assert prog.block_dims == ref.block_dims and prog.n_linear == ref.n_linear
+        for name in ("A", "b", "c"):
+            assert np.array_equal(getattr(prog, name), getattr(ref, name)), name
+
+    def moment_reference(self, layout, n_linear=0):
+        ref = SdpProgram([layout.d, layout.d], n_linear)
+        E00 = layout.data[-1]
+        ref.set_objective({0: E00, 1: E00})
+        for block in (0, 1):
+            for M in layout.structural:
+                ref.add_constraint({block: M}, 0.0)
+        return ref
+
+    def test_gamma2_tilde_1(self, monkeypatch):
+        p = pr_box()
+        prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1(p))
+        layout = bounds._MomentLayout(p.alphabets)
+        ref = self.moment_reference(layout)
+        for M, rhs in zip(layout.data, layout.data_rhs(p.table)):
+            ref.add_constraint({0: M, 1: -M}, rhs)
+        self.assert_same(prog, ref)
+
+    def test_gamma2_tilde_1_eps(self, monkeypatch):
+        p, eps = pr_box(), 0.1
+        prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1_eps(p, eps))
+        layout = bounds._MomentLayout(p.alphabets)
+        n, n_in, per_input = 16, 4, 4
+        e = np.eye(4 * n + n_in)
+        ref = self.moment_reference(layout, len(e))
+        E00 = layout.data[-1]
+        ref.add_constraint({0: E00, 1: -E00}, 1.0)
+        for k, (A, pv) in enumerate(zip(layout.cells.reshape(n, 5, 5), p.flat())):
+            ref.add_constraint({0: A, 1: -A, LINEAR: e[n + k] - e[k]}, pv)
+            ref.add_constraint({0: -A, 1: A, LINEAR: e[2 * n + k] - e[k]}, -pv)
+            ref.add_constraint({0: A, 1: -A, LINEAR: -e[3 * n + k]}, 0.0)
+        for i in range(n_in):
+            s_i = e[i * per_input:(i + 1) * per_input].sum(axis=0)
+            ref.add_constraint({LINEAR: s_i + e[4 * n + i]}, 2.0 * eps)
+        self.assert_same(prog, ref)
+
+    def test_gamma2_corr(self, monkeypatch):
+        C = np.array(json.loads((INPUTS / "sylvester6.json").read_text())["C"], dtype=float)
+        prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_corr(C))
+        nx, ny = C.shape
+        n = nx + ny
+        ref = SdpProgram([n])
+        ref.set_objective({0: sym_unit(n, 0, 0)})
+        for k in range(1, n):
+            ref.add_constraint({0: sym_unit(n, k, k) - sym_unit(n, 0, 0)}, 0.0)
+        for i in range(nx):
+            for j in range(ny):
+                ref.add_constraint({0: sym_unit(n, i, nx + j)}, C[i, j])
+        self.assert_same(prog, ref)
+
+    def test_quantum_bias(self, monkeypatch):
+        game = games.chsh_game()
+        prog = self.captured(monkeypatch, games, lambda: games.quantum_bias(game))
+        W = np.zeros((4, 4))
+        W[:2, 2:] = game.mu * game.G
+        ref = SdpProgram([4])
+        ref.set_objective({0: -0.5 * (W + W.T)})
+        for k in range(4):
+            ref.add_constraint({0: unit(4, k, k)}, 1.0)
+        self.assert_same(prog, ref)
+
+    def test_single_constraint_is_a_stack_of_one(self):
+        one, stack = SdpProgram([2], 1), SdpProgram([2], 1)
+        M = np.array([[1.0, 2.0], [0.0, 3.0]])
+        one.add_constraint({0: M, LINEAR: [4.0]}, 5.0)
+        stack.add_constraint({0: M[None], LINEAR: [[4.0]]}, [5.0])
+        assert np.array_equal(one.A, stack.A) and np.array_equal(one.b, stack.b)
+        assert one.A.shape == (1, 5)
+        # Coefficients are symmetrized on entry.
+        assert np.array_equal(one.A[0, :4], [1.0, 1.0, 1.0, 3.0])
+
+
 class TestIterationCounts:
     """Iteration counts of four package solves.  They are deterministic, the
     same under one or two BLAS threads, and move only if the iterates do."""
@@ -241,16 +333,51 @@ class TestIterationCounts:
 
 class TestValidationAndLimits:
     def test_dim_cap(self):
-        prog = SdpProgram([150, 100])
-        prog.set_objective({0: np.eye(150)})
-        prog.add_constraint({0: np.eye(150)}, 1.0)
+        # Refused when the program is made, before its arrays are built.
         with pytest.raises(ResourceLimitError):
-            solve_sdp(prog)
+            SdpProgram([150, 100])
 
     def test_bad_block_shape(self):
         prog = SdpProgram([2])
         with pytest.raises(ValueError):
             prog.add_constraint({0: np.eye(3)}, 1.0)
+
+    @pytest.mark.parametrize("key", [-1, 1, "x"])
+    def test_unknown_block_rejected(self, key):
+        prog = SdpProgram([2])
+        with pytest.raises(ValueError):
+            prog.add_constraint({key: np.eye(2)}, 1.0)
+        with pytest.raises(ValueError):
+            prog.set_objective({key: np.eye(2)})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        prog = SdpProgram([2], 1)
+        with pytest.raises(ValueError):
+            prog.add_constraint({0: [[1.0, bad], [bad, 1.0]]}, 1.0)
+        with pytest.raises(ValueError):
+            prog.add_constraint({LINEAR: [bad]}, 1.0)
+        with pytest.raises(ValueError):
+            prog.set_objective({0: [[bad, 0.0], [0.0, 1.0]]})
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        prog = SdpProgram([2])
+        with pytest.raises(ValueError):
+            prog.add_constraint({0: np.eye(2)}, bad)
+        with pytest.raises(ValueError):
+            prog.add_constraint({0: np.stack([np.eye(2)] * 2)}, [1.0, bad])
+        assert prog.n_constraints == 0
+
+    def test_leading_axis_must_match_rhs(self):
+        prog = SdpProgram([2], 1)
+        with pytest.raises(ValueError):
+            prog.add_constraint({0: np.stack([np.eye(2)] * 3)}, [1.0, 2.0])
+        with pytest.raises(ValueError):  # a stack with a scalar right-hand side
+            prog.add_constraint({0: np.stack([np.eye(2)] * 2)}, 1.0)
+        with pytest.raises(ValueError):  # one block stacked, the other not
+            prog.add_constraint({0: np.stack([np.eye(2)] * 2), LINEAR: [1.0]}, [1.0, 2.0])
+        assert prog.n_constraints == 0
 
     def test_empty_constraint_rejected(self):
         prog = SdpProgram([2])
