@@ -152,45 +152,39 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     )
 
 
+def _budget_rows(alph: Alphabets) -> np.ndarray:
+    """(nx*ny, n_cells) rows summing each input pair's cells: the na*nb cells
+    of input pair i are contiguous in a flattened table."""
+    return np.kron(np.eye(alph.nx * alph.ny), np.ones((1, alph.na * alph.nb)))
+
+
 def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     """min { nu_tilde(p') : delta(p, p') <= eps } as a single joint LP.
 
-    Variables are the split vertex weights plus one slack per table cell
-    bounding |p - p'|; the per-input slack budgets encode the statistical
-    distance ball and p' >= 0 keeps the perturbed target a distribution.
+    The ball is p' - p = u - v with u, v >= 0 and, per input pair, the
+    budget sum (u + v) <= 2*eps.  Columns are the split vertex weights
+    q+, q- and u, v; rows are Vt q - u + v = p per cell, sum q = 1 and the
+    budgets.  p' = p + u - v >= p - v, so p' >= 0 is the bound v <= p.
     """
     _require_valid(p)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     alph = p.alphabets
     Vt = vertex_table_matrix(alph)
-    V = Vt.shape[1]
-    n_cells = alph.n_cells
-    n = 2 * V + n_cells
+    V, n_cells = Vt.shape[1], alph.n_cells
     pvec = p.flat()
 
-    c = np.zeros(n)
-    c[: 2 * V] = 1.0
-    A_eq = np.zeros((1, n))
-    A_eq[0, :V] = 1.0
-    A_eq[0, V:2 * V] = -1.0
-    b_eq = np.array([1.0])
+    c = np.concatenate([np.ones(2 * V), np.zeros(2 * n_cells)])
+    A_eq = np.zeros((n_cells + 1, len(c)))
+    A_eq[:n_cells, :V], A_eq[:n_cells, V:2 * V] = Vt, -Vt
+    A_eq[:n_cells, 2 * V:] = np.kron([-1.0, 1.0], np.eye(n_cells))
+    A_eq[n_cells, :2 * V] = np.repeat([1.0, -1.0], V)
+    budgets = _budget_rows(alph)
+    A_ub = np.hstack([np.zeros((len(budgets), 2 * V)), budgets, budgets])
+    ub = np.concatenate([np.full(2 * V + n_cells, np.inf), pvec])
 
-    eye = np.eye(n_cells)
-    # Row i sums the slacks of input pair i, whose na*nb cells are contiguous.
-    budgets = np.kron(np.eye(alph.nx * alph.ny), np.ones((1, alph.na * alph.nb)))
-    A_ub = np.vstack([
-        np.hstack([Vt, -Vt, -eye]),          # p' - p <= s
-        np.hstack([-Vt, Vt, -eye]),          # p - p' <= s
-        np.hstack([-Vt, Vt, np.zeros((n_cells, n_cells))]),  # p' >= 0
-        np.hstack([np.zeros((budgets.shape[0], 2 * V)), budgets]),
-    ])
-    b_ub = np.concatenate([
-        pvec, -pvec, np.zeros(n_cells), np.full(alph.nx * alph.ny, 2.0 * eps)
-    ])
-
-    sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
-                                 lb=np.zeros(n), ub=np.full(n, np.inf)))
+    sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=np.append(pvec, 1.0), A_ub=A_ub,
+                                 b_ub=np.full(len(budgets), 2.0 * eps), ub=ub))
     if sol.status != "optimal":
         raise RuntimeError(f"nu_tilde_eps LP unexpectedly returned {sol.status}")
     q = sol.x[:V] - sol.x[V:2 * V]
@@ -391,16 +385,16 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     """Epsilon-smoothed level-1 relaxation, as one joint SDP.
 
     The perturbed target p' is whatever the two moment blocks represent.
-    A nonnegative linear block holds a bound s on |p - p'| per cell, the
-    slacks that turn |p - p'| <= s and p' >= 0 into equalities, and the
-    slacks of the per-input budgets sum s <= 2*eps.
+    A nonnegative linear block holds p' itself (so p' >= 0), the ball
+    p' - p = u - v with u, v >= 0, and the slacks of the per-input budgets
+    sum (u + v) <= 2*eps.
     """
     _require_valid(p)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     if eps == 0.0:
-        # The ball is {p}: every s is forced to 0, so the joint program has
-        # no interior.  Solve the exact program instead.
+        # The ball is {p}: every u, v is forced to 0, so the joint program
+        # has no interior.  Solve the exact program instead.
         exact = gamma2_tilde_1(p)
         return BoundResult(
             quantity="gamma2_tilde_1_eps",
@@ -410,25 +404,20 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
         )
     alph = p.alphabets
     layout = _MomentLayout(alph)
-    n, n_in, per_input = alph.n_cells, alph.nx * alph.ny, alph.na * alph.nb
+    n, n_in = alph.n_cells, alph.nx * alph.ny
 
-    # Linear block: s, then the slacks of p' - p <= s, p - p' <= s, p' >= 0
-    # (n entries each) and of the nx*ny budgets; row k of `e` selects entry k.
-    e = np.eye(4 * n + n_in)
+    # Linear block: p', u, v (n entries each), then the nx*ny budget slacks;
+    # row k of `e` selects entry k.
+    e = np.eye(3 * n + n_in)
+    pp, u, v = e[:n], e[n:2 * n], e[2 * n:3 * n]
     prog = layout.program(len(e))
     E00 = layout.data[-1]
     prog.add_constraint({0: E00, 1: -E00}, 1.0)
-    # Three rows per cell, interleaved: p' - p <= s, p - p' <= s and p' >= 0,
-    # each made an equality by its slack.
-    d, pv = layout.d, p.flat()
-    cells = layout.cells.reshape(n, 1, d, d) * np.array([1.0, -1.0, 1.0])[:, None, None]
-    slacks = np.stack([e[n:2 * n] - e[:n], e[2 * n:3 * n] - e[:n], -e[3 * n:4 * n]], axis=1)
-    prog.add_constraint({0: cells.reshape(3 * n, d, d), 1: -cells.reshape(3 * n, d, d),
-                         LINEAR: slacks.reshape(3 * n, len(e))},
-                        np.stack([pv, -pv, np.zeros(n)], axis=1).reshape(-1))
-    # Per-input budgets: the input pair's s entries plus its slack = 2 eps.
-    budgets = e[:n].reshape(n_in, per_input, len(e)).sum(axis=1) + e[4 * n:]
-    prog.add_constraint({LINEAR: budgets}, np.full(n_in, 2.0 * eps))
+    cells = layout.cells.reshape(n, layout.d, layout.d)
+    prog.add_constraint({0: cells, 1: -cells, LINEAR: -pp}, np.zeros(n))  # the blocks give p'
+    prog.add_constraint({LINEAR: pp - u + v}, p.flat())
+    prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]},
+                        np.full(n_in, 2.0 * eps))
 
     sol = solve_sdp(prog)
     if sol.status != "optimal":
@@ -529,18 +518,15 @@ def nu_corr_alpha(C: np.ndarray, alpha: float) -> float:
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if not np.all(np.abs(C) == 1.0):
         raise ValueError("nu_corr_alpha expects a sign matrix")
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
-    nx, ny = C.shape
-    S = _sign_vertex_matrix(nx, ny)[0]
-    V = S.shape[1]
-    sign = C.reshape(-1)
-    # sign * (S q) in [1, alpha] cellwise
-    M = sign[:, None] * np.hstack([S, -S])
-    A_ub = np.vstack([-M, M])
-    b_ub = np.concatenate([-np.ones(nx * ny), np.full(nx * ny, alpha)])
-    sol = solve_lp(LinearProgram(c=np.ones(2 * V), A_ub=A_ub, b_ub=b_ub,
-                                 lb=np.zeros(2 * V), ub=np.full(2 * V, np.inf)))
+    if not alpha >= 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    SC = C.reshape(-1, 1) * _sign_vertex_matrix(*C.shape)[0]
+    V, m = SC.shape[1], C.size
+    # Rows C o (S q) - r = 0, with r boxed in [1, alpha].
+    sol = solve_lp(LinearProgram(c=np.append(np.ones(2 * V), np.zeros(m)),
+                                 A_eq=np.hstack([SC, -SC, -np.eye(m)]), b_eq=np.zeros(m),
+                                 lb=np.append(np.zeros(2 * V), np.ones(m)),
+                                 ub=np.append(np.full(2 * V, np.inf), np.full(m, alpha))))
     if sol.status != "optimal":
         raise RuntimeError(f"nu_corr_alpha LP returned {sol.status}")
     return float(sol.objective)

@@ -262,7 +262,7 @@ def _dispatch(args) -> int:
                                          T=args.trials)
             res = simulate.run_smp_boolean(
                 C, model, plan, args.seed,
-                **({"replays": args.replays} if args.replays else {}))
+                **({} if args.replays is None else {"replays": args.replays}))
             _emit(args, {
                 "plan": {"T": plan.T, "lam": mass, "delta": args.delta},
                 "max_error_rate": res["max_error_rate"],
@@ -279,7 +279,7 @@ def _dispatch(args) -> int:
                                          args.epsilon, T=args.trials,
                                          L=args.pool_size)
             runner = simulate.run_smp_quantum_sim
-        kwargs = {"replays": args.replays} if args.replays else {}
+        kwargs = {} if args.replays is None else {"replays": args.replays}
         out = runner(model, dist, plan, args.seed, **kwargs)
         _emit(args, {
             "plan": {"T": plan.T, "beta": plan.beta, "lam": mass,

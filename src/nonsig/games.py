@@ -30,7 +30,7 @@ class XorGame:
             raise ValueError(f"G shape {G.shape} != mu shape {mu.shape}")
         if not np.all(np.abs(G) == 1.0):
             raise ValueError("G entries must be exactly +-1")
-        if mu.min() < 0 or abs(mu.sum() - 1.0) > 1e-12:
+        if not (np.all(np.isfinite(mu)) and mu.min() >= 0 and abs(mu.sum() - 1.0) <= 1e-12):
             raise ValueError("mu must be a probability distribution over inputs")
         for arr in (G, mu):
             arr.flags.writeable = False
@@ -122,20 +122,17 @@ def _max_common_bias(C: np.ndarray, equal: bool, name: str) -> float:
     to beta on every input (``equal``) or at least beta (otherwise)."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     S = _sign_vertex_matrix(*C.shape)[0]
-    V = S.shape[1]
-    c = np.zeros(V + 1)
-    c[-1] = -1.0
-    # Row per cell: C*(S w) - beta.  Then the hull row: sum w = 1.
-    cells = np.hstack([C.reshape(-1)[:, None] * S, np.full((C.size, 1), -1.0)])
-    hull = np.append(np.ones(V), 0.0)[None, :]
-    box = {"lb": np.append(np.zeros(V), -1.0), "ub": np.append(np.full(V, np.inf), 1.0)}
-    if equal:
-        lp = LinearProgram(c=c, A_eq=np.vstack([cells, hull]),
-                           b_eq=np.append(np.zeros(C.size), 1.0), **box)
-    else:
-        lp = LinearProgram(c=c, A_eq=hull, b_eq=np.array([1.0]),
-                           A_ub=-cells, b_ub=np.zeros(C.size), **box)
-    sol = solve_lp(lp)
+    V, m = S.shape[1], C.size
+    # Columns [w, beta, z]: rows C o (S w) - beta - z = 0, then sum w = 1.
+    # The surplus z has upper bound 0 (``equal``) or none.
+    n = V + 1 + m
+    c, lb, ub = np.zeros(n), np.zeros(n), np.full(n, np.inf)
+    c[V], lb[V], ub[V] = -1.0, -1.0, 1.0
+    ub[V + 1:] = 0.0 if equal else np.inf
+    A_eq = np.zeros((m + 1, n))
+    A_eq[:m] = np.hstack([C.reshape(-1, 1) * S, np.full((m, 1), -1.0), -np.eye(m)])
+    A_eq[m, :V] = 1.0
+    sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=np.append(np.zeros(m), 1.0), lb=lb, ub=ub))
     if sol.status != "optimal":
         raise RuntimeError(f"{name} LP returned {sol.status}")
     return -float(sol.objective)

@@ -33,8 +33,8 @@ class LinearProgram:
     """minimize c @ v  s.t.  A_eq v = b_eq,  A_ub v <= b_ub,  lb <= v <= ub.
 
     Lower bounds default to 0 and must be finite; upper bounds may be
-    +inf.  Free variables are handled by the caller via the usual split
-    v = v+ - v-.
+    +inf, and lb == ub fixes a variable.  All other data must be finite.
+    Free variables are handled by the caller via the split v = v+ - v-.
     """
 
     c: np.ndarray
@@ -68,13 +68,14 @@ class LinearProgram:
         self.ub = np.broadcast_to(np.asarray(self.ub, dtype=float), (n,)).copy()
         if not np.all(np.isfinite(self.lb)):
             raise ValueError("lower bounds must be finite (split free variables)")
-        if np.any(self.ub < self.lb):
-            raise ValueError("some upper bound is below its lower bound")
+        if not np.all(self.ub >= self.lb):
+            raise ValueError("some upper bound is NaN or below its lower bound")
         if not np.all(np.isfinite(self.c)):
             raise ValueError("objective contains non-finite coefficients")
-        for A in (self.A_eq, self.A_ub):
-            if A is not None and not np.all(np.isfinite(A)):
-                raise ValueError("constraint matrix contains non-finite coefficients")
+        for name in ("A_eq", "b_eq", "A_ub", "b_ub"):
+            M = getattr(self, name)
+            if M is not None and not np.all(np.isfinite(M)):
+                raise ValueError(f"{name} contains non-finite entries")
 
     @property
     def n_vars(self) -> int:
@@ -316,10 +317,10 @@ def _two_phase(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int) -> 
     d = c2 - y @ sx.A
     obj = float(prog.c @ x)
 
-    # Dual objective with bound terms from nonbasic reduced costs, added
-    # left to right in column order.
+    # Dual objective with bound terms from nonbasic reduced costs (fixed
+    # columns too), added left to right in column order.
     vals = x_full[:first_art]
-    at_bound = ~sx.in_basis[:first_art] & (sx.lo != sx.up)[:first_art] & (vals != 0.0)
+    at_bound = ~sx.in_basis[:first_art] & (vals != 0.0)
     terms = d[:first_art][at_bound] * vals[at_bound]
     dual_obj = np.add.accumulate(np.append(y @ b, terms))[-1]
     gap = abs(obj - float(dual_obj))

@@ -38,6 +38,15 @@ class SmpPlan:
     L: int | None = None    # shared-randomness pool size (quantum)
 
 
+def _check_inputs(delta: float | None = None, **counts) -> None:
+    """Refuse a delta outside (0, 1) and a count (T, L, replays) below 1."""
+    if delta is not None and not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    for name, k in counts.items():
+        if k is not None and k < 1:
+            raise ValueError(f"{name} must be >= 1, got {k}")
+
+
 @dataclass
 class SimulationOutcome:
     """Result of one protocol run (all input pairs)."""
@@ -53,6 +62,7 @@ class SimulationOutcome:
 def classical_plan(lam: float, delta: float, alphabets: Alphabets,
                    epsilon: float = 0.0, T: int | None = None) -> SmpPlan:
     """Trial count and slack for the classical SMP protocol."""
+    _check_inputs(delta, T=T)
     AB = alphabets.na * alphabets.nb
     beta = delta / (4.0 * AB)
     if T is None:
@@ -65,6 +75,7 @@ def quantum_plan(lam: float, delta: float, alphabets: Alphabets,
                  epsilon: float = 0.0, T: int | None = None,
                  L: int | None = None) -> SmpPlan:
     """Plan for the quantum-fingerprint SMP protocol (simulated)."""
+    _check_inputs(delta, T=T, L=L)
     AB = alphabets.na * alphabets.nb
     beta = delta / (8.0 * AB)
     if T is None:
@@ -79,6 +90,7 @@ def quantum_plan(lam: float, delta: float, alphabets: Alphabets,
 def boolean_plan(lam: float, delta: float, epsilon: float = 0.0,
                  T: int | None = None) -> SmpPlan:
     """Plan for the Boolean sign-estimation protocol."""
+    _check_inputs(delta, T=T)
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 1/2)")
     if T is None:
@@ -165,6 +177,7 @@ def run_smp_classical(model: AffineModel, target: ConditionalDistribution,
     simulated distribution (replay noise ~1/sqrt(replays) is an artifact
     of measuring the distribution, not part of the protocol guarantee).
     """
+    _check_inputs(replays=replays)
     alph = target.alphabets
     (q_plus, p_plus, _, _), (q_minus, p_minus, _, _) = _split_model(model)
     T = plan.T
@@ -210,6 +223,7 @@ def run_smp_quantum_sim(model: AffineModel, target: ConditionalDistribution,
     Q = sqrt(max(0, 1 - 2 Zbar)) per cell, combined across the two signs
     with the model weights.
     """
+    _check_inputs(replays=replays)
     alph = target.alphabets
     sides = _split_model(model)
     T, L = plan.T, plan.L
@@ -275,6 +289,7 @@ def run_smp_boolean(C: np.ndarray, model: AffineModel, plan: SmpPlan,
     per replay and outputs the sign; reports the per-input error rate
     over the replays and its maximum.
     """
+    _check_inputs(replays=replays)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if not np.all(np.abs(C) == 1.0):
         raise ValueError("C must be a +-1 sign matrix")

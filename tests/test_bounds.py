@@ -76,6 +76,14 @@ def check_certificates(p, result, tol_value=1e-5):
     assert bell.value(p) == pytest.approx(result.value, abs=tol_value)
 
 
+def captured_lps(monkeypatch, module=bounds):
+    """The LinearPrograms the module passes to solve_lp, in call order."""
+    progs = []
+    solve = module.solve_lp
+    monkeypatch.setattr(module, "solve_lp", lambda prog: progs.append(prog) or solve(prog))
+    return progs
+
+
 class TestNuTilde:
     def test_local_vertex_is_one(self):
         for v in itertools.islice(enumerate_local_vertices(B22), 4):
@@ -203,6 +211,29 @@ class TestNuTildeEps:
         result = nu_tilde_eps(pr_box(), 0.1)
         assert result.diagnostics["distance_used"] <= 0.1 + 1e-8
 
+    def test_program_shape(self, monkeypatch):
+        # Columns q+, q-, u, v; one equality row per cell plus sum q = 1, one
+        # budget row per input pair, and p' >= 0 as the upper bound v <= p.
+        p = random_nonlocal(np.random.default_rng(2), Alphabets(2, 2, 3, 3))
+        progs = captured_lps(monkeypatch)
+        nu_tilde_eps(p, 0.05)
+        prog, n_cells = progs[0], p.alphabets.n_cells
+        V = vertex_table_matrix(p.alphabets).shape[1]
+        assert (prog.n_vars, prog.n_eq, prog.n_ub) == (2 * V + 2 * n_cells, n_cells + 1, 4)
+        assert np.array_equal(prog.ub[2 * V + n_cells:], p.flat())
+        assert np.all(prog.ub[:2 * V + n_cells] == np.inf) and np.all(prog.lb == 0.0)
+        assert np.array_equal(prog.b_ub, np.full(4, 0.1))
+
+    def test_3333_value(self):
+        # The value of the three-family form (a per-cell slack s with
+        # p' - p <= s, p - p' <= s and p' >= 0), measured before the reshape.
+        p = random_nonlocal(np.random.default_rng(0), Alphabets(3, 3, 3, 3))
+        result = nu_tilde_eps(p, 0.05)
+        assert result.value == pytest.approx(1.274440245482334, abs=1e-9)
+        target = result.diagnostics["perturbed_target"]
+        assert target.min() >= -1e-12
+        assert result.diagnostics["distance_used"] <= 0.05 + 1e-12
+
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError):
             nu_tilde_eps(pr_box(), -0.1)
@@ -271,15 +302,19 @@ class TestGamma2Tilde1Eps:
             assert nu_tilde(p).value > 1.0 + 1e-3
 
     def test_program_shape(self, monkeypatch):
-        # Two moment blocks and one linear block: s, three slacks per cell
-        # and one budget slack per input pair.
+        # Two moment blocks and one linear block: p', u and v per cell and
+        # one budget slack per input pair.  Besides the projector
+        # constraints: normalization, p' per cell, the ball per cell and
+        # the budgets.
         progs = []
         solve = bounds.solve_sdp
         monkeypatch.setattr(bounds, "solve_sdp",
                             lambda prog: progs.append(prog) or solve(prog))
         gamma2_tilde_1_eps(pr_box(), 0.1)
         assert progs[0].block_dims == [5, 5]
-        assert progs[0].n_linear == 4 * 16 + 4
+        assert progs[0].n_linear == 3 * 16 + 4
+        n_structural = len(bounds._MomentLayout(B22).structural)
+        assert progs[0].n_constraints == 2 * n_structural + 2 * 16 + 4 + 1
 
     @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
     def test_pr_box_closed_form(self, eps):
@@ -451,6 +486,30 @@ class TestCorrelationQuantities:
             nu_corr_alpha(np.array([[0.5]]), 1.5)
         with pytest.raises(ValueError):
             nu_corr_alpha(CHSH_SIGNS, 0.9)
+        with pytest.raises(ValueError):
+            nu_corr_alpha(CHSH_SIGNS, np.nan)
+
+    def test_nu_corr_alpha_shape(self, monkeypatch):
+        # One equality row per cell, C o (S q) - r = 0, with r boxed in [1, alpha].
+        C = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+        progs = captured_lps(monkeypatch)
+        nu_corr_alpha(C, 1.5)
+        prog = progs[0]
+        assert (prog.n_eq, prog.n_ub) == (6, 0)
+        assert np.array_equal(prog.lb[-6:], np.ones(6))
+        assert np.array_equal(prog.ub[-6:], np.full(6, 1.5))
+
+    def test_nu_corr_alpha_unbounded_alpha(self):
+        # alpha = inf leaves only C o C' >= 1: the one-sided value.
+        assert nu_corr_alpha(CHSH_SIGNS, np.inf) == pytest.approx(2.0, abs=1e-12)
+        assert nu_corr_alpha(CHSH_SIGNS, np.inf) == pytest.approx(
+            nu_corr_alpha(CHSH_SIGNS, 1e3), abs=1e-12)
+
+    def test_nu_corr_alpha_one_is_nu_corr(self):
+        # alpha = 1 pins every r at 1 (fixed nonzero columns), so C' = C.
+        rng = np.random.default_rng(8)
+        for C in [CHSH_SIGNS, np.sign(rng.normal(size=(3, 3)))]:
+            assert nu_corr_alpha(C, 1.0) == pytest.approx(nu_corr(C).value, abs=1e-9)
 
 
 class TestDualBell:

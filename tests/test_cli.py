@@ -167,6 +167,28 @@ class TestSmpCommands:
         assert code == 0
         assert report["max_error_rate"] <= 0.05
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["smp-classical", "--delta", "0"], "0.0"),
+        (["smp-boolean", "--delta", "0"], "0.0"),
+        (["smp-boolean", "--delta", "0.1", "--trials", "0"], "got 0"),
+        (["smp-classical", "--delta", "-0.1"], "-0.1"),
+        (["smp-quantum", "--delta", "2"], "2.0"),
+        (["smp-quantum", "--delta", "0.2", "--trials", "100", "--pool-size", "0"], "got 0"),
+        (["smp-classical", "--delta", "0.1", "--replays", "0"], "got 0"),
+        (["smp-boolean", "--delta", "0.1", "--replays", "-3"], "got -3"),
+    ])
+    def test_bad_plan_input_is_exit_1(self, capsys, pr_file, argv, bad):
+        assert main([argv[0], pr_file, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert bad in err and "Traceback" not in err
+
+    def test_replays_passed_through(self, capsys, pr_file):
+        code, report = run_json(capsys, [
+            "smp-classical", pr_file, "--delta", "0.1", "--trials", "100", "--replays", "7"])
+        assert code == 0
+        assert report["extras"]["replays"] == 7
+
     def test_smp_boolean_rejects_non_sign_input(self, capsys, tmp_path):
         path = tmp_path / "uniform.json"
         dump_distribution(uniform_distribution(Alphabets(2, 2, 2, 2)), path)

@@ -264,17 +264,17 @@ class TestStackedPrograms:
         prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1_eps(p, eps))
         layout = bounds._MomentLayout(p.alphabets)
         n, n_in, per_input = 16, 4, 4
-        e = np.eye(4 * n + n_in)
+        e = np.eye(3 * n + n_in)  # linear block: p', u, v, budget slacks
         ref = self.moment_reference(layout, len(e))
         E00 = layout.data[-1]
         ref.add_constraint({0: E00, 1: -E00}, 1.0)
-        for k, (A, pv) in enumerate(zip(layout.cells.reshape(n, 5, 5), p.flat())):
-            ref.add_constraint({0: A, 1: -A, LINEAR: e[n + k] - e[k]}, pv)
-            ref.add_constraint({0: -A, 1: A, LINEAR: e[2 * n + k] - e[k]}, -pv)
-            ref.add_constraint({0: A, 1: -A, LINEAR: -e[3 * n + k]}, 0.0)
+        for k, A in enumerate(layout.cells.reshape(n, 5, 5)):
+            ref.add_constraint({0: A, 1: -A, LINEAR: -e[k]}, 0.0)
+        for k, pv in enumerate(p.flat()):
+            ref.add_constraint({LINEAR: e[k] - e[n + k] + e[2 * n + k]}, pv)
         for i in range(n_in):
-            s_i = e[i * per_input:(i + 1) * per_input].sum(axis=0)
-            ref.add_constraint({LINEAR: s_i + e[4 * n + i]}, 2.0 * eps)
+            uv = (e[n:2 * n] + e[2 * n:3 * n])[i * per_input:(i + 1) * per_input].sum(axis=0)
+            ref.add_constraint({LINEAR: uv + e[3 * n + i]}, 2.0 * eps)
         self.assert_same(prog, ref)
 
     def test_gamma2_corr(self, monkeypatch):
@@ -321,7 +321,7 @@ class TestIterationCounts:
         assert bounds.gamma2_tilde_1(pr_box()).diagnostics["iterations"] == 16
 
     def test_gamma2_tilde_1_eps_pr_box(self):
-        assert bounds.gamma2_tilde_1_eps(pr_box(), 0.1).diagnostics["iterations"] == 18
+        assert bounds.gamma2_tilde_1_eps(pr_box(), 0.1).diagnostics["iterations"] == 17
 
     def test_gamma2_corr_sylvester6(self):
         C = np.array(json.loads((INPUTS / "sylvester6.json").read_text())["C"], dtype=float)

@@ -61,6 +61,31 @@ class TestPlans:
         plan = quantum_plan(2.0, 0.1, B22, T=50, L=60)
         assert (plan.T, plan.L) == (50, 60)
 
+    @pytest.mark.parametrize("make", [
+        lambda: classical_plan(2.0, 0.0, B22),
+        lambda: classical_plan(2.0, 1.0, B22),
+        lambda: classical_plan(2.0, float("nan"), B22),
+        lambda: quantum_plan(2.0, -0.1, B22),
+        lambda: boolean_plan(2.0, 0.0),
+        lambda: classical_plan(2.0, 0.1, B22, T=0),
+        lambda: quantum_plan(2.0, 0.1, B22, T=10, L=0),
+        lambda: boolean_plan(2.0, 0.1, T=0),
+    ])
+    def test_bad_inputs_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_runners_reject_replays_below_one(self):
+        plan = classical_plan(2.0, 0.1, B22, T=10)
+        with pytest.raises(ValueError):
+            run_smp_classical(pr_model(), pr_box(), plan, 0, replays=0)
+        with pytest.raises(ValueError):
+            run_smp_quantum_sim(pr_model(), pr_box(), quantum_plan(2.0, 0.1, B22, T=10, L=10),
+                                0, replays=0)
+        C = to_correlation_rep(pr_box()).C
+        with pytest.raises(ValueError):
+            run_smp_boolean(C, pr_model(), boolean_plan(2.0, 0.1), 0, replays=0)
+
 
 class TestHoeffding:
     def test_zero_beta(self):
