@@ -7,6 +7,10 @@ the first index among those within ``_DUAL_TOL`` of it.  After
 ``_BLAND_AFTER`` consecutive degenerate pivots the engine prices by Bland's
 rule (the first eligible column) until the next nondegenerate step, so it
 cannot cycle (Bland 1977).
+``solve_lp`` can start from a given basis: when its matrix is
+nonsingular and its basic values lie within their bounds, phase 1 is
+skipped (the min-L1 LPs of ``bounds`` start this way from a crash basis);
+otherwise the two phases run from the artificial basis as usual.
 Deterministic: a given program always takes the same pivot sequence.
 Sizes here are desk-scale (hundreds of rows), so the basis inverse is kept
 dense and refactorized periodically.  A singular basis matrix at a
@@ -23,6 +27,8 @@ import numpy as np
 _PIVOT_TOL = 1e-10
 _DUAL_TOL = 1e-9
 _FEAS_TOL = 1e-8
+# Largest 1-norm condition estimate of a start basis matrix.
+_COND_LIMIT = 1e10
 # Consecutive degenerate pivots after which pricing switches from Dantzig's
 # rule to Bland's until the objective moves again.
 _BLAND_AFTER = 50
@@ -99,6 +105,12 @@ class LpSolution:
     objective: float = np.nan
     duality_gap: float = np.nan
     iterations: int = 0
+    # Final basis: m column indices into the standard form (variables, ub
+    # slacks, then the artificials of redundant rows), and the nonbasic
+    # variables at their upper bounds.  They restart the program when the
+    # basis holds no artificial.
+    basis: np.ndarray | None = None
+    at_upper: np.ndarray | None = None
 
 
 class _Simplex:
@@ -149,7 +161,7 @@ class _Simplex:
         self.basis[pos] = entering
         self.in_basis[entering] = True
         row = self.Binv[pos, :] / w[pos]
-        self.Binv -= np.outer(w, row)
+        self.Binv -= w[:, None] * row
         self.Binv[pos, :] = row
 
     def iterate(self, c, max_iter):
@@ -218,11 +230,24 @@ class _Simplex:
         return "iteration-limit"
 
 
-def solve_lp(prog: LinearProgram) -> LpSolution:
-    """Solve with two-phase simplex; returns primal, duals, and gap."""
+def solve_lp(prog: LinearProgram, start_basis=None, start_upper=()) -> LpSolution:
+    """Solve with two-phase simplex; returns primal, duals, and gap.
+
+    ``start_basis`` names m columns of the standard form: the variables,
+    then one slack per ``A_ub`` row (index ``n_vars + i`` for row i).  The
+    nonbasic variables start at their lower bounds, except those named in
+    ``start_upper``, which start at their (finite) upper bounds.  If the
+    basis matrix is nonsingular and the basic values lie within their
+    bounds, phase 1 is skipped and phase 2 starts from that basis;
+    otherwise the solve is the same as without a start.  A solution's
+    ``basis`` and ``at_upper`` restart its program in 0 pivots.
+    """
     n = prog.n_vars
     m_eq, m_ub = prog.n_eq, prog.n_ub
     m = m_eq + m_ub
+    first_art = n + m_ub
+    if start_basis is not None:
+        start_basis, start_upper = _check_start(prog, start_basis, start_upper, m)
     if m == 0:
         # Pure bound minimization.
         x = np.where(prog.c >= 0, prog.lb, prog.ub)
@@ -233,7 +258,6 @@ def solve_lp(prog: LinearProgram) -> LpSolution:
 
     # Standard form, written into one array: rows [A_eq 0; A_ub I], columns
     # [vars | ub slacks | artificials].  A is its view without the artificials.
-    first_art = n + m_ub
     A_full = np.zeros((m, first_art + m))
     A = A_full[:, :first_art]
     if m_eq:
@@ -252,35 +276,89 @@ def solve_lp(prog: LinearProgram) -> LpSolution:
     lo_full = np.concatenate([lo, np.zeros(m)])
     up_full = np.concatenate([up, np.full(m, np.inf)])
     limit = 50 * (m + A_full.shape[1])  # pivots per phase
+    scale = 1.0 + float(np.abs(b).max(initial=0.0))
 
     sx = _Simplex(A_full, b, lo_full, up_full)
     try:
-        return _two_phase(prog, sx, A, limit)
+        if start_basis is None or not _start_from(sx, start_basis, start_upper, scale):
+            status = _phase_one(sx, first_art, limit, scale)
+            if status is not None:
+                return LpSolution(status, iterations=sx.iterations)
+        return _phase_two(prog, sx, A, limit, scale)
     except np.linalg.LinAlgError:
         # A singular basis matrix at a refactorization: the engine broke
         # down, which is a status for the caller, not an exception.
         return LpSolution("numerical-error", iterations=sx.iterations)
 
 
-def _two_phase(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int) -> LpSolution:
-    """Phase 1 from the artificial basis (the columns of ``sx`` after A's),
-    then phase 2 for prog.c."""
-    n, m_eq, m_ub = prog.n_vars, prog.n_eq, prog.n_ub
-    b, n_total = sx.b, sx.n
-    first_art = n + m_ub
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    sx.set_basis(range(first_art, n_total))
+def _check_start(prog: LinearProgram, basis, upper, m: int):
+    """The start as int arrays; ValueError unless ``basis`` holds m distinct
+    columns and ``upper`` nonbasic columns with finite upper bounds."""
+    n_cols = prog.n_vars + prog.n_ub
+    basis, upper = np.asarray(basis), np.asarray(upper)
+    for name, idx in (("start_basis", basis), ("start_upper", upper)):
+        if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+            raise ValueError(f"{name} must be a list of column indices")
+        if idx.size and not (0 <= idx.min() and idx.max() < n_cols):
+            raise ValueError(f"{name} indices must lie in [0, {n_cols})")
+    basis, upper = basis.astype(int), upper.astype(int)
+    if basis.size != m:
+        raise ValueError(f"start_basis needs {m} column indices, got {basis.size}")
+    chosen = np.zeros(n_cols, dtype=bool)
+    chosen[basis] = True
+    if np.count_nonzero(chosen) != m:
+        raise ValueError("start_basis repeats a column")
+    if chosen[upper].any() or not np.all(upper < prog.n_vars) \
+            or not np.all(np.isfinite(prog.ub[upper])):
+        raise ValueError("start_upper must name nonbasic variables with finite upper bounds")
+    return basis, upper
 
-    # Phase 1: minimize artificial mass.
-    c1 = np.zeros(n_total)
+
+def _start_from(sx: _Simplex, basis: np.ndarray, upper: np.ndarray, scale: float) -> bool:
+    """Put ``sx`` at ``basis``, the ``upper`` columns at their upper bounds
+    and every other nonbasic column (the artificials too) at its lower.
+
+    Returns whether that start is usable: a well-conditioned basis matrix
+    whose basic values lie within their bounds to ``_FEAS_TOL * scale``.
+    If not, ``sx`` is left as it was and phase 1 starts as usual.
+    """
+    B = sx.A[:, basis]
+    try:
+        Binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return False
+    cond = np.abs(B).sum(axis=0).max() * np.abs(Binv).sum(axis=0).max()
+    if not cond <= _COND_LIMIT:  # also refuses a non-finite inverse
+        return False
+    sx.basis = basis
+    sx.in_basis[basis] = True
+    sx.Binv = Binv
+    sx.at_upper[upper] = True
+    sx.recompute_xB()
+    tol = _FEAS_TOL * scale
+    if np.all(sx.xB >= sx.lo[basis] - tol) and np.all(sx.xB <= sx.up[basis] + tol):
+        return True
+    sx.in_basis[:] = False
+    sx.at_upper[:] = False
+    return False
+
+
+def _phase_one(sx: _Simplex, first_art: int, limit: int, scale: float) -> str | None:
+    """Phase 1 from the artificial basis (the columns of ``sx`` from
+    ``first_art`` on).  Returns a failure status, or None when a feasible
+    basis is found."""
+    sx.set_basis(range(first_art, sx.n))
+
+    # Minimize artificial mass.
+    c1 = np.zeros(sx.n)
     c1[first_art:] = 1.0
     if sx.iterate(c1, limit) == "iteration-limit":
-        return LpSolution("iteration-limit", iterations=sx.iterations)
+        return "iteration-limit"
     sx.refactor()
     art_rows = np.flatnonzero(sx.basis >= first_art)
     art_mass = sum(sx.xB[art_rows])  # in row order, as a running sum
     if art_mass > _FEAS_TOL * scale:
-        return LpSolution("infeasible", iterations=sx.iterations)
+        return "infeasible"
 
     # Drive artificials out of the basis where possible; freeze the rest
     # (their rows are redundant equalities).
@@ -296,6 +374,15 @@ def _two_phase(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int) -> 
                 break
         else:
             sx.up[sx.basis[i]] = 0.0  # inert artificial pins a redundant row
+    return None
+
+
+def _phase_two(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int,
+               scale: float) -> LpSolution:
+    """Phase 2 from the primal-feasible basis in ``sx``, then the duals, the
+    gap and the residual checks."""
+    n, m_eq = prog.n_vars, prog.n_eq
+    b, first_art = sx.b, A.shape[1]
 
     # Any nonbasic artificial must stay at zero.
     frozen = ~sx.in_basis
@@ -303,9 +390,8 @@ def _two_phase(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int) -> 
     sx.up[frozen] = 0.0
     sx.at_upper[frozen] = False
 
-    # Phase 2.
-    c2 = np.concatenate([prog.c, np.zeros(n_total - n)])
-    status = sx.iterate(c2, limit)
+    c = np.concatenate([prog.c, np.zeros(sx.n - n)])
+    status = sx.iterate(c, limit)
     iters = sx.iterations
     if status != "optimal":
         return LpSolution(status, iterations=iters)
@@ -313,8 +399,8 @@ def _two_phase(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int) -> 
     sx.refactor()
     x_full = sx.solution()
     x = x_full[:n]
-    y = c2[sx.basis] @ sx.Binv
-    d = c2 - y @ sx.A
+    y = c[sx.basis] @ sx.Binv
+    d = c - y @ sx.A
     obj = float(prog.c @ x)
 
     # Dual objective with bound terms from nonbasic reduced costs (fixed
@@ -324,11 +410,12 @@ def _two_phase(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int) -> 
     terms = d[:first_art][at_bound] * vals[at_bound]
     dual_obj = np.add.accumulate(np.append(y @ b, terms))[-1]
     gap = abs(obj - float(dual_obj))
+    start = sx.basis.copy(), np.flatnonzero(sx.at_upper[:first_art] & ~sx.in_basis[:first_art])
 
     # Primal feasibility residual check.
     resid = float(np.abs(A @ x_full[:first_art] - b).max(initial=0.0))
     if resid > _FEAS_TOL * scale or gap > 1e-7 * (1.0 + abs(obj)):
         # Refuse to report a sloppy optimum as optimal.
-        return LpSolution("iteration-limit", x, y[:m_eq], y[m_eq:], obj, gap, iters)
+        return LpSolution("iteration-limit", x, y[:m_eq], y[m_eq:], obj, gap, iters, *start)
 
-    return LpSolution("optimal", x, y[:m_eq].copy(), y[m_eq:].copy(), obj, gap, iters)
+    return LpSolution("optimal", x, y[:m_eq].copy(), y[m_eq:].copy(), obj, gap, iters, *start)

@@ -43,11 +43,14 @@ from nonsig.core import (
     validate,
     vertex_table_matrix,
 )
+from nonsig import lp
+from nonsig.lp import LinearProgram, solve_lp
 from helpers import (
     random_correlation_rep,
     random_local_mixture,
     random_nonlocal,
     random_nonsignaling,
+    random_nonsignaling_vertex,
 )
 
 
@@ -80,7 +83,8 @@ def captured_lps(monkeypatch, module=bounds):
     """The LinearPrograms the module passes to solve_lp, in call order."""
     progs = []
     solve = module.solve_lp
-    monkeypatch.setattr(module, "solve_lp", lambda prog: progs.append(prog) or solve(prog))
+    monkeypatch.setattr(module, "solve_lp",
+                        lambda prog, **start: progs.append(prog) or solve(prog, **start))
     return progs
 
 
@@ -166,6 +170,65 @@ class TestNuTilde:
         t[0, 0, 0, 0] += 0.2
         with pytest.raises(InvalidDistributionError):
             nu_tilde(ConditionalDistribution(B22, t))
+
+
+def _crash_points():
+    points = [random_nonsignaling_vertex(np.random.default_rng([21, k]), B22)
+              for k in range(30)]
+    for shape in [(2, 2, 3, 3), (3, 3, 3, 3)]:
+        points += [random_nonlocal(np.random.default_rng([22, k]), Alphabets(*shape))
+                   for k in range(2)]
+    return points
+
+
+class TestCrashStart:
+    """nu_tilde and nu_corr start their LP from a crash basis; the LP
+    solved from the artificial basis must give the same optimum, and the
+    crash-started certificates must hold."""
+
+    @pytest.fixture
+    def phase_one_calls(self, monkeypatch):
+        calls = []
+        phase_one = lp._phase_one
+        monkeypatch.setattr(lp, "_phase_one", lambda *a: calls.append(1) or phase_one(*a))
+        return calls
+
+    @staticmethod
+    def plain_min_l1(S, target):
+        V = S.shape[1]
+        sol = solve_lp(LinearProgram(c=np.ones(2 * V), A_eq=np.hstack([S, -S]), b_eq=target))
+        assert sol.status == "optimal"
+        return sol.objective
+
+    @staticmethod
+    def check_functional(coeffs, value_on_target, value):
+        assert best_local_response(coeffs)[0] <= 1.0 + 1e-9
+        assert best_local_response(-coeffs)[0] <= 1.0 + 1e-9
+        assert value_on_target == pytest.approx(value, abs=1e-9)
+
+    def test_nu_tilde_matches_the_plain_lp(self, phase_one_calls):
+        points = _crash_points()
+        phase_one_calls.clear()  # the helper's own solves
+        for p in points:
+            cg = bounds._DataMap(p.alphabets)
+            S = cg.data_rhs(vertex_table_matrix(p.alphabets).reshape(*p.alphabets.shape, -1))
+            res = nu_tilde(p)
+            assert res.value == pytest.approx(self.plain_min_l1(S, cg.data_rhs(p.table)),
+                                              abs=1e-9)
+            bell = res.dual_certificate
+            self.check_functional(bell.coeffs, bell.value(p), res.value)
+        # Only the plain solves ran phase 1: every crash basis was feasible.
+        assert len(phase_one_calls) == len(points)
+
+    def test_nu_corr_matches_the_plain_lp(self, phase_one_calls):
+        for n in range(3, 7):
+            C = np.where(np.random.default_rng([23, n]).uniform(size=(n, n)) < 0.5, -1.0, 1.0)
+            res = nu_corr(C)
+            S = bounds._sign_vertex_matrix(*C.shape)[0]
+            assert res.value == pytest.approx(self.plain_min_l1(S, C.reshape(-1)), abs=1e-9)
+            bell = res.dual_certificate
+            self.check_functional(bell.coeffs, bell.value_on_correlations(C), res.value)
+        assert len(phase_one_calls) == 4
 
 
 class TestNuTildeEps:
