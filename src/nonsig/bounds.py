@@ -29,7 +29,7 @@ from .core import (
     validate,
     vertex_table_matrix,
 )
-from .lp import LinearProgram, solve_lp
+from .lp import _FEAS_TOL, LinearProgram, solve_lp
 from .sdp import LINEAR, SdpProgram, solve_sdp
 
 
@@ -99,17 +99,20 @@ def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str):
     The simplex starts from a crash basis and skips phase 1.  Every
     column of [S, -S] has a negated twin, so any m independent columns of
     S give a primal-feasible basis once each column whose weight in the
-    target is negative is swapped for its twin.  The columns come from
-    pivoted Gram-Schmidt over S (QR with column pivoting), which keeps the
-    basis matrix well conditioned: each step takes the column with the
-    largest squared norm outside the span of those taken, the first
-    within a relative band of the largest, so that rounding (which varies
-    with the BLAS thread count) cannot reorder the picks.
+    target is negative is swapped for its twin.  A weight within
+    ``_FEAS_TOL`` of 0 keeps its column (``solve_lp`` accepts a basic
+    value that far below its bound), so rounding cannot pick the column or
+    its twin for a weight that is 0 in exact arithmetic.  The columns come
+    from pivoted Gram-Schmidt over S (QR with column pivoting), which
+    keeps the basis matrix well conditioned: each step takes the column
+    with the largest squared norm outside the span of those taken, the
+    first within a relative band of the largest, so that rounding (which
+    varies with the BLAS thread count) cannot reorder the picks.
     """
     V = S.shape[1]
     cols = _pivoted_columns(S)
     weights = np.linalg.solve(S[:, cols], target)
-    start = np.where(weights < 0.0, cols + V, cols)
+    start = np.where(weights < -_FEAS_TOL, cols + V, cols)
     sol = solve_lp(LinearProgram(c=np.ones(2 * V), A_eq=np.hstack([S, -S]), b_eq=target,
                                  lb=np.zeros(2 * V), ub=np.full(2 * V, np.inf)),
                    start_basis=start)

@@ -105,12 +105,9 @@ class LpSolution:
     objective: float = np.nan
     duality_gap: float = np.nan
     iterations: int = 0
-    # Final basis: m column indices into the standard form (variables, ub
-    # slacks, then the artificials of redundant rows), and the nonbasic
-    # variables at their upper bounds.  They restart the program when the
-    # basis holds no artificial.
+    # Final basis: m column indices into the standard form (variables, then
+    # ub slacks); None when it keeps the artificial of a redundant row.
     basis: np.ndarray | None = None
-    at_upper: np.ndarray | None = None
 
 
 class _Simplex:
@@ -230,24 +227,25 @@ class _Simplex:
         return "iteration-limit"
 
 
-def solve_lp(prog: LinearProgram, start_basis=None, start_upper=()) -> LpSolution:
+def solve_lp(prog: LinearProgram, start_basis=None) -> LpSolution:
     """Solve with two-phase simplex; returns primal, duals, and gap.
 
     ``start_basis`` names m columns of the standard form: the variables,
     then one slack per ``A_ub`` row (index ``n_vars + i`` for row i).  The
-    nonbasic variables start at their lower bounds, except those named in
-    ``start_upper``, which start at their (finite) upper bounds.  If the
-    basis matrix is nonsingular and the basic values lie within their
-    bounds, phase 1 is skipped and phase 2 starts from that basis;
-    otherwise the solve is the same as without a start.  A solution's
-    ``basis`` and ``at_upper`` restart its program in 0 pivots.
+    nonbasic variables start at their lower bounds.  If the basis matrix
+    is nonsingular and the basic values lie within their bounds, phase 1
+    is skipped and phase 2 starts from that basis; otherwise the solve is
+    the same as without a start.  An optimal solution's ``basis`` (None
+    when it keeps the artificial of a redundant equality row) restarts
+    its program in 0 pivots unless a nonbasic variable of that optimum
+    sits at its upper bound.
     """
     n = prog.n_vars
     m_eq, m_ub = prog.n_eq, prog.n_ub
     m = m_eq + m_ub
     first_art = n + m_ub
     if start_basis is not None:
-        start_basis, start_upper = _check_start(prog, start_basis, start_upper, m)
+        start_basis = _check_start(prog, start_basis, m)
     if m == 0:
         # Pure bound minimization.
         x = np.where(prog.c >= 0, prog.lb, prog.ub)
@@ -280,7 +278,7 @@ def solve_lp(prog: LinearProgram, start_basis=None, start_upper=()) -> LpSolutio
 
     sx = _Simplex(A_full, b, lo_full, up_full)
     try:
-        if start_basis is None or not _start_from(sx, start_basis, start_upper, scale):
+        if start_basis is None or not _start_from(sx, start_basis, scale):
             status = _phase_one(sx, first_art, limit, scale)
             if status is not None:
                 return LpSolution(status, iterations=sx.iterations)
@@ -291,32 +289,28 @@ def solve_lp(prog: LinearProgram, start_basis=None, start_upper=()) -> LpSolutio
         return LpSolution("numerical-error", iterations=sx.iterations)
 
 
-def _check_start(prog: LinearProgram, basis, upper, m: int):
-    """The start as int arrays; ValueError unless ``basis`` holds m distinct
-    columns and ``upper`` nonbasic columns with finite upper bounds."""
+def _check_start(prog: LinearProgram, basis, m: int) -> np.ndarray:
+    """The start basis as an int array; ValueError unless it holds m
+    distinct column indices of the standard form."""
     n_cols = prog.n_vars + prog.n_ub
-    basis, upper = np.asarray(basis), np.asarray(upper)
-    for name, idx in (("start_basis", basis), ("start_upper", upper)):
-        if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
-            raise ValueError(f"{name} must be a list of column indices")
-        if idx.size and not (0 <= idx.min() and idx.max() < n_cols):
-            raise ValueError(f"{name} indices must lie in [0, {n_cols})")
-    basis, upper = basis.astype(int), upper.astype(int)
+    basis = np.asarray(basis)
+    if basis.ndim != 1 or (basis.size and not np.issubdtype(basis.dtype, np.integer)):
+        raise ValueError("start_basis must be a list of column indices")
+    if basis.size and not (0 <= basis.min() and basis.max() < n_cols):
+        raise ValueError(f"start_basis indices must lie in [0, {n_cols})")
+    basis = basis.astype(int)
     if basis.size != m:
         raise ValueError(f"start_basis needs {m} column indices, got {basis.size}")
     chosen = np.zeros(n_cols, dtype=bool)
     chosen[basis] = True
     if np.count_nonzero(chosen) != m:
         raise ValueError("start_basis repeats a column")
-    if chosen[upper].any() or not np.all(upper < prog.n_vars) \
-            or not np.all(np.isfinite(prog.ub[upper])):
-        raise ValueError("start_upper must name nonbasic variables with finite upper bounds")
-    return basis, upper
+    return basis
 
 
-def _start_from(sx: _Simplex, basis: np.ndarray, upper: np.ndarray, scale: float) -> bool:
-    """Put ``sx`` at ``basis``, the ``upper`` columns at their upper bounds
-    and every other nonbasic column (the artificials too) at its lower.
+def _start_from(sx: _Simplex, basis: np.ndarray, scale: float) -> bool:
+    """Put ``sx`` at ``basis`` with every nonbasic column (the artificials
+    too) at its lower bound.
 
     Returns whether that start is usable: a well-conditioned basis matrix
     whose basic values lie within their bounds to ``_FEAS_TOL * scale``.
@@ -333,13 +327,11 @@ def _start_from(sx: _Simplex, basis: np.ndarray, upper: np.ndarray, scale: float
     sx.basis = basis
     sx.in_basis[basis] = True
     sx.Binv = Binv
-    sx.at_upper[upper] = True
     sx.recompute_xB()
     tol = _FEAS_TOL * scale
     if np.all(sx.xB >= sx.lo[basis] - tol) and np.all(sx.xB <= sx.up[basis] + tol):
         return True
     sx.in_basis[:] = False
-    sx.at_upper[:] = False
     return False
 
 
@@ -410,12 +402,12 @@ def _phase_two(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int,
     terms = d[:first_art][at_bound] * vals[at_bound]
     dual_obj = np.add.accumulate(np.append(y @ b, terms))[-1]
     gap = abs(obj - float(dual_obj))
-    start = sx.basis.copy(), np.flatnonzero(sx.at_upper[:first_art] & ~sx.in_basis[:first_art])
+    basis = sx.basis.copy() if sx.basis.max() < first_art else None
 
     # Primal feasibility residual check.
     resid = float(np.abs(A @ x_full[:first_art] - b).max(initial=0.0))
     if resid > _FEAS_TOL * scale or gap > 1e-7 * (1.0 + abs(obj)):
         # Refuse to report a sloppy optimum as optimal.
-        return LpSolution("iteration-limit", x, y[:m_eq], y[m_eq:], obj, gap, iters, *start)
+        return LpSolution("iteration-limit", x, y[:m_eq], y[m_eq:], obj, gap, iters, basis)
 
-    return LpSolution("optimal", x, y[:m_eq].copy(), y[m_eq:].copy(), obj, gap, iters, *start)
+    return LpSolution("optimal", x, y[:m_eq].copy(), y[m_eq:].copy(), obj, gap, iters, basis)

@@ -244,7 +244,7 @@ def _reference_programs():
 
 def _outputs(sol):
     return (sol.status, sol.iterations, sol.x, sol.dual_eq, sol.dual_ub,
-            sol.objective, sol.duality_gap, sol.basis, sol.at_upper)
+            sol.objective, sol.duality_gap, sol.basis)
 
 
 class TestLoopReference:
@@ -271,20 +271,38 @@ class TestStartBasis:
     """``solve_lp(prog, start_basis=...)``: phase 2 from a feasible basis,
     the usual two phases from any other."""
 
-    def test_optimal_basis_restarts_in_zero_pivots(self):
-        restarted = 0
+    def test_optimal_basis_restarts(self, monkeypatch):
+        """An optimal basis restarts its program in 0 pivots when no
+        nonbasic variable sits at its upper bound; a start puts every
+        nonbasic at its lower bound, so otherwise the restart is another
+        feasible start or, when infeasible, the plain solve."""
+        phase_one_runs = []
+        phase_one = lp._phase_one
+        monkeypatch.setattr(lp, "_phase_one", lambda *a: phase_one_runs.append(1) or phase_one(*a))
+        counts = {"no-basis": 0, "zero-pivots": 0, "fell-back": 0, "other-start": 0}
         for prog in _reference_programs():
             sol = solve_lp(prog)
-            # A basis that keeps an artificial (a redundant equality row)
-            # is no start basis; one program here has 4 equalities in 3
-            # variables.
-            if sol.status != "optimal" or sol.basis.max() >= prog.n_vars + prog.n_ub:
+            if sol.status != "optimal":
                 continue
-            again = solve_lp(prog, start_basis=sol.basis, start_upper=sol.at_upper)
-            assert (again.status, again.iterations) == ("optimal", 0)
+            if sol.basis is None:
+                # Its basis keeps an artificial: 4 equalities in 3 variables.
+                counts["no-basis"] += 1
+                continue
+            phase_one_runs.clear()
+            again = solve_lp(prog, start_basis=sol.basis)
+            nonbasic = np.ones(prog.n_vars, dtype=bool)
+            nonbasic[sol.basis[sol.basis < prog.n_vars]] = False
+            if not np.any(nonbasic & (sol.x == prog.ub)):
+                assert (again.status, again.iterations, phase_one_runs) == ("optimal", 0, [])
+                counts["zero-pivots"] += 1
+            elif phase_one_runs:
+                np.testing.assert_equal(_outputs(again), _outputs(sol))
+                counts["fell-back"] += 1
+            else:
+                counts["other-start"] += 1
+            assert again.status == "optimal"
             assert again.objective == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
-            restarted += 1
-        assert restarted == 19
+        assert counts == {"no-basis": 1, "zero-pivots": 4, "fell-back": 12, "other-start": 3}
 
     @staticmethod
     def _split_program():
@@ -308,24 +326,17 @@ class TestStartBasis:
         feasible = solve_lp(prog, start_basis=np.where(weights < 0.0, cols + 7, cols))
         assert feasible.objective == pytest.approx(plain[5], rel=1e-12)
 
-    @pytest.mark.parametrize("start, upper", [
-        pytest.param([0, 1], (), id="too-short"),
-        pytest.param([0, 1, 2, 3], (), id="too-long"),
-        pytest.param([0, 1, 1], (), id="duplicate"),
-        pytest.param([0, 1, 14], (), id="out-of-range"),
-        pytest.param([-1, 0, 1], (), id="negative"),
-        pytest.param([0.0, 1.0, 2.0], (), id="not-integer"),
-        pytest.param([0, 1, 2], [3], id="upper-unbounded"),
+    @pytest.mark.parametrize("start", [
+        pytest.param([0, 1], id="too-short"),
+        pytest.param([0, 1, 2, 3], id="too-long"),
+        pytest.param([0, 1, 1], id="duplicate"),
+        pytest.param([0, 1, 14], id="out-of-range"),
+        pytest.param([-1, 0, 1], id="negative"),
+        pytest.param([0.0, 1.0, 2.0], id="not-integer"),
     ])
-    def test_bad_start_rejected(self, start, upper):
-        with pytest.raises(ValueError, match="start_"):
-            solve_lp(self._split_program()[2], start_basis=start, start_upper=upper)
-
-    def test_start_upper_of_a_boxed_basic_column_rejected(self):
-        prog = _boxed_program()
-        sol = solve_lp(prog)
-        with pytest.raises(ValueError, match="start_upper"):
-            solve_lp(prog, start_basis=sol.basis, start_upper=sol.basis[:1])
+    def test_bad_start_rejected(self, start):
+        with pytest.raises(ValueError, match="start_basis"):
+            solve_lp(self._split_program()[2], start_basis=start)
 
 
 class TestDeterminism:
