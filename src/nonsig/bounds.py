@@ -597,18 +597,10 @@ def dual_bell(p: ConditionalDistribution, bound_class: str = "local") -> BellFun
     if bound_class == "local":
         return nu_tilde(p).dual_certificate
     if bound_class == "npa-level-1":
-        return _dual_tsirelson(p)
+        y = gamma2_tilde_1(p).diagnostics["data_dual"]
+        return BellFunctional(coeffs=_DataMap(p.alphabets).fold(y),
+                              claimed_bound_class="npa-level-1", normalization=1.0)
     raise ValueError(f"unknown bound class {bound_class!r}")
-
-
-def _dual_tsirelson(p: ConditionalDistribution) -> BellFunctional:
-    """The gamma2_tilde_1 data multipliers, folded into a coefficient tensor."""
-    y = gamma2_tilde_1(p).diagnostics["data_dual"]
-    return BellFunctional(
-        coeffs=_MomentLayout(p.alphabets).fold(y),
-        claimed_bound_class="npa-level-1",
-        normalization=1.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -694,18 +686,16 @@ def gap_check(p: ConditionalDistribution) -> dict:
     alph = p.alphabets
     K = GROTHENDIECK.upper
     binary = alph.binary
-    if binary:
-        bound = (2.0 * K + 1.0) * g2.value
-    else:
-        bound = (2.0 * alph.na * alph.nb * (K + 1.0) - 1.0) * g2.value
+    bound_binary = (2.0 * K + 1.0) * g2.value
+    bound_general = (2.0 * alph.na * alph.nb * (K + 1.0) - 1.0) * g2.value
     return {
         "nu": nu.value,
         "gamma2_1": g2.value,
         "ratio": nu.value / g2.value,
-        "bound_2K_plus_1": (2.0 * K + 1.0) * g2.value if binary else None,
-        "bound_general": (2.0 * alph.na * alph.nb * (K + 1.0) - 1.0) * g2.value,
+        "bound_2K_plus_1": bound_binary if binary else None,
+        "bound_general": bound_general,
         "binary": binary,
-        "holds": nu.value <= bound + 1e-4,
+        "holds": nu.value <= (bound_binary if binary else bound_general) + 1e-4,
         "uses_relaxation": True,
     }
 

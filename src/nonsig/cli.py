@@ -116,12 +116,6 @@ def _load_correlations(path) -> np.ndarray:
     return to_correlation_rep(dist).C
 
 
-def _certified_model(dist):
-    """Local affine model with minimal mass, from the nu_tilde LP."""
-    result = bounds.nu_tilde(dist)
-    return result.primal_certificate, result.value
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="nonsig", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
@@ -251,7 +245,9 @@ def _dispatch(args) -> int:
 
     if args.command in ("smp-classical", "smp-quantum", "smp-boolean"):
         dist = _load_valid_distribution(args.input)
-        model, mass = _certified_model(dist)
+        nu = bounds.nu_tilde(dist)  # the local affine model of least mass
+        model, mass = nu.primal_certificate, nu.value
+        kwargs = {} if args.replays is None else {"replays": args.replays}
         if args.command == "smp-boolean":
             C = to_correlation_rep(dist).C
             if not np.all(np.abs(C) == 1.0):
@@ -260,9 +256,7 @@ def _dispatch(args) -> int:
                 )
             plan = simulate.boolean_plan(mass, args.delta, args.epsilon,
                                          T=args.trials)
-            res = simulate.run_smp_boolean(
-                C, model, plan, args.seed,
-                **({} if args.replays is None else {"replays": args.replays}))
+            res = simulate.run_smp_boolean(C, model, plan, args.seed, **kwargs)
             _emit(args, {
                 "plan": {"T": plan.T, "lam": mass, "delta": args.delta},
                 "max_error_rate": res["max_error_rate"],
@@ -279,7 +273,6 @@ def _dispatch(args) -> int:
                                          args.epsilon, T=args.trials,
                                          L=args.pool_size)
             runner = simulate.run_smp_quantum_sim
-        kwargs = {} if args.replays is None else {"replays": args.replays}
         out = runner(model, dist, plan, args.seed, **kwargs)
         _emit(args, {
             "plan": {"T": plan.T, "beta": plan.beta, "lam": mass,

@@ -424,21 +424,9 @@ def affine_basis(nx: int, ny: int) -> list[CorrelationRep]:
     marginal.  Each converts to a valid probability table, but only the
     span matters: together they have full rank nx*ny + nx + ny.
     """
-    basis = []
-    for s in range(nx):
-        for p in range(ny):
-            C = np.zeros((nx, ny))
-            C[s, p] = 1.0
-            basis.append(CorrelationRep(C, np.zeros(nx), np.zeros(ny)))
-    for s in range(nx):
-        u = np.zeros(nx)
-        u[s] = 1.0
-        basis.append(CorrelationRep(np.zeros((nx, ny)), u, np.zeros(ny)))
-    for p in range(ny):
-        v = np.zeros(ny)
-        v[p] = 1.0
-        basis.append(CorrelationRep(np.zeros((nx, ny)), np.zeros(nx), v))
-    return basis
+    # Member k is row k of the identity, split into its C, u and v parts.
+    C, u, v = np.split(np.eye(nx * ny + nx + ny), [nx * ny, nx * ny + nx], axis=1)
+    return [CorrelationRep(Ck.reshape(nx, ny), uk, vk) for Ck, uk, vk in zip(C, u, v)]
 
 
 def statistical_distance(p: ConditionalDistribution, q: ConditionalDistribution) -> float:

@@ -183,6 +183,17 @@ class TestSmpCommands:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert bad in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["smp-quantum", "--delta", "0.001"],                    # T > 2^63 - 1
+        ["smp-classical", "--delta", "1e-9"],                   # T > 2^63 - 1
+        ["smp-quantum", "--delta", "1e-6", "--trials", "10"],   # L over the vertex cap
+    ])
+    def test_unsamplable_plan_is_exit_2(self, capsys, pr_file, argv):
+        assert main([argv[0], pr_file, *argv[1:], "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "cap" in err and "Traceback" not in err
+
     def test_replays_passed_through(self, capsys, pr_file):
         code, report = run_json(capsys, [
             "smp-classical", pr_file, "--delta", "0.1", "--trials", "100", "--replays", "7"])

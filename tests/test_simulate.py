@@ -9,6 +9,7 @@ from nonsig.bounds import nu_tilde
 from nonsig.core import (
     AffineModel,
     Alphabets,
+    ResourceLimitError,
     enumerate_local_vertices,
     pr_box,
     to_correlation_rep,
@@ -24,6 +25,8 @@ from nonsig.simulate import (
     run_smp_classical,
     run_smp_quantum_sim,
 )
+
+from helpers import random_nonlocal
 
 B22 = Alphabets(2, 2, 2, 2)
 
@@ -74,6 +77,27 @@ class TestPlans:
     def test_bad_inputs_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: quantum_plan(2.0, 0.001, B22),          # T ~ 3.7e20 > 2^63 - 1
+        lambda: classical_plan(2.0, 1e-9, B22),         # T ~ 1.2e22
+        lambda: quantum_plan(2.0, 1e-6, B22, T=10),     # L = 1.28e14 pool strings
+        lambda: classical_plan(2.0, 1e-200, B22),       # T overflows a float
+        lambda: quantum_plan(2.0, 1e-200, B22, T=10),   # L divides by delta^2 = 0
+        lambda: boolean_plan(2.0, 0.1, T=2 ** 63),
+    ])
+    def test_unsamplable_plans_refused(self, make):
+        with pytest.raises(ResourceLimitError, match="cap"):
+            make()
+
+    def test_largest_samplable_T_accepted(self):
+        assert classical_plan(2.0, 0.1, B22, T=2 ** 63 - 1).T == 2 ** 63 - 1
+
+    def test_pool_size_follows_the_vertex_cap(self, monkeypatch):
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "50")
+        assert quantum_plan(2.0, 0.1, B22, T=10, L=50).L == 50
+        with pytest.raises(ResourceLimitError, match="51 pool strings"):
+            quantum_plan(2.0, 0.1, B22, T=10, L=51)
 
     def test_runners_reject_replays_below_one(self):
         plan = classical_plan(2.0, 0.1, B22, T=10)
@@ -203,6 +227,51 @@ class TestQuantumProtocol:
         plan = quantum_plan(1.0, 0.2, B22, T=100, L=100)
         with pytest.raises(ValueError):
             run_smp_quantum_sim(model, pr_box(), plan, seed=0)
+
+
+class TestRefereeNonBinary:
+    """Both referee-backed runners on a 2x2x3x3 point, where na*nb = 9."""
+
+    ALPH = Alphabets(2, 2, 3, 3)
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        target = random_nonlocal(np.random.default_rng([4, 1]), self.ALPH)
+        return target, nu_tilde(target).primal_certificate
+
+    def runs(self, case):
+        target, model = case
+        for seed in range(3):
+            plan = classical_plan(model.mass, 0.1, self.ALPH, T=3000)
+            yield "classical", run_smp_classical(model, target, plan, seed, replays=2000)
+            plan = quantum_plan(model.mass, 0.2, self.ALPH, T=2000, L=500)
+            yield "quantum", run_smp_quantum_sim(model, target, plan, seed, replays=2000)
+
+    def test_shapes_and_normalization(self, case):
+        for _, out in self.runs(case):
+            assert out.raw_estimates.shape == (2, 2, 3, 3)
+            assert out.estimates.shape == out.empirical.shape == (2, 2, 10)
+            assert np.abs(out.estimates.sum(axis=2) - 1.0).max() <= 1e-12
+            assert np.abs(out.empirical.sum(axis=2) - 1.0).max() <= 1e-12
+
+    def test_distance_recomputed_independently(self, case):
+        target, _ = case
+        for _, out in self.runs(case):
+            d = 0.0
+            for x in range(2):
+                for y in range(2):
+                    cells = out.empirical[x, y, :9].reshape(3, 3)
+                    l1 = np.abs(cells - target.table[x, y]).sum() + out.empirical[x, y, 9]
+                    d = max(d, 0.5 * l1)
+            assert out.distance == pytest.approx(d, abs=1e-12)
+
+    def test_classical_raw_estimates_within_weight_range(self, case):
+        _, model = case
+        q_plus, _, q_minus, _ = model.split_signed()
+        for kind, out in self.runs(case):
+            if kind == "classical":
+                assert out.raw_estimates.min() >= -q_minus - 1e-12
+                assert out.raw_estimates.max() <= q_plus + 1e-12
 
 
 class TestBooleanProtocol:
