@@ -483,15 +483,33 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
 
 
 def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns are flattened rank-one sign matrices u v^T, u in {+-1}^nx etc.
+    """One column per pair +-u v^T of rank-one sign matrices, u in {+-1}^nx
+    etc.: the flattened u v^T with u_0 = v_0 = +1, 2^(nx+ny-2) columns.
 
-    Returns the matrix and the sign vectors: rows of ``us`` and ``vs``, with
-    column k built from ``us[k // len(vs)]`` and ``vs[k % len(vs)]``.
+    u v^T = (-u)(-v)^T, so these columns and their negations are every
+    sign vertex once; ``nu_corr`` takes them as the split [S, -S].  Returns the matrix and the sign vectors: rows of ``us`` and
+    ``vs``, with column k built from ``us[k // len(vs)]`` and
+    ``vs[k % len(vs)]``.  The cap counts all 2^(nx+ny) sign vertices.
     """
     check_vertex_cap(2 ** (nx + ny), "sign vertices")
-    us, vs = SIGNS[deterministic_strategies(nx, 2)], SIGNS[deterministic_strategies(ny, 2)]
+    us = SIGNS[deterministic_strategies(nx, 2, range(2 ** (nx - 1)))]
+    vs = SIGNS[deterministic_strategies(ny, 2, range(2 ** (ny - 1)))]
     S = (us[:, None, :, None] * vs[None, :, None, :]).reshape(len(us) * len(vs), nx * ny).T
     return S, us, vs
+
+
+def _sign_hull(nx: int, ny: int) -> np.ndarray:
+    """Every rank-one sign matrix once as a column: the flattened u v^T with
+    u_0 = +1, in the nested order over u, then v, 2^(nx+ny-1) columns.
+
+    This is the order in which the sign vertices first appear in the
+    nested enumeration of all (u, v), so a simplex over these columns
+    pivots as over all 2^(nx+ny) of them.  The columns with v_0 = -1 are
+    those of ``_sign_vertex_matrix`` negated, v in reverse order.
+    """
+    S, us, vs = _sign_vertex_matrix(nx, ny)
+    S = S.reshape(nx * ny, len(us), len(vs))
+    return np.concatenate([S, -S[:, :, ::-1]], axis=2).reshape(nx * ny, -1)
 
 
 def nu_corr(C: np.ndarray) -> BoundResult:
@@ -566,13 +584,15 @@ def nu_corr_alpha(C: np.ndarray, alpha: float) -> float:
         raise ValueError("nu_corr_alpha expects a sign matrix")
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    SC = C.reshape(-1, 1) * _sign_vertex_matrix(*C.shape)[0]
+    SC = C.reshape(-1, 1) * _sign_hull(*C.shape)
     V, m = SC.shape[1], C.size
-    # Rows C o (S q) - r = 0, with r boxed in [1, alpha].
-    sol = solve_lp(LinearProgram(c=np.append(np.ones(2 * V), np.zeros(m)),
-                                 A_eq=np.hstack([SC, -SC, -np.eye(m)]), b_eq=np.zeros(m),
-                                 lb=np.append(np.zeros(2 * V), np.ones(m)),
-                                 ub=np.append(np.full(2 * V, np.inf), np.full(m, alpha))))
+    # Rows C o (S w) - r = 0 over weights w >= 0 on every sign vertex (the
+    # hull holds each column's negation, so w needs no split), with r
+    # boxed in [1, alpha].
+    sol = solve_lp(LinearProgram(c=np.append(np.ones(V), np.zeros(m)),
+                                 A_eq=np.hstack([SC, -np.eye(m)]), b_eq=np.zeros(m),
+                                 lb=np.append(np.zeros(V), np.ones(m)),
+                                 ub=np.append(np.full(V, np.inf), np.full(m, alpha))))
     if sol.status != "optimal":
         raise RuntimeError(f"nu_corr_alpha LP returned {sol.status}")
     return float(sol.objective)

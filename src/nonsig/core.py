@@ -235,11 +235,23 @@ class AffineModel:
         """The table sum_i q_i p_i."""
         if not self.components:
             raise ValueError("empty affine model")
-        out = None
-        for w, comp in self.components:
-            t = comp.table() if isinstance(comp, LocalVertex) else comp.table
-            out = w * t if out is None else out + w * t
-        return out
+        weights, comps = zip(*self.components)
+        alph = comps[0].alphabets
+        tables = np.zeros((len(comps),) + alph.shape)
+        verts = [k for k, comp in enumerate(comps) if isinstance(comp, LocalVertex)]
+        if verts:
+            # One scatter of every vertex's ones: table k has 1 at (x, y, la[x], lb[y]).
+            la = np.array([comps[k].lambda_a for k in verts])[:, :, None]
+            lb = np.array([comps[k].lambda_b for k in verts])[:, None, :]
+            k, x, y = np.ix_(verts, range(alph.nx), range(alph.ny))
+            tables[k, x, y, la, lb] = 1.0
+        for k, comp in enumerate(comps):
+            if not isinstance(comp, LocalVertex):
+                tables[k] = comp.table
+        # Running sum in component order, the first term taken as is: the
+        # same additions, so the same bits, as summing term by term.
+        terms = np.reshape(weights, (-1, 1, 1, 1, 1)) * tables
+        return np.add.accumulate(terms, axis=0)[-1]
 
     def split_signed(self):
         """Group terms by weight sign into (q_plus, mix_plus, q_minus, mix_minus).

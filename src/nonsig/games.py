@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BellFunctional, SIGNS, best_local_response
-from .bounds import _sign_vertex_matrix
+from .bounds import _sign_hull
 from .lp import LinearProgram, solve_lp
 from .sdp import SdpProgram, solve_sdp
 
@@ -121,7 +121,7 @@ def _max_common_bias(C: np.ndarray, equal: bool, name: str) -> float:
     sign rank-ones, weights w) and beta in [-1, 1], with C(x,y)*S(x,y) equal
     to beta on every input (``equal``) or at least beta (otherwise)."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    S = _sign_vertex_matrix(*C.shape)[0]
+    S = _sign_hull(*C.shape)
     V, m = S.shape[1], C.size
     # Columns [w, beta, z]: rows C o (S w) - beta - z = 0, then sum w = 1.
     # The surplus z has upper bound 0 (``equal``) or none.

@@ -173,23 +173,28 @@ class _Simplex:
         bound flip.
         """
         movable = self.lo != self.up
+        # Signed score of each column: -1 at its lower bound, +1 at its
+        # upper bound, 0 when basic or fixed, so that nsg * d is the
+        # objective's rate of decrease when the column moves off its bound.
+        nsg = np.where(self.at_upper, 1.0, -1.0)
+        nsg[~movable | self.in_basis] = 0.0
         degenerate = 0  # consecutive degenerate pivots
         for it in range(max_iter):
             if it % 64 == 63:
                 self.refactor()
             y = c[self.basis] @ self.Binv
             d = c - y @ self.A
-            improving = np.where(self.at_upper, d > _DUAL_TOL, d < -_DUAL_TOL)
-            eligible = improving & movable & ~self.in_basis
+            # Eligible columns have a positive score, |d_j| beyond _DUAL_TOL.
+            score = nsg * d
+            score = np.where(score > _DUAL_TOL, score, 0.0)
             if degenerate >= _BLAND_AFTER:
-                entering = int(np.argmax(eligible))
+                entering = int(np.argmax(score > 0.0))
             else:
                 # Scores within _DUAL_TOL of the best tie, so that rounding
                 # (which varies with the BLAS thread count) cannot pick
                 # among columns of equal reduced cost.
-                score = np.where(eligible, np.abs(d), 0.0)
                 entering = int(np.argmax(score >= score.max() - _DUAL_TOL))
-            if not eligible[entering]:
+            if score[entering] == 0.0:
                 return "optimal"
             direction = -1.0 if self.at_upper[entering] else 1.0
             w = self.Binv @ self.A[:, entering]
@@ -200,9 +205,10 @@ class _Simplex:
             to_lower = dw > _PIVOT_TOL
             to_upper = (dw < -_PIVOT_TOL) & np.isfinite(up_B)
             t_rows = np.full(self.m, np.inf)
-            t_rows[to_lower] = (self.xB[to_lower] - lo_B[to_lower]) / dw[to_lower]
-            t_rows[to_upper] = (up_B[to_upper] - self.xB[to_upper]) / -dw[to_upper]
-            t_rows[t_rows < 0.0] = 0.0  # a basic variable just outside its bound
+            np.divide(self.xB - lo_B, dw, out=t_rows, where=to_lower)
+            np.divide(up_B - self.xB, -dw, out=t_rows, where=to_upper)
+            # A basic variable just outside its bound blocks at once.
+            np.maximum(t_rows, 0.0, out=t_rows)
             t_row = t_rows[np.argmin(t_rows)]
             t_flip = self.up[entering] - self.lo[entering]
             if not np.isfinite(min(t_row, t_flip)):
@@ -211,6 +217,7 @@ class _Simplex:
             if t_flip < t_row - _PIVOT_TOL:
                 # Bound flip of the entering variable, no basis change.
                 self.at_upper[entering] = not self.at_upper[entering]
+                nsg[entering] = -nsg[entering]
                 self.xB -= t_flip * direction * w
                 degenerate = 0
                 continue
@@ -221,7 +228,10 @@ class _Simplex:
             self.xB -= t_row * direction * w
             enter_val = (self.up[entering] if self.at_upper[entering] else self.lo[entering]) \
                 + direction * t_row
-            self.at_upper[self.basis[leave_pos]] = to_upper[leave_pos]
+            leaving = self.basis[leave_pos]
+            self.at_upper[leaving] = to_upper[leave_pos]
+            nsg[leaving] = (1.0 if to_upper[leave_pos] else -1.0) if movable[leaving] else 0.0
+            nsg[entering] = 0.0
             self.pivot(leave_pos, entering, w)
             self.xB[leave_pos] = enter_val
         return "iteration-limit"

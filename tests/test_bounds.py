@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nonsig import bounds
+from nonsig import bounds, games
 from nonsig.bounds import (
     GROTHENDIECK,
     BoundResult,
@@ -470,11 +470,12 @@ class TestCorrelationQuantities:
         assert gamma2_corr(CHSH_SIGNS).value == pytest.approx(SQRT2, abs=1e-5)
 
     def test_sign_vertices_and_pairs(self):
-        # Column order is that of a nested loop over u, then v; the LP's
-        # pivots depend on it.
+        # Column order is that of a nested loop over u, then v, each with
+        # its first sign +1; the LP's pivots depend on it.
         for nx, ny in [(1, 1), (2, 3), (3, 2)]:
             cols = [np.outer(1.0 - 2.0 * np.array(ub), 1.0 - 2.0 * np.array(vb)).ravel()
-                    for ub in np.ndindex(*(2,) * nx) for vb in np.ndindex(*(2,) * ny)]
+                    for ub in np.ndindex(*(2,) * nx) for vb in np.ndindex(*(2,) * ny)
+                    if ub[0] == vb[0] == 0]
             assert np.array_equal(bounds._sign_vertex_matrix(nx, ny)[0], np.array(cols).T)
         C = np.random.default_rng(8).uniform(-0.9, 0.9, size=(3, 4))
         d = nu_corr(C).diagnostics
@@ -573,6 +574,102 @@ class TestCorrelationQuantities:
         rng = np.random.default_rng(8)
         for C in [CHSH_SIGNS, np.sign(rng.normal(size=(3, 3)))]:
             assert nu_corr_alpha(C, 1.0) == pytest.approx(nu_corr(C).value, abs=1e-9)
+
+
+def all_sign_vertices(nx, ny):
+    """Every u v^T over u in {+-1}^nx, v in {+-1}^ny as a column (each
+    distinct one twice), column k from us[k // len(vs)] and vs[k % len(vs)]."""
+    us = np.array(list(itertools.product((1.0, -1.0), repeat=nx)))
+    vs = np.array(list(itertools.product((1.0, -1.0), repeat=ny)))
+    return np.array([np.outer(u, v).ravel() for u in us for v in vs]).T, us, vs
+
+
+def _distinct_columns(S):
+    return {tuple(col) for col in S.T}
+
+
+class TestSignVertices:
+    """The sign LPs hold one column per pair +-u v^T; on every input they
+    must equal the LPs over all 2^(nx+ny) sign vertices."""
+
+    SHAPES = [(nx, ny) for nx in range(1, 4) for ny in range(1, 5)]
+
+    @pytest.mark.parametrize("nx, ny", SHAPES)
+    def test_one_column_per_pair(self, nx, ny):
+        S = bounds._sign_vertex_matrix(nx, ny)[0]
+        every = all_sign_vertices(nx, ny)[0]
+        full = _distinct_columns(every)
+        assert len(full) == 2 ** (nx + ny - 1)
+        assert S.shape == (nx * ny, 2 ** (nx + ny - 2))
+        # Distinct up to sign, and with their negations every distinct u v^T.
+        assert len(_distinct_columns(S) | _distinct_columns(-S)) == 2 * S.shape[1]
+        assert _distinct_columns(np.hstack([S, -S])) == full
+        # The hull: every sign vertex once, where it first appears among all (u, v).
+        assert np.array_equal(bounds._sign_hull(nx, ny), every[:, :every.shape[1] // 2])
+
+    @staticmethod
+    def matrices():
+        for n, (nx, ny) in enumerate([(2, 2), (2, 3), (3, 2), (3, 4), (4, 4), (5, 5), (6, 6)]):
+            rng = np.random.default_rng([61, n])
+            yield np.where(rng.uniform(size=(nx, ny)) < 0.5, -1.0, 1.0)
+            yield rng.uniform(-1.0, 1.0, size=(nx, ny))
+
+    @staticmethod
+    def use_all_sign_vertices(monkeypatch):
+        """Build the same LPs over every sign vertex: nu_corr's [S, -S]
+        split then holds each distinct column four times, the hull twice."""
+        monkeypatch.setattr(bounds, "_sign_vertex_matrix", all_sign_vertices)
+        for module in (bounds, games):
+            monkeypatch.setattr(module, "_sign_hull", lambda nx, ny: all_sign_vertices(nx, ny)[0])
+
+    @staticmethod
+    def values(C):
+        out = {"nu_corr": nu_corr(C).value,
+               "equal_bias": games.equal_bias_value(C),
+               "epsilon_pub": games.epsilon_pub(C)}
+        if np.all(np.abs(C) == 1.0):
+            for alpha in (1.0, 1.5, np.inf):
+                out[f"alpha {alpha}"] = nu_corr_alpha(C, alpha)
+        return out
+
+    def test_values_match_all_sign_vertices(self, monkeypatch):
+        matrices = list(self.matrices())
+        got = [self.values(C) for C in matrices]
+        self.use_all_sign_vertices(monkeypatch)
+        for C, values in zip(matrices, got):
+            for name, want in self.values(C).items():
+                assert values[name] == pytest.approx(want, abs=1e-9), (C.shape, name)
+
+    @staticmethod
+    def hull_pivots(monkeypatch, C):
+        """Pivots of the equal-bias, epsilon_pub and nu_corr_alpha LPs on C."""
+        common, alpha = captured_lps(monkeypatch, games), captured_lps(monkeypatch, bounds)
+        games.equal_bias_value(C)
+        games.epsilon_pub(C)
+        for a in (1.0, 1.5, np.inf):
+            nu_corr_alpha(C, a)
+        return [solve_lp(prog).iterations for prog in common + alpha]
+
+    def test_hull_lps_pivot_as_over_all_sign_vertices(self, monkeypatch):
+        # Later repeats of a column never enter the basis, so the hull LPs
+        # take the pivots of the same LPs over all 2^(nx+ny) sign vertices.
+        matrices = [np.sign(np.random.default_rng([62, n]).normal(size=shape))
+                    for n, shape in enumerate([(3, 4), (5, 5)])]
+        got = [self.hull_pivots(monkeypatch, C) for C in matrices]
+        self.use_all_sign_vertices(monkeypatch)
+        assert [self.hull_pivots(monkeypatch, C) for C in matrices] == got
+
+    def test_nu_corr_certificates(self):
+        for C in self.matrices():
+            res = nu_corr(C)
+            bell = res.dual_certificate
+            assert best_local_response(bell.coeffs)[0] <= 1.0 + 1e-9
+            assert best_local_response(-bell.coeffs)[0] <= 1.0 + 1e-9
+            assert bell.value_on_correlations(C) == pytest.approx(res.value, abs=1e-9)
+            d = res.diagnostics
+            recon = sum(w * np.outer(u, v) for w, (u, v) in zip(d["weights"], d["sign_pairs"]))
+            assert np.abs(recon - C).max() <= 1e-9
+            assert np.abs(d["weights"]).sum() == pytest.approx(res.value, abs=1e-9)
 
 
 class TestDualBell:
