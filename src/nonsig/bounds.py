@@ -87,14 +87,15 @@ def _project_onto_span(y: np.ndarray, basis_cols: np.ndarray) -> np.ndarray:
     return Q @ (Q.T @ y)
 
 
-def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str):
-    """min sum |q| s.t. S q = target, as an LP over the split q = q+ - q-.
+def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str, alpha: float = 1.0):
+    """min sum |q| s.t. S q = target o r with r in [1, alpha] on every row,
+    as an LP over the split q = q+ - q-, then r (at alpha = 1, no r).
 
     S must have full row rank, so phase 1 leaves no redundant row and the
     equality multipliers have no null directions.  Returns the LP
-    solution, the weights q, the multipliers y (an optimal dual
-    functional: |y . column| <= 1 on every column of S, and y . target is
-    the optimum) and their normalization max |y . column|.
+    solution, the weights q, the multipliers y (at alpha = 1 an optimal
+    dual functional: |y . column| <= 1 on every column of S, and y . target
+    is the optimum) and their normalization max |y . column|.
 
     The simplex starts from a crash basis and skips phase 1.  Every
     column of [S, -S] has a negated twin, so any m independent columns of
@@ -107,19 +108,25 @@ def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str):
     keeps the basis matrix well conditioned: each step takes the column
     with the largest squared norm outside the span of those taken, the
     first within a relative band of the largest, so that rounding (which
-    varies with the BLAS thread count) cannot reorder the picks.
+    varies with the BLAS thread count) cannot reorder the picks.  The r
+    start nonbasic at their lower bound 1, where the rows read S q =
+    target again, so the same basis is feasible.
     """
-    V = S.shape[1]
+    m, V = S.shape
     cols = _pivoted_columns(S)
     weights = np.linalg.solve(S[:, cols], target)
     start = np.where(weights < -_FEAS_TOL, cols + V, cols)
-    sol = solve_lp(LinearProgram(c=np.ones(2 * V), A_eq=np.hstack([S, -S]), b_eq=target,
-                                 lb=np.zeros(2 * V), ub=np.full(2 * V, np.inf)),
+    k = 0 if alpha == 1.0 else m  # r columns
+    sol = solve_lp(LinearProgram(c=np.append(np.ones(2 * V), np.zeros(k)),
+                                 A_eq=np.hstack([S, -S, -np.diag(target)[:, :k]]),
+                                 b_eq=target if k == 0 else np.zeros(m),
+                                 lb=np.append(np.zeros(2 * V), np.ones(k)),
+                                 ub=np.append(np.full(2 * V, np.inf), np.full(k, alpha))),
                    start_basis=start)
     if sol.status != "optimal":
         raise RuntimeError(f"{name} LP returned {sol.status}")
     y = sol.dual_eq
-    return sol, sol.x[:V] - sol.x[V:], y, float(np.abs(y @ S).max())
+    return sol, sol.x[:V] - sol.x[V:2 * V], y, float(np.abs(y @ S).max())
 
 
 # Scores within this fraction of the largest remaining squared norm tie.
@@ -487,9 +494,10 @@ def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.nd
     etc.: the flattened u v^T with u_0 = v_0 = +1, 2^(nx+ny-2) columns.
 
     u v^T = (-u)(-v)^T, so these columns and their negations are every
-    sign vertex once; ``nu_corr`` takes them as the split [S, -S].  Returns the matrix and the sign vectors: rows of ``us`` and
-    ``vs``, with column k built from ``us[k // len(vs)]`` and
-    ``vs[k % len(vs)]``.  The cap counts all 2^(nx+ny) sign vertices.
+    sign vertex once, and the min-L1 LPs take them as the split [S, -S].
+    Returns the matrix and the sign vectors: rows of ``us`` and ``vs``,
+    with column k built from ``us[k // len(vs)]`` and ``vs[k % len(vs)]``.
+    The cap counts all 2^(nx+ny) sign vertices.
     """
     check_vertex_cap(2 ** (nx + ny), "sign vertices")
     us = SIGNS[deterministic_strategies(nx, 2, range(2 ** (nx - 1)))]
@@ -498,25 +506,34 @@ def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return S, us, vs
 
 
-def _sign_hull(nx: int, ny: int) -> np.ndarray:
-    """Every rank-one sign matrix once as a column: the flattened u v^T with
-    u_0 = +1, in the nested order over u, then v, 2^(nx+ny-1) columns.
+def _correlation_matrix(C, bound: float = 1.0) -> np.ndarray:
+    """C as a float matrix; ValueError unless it is a finite, non-empty 2-D
+    matrix with entries in [-bound, bound] (to 1e-12)."""
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    if C.ndim != 2 or C.size == 0:
+        raise ValueError(f"expected a non-empty 2-D matrix, got shape {C.shape}")
+    if not np.all(np.isfinite(C)):
+        raise ValueError("matrix entries must be finite")
+    if np.abs(C).max() > bound + 1e-12:
+        raise ValueError(f"correlation entries must lie in [-{bound:g}, {bound:g}]")
+    return C
 
-    This is the order in which the sign vertices first appear in the
-    nested enumeration of all (u, v), so a simplex over these columns
-    pivots as over all 2^(nx+ny) of them.  The columns with v_0 = -1 are
-    those of ``_sign_vertex_matrix`` negated, v in reverse order.
-    """
-    S, us, vs = _sign_vertex_matrix(nx, ny)
-    S = S.reshape(nx * ny, len(us), len(vs))
-    return np.concatenate([S, -S[:, :, ::-1]], axis=2).reshape(nx * ny, -1)
+
+def _sign_mass(C: np.ndarray, alpha: float, name: str) -> float:
+    """min sum|q| with 1 <= C(x,y) * (sum q_i u_i v_i^T)(x,y) <= alpha on
+    every cell; inf if C has a zero entry, where no combination reaches 1.
+    The rows are S q = r / C, not diag(C) S q = r: the same pivots in exact
+    arithmetic, but the crash's Gram-Schmidt over diag(C) S picks dependent
+    columns when an entry of C is near 0 (1e-10)."""
+    S = _sign_vertex_matrix(*C.shape)[0]
+    if not np.all(C):
+        return np.inf
+    return float(_min_l1_combination(S, 1.0 / C.reshape(-1), name, alpha)[0].objective)
 
 
 def nu_corr(C: np.ndarray) -> BoundResult:
     """nu on correlation space: min sum|q| with sum q_i u_i v_i^T = C."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    if np.abs(C).max(initial=0.0) > 1.0 + 1e-12:
-        raise ValueError("correlation entries must lie in [-1, 1]")
+    C = _correlation_matrix(C)
     nx, ny = C.shape
     S, us, vs = _sign_vertex_matrix(nx, ny)
     sol, q, y, norm = _min_l1_combination(S, C.reshape(-1), "nu_corr")
@@ -548,7 +565,7 @@ def gamma2_corr(C: np.ndarray) -> BoundResult:
     [[D1, C], [C^T, D2]] with all diagonal entries equal to c; forcing
     equality is harmless since raising a diagonal preserves PSD-ness.
     """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    C = _correlation_matrix(C, np.inf)
     nx, ny = C.shape
     n = nx + ny
     eye = np.eye(n)
@@ -579,23 +596,12 @@ def nu_corr_alpha(C: np.ndarray, alpha: float) -> float:
     C must be a sign matrix; C' = sum q_i u_i v_i^T is only required to
     agree with C in sign and exceed it cellwise up to factor alpha.
     """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    C = _correlation_matrix(C)
     if not np.all(np.abs(C) == 1.0):
         raise ValueError("nu_corr_alpha expects a sign matrix")
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    SC = C.reshape(-1, 1) * _sign_hull(*C.shape)
-    V, m = SC.shape[1], C.size
-    # Rows C o (S w) - r = 0 over weights w >= 0 on every sign vertex (the
-    # hull holds each column's negation, so w needs no split), with r
-    # boxed in [1, alpha].
-    sol = solve_lp(LinearProgram(c=np.append(np.ones(V), np.zeros(m)),
-                                 A_eq=np.hstack([SC, -np.eye(m)]), b_eq=np.zeros(m),
-                                 lb=np.append(np.zeros(V), np.ones(m)),
-                                 ub=np.append(np.full(V, np.inf), np.full(m, alpha))))
-    if sol.status != "optimal":
-        raise RuntimeError(f"nu_corr_alpha LP returned {sol.status}")
-    return float(sol.objective)
+    return _sign_mass(C, alpha, "nu_corr_alpha")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BellFunctional, SIGNS, best_local_response
-from .bounds import _sign_hull
-from .lp import LinearProgram, solve_lp
+from .bounds import _correlation_matrix, _sign_mass
+# Not called here: bench/tracing.py wraps games.solve_lp by name and fails
+# if the attribute is missing.
+from .lp import solve_lp  # noqa: F401
 from .sdp import SdpProgram, solve_sdp
 
 
@@ -116,42 +118,22 @@ def bell_to_game(B) -> XorGame:
     return XorGame(G, np.abs(corr) / total)
 
 
-def _max_common_bias(C: np.ndarray, equal: bool, name: str) -> float:
-    """LP max beta over local correlation matrices S (the convex hull of the
-    sign rank-ones, weights w) and beta in [-1, 1], with C(x,y)*S(x,y) equal
-    to beta on every input (``equal``) or at least beta (otherwise)."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    S = _sign_hull(*C.shape)
-    V, m = S.shape[1], C.size
-    # Columns [w, beta, z]: rows C o (S w) - beta - z = 0, then sum w = 1.
-    # The surplus z has upper bound 0 (``equal``) or none.
-    n = V + 1 + m
-    c, lb, ub = np.zeros(n), np.zeros(n), np.full(n, np.inf)
-    c[V], lb[V], ub[V] = -1.0, -1.0, 1.0
-    ub[V + 1:] = 0.0 if equal else np.inf
-    A_eq = np.zeros((m + 1, n))
-    A_eq[:m] = np.hstack([C.reshape(-1, 1) * S, np.full((m, 1), -1.0), -np.eye(m)])
-    A_eq[m, :V] = 1.0
-    sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=np.append(np.zeros(m), 1.0), lb=lb, ub=ub))
-    if sol.status != "optimal":
-        raise RuntimeError(f"{name} LP returned {sol.status}")
-    return -float(sol.objective)
-
-
 def equal_bias_value(C: np.ndarray) -> float:
     """nu(C) through the equal-bias characterization 1 / epsilon_=(C): the
-    largest bias beta that one local strategy achieves on every input at once."""
-    beta = _max_common_bias(C, True, "equal-bias")
-    if beta <= 1e-12:
-        raise ValueError(
-            f"no equal-bias strategy with positive bias exists (beta* = {beta:.3g})"
-        )
-    return 1.0 / beta
+    largest bias beta that one local strategy achieves on every input at
+    once is 1 / min{sum|q| : C o (sum q_i u_i v_i^T) = 1}."""
+    mass = _sign_mass(_correlation_matrix(C), 1.0, "equal-bias")
+    if mass == np.inf:
+        raise ValueError("no equal-bias strategy with positive bias exists "
+                         "(beta* = 0: C has a zero entry)")
+    return mass
 
 
 def epsilon_pub(C: np.ndarray) -> float:
-    """Worst-input-distribution public-coin bias: max_S min_xy C(x,y) S(x,y)."""
-    return _max_common_bias(C, False, "epsilon_pub")
+    """Worst-input-distribution public-coin bias: max_S min_xy C(x,y) S(x,y),
+    which is 1 / min{sum|q| : C o (sum q_i u_i v_i^T) >= 1} (0 if C has a
+    zero entry)."""
+    return 1.0 / _sign_mass(_correlation_matrix(C), np.inf, "epsilon_pub")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ side s = 0 (q+ p+) and s = 1 (q- p-):
     2, 3                         referee replays, classical and quantum
     10 + s                       quantum shared-randomness pool (x = y = 0)
     20 + s*na*nb + a*nb + b      quantum swap tests of cell (a, b)
-    (30 + s, r)                  boolean samples of replay r
+    30 + s                       boolean samples, all replays
 """
 
 from __future__ import annotations
@@ -242,13 +242,10 @@ def run_smp_boolean(C: np.ndarray, model: AffineModel, plan: SmpPlan,
              for s, sign, q, _, table in _split_model(model)]
     errors = np.zeros(C.shape)
     for x, y in np.ndindex(C.shape):
-        wrong = 0
-        for r in range(replays):
-            val = 0.0
-            for s, sign, q, p_agree in sides:
-                agree = _rng(seed, x, y, 30 + s, r).binomial(T, p_agree[x, y])
-                val += sign * q * (2.0 * agree / T - 1.0)  # mean of a*b over T samples
-            wrong += (1.0 if val >= 0 else -1.0) != C[x, y]
-        errors[x, y] = wrong / replays
+        val = np.zeros(replays)  # the referee's estimate of C(x, y), one per replay
+        for s, sign, q, p_agree in sides:
+            agree = _rng(seed, x, y, 30 + s).binomial(T, p_agree[x, y], size=replays)
+            val += sign * q * (2.0 * agree / T - 1.0)  # mean of a*b over T samples
+        errors[x, y] = np.count_nonzero(np.where(val >= 0, 1.0, -1.0) != C[x, y]) / replays
     return {"error_rate": errors, "max_error_rate": float(errors.max()), "T": T,
             "seed": int(seed)}

@@ -604,8 +604,6 @@ class TestSignVertices:
         # Distinct up to sign, and with their negations every distinct u v^T.
         assert len(_distinct_columns(S) | _distinct_columns(-S)) == 2 * S.shape[1]
         assert _distinct_columns(np.hstack([S, -S])) == full
-        # The hull: every sign vertex once, where it first appears among all (u, v).
-        assert np.array_equal(bounds._sign_hull(nx, ny), every[:, :every.shape[1] // 2])
 
     @staticmethod
     def matrices():
@@ -616,11 +614,10 @@ class TestSignVertices:
 
     @staticmethod
     def use_all_sign_vertices(monkeypatch):
-        """Build the same LPs over every sign vertex: nu_corr's [S, -S]
-        split then holds each distinct column four times, the hull twice."""
+        """Build the same LPs over every sign vertex: the [S, -S] split then
+        holds each distinct column four times.  The equal-bias and
+        epsilon_pub LPs take their columns through ``bounds`` too."""
         monkeypatch.setattr(bounds, "_sign_vertex_matrix", all_sign_vertices)
-        for module in (bounds, games):
-            monkeypatch.setattr(module, "_sign_hull", lambda nx, ny: all_sign_vertices(nx, ny)[0])
 
     @staticmethod
     def values(C):
@@ -641,23 +638,33 @@ class TestSignVertices:
                 assert values[name] == pytest.approx(want, abs=1e-9), (C.shape, name)
 
     @staticmethod
-    def hull_pivots(monkeypatch, C):
-        """Pivots of the equal-bias, epsilon_pub and nu_corr_alpha LPs on C."""
-        common, alpha = captured_lps(monkeypatch, games), captured_lps(monkeypatch, bounds)
-        games.equal_bias_value(C)
-        games.epsilon_pub(C)
-        for a in (1.0, 1.5, np.inf):
-            nu_corr_alpha(C, a)
-        return [solve_lp(prog).iterations for prog in common + alpha]
+    def max_common_bias(C, equal):
+        """Reference LP: max beta over local correlation matrices S w (w >= 0
+        on every sign vertex once, sum w = 1) and beta in [-1, 1], with
+        C o (S w) equal to beta on every cell (``equal``) or at least beta."""
+        every = all_sign_vertices(*C.shape)[0]
+        S = every[:, :every.shape[1] // 2]  # u_0 = +1: each sign vertex once
+        V, m = S.shape[1], C.size
+        # Columns [w, beta, z]: rows C o (S w) - beta - z = 0, then sum w = 1.
+        n = V + 1 + m
+        c, lb, ub = np.zeros(n), np.zeros(n), np.full(n, np.inf)
+        c[V], lb[V], ub[V] = -1.0, -1.0, 1.0
+        ub[V + 1:] = 0.0 if equal else np.inf
+        A_eq = np.zeros((m + 1, n))
+        A_eq[:m] = np.hstack([C.reshape(-1, 1) * S, np.full((m, 1), -1.0), -np.eye(m)])
+        A_eq[m, :V] = 1.0
+        sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=np.append(np.zeros(m), 1.0),
+                                     lb=lb, ub=ub))
+        assert sol.status == "optimal"
+        return -sol.objective
 
-    def test_hull_lps_pivot_as_over_all_sign_vertices(self, monkeypatch):
-        # Later repeats of a column never enter the basis, so the hull LPs
-        # take the pivots of the same LPs over all 2^(nx+ny) sign vertices.
-        matrices = [np.sign(np.random.default_rng([62, n]).normal(size=shape))
-                    for n, shape in enumerate([(3, 4), (5, 5)])]
-        got = [self.hull_pivots(monkeypatch, C) for C in matrices]
-        self.use_all_sign_vertices(monkeypatch)
-        assert [self.hull_pivots(monkeypatch, C) for C in matrices] == got
+    def test_biases_match_the_max_beta_lp(self):
+        # eps_=(C) = 1 / equal_bias_value(C), and epsilon_pub(C) = 1 / nu^inf(C).
+        for C in self.matrices():
+            assert games.equal_bias_value(C) == pytest.approx(
+                1.0 / self.max_common_bias(C, True), abs=1e-9), C.shape
+            assert games.epsilon_pub(C) == pytest.approx(
+                self.max_common_bias(C, False), abs=1e-9), C.shape
 
     def test_nu_corr_certificates(self):
         for C in self.matrices():
@@ -670,6 +677,55 @@ class TestSignVertices:
             recon = sum(w * np.outer(u, v) for w, (u, v) in zip(d["weights"], d["sign_pairs"]))
             assert np.abs(recon - C).max() <= 1e-9
             assert np.abs(d["weights"]).sum() == pytest.approx(res.value, abs=1e-9)
+
+
+class TestCorrelationInput:
+    """nu_corr, nu_corr_alpha, equal_bias_value and epsilon_pub share one
+    input check; gamma2_corr takes any finite, non-empty real matrix."""
+
+    SIGN_LPS = {
+        "nu_corr": lambda C: nu_corr(C).value,
+        "nu_corr_alpha": lambda C: nu_corr_alpha(C, 1.5),
+        "equal_bias_value": games.equal_bias_value,
+        "epsilon_pub": games.epsilon_pub,
+    }
+    BAD = {
+        "above-one": [[1.0, 1.5], [1.0, -1.0]],
+        "nan": [[1.0, np.nan], [1.0, -1.0]],
+        "empty-list": [],
+        "empty-row": [[]],
+        "three-d": [[[1.0]]],
+    }
+
+    @pytest.mark.parametrize("bad", BAD, ids=list(BAD))
+    @pytest.mark.parametrize("name", SIGN_LPS, ids=list(SIGN_LPS))
+    def test_refused(self, name, bad):
+        with pytest.raises(ValueError):
+            self.SIGN_LPS[name](self.BAD[bad])
+
+    @pytest.mark.parametrize("bad", ["nan", "empty-list", "empty-row", "three-d"])
+    def test_gamma2_corr_refused(self, bad):
+        with pytest.raises(ValueError):
+            gamma2_corr(self.BAD[bad])
+
+    def test_gamma2_corr_takes_any_real_entries(self):
+        assert gamma2_corr(2.0 * CHSH_SIGNS).value == pytest.approx(2.0 * SQRT2, abs=1e-5)
+
+    def test_zero_entry_is_decided_without_an_lp(self, monkeypatch):
+        # 0 lies in the sign hull, so the best common bias is exactly 0.
+        C = np.array([[1.0, 0.0, -0.5], [0.25, -1.0, 1.0]])
+        progs = captured_lps(monkeypatch)
+        with pytest.raises(ValueError, match="no equal-bias strategy"):
+            games.equal_bias_value(C)
+        assert games.epsilon_pub(C) == 0.0
+        assert progs == []
+
+    @pytest.mark.parametrize("e", [1e-6, 1e-10])
+    def test_entry_near_zero(self, e):
+        # The common bias is capped by the entry e: |S(0, 1)| <= 1.
+        C = np.array([[1.0, e], [1.0, -1.0]])
+        assert games.equal_bias_value(C) == pytest.approx(1.0 / e, rel=1e-9)
+        assert games.epsilon_pub(C) == pytest.approx(e, rel=1e-9)
 
 
 class TestDualBell:

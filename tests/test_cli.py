@@ -251,6 +251,16 @@ class TestExitCodes:
         monkeypatch.setenv("NONSIG_VERTEX_CAP", "32")
         assert main(["nu-corr", str(path)]) == 2
 
+    @pytest.mark.parametrize("C", [[], [[]]], ids=["empty-list", "empty-row"])
+    @pytest.mark.parametrize("command", ["nu-corr", "gamma2-corr"])
+    def test_empty_correlation_matrix_is_exit_1(self, capsys, tmp_path, command, C):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"C": C}))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_sdp_over_dimension_cap_is_exit_2(self, capsys, tmp_path):
         # The 3x3x3x3 eps program has total block dimension 359 > 200.
         path = tmp_path / "u3333.json"

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from nonsig import games
 from nonsig.core import ResourceLimitError, pr_box, to_correlation_rep
 from nonsig.bounds import dual_bell, nu_corr
 from nonsig.games import (
@@ -162,25 +161,6 @@ class TestEpsilonPub:
             mu = rng.dirichlet(np.ones(4)).reshape(2, 2)
             game = XorGame(C, mu)
             assert base <= classical_bias(game)["bias"] + 1e-8
-
-
-class TestCommonBiasProgram:
-    def test_one_program_two_surplus_bounds(self, monkeypatch):
-        # Both values come from one LP shape: rows C o (S w) - beta - z = 0
-        # and sum w = 1.  Only the surplus z's upper bound differs: 0 for
-        # the equal bias, none for epsilon_pub.
-        progs = []
-        solve = games.solve_lp
-        monkeypatch.setattr(games, "solve_lp", lambda prog: progs.append(prog) or solve(prog))
-        C = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
-        equal_bias_value(C)
-        epsilon_pub(C)
-        equal, at_least = progs
-        assert (equal.n_eq, equal.n_ub) == (C.size + 1, 0)
-        for name in ("c", "A_eq", "b_eq", "lb"):
-            assert np.array_equal(getattr(equal, name), getattr(at_least, name)), name
-        assert np.array_equal(equal.ub[:-C.size], at_least.ub[:-C.size])
-        assert np.all(equal.ub[-C.size:] == 0.0) and np.all(at_least.ub[-C.size:] == np.inf)
 
 
 class TestGameRatioCharacterization:
