@@ -321,6 +321,11 @@ def main(argv=None) -> int:
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError as e:
+        # numpy names the failed allocation; a bare MemoryError has no text.
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER

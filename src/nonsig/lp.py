@@ -1,12 +1,28 @@
 """Dense linear programming engine.
 
 Two-phase revised primal simplex with bounded variables.  Pricing and the
-ratio test are numpy operations over all columns and rows.  The entering
-column is chosen by Dantzig's rule: the largest reduced cost in magnitude,
-the first index among those within ``_DUAL_TOL`` of it.  After
-``_BLAND_AFTER`` consecutive degenerate pivots the engine prices by Bland's
-rule (the first eligible column) until the next nondegenerate step, so it
-cannot cycle (Bland 1977).
+ratio test are numpy operations over all columns and rows.  Pricing is
+steepest edge (Goldfarb and Reid 1977; Forrest and Goldfarb 1992): among
+the columns whose move off their bound lowers the objective, it enters the
+one with the largest d_j^2 / gamma_j, where d is the reduced cost and
+gamma_j = 1 + ||B^-1 a_j||^2 the squared length of the column's edge, the
+first index among those within a relative ``_TIE_REL`` of it.  The weights
+are computed from the basis at the start of each phase, in column blocks
+so that B^-1 A is never held whole.  At each basis change (column q enters
+at row r, w = B^-1 a_q) one (2, m) x (m, n) product gives the pivot row
+alpha_r = e_r^T B^-1 A / w_r and A^T B^-T w, and
+
+    gamma_j <- max(gamma_j - 2 alpha_rj a_j^T B^-T w + alpha_rj^2 gamma_q,
+                   1 + alpha_rj^2),
+    gamma_leaving = max(gamma_q / w_r^2, 1),   d <- d - d_q alpha_r.
+
+A bound flip changes neither.  d is recomputed at each refactorization,
+and a phase ends optimal only on a recomputed d.  Among the rows that
+block a step within ``_PIVOT_TOL`` of the shortest, the ratio test takes
+the largest |w_i| (within ``_TIE_REL``), then the smallest variable index.
+After ``_BLAND_AFTER`` consecutive degenerate pivots the engine prices by
+Bland's rule (the first eligible column, the smallest blocking index)
+until the next nondegenerate step, so it cannot cycle (Bland 1977).
 ``solve_lp`` can start from a given basis: when its matrix is
 nonsingular and its basic values lie within their bounds, phase 1 is
 skipped (the min-L1 LPs of ``bounds`` start this way from a crash basis);
@@ -20,6 +36,7 @@ refactorization (a numerical breakdown) ends the solve with status
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +46,13 @@ _DUAL_TOL = 1e-9
 _FEAS_TOL = 1e-8
 # Largest 1-norm condition estimate of a start basis matrix.
 _COND_LIMIT = 1e10
-# Consecutive degenerate pivots after which pricing switches from Dantzig's
-# rule to Bland's until the objective moves again.
+# Consecutive degenerate pivots after which pricing switches from steepest
+# edge to Bland's rule until the objective moves again.
 _BLAND_AFTER = 50
+# Relative band within which pricing and ratio-test scores tie.
+_TIE_REL = 1e-9
+# Most entries of B^-1 A held at once while the start weights are built.
+_WEIGHT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -161,77 +182,142 @@ class _Simplex:
         self.Binv -= w[:, None] * row
         self.Binv[pos, :] = row
 
+    def reduced_costs(self, c):
+        """d = c - c_B B^-1 A, from the current inverse."""
+        return c - (c[self.basis] @ self.Binv) @ self.A
+
+    def edge_weights(self):
+        """gamma_j = 1 + ||B^-1 a_j||^2 for every column, built in column
+        blocks of at most ``_WEIGHT_BLOCK`` entries of B^-1 A."""
+        gamma = np.empty(self.n)
+        step = max(1, _WEIGHT_BLOCK // self.m)
+        # From a signed identity (the artificial basis) B^-1 a_j = +-a_j.
+        unit = np.count_nonzero(self.Binv) == self.m \
+            and np.all(np.abs(self.Binv.diagonal()) == 1.0)
+        for s in range(0, self.n, step):
+            W = self.A[:, s:s + step]
+            if not unit:
+                W = self.Binv @ W
+            gamma[s:s + step] = 1.0 + (W * W).sum(axis=0)
+        return gamma
+
     def iterate(self, c, max_iter):
         """Run pivots for objective c.  Returns status string.
 
         A column is eligible when it is nonbasic, not fixed, and moving it off
-        its bound lowers the objective.  Dantzig's rule enters the eligible
-        column with the largest |d_j|, the first of those within
-        ``_DUAL_TOL`` of it.  A basis change with a zero step is degenerate;
-        once ``_BLAND_AFTER`` of them come in a row, Bland's rule enters the
-        first eligible column instead, until a nondegenerate pivot or a
-        bound flip.
+        its bound lowers the objective by more than ``_DUAL_TOL`` per unit.
+        Pricing, the weight and reduced-cost updates and the ratio test are
+        those of the module docstring.  A basis change with a zero step is
+        degenerate; once ``_BLAND_AFTER`` of them come in a row, Bland's rule
+        prices until a nondegenerate pivot or a bound flip.
         """
-        movable = self.lo != self.up
+        m, n, A, basis = self.m, self.n, self.A, self.basis
+        lo, up, at_upper = self.lo, self.up, self.at_upper
+        movable = lo != up
         # Signed score of each column: -1 at its lower bound, +1 at its
         # upper bound, 0 when basic or fixed, so that nsg * d is the
         # objective's rate of decrease when the column moves off its bound.
-        nsg = np.where(self.at_upper, 1.0, -1.0)
+        nsg = np.where(at_upper, 1.0, -1.0)
         nsg[~movable | self.in_basis] = 0.0
+        lo_B, up_B = lo[basis], up[basis]
+        up_B_finite = np.isfinite(up_B)
+        d = self.reduced_costs(c)
+        fresh = True  # d was computed from B^-1, not updated
+        gamma = self.edge_weights()
+        score, ratio, prod = np.empty(n), np.empty(n), np.empty((2, n))
+        dw, t_rows, rows = np.empty(m), np.empty(m), np.empty((2, m))
         degenerate = 0  # consecutive degenerate pivots
         for it in range(max_iter):
             if it % 64 == 63:
                 self.refactor()
-            y = c[self.basis] @ self.Binv
-            d = c - y @ self.A
-            # Eligible columns have a positive score, |d_j| beyond _DUAL_TOL.
-            score = nsg * d
-            score = np.where(score > _DUAL_TOL, score, 0.0)
-            if degenerate >= _BLAND_AFTER:
-                entering = int(np.argmax(score > 0.0))
-            else:
-                # Scores within _DUAL_TOL of the best tie, so that rounding
-                # (which varies with the BLAS thread count) cannot pick
-                # among columns of equal reduced cost.
-                entering = int(np.argmax(score >= score.max() - _DUAL_TOL))
-            if score[entering] == 0.0:
+                d = self.reduced_costs(c)
+                fresh = True
+            Binv = self.Binv
+            bland = degenerate >= _BLAND_AFTER
+            while True:
+                np.multiply(nsg, d, out=score)
+                eligible = score > _DUAL_TOL
+                if bland:
+                    entering = eligible.argmax()
+                else:
+                    np.multiply(d, d, out=ratio)
+                    ratio /= gamma
+                    ratio *= eligible
+                    # The band keeps rounding (which varies with the BLAS
+                    # thread count) from choosing among equal columns.
+                    best = ratio[ratio.argmax()]
+                    entering = (ratio >= best - _TIE_REL * best).argmax()
+                if eligible[entering] or fresh:
+                    break
+                d = self.reduced_costs(c)
+                fresh = True
+            if not eligible[entering]:
                 return "optimal"
-            direction = -1.0 if self.at_upper[entering] else 1.0
-            w = self.Binv @ self.A[:, entering]
+            direction = -1.0 if at_upper[entering] else 1.0
+            w = Binv @ A[:, entering]
             # Ratio test: basic vars move by -t*direction*w; a row blocks
             # when its variable falls to its lower or rises to its upper bound.
-            dw = direction * w
-            lo_B, up_B = self.lo[self.basis], self.up[self.basis]
+            np.multiply(w, direction, out=dw)
             to_lower = dw > _PIVOT_TOL
-            to_upper = (dw < -_PIVOT_TOL) & np.isfinite(up_B)
-            t_rows = np.full(self.m, np.inf)
+            to_upper = dw < -_PIVOT_TOL
+            to_upper &= up_B_finite
+            t_rows.fill(np.inf)
             np.divide(self.xB - lo_B, dw, out=t_rows, where=to_lower)
-            np.divide(up_B - self.xB, -dw, out=t_rows, where=to_upper)
+            np.divide(self.xB - up_B, dw, out=t_rows, where=to_upper)
             # A basic variable just outside its bound blocks at once.
             np.maximum(t_rows, 0.0, out=t_rows)
-            t_row = t_rows[np.argmin(t_rows)]
-            t_flip = self.up[entering] - self.lo[entering]
-            if not np.isfinite(min(t_row, t_flip)):
+            t_row = t_rows[t_rows.argmin()]
+            t_flip = up[entering] - lo[entering]
+            if not math.isfinite(min(t_row, t_flip)):
                 return "unbounded"
             self.iterations += 1
             if t_flip < t_row - _PIVOT_TOL:
                 # Bound flip of the entering variable, no basis change.
-                self.at_upper[entering] = not self.at_upper[entering]
+                at_upper[entering] = not at_upper[entering]
                 nsg[entering] = -nsg[entering]
-                self.xB -= t_flip * direction * w
+                self.xB -= (t_flip * direction) * w
                 degenerate = 0
                 continue
             degenerate = degenerate + 1 if t_row <= _PIVOT_TOL else 0
-            # Bland tie-break: smallest variable index among blocking rows.
-            ties = np.flatnonzero(t_rows <= t_row + _PIVOT_TOL)
-            leave_pos = ties[np.argmin(self.basis[ties])]
-            self.xB -= t_row * direction * w
-            enter_val = (self.up[entering] if self.at_upper[entering] else self.lo[entering]) \
+            ties = (t_rows <= t_row + _PIVOT_TOL).nonzero()[0]
+            if ties.size > 1:
+                if not bland:
+                    # The largest pivot element among the blocking rows.
+                    size = np.abs(w[ties])
+                    ties = ties[size >= size[size.argmax()] * (1.0 - _TIE_REL)]
+                leave_pos = ties[basis[ties].argmin()]
+            else:
+                leave_pos = ties[0]
+            leaving = basis[leave_pos]
+            self.xB -= (t_row * direction) * w
+            enter_val = (up[entering] if at_upper[entering] else lo[entering]) \
                 + direction * t_row
-            leaving = self.basis[leave_pos]
-            self.at_upper[leaving] = to_upper[leave_pos]
+            at_upper[leaving] = to_upper[leave_pos]
             nsg[leaving] = (1.0 if to_upper[leave_pos] else -1.0) if movable[leaving] else 0.0
             nsg[entering] = 0.0
+            lo_B[leave_pos], up_B[leave_pos] = lo[entering], up[entering]
+            up_B_finite[leave_pos] = math.isfinite(up[entering])
+            # The pivot row alpha_r = e_r^T B^-1 A / w_r and, from the same
+            # product, alpha_r * gamma_q - 2 A^T B^-T w; then the Goldfarb-Reid
+            # updates gamma_j = max(gamma_j + alpha_rj * (alpha_rj * gamma_q
+            # - 2 a_j^T B^-T w), 1 + alpha_rj^2) and d -= d_q * alpha_r.
+            w_r = w[leave_pos]
+            gamma_q = 1.0 + w @ w
+            np.divide(Binv[leave_pos], w_r, out=rows[0])
+            np.matmul(-2.0 * w, Binv, out=rows[1])
+            rows[1] += gamma_q * rows[0]
+            np.matmul(rows, A, out=prod)
+            alpha, tmp = prod
+            tmp *= alpha
+            gamma += tmp
+            np.multiply(alpha, alpha, out=tmp)
+            tmp += 1.0
+            np.maximum(gamma, tmp, out=gamma)
+            gamma[leaving] = max(gamma_q / (w_r * w_r), 1.0)
+            alpha *= d[entering]
+            d -= alpha
+            d[entering] = 0.0
+            fresh = False
             self.pivot(leave_pos, entering, w)
             self.xB[leave_pos] = enter_val
         return "iteration-limit"

@@ -138,11 +138,11 @@ class TestNuTilde:
 
     def test_past_the_vertex_wall(self):
         # 4x4x3x3 has 6,561 local vertices.  Bland's rule alone took 184,509
-        # pivots (~224 s) on this point; Dantzig pricing takes ~2,000.
+        # pivots (~224 s) on this point; steepest-edge pricing takes ~316.
         p = random_nonlocal(np.random.default_rng(5), Alphabets(4, 4, 3, 3))
         result = nu_tilde(p)
         assert result.value == pytest.approx(1.6210622562, abs=1e-8)
-        assert result.diagnostics["iterations"] < 5000
+        assert result.diagnostics["iterations"] < 1000
         bell = result.dual_certificate
         assert best_local_response(bell.coeffs)[0] <= 1.0 + 1e-9
         assert best_local_response(-bell.coeffs)[0] <= 1.0 + 1e-9

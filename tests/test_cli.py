@@ -261,6 +261,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 177. MiB for an array"],
+                             ids=["bare", "numpy"])
+    def test_memory_error_is_exit_2(self, capsys, monkeypatch, pr_file, message):
+        def exhausted(p):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr("nonsig.bounds.nu_tilde", exhausted)
+        assert main(["nu", pr_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_sdp_over_dimension_cap_is_exit_2(self, capsys, tmp_path):
         # The 3x3x3x3 eps program has total block dimension 359 > 200.
         path = tmp_path / "u3333.json"

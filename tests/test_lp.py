@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from nonsig.bounds import nu_corr, nu_tilde, nu_tilde_eps
-from nonsig.core import pr_box
+from nonsig.core import Alphabets, best_local_response, pr_box
 from nonsig import lp
 from nonsig.lp import LinearProgram, LpSolution, _Simplex, solve_lp
+from helpers import random_nonlocal
 
 
 def brute_force_minimum(prog):
@@ -164,7 +165,8 @@ def _packing_program(rng, m=24, n=80):
 
 class _LoopSimplex(_Simplex):
     """The engine's pricing and ratio test written as loops over columns and
-    rows: the reference that the engine's numpy iteration must match.
+    rows, with every reduced cost and edge weight recomputed from B^-1 at
+    each pivot: the reference that the engine's updated weights must match.
     ``bland_priced`` counts the iterations priced by the Bland fallback."""
 
     bland_priced = 0
@@ -175,25 +177,30 @@ class _LoopSimplex(_Simplex):
             if it % 64 == 63:
                 self.refactor()
             y = c[self.basis] @ self.Binv
-            d = c - y @ self.A
             bland = degenerate >= lp._BLAND_AFTER
-            eligible = []  # (column, direction of its move off its bound)
+            eligible = []  # (column, direction of its move off its bound, d_j^2 / gamma_j)
             for j in range(self.n):
                 if self.in_basis[j] or self.lo[j] == self.up[j]:
                     continue
-                if not self.at_upper[j] and d[j] < -lp._DUAL_TOL:
-                    eligible.append((j, 1.0))
-                elif self.at_upper[j] and d[j] > lp._DUAL_TOL:
-                    eligible.append((j, -1.0))
+                d_j = c[j] - y @ self.A[:, j]
+                if not self.at_upper[j] and d_j < -lp._DUAL_TOL:
+                    move = 1.0
+                elif self.at_upper[j] and d_j > lp._DUAL_TOL:
+                    move = -1.0
+                else:
+                    continue
+                edge = self.Binv @ self.A[:, j]
+                eligible.append((j, move, d_j * d_j / (1.0 + edge @ edge)))
             if not eligible:
                 return "optimal"
             if bland:
-                entering, direction = eligible[0]
+                entering, direction, _ = eligible[0]
             else:
-                # Dantzig: the first column within _DUAL_TOL of the largest |d_j|.
-                best = max(abs(d[j]) for j, _ in eligible)
-                entering, direction = next((j, move) for j, move in eligible
-                                           if abs(d[j]) >= best - lp._DUAL_TOL)
+                # Steepest edge: the first column within a relative
+                # _TIE_REL of the largest d_j^2 / gamma_j.
+                best = max(r for _, _, r in eligible)
+                entering, direction, _ = next(e for e in eligible
+                                              if e[2] >= best - lp._TIE_REL * best)
             self.bland_priced += bland
             w = self.Binv @ self.A[:, entering]
             t_flip = self.up[entering] - self.lo[entering]
@@ -214,7 +221,12 @@ class _LoopSimplex(_Simplex):
                 degenerate = 0
                 continue
             degenerate = degenerate + 1 if t_row <= lp._PIVOT_TOL else 0
-            old, pos, _, to_upper = min(b for b in blocking if b[2] <= t_row + lp._PIVOT_TOL)
+            ties = [b for b in blocking if b[2] <= t_row + lp._PIVOT_TOL]
+            if not bland:
+                # The largest |w_i| (within a relative _TIE_REL) among the ties.
+                size = max(abs(w[i]) for _, i, _, _ in ties)
+                ties = [b for b in ties if abs(w[b[1]]) >= size * (1.0 - lp._TIE_REL)]
+            old, pos, _, to_upper = min(ties)
             self.xB -= t_row * direction * w
             enter_val = (self.up[entering] if self.at_upper[entering] else self.lo[entering]) \
                 + direction * t_row
@@ -249,7 +261,11 @@ def _outputs(sol):
 
 class TestLoopReference:
     def test_same_pivots_and_bits(self, monkeypatch):
-        programs = _reference_programs()
+        # Steepest edge takes no 50 degenerate pivots in a row on the
+        # reference programs; on this taller packing program it does, and
+        # the Bland fallback engages.
+        programs = _reference_programs() + [
+            _packing_program(np.random.default_rng([5, 50, 100, 14]), m=50, n=100)]
         fast = [_outputs(solve_lp(prog)) for prog in programs]
         eps_fast = nu_tilde_eps(pr_box(), 0.1)
         engines = []
@@ -302,7 +318,7 @@ class TestStartBasis:
                 counts["other-start"] += 1
             assert again.status == "optimal"
             assert again.objective == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
-        assert counts == {"no-basis": 1, "zero-pivots": 4, "fell-back": 12, "other-start": 3}
+        assert counts == {"no-basis": 1, "zero-pivots": 4, "fell-back": 11, "other-start": 4}
 
     @staticmethod
     def _split_program():
@@ -378,8 +394,8 @@ class TestPivotRule:
     SYLVESTER_8 = np.kron(np.kron(H2, H2), H2)
 
     @pytest.mark.parametrize("n, pivots, value", [
-        pytest.param(5, 42, 2.533333333333333, id="5x5"),
-        pytest.param(6, 191, 2.7272727272727275, id="6x6"),
+        pytest.param(5, 34, 2.533333333333333, id="5x5"),
+        pytest.param(6, 64, 2.7272727272727275, id="6x6"),
     ])
     def test_nu_corr_sylvester_blocks(self, n, pivots, value):
         res = nu_corr(self.SYLVESTER_8[:n, :n])
@@ -393,25 +409,24 @@ class TestPivotRule:
 
     def test_nu_tilde_eps_pr_box(self):
         res = nu_tilde_eps(pr_box(), 0.1)
-        assert res.diagnostics["iterations"] == 42
+        assert res.diagnostics["iterations"] == 28
         assert res.value == pytest.approx(1.6, rel=1e-12)
 
     def test_boxed_program(self):
-        # 2 of the 68 iterations are bound flips of the entering variable.
+        # 3 of the 44 iterations are bound flips of the entering variable.
         prog = _boxed_program()
         sol = solve_lp(prog)
         check_optimal(prog, sol)
-        assert sol.iterations == 68
+        assert sol.iterations == 44
         assert sol.objective == pytest.approx(-11.3976346917502, rel=1e-12)
 
     def test_degenerate_packing_program(self):
-        # The Bland fallback engages here; with it after 49 or 51 degenerate
-        # pivots in place of 50 the count is 207 or 205, under Bland's rule
-        # alone 515.
+        # Steepest edge takes no 50 degenerate pivots in a row here, so the
+        # Bland fallback stays off; Bland's rule alone takes 515.
         prog = _packing_program(np.random.default_rng([11, 3]))
         sol = solve_lp(prog)
         check_optimal(prog, sol)
-        assert sol.iterations == 204
+        assert sol.iterations == 60
         assert sol.objective == pytest.approx(-13.0, rel=1e-12)
 
     @pytest.mark.parametrize("case, pivots, value", [
@@ -437,6 +452,75 @@ class TestPivotRule:
             "nu-eps-pr-box": lambda: nu_tilde_eps(pr_box(), 0.1),
         }[case]()
         assert (res.diagnostics["iterations"], res.value) == (pivots, value)
+
+
+def _sign_matrix(seed):
+    return np.where(np.random.default_rng(seed).uniform(size=(6, 6)) < 0.5, -1.0, 1.0)
+
+
+def _panel_point(seed):
+    return random_nonlocal(np.random.default_rng(seed), Alphabets(3, 3, 3, 3))
+
+
+# The pivot panel: degenerate programs on which Dantzig pricing took from
+# 168 to 3,826 pivots at one size (the 6x6 sign matrices).  Each entry is
+# (id, solve, pivots, value under Dantzig pricing).
+_PANEL = [
+    ("signs-61-6", lambda: nu_corr(_sign_matrix([61, 6])), 74, 2.499999999999997),
+] + [
+    (f"signs-71-6-{k}", lambda k=k: nu_corr(_sign_matrix([71, 6, k])), pivots, value)
+    for k, (pivots, value) in enumerate([
+        (61, 2.5), (74, 2.634146341463415), (70, 2.500000000000001),
+        (75, 2.500000000000004), (76, 2.499999999999998), (81, 2.4999999999999982),
+        (73, 2.666666666666667), (69, 2.657894736842107), (85, 2.599999999999998),
+        (54, 2.500000000000002)])
+] + [
+    ("sylvester-5x5", lambda: nu_corr(TestPivotRule.SYLVESTER_8[:5, :5]), 34, 2.533333333333333),
+    ("sylvester-6x6", lambda: nu_corr(TestPivotRule.SYLVESTER_8[:6, :6]), 64, 2.7272727272727275),
+    ("eps-3333-0", lambda: nu_tilde_eps(_panel_point(0), 0.05), 235, 1.2744402454823323),
+] + [
+    (f"nu-3333-17-{k}", lambda k=k: nu_tilde(_panel_point([17, k])), pivots, value)
+    for k, (pivots, value) in enumerate([
+        (89, 1.7095752620795794), (85, 1.4950195972336182), (94, 1.7157709690596346),
+        (100, 1.6432305593195524), (96, 1.8186095613609483), (92, 1.4737049321559148),
+        (97, 1.727693293056677), (83, 1.7843600342803234), (89, 1.680049810694661),
+        (106, 1.4522234277414021)])
+] + [
+    (f"packing-11-{k}", lambda k=k: solve_lp(_packing_program(np.random.default_rng([11, k]))),
+     pivots, value)
+    for k, (pivots, value) in enumerate([
+        (77, -36.0), (61, -14.0), (80, -34.666666666666664), (60, -13.0),
+        (57, -3.0), (65, -4.0), (73, -32.0), (71, -26.5)])
+]
+
+
+class TestPivotPanel:
+    """Pivot counts on the panel: 6x6 nu_corr on eleven random sign
+    matrices and two Sylvester blocks, a 3x3x3x3 nu_tilde_eps point, ten
+    random 3x3x3x3 nu_tilde points and eight 0/1 packing programs.  Values
+    match those of Dantzig pricing to 1e-9, and the Bland fallback never
+    engages: without it the pivots are the same."""
+
+    @staticmethod
+    def _pivots_and_value(res):
+        if isinstance(res, LpSolution):
+            assert res.status == "optimal"
+            return res.iterations, res.objective
+        return res.diagnostics["iterations"], res.value
+
+    @pytest.mark.parametrize("solve, pivots, value",
+                             [case[1:] for case in _PANEL], ids=[case[0] for case in _PANEL])
+    def test_pivots_and_value(self, monkeypatch, solve, pivots, value):
+        res = solve()
+        got, got_value = self._pivots_and_value(res)
+        assert got == pivots
+        assert got_value == pytest.approx(value, abs=1e-9)
+        if getattr(res, "quantity", None) == "nu_tilde":
+            bell = res.dual_certificate
+            assert best_local_response(bell.coeffs)[0] <= 1.0 + 1e-9
+            assert best_local_response(-bell.coeffs)[0] <= 1.0 + 1e-9
+        monkeypatch.setattr(lp, "_BLAND_AFTER", 10**9)
+        assert self._pivots_and_value(solve())[0] == pivots
 
 
 class TestBruteForceOracle:
