@@ -18,9 +18,7 @@ import numpy as np
 
 from . import __version__, bounds, games, simulate
 from .core import (
-    InfeasibleRepresentationError,
     ResourceLimitError,
-    ShapeError,
     affine_basis,
     load_distribution,
     to_correlation_rep,
@@ -95,7 +93,12 @@ def _digest(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _load_valid_distribution(path):
+def _load_correlations(path) -> np.ndarray:
+    """Correlation matrix from either a raw {"C": ...} file or a binary dist."""
+    with open(path) as f:
+        obj = json.load(f)
+    if isinstance(obj, dict) and "C" in obj and "p" not in obj:
+        return np.atleast_2d(np.asarray(obj["C"], dtype=float))
     dist = load_distribution(path)
     report = validate(dist)
     if not report.ok:
@@ -103,16 +106,6 @@ def _load_valid_distribution(path):
             "input distribution fails validation: "
             + ", ".join(report.violated_families())
         )
-    return dist
-
-
-def _load_correlations(path) -> np.ndarray:
-    """Correlation matrix from either a raw {"C": ...} file or a binary dist."""
-    with open(path) as f:
-        obj = json.load(f)
-    if isinstance(obj, dict) and "C" in obj and "p" not in obj:
-        return np.atleast_2d(np.asarray(obj["C"], dtype=float))
-    dist = _load_valid_distribution(path)
     return to_correlation_rep(dist).C
 
 
@@ -182,7 +175,7 @@ def _dispatch(args) -> int:
         return EXIT_OK if report.ok else EXIT_INVALID
 
     if args.command in ("nu", "nu-eps", "gamma2", "gamma2-eps"):
-        dist = _load_valid_distribution(args.input)
+        dist = load_distribution(args.input)
         if args.command == "nu":
             result = bounds.nu_tilde(dist)
         elif args.command == "nu-eps":
@@ -195,7 +188,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "bell":
-        dist = _load_valid_distribution(args.input)
+        dist = load_distribution(args.input)
         bell = bounds.dual_bell(dist, args.bound_class)
         _emit(args, {
             "bound_class": bell.claimed_bound_class,
@@ -226,7 +219,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "decompose":
-        dist = _load_valid_distribution(args.input)
+        dist = load_distribution(args.input)
         model = bounds.quantum_to_local_decomposition(dist)
         resid = float(np.abs(model.evaluate() - bounds.extended_table(dist)).max())
         _emit(args, {
@@ -239,12 +232,12 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "gap-check":
-        dist = _load_valid_distribution(args.input)
+        dist = load_distribution(args.input)
         _emit(args, bounds.gap_check(dist), digest)
         return EXIT_OK
 
     if args.command in ("smp-classical", "smp-quantum", "smp-boolean"):
-        dist = _load_valid_distribution(args.input)
+        dist = load_distribution(args.input)
         nu = bounds.nu_tilde(dist)  # the local affine model of least mass
         model, mass = nu.primal_certificate, nu.value
         kwargs = {} if args.replays is None else {"replays": args.replays}
@@ -313,9 +306,7 @@ def main(argv=None) -> int:
         # A subclass of ValueError, but an engine breakdown, not bad input.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    except (bounds.InvalidDistributionError, ShapeError,
-            InfeasibleRepresentationError, ValueError,
-            FileNotFoundError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except ResourceLimitError as e:

@@ -49,16 +49,16 @@ class ResourceLimitError(RuntimeError):
     """A configured enumeration or size cap would be exceeded."""
 
 
-def check_vertex_cap(count: int, items: str, cap: int | None = None) -> None:
+def check_vertex_cap(count: int, items: str) -> None:
     """Refuse to enumerate ``count`` items above the cap.
 
     The one cap policy for every vertex-type enumeration (local vertices,
-    sign vertices, classical strategies): ``cap`` if given, else
-    NONSIG_VERTEX_CAP, else DEFAULT_VERTEX_CAP.
+    sign vertices, classical strategies): NONSIG_VERTEX_CAP if set, else
+    DEFAULT_VERTEX_CAP.
     """
-    limit = cap if cap is not None else DEFAULT_VERTEX_CAP
+    limit = DEFAULT_VERTEX_CAP
     env = os.environ.get("NONSIG_VERTEX_CAP")
-    if cap is None and env:
+    if env:
         if not env.strip().isdecimal():
             raise ValueError(f"NONSIG_VERTEX_CAP must be a nonnegative integer, got {env!r}")
         limit = int(env)
@@ -316,7 +316,7 @@ class ValidationReport:
         return out
 
 
-def validate(dist: ConditionalDistribution, tol: float = TOL_FEAS) -> ValidationReport:
+def validate(dist: ConditionalDistribution) -> ValidationReport:
     """Check normalization, nonnegativity, and non-signaling of a table."""
     t = dist.table
     norm_viol = float(np.abs(t.sum(axis=(2, 3)) - 1.0).max())
@@ -328,9 +328,9 @@ def validate(dist: ConditionalDistribution, tol: float = TOL_FEAS) -> Validation
     ns_b = float(np.abs(pb - pb.mean(axis=0, keepdims=True)).max()) if dist.alphabets.nx > 1 else 0.0
     ns_viol = max(ns_a, ns_b)
     return ValidationReport(
-        normalized=norm_viol <= tol,
-        nonnegative=neg_viol <= tol,
-        non_signaling=ns_viol <= tol,
+        normalized=norm_viol <= TOL_FEAS,
+        nonnegative=neg_viol <= TOL_FEAS,
+        non_signaling=ns_viol <= TOL_FEAS,
         max_normalization_violation=norm_viol,
         max_negativity=neg_viol,
         max_ns_violation=ns_viol,
@@ -378,10 +378,10 @@ def deterministic_strategies(n_inputs: int, n_outcomes: int, rows=None) -> np.nd
     return k[:, None] // n_outcomes ** np.arange(n_inputs - 1, -1, -1) % n_outcomes
 
 
-def enumerate_local_vertices(alphabets: Alphabets, cap: int | None = None):
+def enumerate_local_vertices(alphabets: Alphabets):
     """Yield all na^nx * nb^ny local deterministic vertices: vertex k pairs
     Alice's strategy k % na^nx with Bob's k // na^nx."""
-    check_vertex_cap(alphabets.vertex_count, "local vertices", cap)
+    check_vertex_cap(alphabets.vertex_count, "local vertices")
     las = deterministic_strategies(alphabets.nx, alphabets.na).tolist()
     for lb in deterministic_strategies(alphabets.ny, alphabets.nb).tolist():
         for la in las:

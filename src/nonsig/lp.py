@@ -26,7 +26,11 @@ until the next nondegenerate step, so it cannot cycle (Bland 1977).
 ``solve_lp`` can start from a given basis: when its matrix is
 nonsingular and its basic values lie within their bounds, phase 1 is
 skipped (the min-L1 LPs of ``bounds`` start this way from a crash basis);
-otherwise the two phases run from the artificial basis as usual.
+otherwise the two phases run from the artificial basis as usual.  Only
+``_Simplex.iterate`` changes a basis.  Phase 2 fixes every artificial at
+zero and leaves in place those still basic after phase 1: each leaves at
+the first pivot whose column touches its row, and one on a redundant
+equality row stays basic at zero.
 Deterministic: a given program always takes the same pivot sequence.
 Sizes here are desk-scale (hundreds of rows), so the basis inverse is kept
 dense and refactorized periodically.  A singular basis matrix at a
@@ -127,7 +131,7 @@ class LpSolution:
     duality_gap: float = np.nan
     iterations: int = 0
     # Final basis: m column indices into the standard form (variables, then
-    # ub slacks); None when it keeps the artificial of a redundant row.
+    # ub slacks); None while any artificial is basic.
     basis: np.ndarray | None = None
 
 
@@ -146,12 +150,6 @@ class _Simplex:
         self.Binv = None
         self.xB = None
         self.iterations = 0  # pivots and bound flips over all phases
-
-    def set_basis(self, basis):
-        self.basis = np.array(basis, dtype=int)
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        self.refactor()
 
     def refactor(self):
         B = self.A[:, self.basis]
@@ -191,13 +189,8 @@ class _Simplex:
         blocks of at most ``_WEIGHT_BLOCK`` entries of B^-1 A."""
         gamma = np.empty(self.n)
         step = max(1, _WEIGHT_BLOCK // self.m)
-        # From a signed identity (the artificial basis) B^-1 a_j = +-a_j.
-        unit = np.count_nonzero(self.Binv) == self.m \
-            and np.all(np.abs(self.Binv.diagonal()) == 1.0)
         for s in range(0, self.n, step):
-            W = self.A[:, s:s + step]
-            if not unit:
-                W = self.Binv @ W
+            W = self.Binv @ self.A[:, s:s + step]
             gamma[s:s + step] = 1.0 + (W * W).sum(axis=0)
         return gamma
 
@@ -332,9 +325,9 @@ def solve_lp(prog: LinearProgram, start_basis=None) -> LpSolution:
     is nonsingular and the basic values lie within their bounds, phase 1
     is skipped and phase 2 starts from that basis; otherwise the solve is
     the same as without a start.  An optimal solution's ``basis`` (None
-    when it keeps the artificial of a redundant equality row) restarts
-    its program in 0 pivots unless a nonbasic variable of that optimum
-    sits at its upper bound.
+    while an artificial is still basic, at zero: always so when an
+    equality row is redundant) restarts its program in 0 pivots unless a
+    nonbasic variable of that optimum sits at its upper bound.
     """
     n = prog.n_vars
     m_eq, m_ub = prog.n_eq, prog.n_ub
@@ -405,8 +398,8 @@ def _check_start(prog: LinearProgram, basis, m: int) -> np.ndarray:
 
 
 def _start_from(sx: _Simplex, basis: np.ndarray, scale: float) -> bool:
-    """Put ``sx`` at ``basis`` with every nonbasic column (the artificials
-    too) at its lower bound.
+    """Put ``sx`` at ``basis`` (a start basis, or phase 1's artificial
+    basis) with every nonbasic column at its lower bound.
 
     Returns whether that start is usable: a well-conditioned basis matrix
     whose basic values lie within their bounds to ``_FEAS_TOL * scale``.
@@ -435,7 +428,10 @@ def _phase_one(sx: _Simplex, first_art: int, limit: int, scale: float) -> str | 
     """Phase 1 from the artificial basis (the columns of ``sx`` from
     ``first_art`` on).  Returns a failure status, or None when a feasible
     basis is found."""
-    sx.set_basis(range(first_art, sx.n))
+    # The artificial basis: a signed identity (condition 1) whose values
+    # are |b - A lo| >= 0, refused only if those values are NaN.
+    if not _start_from(sx, np.arange(first_art, sx.n), scale):
+        return "numerical-error"
 
     # Minimize artificial mass.
     c1 = np.zeros(sx.n)
@@ -447,21 +443,6 @@ def _phase_one(sx: _Simplex, first_art: int, limit: int, scale: float) -> str | 
     art_mass = sum(sx.xB[art_rows])  # in row order, as a running sum
     if art_mass > _FEAS_TOL * scale:
         return "infeasible"
-
-    # Drive artificials out of the basis where possible; freeze the rest
-    # (their rows are redundant equalities).
-    for i in art_rows:
-        alphas = sx.Binv[i, :] @ sx.A[:, :first_art]
-        order = np.argsort(-np.abs(alphas))
-        order = order[(np.abs(alphas[order]) >= 1e-7) & ~sx.in_basis[order]]
-        for k in order:
-            w = sx.Binv @ sx.A[:, k]
-            if abs(w[i]) >= 1e-7:
-                sx.pivot(i, k, w)
-                sx.recompute_xB()
-                break
-        else:
-            sx.up[sx.basis[i]] = 0.0  # inert artificial pins a redundant row
     return None
 
 
@@ -472,11 +453,10 @@ def _phase_two(prog: LinearProgram, sx: _Simplex, A: np.ndarray, limit: int,
     n, m_eq = prog.n_vars, prog.n_eq
     b, first_art = sx.b, A.shape[1]
 
-    # Any nonbasic artificial must stay at zero.
-    frozen = ~sx.in_basis
-    frozen[:first_art] = False
-    sx.up[frozen] = 0.0
-    sx.at_upper[frozen] = False
+    # Every artificial is fixed at zero.  One still basic blocks at step 0
+    # and leaves at the first pivot whose column touches its row; on a
+    # redundant equality row it stays basic at zero.
+    sx.up[first_art:] = 0.0
 
     c = np.concatenate([prog.c, np.zeros(sx.n - n)])
     status = sx.iterate(c, limit)

@@ -60,6 +60,8 @@ _RES_OK, _GAP_OK, _EIG_OK = 1e-6, 1e-5, -1e-7
 # contract ends the run.  Runs that go on to the inner tolerance were seen to
 # stall for up to 3.
 _PATIENCE = 5
+# Fraction of the distance to the cone's boundary that a step goes.
+_TAU = 0.98
 
 
 class SdpProgram:
@@ -149,20 +151,20 @@ def _sym(M):
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _max_step(X, dX, tau=0.98):
+def _max_step(X, dX):
     """For each stack X[s] of shape (k, d, d): the largest alpha <= 1 with
     every X[s, i] + alpha*dX[s, i] still positive definite.  One Cholesky,
     one inverse and one eigvalsh cover every matrix of every stack."""
     Linv = np.linalg.inv(np.linalg.cholesky(X))
     lam = np.linalg.eigvalsh(_sym(Linv @ dX @ Linv.swapaxes(-1, -2)))[..., 0]
-    alpha = np.minimum(1.0, np.divide(-tau, lam, out=np.ones_like(lam), where=lam < 0))
+    alpha = np.minimum(1.0, np.divide(-_TAU, lam, out=np.ones_like(lam), where=lam < 0))
     return alpha.min(axis=-1)
 
 
-def _max_ratio(x, dx, tau=0.98):
+def _max_ratio(x, dx):
     """For each row of x: the largest alpha <= 1 with x + alpha*dx still
     entrywise positive."""
-    ratios = np.divide(-tau * x, dx, out=np.ones_like(x), where=dx < 0)
+    ratios = np.divide(-_TAU * x, dx, out=np.ones_like(x), where=dx < 0)
     return ratios.min(axis=-1, initial=1.0)
 
 
@@ -285,8 +287,6 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
             X, y, it = best_X, best_y, best_it
             break
         XS = XS + np.array([[alpha_p], [alpha_d]]) * dXS
-        for V in stacks(XS):
-            V[...] = _sym(V)
         X, S = XS
         y = y + alpha_d * dy
 

@@ -43,7 +43,6 @@ class SmpPlan:
     delta: float
     T: int                  # samples per sign per input pair
     beta: float             # per-cell estimate slack
-    alphabets: Alphabets | None = None
     L: int | None = None    # shared-randomness pool size (quantum)
 
 
@@ -92,7 +91,7 @@ def classical_plan(lam: float, delta: float, alphabets: Alphabets,
     if T is None:
         T = _ceil(lambda: 8.0 * (AB * lam / delta) ** 2 * math.log(4.0 * AB / delta))
     _check_inputs(T=T)
-    return SmpPlan("classical", float(lam), float(epsilon), float(delta), int(T), beta, alphabets)
+    return SmpPlan("classical", float(lam), float(epsilon), float(delta), int(T), beta)
 
 
 def quantum_plan(lam: float, delta: float, alphabets: Alphabets, epsilon: float = 0.0,
@@ -108,7 +107,7 @@ def quantum_plan(lam: float, delta: float, alphabets: Alphabets, epsilon: float 
         L = _ceil(lambda: 16.0 * n * lam ** 2 / delta ** 2)
     _check_inputs(T=T, L=L)
     return SmpPlan("quantum", float(lam), float(epsilon), float(delta),
-                   int(T), beta, alphabets, int(L))
+                   int(T), beta, int(L))
 
 
 def boolean_plan(lam: float, delta: float, epsilon: float = 0.0,

@@ -223,6 +223,15 @@ class TestExitCodes:
     def test_missing_file_is_exit_1(self):
         assert main(["nu", "/nonexistent/path.json"]) == 1
 
+    @pytest.mark.parametrize("where", ["input", "output"])
+    def test_directory_path_is_exit_1(self, capsys, tmp_path, pr_file, where):
+        argv = (["nu", str(tmp_path)] if where == "input"
+                else ["validate", pr_file, "--output", str(tmp_path)])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_malformed_json_is_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -294,7 +303,7 @@ class TestExitCodes:
         assert report["value"] > 1.0
 
     def test_forced_sdp_breakdown_is_exit_3(self, monkeypatch, signs_6x6_file):
-        def broken(X, dX, tau=0.98):
+        def broken(X, dX):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr("nonsig.sdp._max_step", broken)

@@ -150,10 +150,6 @@ class TestVertexEnumeration:
         assert vertices[0].lambda_b == vertices[1].lambda_b
         assert vertices[0].lambda_a != vertices[1].lambda_a
 
-    def test_cap_refusal(self):
-        with pytest.raises(ResourceLimitError):
-            list(enumerate_local_vertices(B22, cap=15))
-
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("NONSIG_VERTEX_CAP", "15")
         with pytest.raises(ResourceLimitError):

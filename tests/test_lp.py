@@ -9,7 +9,7 @@ from nonsig.bounds import nu_corr, nu_tilde, nu_tilde_eps
 from nonsig.core import Alphabets, best_local_response, pr_box
 from nonsig import lp
 from nonsig.lp import LinearProgram, LpSolution, _Simplex, solve_lp
-from helpers import random_nonlocal
+from helpers import nonsignaling_equalities, random_nonlocal
 
 
 def brute_force_minimum(prog):
@@ -281,6 +281,64 @@ class TestLoopReference:
         assert eps_fast.value == eps_ref.value
         assert eps_fast.diagnostics["iterations"] == eps_ref.diagnostics["iterations"]
         assert any(sx.bland_priced for sx in engines)
+
+
+def _redundant_row_programs():
+    """The non-signaling polytope of three shapes under ten seeded random
+    objectives each: equality rows with redundancies, in unit boxes."""
+    for shape in [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2)]:
+        alph = Alphabets(*shape)
+        A, b = nonsignaling_equalities(alph)
+        for k in range(10):
+            c = np.random.default_rng([*shape, k]).normal(size=alph.n_cells)
+            yield LinearProgram(c=c, A_eq=A, b_eq=b, ub=np.ones(alph.n_cells))
+
+
+class TestEngineContract:
+    """Only ``_Simplex.iterate`` changes a basis; phase 2 leaves the
+    artificials still basic after phase 1 in place, fixed at zero."""
+
+    def test_pivots_only_inside_iterate(self, monkeypatch):
+        iterate, pivot = _Simplex.iterate, _Simplex.pivot
+        running, pivots = [False], []  # pivots: whether each ran inside iterate
+
+        def watched_iterate(self, *args):
+            running[0] = True
+            try:
+                return iterate(self, *args)
+            finally:
+                running[0] = False
+
+        def watched_pivot(self, *args):
+            pivots.append(running[0])
+            pivot(self, *args)
+
+        monkeypatch.setattr(_Simplex, "iterate", watched_iterate)
+        monkeypatch.setattr(_Simplex, "pivot", watched_pivot)
+        for prog in [*_reference_programs(), *_redundant_row_programs()]:
+            solve_lp(prog)
+        nu_tilde_eps(pr_box(), 0.1)
+        assert pivots and all(pivots)
+
+    def test_redundant_row_panel(self, monkeypatch):
+        # On a redundant row an artificial stays basic for good; others
+        # still basic after phase 1 leave during phase 2.
+        phase_two, ends = lp._phase_two, []
+
+        def watched(prog, sx, A, *args):
+            basic_art = lambda: int(np.count_nonzero(sx.basis >= A.shape[1]))
+            entered = basic_art()
+            sol = phase_two(prog, sx, A, *args)
+            ends.append((entered, basic_art()))
+            return sol
+
+        monkeypatch.setattr(lp, "_phase_two", watched)
+        for prog in _redundant_row_programs():
+            sol = solve_lp(prog)
+            check_optimal(prog, sol)
+            assert (sol.basis is None) == (ends[-1][1] > 0)
+        assert len(ends) == 30 and all(entered for entered, _ in ends)
+        assert any(left < entered for entered, left in ends)
 
 
 class TestStartBasis:
@@ -591,7 +649,8 @@ class TestDualSigns:
 
 class TestNumericalBreakdown:
     def test_singular_basis_is_a_status(self, monkeypatch):
-        # The start basis factors; every later refactorization fails.
+        # The refactorization at the end of phase 1 succeeds; every later
+        # one fails.
         refactor = _Simplex.refactor
         calls = []
 

@@ -396,7 +396,7 @@ class TestValidationAndLimits:
 
 class TestNumericalBreakdown:
     def test_breakdown_is_a_status(self, monkeypatch):
-        def broken(X, dX, tau=0.98):
+        def broken(X, dX):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr("nonsig.sdp._max_step", broken)
