@@ -20,6 +20,7 @@ from . import __version__, bounds, games, simulate
 from .core import (
     ResourceLimitError,
     affine_basis,
+    distribution_from_json,
     load_distribution,
     to_correlation_rep,
     validate,
@@ -99,13 +100,8 @@ def _load_correlations(path) -> np.ndarray:
         obj = json.load(f)
     if isinstance(obj, dict) and "C" in obj and "p" not in obj:
         return np.atleast_2d(np.asarray(obj["C"], dtype=float))
-    dist = load_distribution(path)
-    report = validate(dist)
-    if not report.ok:
-        raise bounds.InvalidDistributionError(
-            "input distribution fails validation: "
-            + ", ".join(report.violated_families())
-        )
+    dist = distribution_from_json(obj)
+    bounds._require_valid(dist)  # the refusal every bound command prints
     return to_correlation_rep(dist).C
 
 

@@ -78,8 +78,8 @@ class Alphabets:
 
     def __post_init__(self):
         for name in ("nx", "ny", "na", "nb"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            v = getattr(self, name)  # bool subclasses int, but is no size
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ShapeError(f"{name} must be a positive integer, got {v!r}")
 
     @property
@@ -436,6 +436,9 @@ def affine_basis(nx: int, ny: int) -> list[CorrelationRep]:
     marginal.  Each converts to a valid probability table, but only the
     span matters: together they have full rank nx*ny + nx + ny.
     """
+    for name, n in (("nx", nx), ("ny", ny)):
+        if n < 1:
+            raise ShapeError(f"{name} must be >= 1, got {n}")
     # Member k is row k of the identity, split into its C, u and v parts.
     C, u, v = np.split(np.eye(nx * ny + nx + ny), [nx * ny, nx * ny + nx], axis=1)
     return [CorrelationRep(Ck.reshape(nx, ny), uk, vk) for Ck, uk, vk in zip(C, u, v)]

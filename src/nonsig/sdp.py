@@ -12,19 +12,19 @@ returned residuals, per-block minimum eigenvalues and linear block let
 callers verify the solution independently of the algorithm.
 
 An ``SdpProgram`` holds the arrays the engine solves, and its
-``add_constraint`` takes a whole stack of constraints in one call.
+``add_constraint`` takes a whole stack of constraints in one call.  Its PSD
+part is k >= 1 blocks of one size d (every program the package builds: two
+d x d moment blocks, or one Gram block); any other shape is refused with
+``ValueError`` when the program is made.
 
-Each run of consecutive PSD blocks of one size d is handled as one
-(k, d, d) stack, and every per-block step runs on the stack: one batched
-inverse of S, batched products for the Schur complement, its right-hand
-side and dX, and one ``_max_step`` call that factors the X and S stacks
-together.  A program whose blocks all have one size (every program the
-package builds) makes five ``numpy.linalg`` calls per iteration: that
-inverse, a Cholesky, an inverse and an ``eigvalsh`` for both step lengths,
-and the Schur solve.  Batched ``numpy.linalg`` runs the same LAPACK
-routine on each matrix, and every sum keeps its order (block by block,
-then over constraints in order), so the iterates do not depend on how the
-blocks are grouped.
+The PSD blocks are one (k, d, d) stack, and every per-block step runs on
+it: one batched inverse of S, one batched product each for the Schur
+complement, its right-hand side and dX, and one ``_max_step`` call that
+factors the X and S stacks together.  Each iteration makes five
+``numpy.linalg`` calls: that inverse, a Cholesky, an inverse and an
+``eigvalsh`` for both step lengths, and the Schur solve.  Batched
+``numpy.linalg`` runs the same LAPACK routine on each matrix, and every sum
+keeps its order (block by block, then over constraints in order).
 
 A run ends at the inner tolerance, after 500 iterations, or on
 the best iterate seen (by the largest of its primal residual, dual
@@ -45,7 +45,6 @@ residual and relative gap) in one of two cases:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -78,8 +77,9 @@ class SdpProgram:
     def __init__(self, block_dims, n_linear: int = 0):
         self.block_dims = [int(d) for d in block_dims]
         self.n_linear = int(n_linear)
-        if any(d < 1 for d in self.block_dims) or self.n_linear < 0:
-            raise ValueError("block dimensions must be positive, the linear length >= 0")
+        if len(set(self.block_dims)) != 1 or self.block_dims[0] < 1 or self.n_linear < 0:
+            raise ValueError("expected k >= 1 PSD blocks of one positive size and a linear "
+                             f"length >= 0, got {self.block_dims} and {self.n_linear}")
         if self.total_dim > _DIM_CAP:  # refused before any array is built
             raise ResourceLimitError(
                 f"total block dimension {self.total_dim} exceeds cap {_DIM_CAP}")
@@ -168,30 +168,19 @@ def _max_ratio(x, dx):
     return ratios.min(axis=-1, initial=1.0)
 
 
-def _runs(prog: SdpProgram):
-    """(d, k, slice) for each run of k consecutive PSD blocks of size d, the
-    slice covering the run in the program's layout."""
-    runs, j = [], 0
-    for d, group in groupby(prog.block_dims):
-        k = len(list(group))
-        runs.append((d, k, slice(prog.span[j].start, prog.span[j + k - 1].stop)))
-        j += k
-    return runs
-
-
 def solve_sdp(prog: SdpProgram) -> SdpSolution:
     """Interior-point solve; see module docstring for the problem form."""
-    dims, m, b = prog.block_dims, prog.n_constraints, prog.b
+    k, d, m, b = len(prog.block_dims), prog.block_dims[0], prog.n_constraints, prog.b
     # W stacks A, the objective c and a row for S, so that one elementwise
     # product with an iterate X gives A X, c.X and S.X.
     W = np.concatenate([prog.A, prog.c[None], np.zeros((1, len(prog.c)))])
     A, c = W[:m], W[m]
-    lin, spans, runs = prog.span[LINEAR], list(prog.span.values()), _runs(prog)
-    # Row block of A for each run, as (k, m, d*d): block j's coefficients.
-    A_runs = [A[:, sl].reshape(m, k, d * d).transpose(1, 0, 2) for d, k, sl in runs]
+    lin, spans, psd = prog.span[LINEAR], list(prog.span.values()), slice(0, k * d * d)
+    # A as (k, m, d*d): block j's coefficients.
+    A_blocks = A[:, psd].reshape(m, k, d * d).transpose(1, 0, 2)
 
-    def stacks(v):  # the PSD runs of v's rows in that layout, as (..., k, d, d) views
-        return [v[..., sl].reshape(*v.shape[:-1], k, d, d) for d, k, sl in runs]
+    def stack(v):  # the PSD blocks of v's rows, as one (..., k, d, d) view
+        return v[..., psd].reshape(*v.shape[:-1], k, d, d)
 
     # Sums run block by block, and over constraints in order, rather than
     # through one BLAS product: near a rank-deficient optimum the iteration
@@ -207,8 +196,8 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
     scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(c).max(initial=0.0)))
     ridge = 1e-14 * scale * np.eye(m)
     # The primal iterate X and the dual slack S are the rows of XS, so that
-    # each run's X and S stacks are one (2, k, d, d) view.
-    X = np.concatenate([np.eye(d).reshape(-1) for d in dims] + [np.ones(prog.n_linear)])
+    # the X and S stacks are one (2, k, d, d) view.
+    X = np.concatenate([np.eye(d).reshape(-1)] * k + [np.ones(prog.n_linear)])
     XS, y = np.stack([10.0 * scale * X] * 2), np.zeros(m)
     X, S = XS
 
@@ -248,20 +237,19 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
 
         sigma = 0.3 if it <= 2 else sigma_next
         try:
-            XS_runs = stacks(XS)
-            Sinv = [np.linalg.inv(V[1]) for V in XS_runs]
+            Xk, Sk = stack(XS)
+            Sinv = np.linalg.inv(Sk)
             x, sinv = X[lin], 1.0 / S[lin]
-            # Schur complement M[i,k] = sum_j tr(A_ij X_j A_kj Sinv_j), where
+            # Schur complement M[i,l] = sum_j tr(A_ij X_j A_lj Sinv_j), where
             # the linear block acts as the diagonal blocks diag(x), diag(s).
-            # Each block's term is its own product, added in block order, and
-            # one m x m temporary is alive at a time.
-            M, rhs = np.zeros((m, m)), rp.copy()
-            for (d, k, sl), Ak, (Xk, _), Si, Rk in zip(runs, A_runs, XS_runs, Sinv, stacks(Rd)):
-                XAS = Xk @ A[:, sl].reshape(m, k, d, d) @ Si
-                w = (Xk - sigma * mu * Si + Xk @ Rk @ Si).transpose(0, 2, 1).reshape(k, d * d)
-                for j, (Aj, rj) in enumerate(zip(Ak, Ak @ w[:, :, None])):
-                    M += XAS[:, j].transpose(0, 2, 1).reshape(m, d * d) @ Aj.T
-                    rhs += rj[:, 0]
+            # Each block's term is its own m x m product, added in block
+            # order; the k of them are alive at once (0.16 MB for the two
+            # 101 x 101 terms of a 2x2x3x3 eps program).
+            XAS = (Xk @ stack(A) @ Sinv).transpose(1, 0, 3, 2).reshape(k, m, d * d)
+            w = Xk - sigma * mu * Sinv + Xk @ stack(Rd) @ Sinv
+            w = w.transpose(0, 2, 1).reshape(k, d * d)
+            M = sum(XAS @ A_blocks.transpose(0, 2, 1))
+            rhs = sum((A_blocks @ w[:, :, None])[:, :, 0], rp)
             M += (A[:, lin] * (x * sinv)) @ A[:, lin].T
             rhs += A[:, lin] @ (x - sigma * mu * sinv + x * Rd[lin] * sinv)
             M = _sym(M)
@@ -273,13 +261,11 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
             dXS = np.empty_like(XS)
             dX, dS = dXS
             dS[...] = Rd - apply_AT(dy)
-            for (dXk, dSk), (Xk, _), Si in zip(stacks(dXS), XS_runs, Sinv):
-                dXk[...] = _sym(sigma * mu * Si - Xk - Xk @ dSk @ Si)
+            stack(dX)[...] = _sym(sigma * mu * Sinv - Xk - Xk @ stack(dS) @ Sinv)
             dX[lin] = sigma * mu * sinv - x - x * dS[lin] * sinv
-            # Step lengths of X (entry 0) and S (entry 1): one call per run.
-            steps = [_max_step(V, dV) for V, dV in zip(XS_runs, stacks(dXS))]
-            steps.append(_max_ratio(XS[:, lin], dXS[:, lin]))
-            alpha_p, alpha_d = min(a for a, _ in steps), min(a for _, a in steps)
+            # Step lengths of X (entry 0) and S (entry 1).
+            alpha_p, alpha_d = np.minimum(_max_step(stack(XS), stack(dXS)),
+                                          _max_ratio(XS[:, lin], dXS[:, lin]))
         except np.linalg.LinAlgError:
             # The iterate has lost definiteness (rank-deficient optimum,
             # ill-conditioned Schur system): stop on the best iterate.
@@ -296,8 +282,8 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
     AX, pobj, _ = products(X)
     rp = b - AX
     dobj = float(b @ y)
-    blocks = [X[prog.span[j]].reshape(d, d) for j, d in enumerate(dims)]
-    min_eigs = [float(e) for Xk in stacks(X) for e in np.linalg.eigvalsh(Xk)[:, 0]]
+    blocks = list(stack(X))
+    min_eigs = np.linalg.eigvalsh(stack(X))[:, 0].tolist()
     gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     max_res = float(np.abs(rp).max(initial=0.0))
     if status in ("max-iterations", "numerical-error") and max_res <= _RES_OK \

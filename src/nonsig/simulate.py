@@ -46,11 +46,15 @@ class SmpPlan:
     L: int | None = None    # shared-randomness pool size (quantum)
 
 
-def _check_inputs(delta: float | None = None, **counts) -> None:
-    """Refuse a delta outside (0, 1), a count (T, L, replays) below 1, and a
-    plan numpy cannot sample: T above 2^63 - 1 or L above the vertex cap."""
+def _check_inputs(delta: float | None = None, epsilon: float | None = None,
+                  **counts) -> None:
+    """Refuse a delta outside (0, 1), an epsilon outside [0, 1) (NaN included),
+    a count (T, L, replays) below 1, and a plan numpy cannot sample: T above
+    2^63 - 1 or L above the vertex cap."""
     if delta is not None and not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if epsilon is not None and not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     for name, k in counts.items():
         if k is not None and k < 1:
             raise ValueError(f"{name} must be >= 1, got {k}")
@@ -85,7 +89,7 @@ class SimulationOutcome:
 def classical_plan(lam: float, delta: float, alphabets: Alphabets,
                    epsilon: float = 0.0, T: int | None = None) -> SmpPlan:
     """Trial count and slack for the classical SMP protocol."""
-    _check_inputs(delta)
+    _check_inputs(delta, epsilon)
     AB = alphabets.na * alphabets.nb
     beta = delta / (4.0 * AB)
     if T is None:
@@ -97,7 +101,7 @@ def classical_plan(lam: float, delta: float, alphabets: Alphabets,
 def quantum_plan(lam: float, delta: float, alphabets: Alphabets, epsilon: float = 0.0,
                  T: int | None = None, L: int | None = None) -> SmpPlan:
     """Plan for the quantum-fingerprint SMP protocol (simulated)."""
-    _check_inputs(delta)
+    _check_inputs(delta, epsilon)
     AB = alphabets.na * alphabets.nb
     beta = delta / (8.0 * AB)
     if T is None:

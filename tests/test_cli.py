@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from nonsig import __version__
 from nonsig.cli import main
 from nonsig.core import distribution_to_json, dump_distribution, pr_box, uniform_distribution, Alphabets
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 @pytest.fixture
@@ -143,6 +146,15 @@ class TestGameAndBasis:
         assert report["count"] == 8 and report["rank"] == 8
         assert report["full_rank"]
 
+    @pytest.mark.parametrize("nx, ny, name", [("0", "2", "nx"), ("-1", "2", "nx"),
+                                              ("2", "0", "ny")])
+    def test_basis_empty_or_negative_party_is_exit_1(self, capsys, nx, ny, name):
+        assert main(["basis", "--nx", nx, "--ny", ny, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be >= 1")
+        assert captured.err.count("\n") == 1
+
 
 class TestSmpCommands:
     def test_smp_classical(self, capsys, pr_file):
@@ -176,6 +188,8 @@ class TestSmpCommands:
         (["smp-quantum", "--delta", "0.2", "--trials", "100", "--pool-size", "0"], "got 0"),
         (["smp-classical", "--delta", "0.1", "--replays", "0"], "got 0"),
         (["smp-boolean", "--delta", "0.1", "--replays", "-3"], "got -3"),
+        (["smp-classical", "--delta", "0.1", "--epsilon", "nan"], "got nan"),
+        (["smp-quantum", "--delta", "0.2", "--epsilon", "-1"], "got -1.0"),
     ])
     def test_bad_plan_input_is_exit_1(self, capsys, pr_file, argv, bad):
         assert main([argv[0], pr_file, *argv[1:]]) == 1
@@ -219,6 +233,24 @@ class TestExitCodes:
 
     def test_invalid_input_to_bound_is_exit_1(self, signaling_file):
         assert main(["nu", signaling_file]) == 1
+
+    def test_correlation_commands_refuse_like_the_others(self, capsys, signaling_file):
+        errors = []
+        for command in ("nu", "nu-corr", "gamma2-corr"):
+            assert main([command, signaling_file]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: distribution fails validation: ")
+        assert errors == [errors[0]] * 3
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["nu"], ["nu-eps", "--epsilon", "0.1"], ["gamma2"],
+        ["gamma2-eps", "--epsilon", "0.1"], ["bell"], ["decompose"], ["gap-check"],
+        ["smp-classical", "--delta", "0.1"], ["nu-corr"]])
+    def test_boolean_alphabet_size_is_exit_1(self, capsys, command):
+        assert main([command[0], str(INPUTS / "bool_alphabet.json"), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nx must be a positive integer, got True\n"
 
     def test_missing_file_is_exit_1(self):
         assert main(["nu", "/nonexistent/path.json"]) == 1

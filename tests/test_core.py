@@ -250,6 +250,11 @@ class TestBestLocalResponse:
 
 
 class TestAffineBasis:
+    @pytest.mark.parametrize("nx,ny,name", [(0, 2, "nx"), (-1, 2, "nx"), (2, 0, "ny")])
+    def test_empty_or_negative_party_rejected(self, nx, ny, name):
+        with pytest.raises(ShapeError, match=f"{name} must be >= 1"):
+            affine_basis(nx, ny)
+
     @pytest.mark.parametrize("nx,ny,count", [(2, 2, 8), (1, 1, 3), (2, 3, 11)])
     def test_counts_and_rank(self, nx, ny, count):
         basis = affine_basis(nx, ny)
@@ -354,6 +359,14 @@ class TestJson:
     def test_missing_keys_rejected(self):
         with pytest.raises(ShapeError):
             distribution_from_json({"nx": 2})
+
+    def test_boolean_alphabet_size_rejected(self):
+        # bool subclasses int; True is no alphabet size.
+        with pytest.raises(ShapeError, match="nx must be a positive integer, got True"):
+            distribution_from_json({"nx": True, "ny": True, "na": 2, "nb": 2,
+                                    "p": [[[[0.5, 0], [0, 0.5]]]]})
+        with pytest.raises(ShapeError, match="nb"):
+            Alphabets(2, 2, 2, False)
 
 
 class TestCanonicalDistributions:

@@ -47,9 +47,9 @@ class TestClosedForm:
 
     def test_two_blocks(self):
         # Two independent copies of the diagonal problem.
-        prog = SdpProgram([2, 3])
-        prog.set_objective({0: np.eye(2), 1: np.eye(3)})
-        prog.add_constraint({0: unit(2, 0, 1) + unit(2, 1, 0)}, 2.0)
+        prog = SdpProgram([3, 3])
+        prog.set_objective({0: np.eye(3), 1: np.eye(3)})
+        prog.add_constraint({0: unit(3, 0, 1) + unit(3, 1, 0)}, 2.0)
         prog.add_constraint({1: unit(3, 0, 2) + unit(3, 2, 0)}, 2.0)
         sol = solve_sdp(prog)
         assert sol.status == "optimal"
@@ -60,22 +60,25 @@ class TestClosedForm:
 class TestLinearBlock:
     def test_linear_only_matches_lp(self):
         # min c.x s.t. A x = b, x >= 0, made feasible by a positive x0 and
-        # bounded by a dual-feasible c = A^T y0 + s0 with s0 > 0.
+        # bounded by a dual-feasible c = A^T y0 + s0 with s0 > 0.  A program
+        # has at least one PSD block: a 1x1 block fixed at 1 at zero cost.
         rng = np.random.default_rng(13)
         for _ in range(6):
             m, n = int(rng.integers(2, 5)), int(rng.integers(5, 10))
             A = rng.normal(size=(m, n))
             b = A @ rng.uniform(0.5, 2.0, size=n)
             c = A.T @ rng.normal(size=m) + rng.uniform(0.1, 1.0, size=n)
-            prog = SdpProgram([], n)
+            prog = SdpProgram([1], n)
             prog.set_objective({LINEAR: c})
+            prog.add_constraint({0: np.ones((1, 1))}, 1.0)
             for i in range(m):
                 prog.add_constraint({LINEAR: A[i]}, b[i])
             sol = solve_sdp(prog)
             ref = solve_lp(LinearProgram(c=c, A_eq=A, b_eq=b))
             assert sol.status == ref.status == "optimal"
             assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
-            assert sol.blocks == [] and sol.linear.min() >= -1e-7
+            assert sol.blocks[0][0, 0] == pytest.approx(1.0, abs=1e-6)
+            assert sol.linear.min() >= -1e-7
             assert sol.max_equality_residual <= 1e-6
 
     @pytest.mark.parametrize("floor", [0.5, 2.0])
@@ -102,10 +105,10 @@ class TestLinearBlock:
             prog.set_objective({LINEAR: np.ones(4)})
 
     def test_total_dim_counts_linear_length(self):
-        assert SdpProgram([2, 3], 4).total_dim == 9
-        assert SdpProgram([100], 100).total_dim == 200  # at the cap
+        assert SdpProgram([3, 3], 4).total_dim == 10
+        assert SdpProgram([100, 100]).total_dim == 200  # at the cap
         with pytest.raises(ResourceLimitError, match="201 exceeds cap 200"):
-            SdpProgram([100], 101)
+            SdpProgram([100, 100], 1)
 
 
 class TestLambdaMaxOracle:
@@ -195,15 +198,15 @@ class TestSolutionQuality:
 
 
 class TestStackedBlocks:
-    def test_unequal_runs_and_linear_block(self):
-        # Block sizes [3, 2, 3] form three runs, the equal sizes not adjacent.
+    def test_three_blocks_and_linear_block(self):
+        # Three 3x3 blocks, one (3, 3, 3) stack, and a linear block.
         # min sum_j <C_j, X_j> + c.x  s.t.  tr X_j = 1, sum(x) = 2  splits into
         # independent parts: lambda_min(C_j) for each block, 2 min(c).
         rng = np.random.default_rng(7)
-        dims, c = [3, 2, 3], np.array([0.7, 0.3, 1.1])
+        dims, c = [3, 3, 3], np.array([0.7, 0.3, 1.1])
         Cs = [0.5 * (G + G.T) for G in (rng.normal(size=(d, d)) for d in dims)]
         lams = [float(np.linalg.eigvalsh(C)[0]) for C in Cs]
-        assert abs(lams[0] - lams[2]) > 0.1  # so a swap of blocks 0 and 2 shows
+        assert np.diff(sorted(lams)).min() > 0.1  # so a swap of any two blocks shows
         prog = SdpProgram(dims, 3)
         prog.set_objective({**dict(enumerate(Cs)), LINEAR: c})
         for j, d in enumerate(dims):
@@ -335,7 +338,13 @@ class TestValidationAndLimits:
     def test_dim_cap(self):
         # Refused when the program is made, before its arrays are built.
         with pytest.raises(ResourceLimitError):
-            SdpProgram([150, 100])
+            SdpProgram([150, 150])
+
+    @pytest.mark.parametrize("dims, n_linear", [([2, 3], 0), ([3, 2, 3], 3), ([], 4)])
+    def test_one_block_size_required(self, dims, n_linear):
+        # The engine solves k >= 1 PSD blocks of one size, nothing else.
+        with pytest.raises(ValueError, match="PSD blocks of one positive size"):
+            SdpProgram(dims, n_linear)
 
     def test_bad_block_shape(self):
         prog = SdpProgram([2])

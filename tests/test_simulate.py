@@ -73,6 +73,9 @@ class TestPlans:
         lambda: classical_plan(2.0, 0.1, B22, T=0),
         lambda: quantum_plan(2.0, 0.1, B22, T=10, L=0),
         lambda: boolean_plan(2.0, 0.1, T=0),
+        lambda: classical_plan(2.0, 0.1, B22, -1.0),           # epsilon outside [0, 1)
+        lambda: classical_plan(2.0, 0.1, B22, float("nan")),
+        lambda: quantum_plan(2.0, 0.1, B22, 1.0),
     ])
     def test_bad_inputs_rejected(self, make):
         with pytest.raises(ValueError):
