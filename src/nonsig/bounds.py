@@ -92,10 +92,10 @@ def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str, alpha: flo
     as an LP over the split q = q+ - q-, then r (at alpha = 1, no r).
 
     S must have full row rank, so phase 1 leaves no redundant row and the
-    equality multipliers have no null directions.  Returns the LP
-    solution, the weights q, the multipliers y (at alpha = 1 an optimal
-    dual functional: |y . column| <= 1 on every column of S, and y . target
-    is the optimum) and their normalization max |y . column|.
+    equality multipliers have no null directions.  Returns the optimum,
+    the LP's record, the weights q, the multipliers y (at alpha = 1 an
+    optimal dual functional: |y . column| <= 1 on every column of S, and
+    y . target is the optimum) and their normalization max |y . column|.
 
     The simplex starts from a crash basis and skips phase 1.  Every
     column of [S, -S] has a negated twin, so any m independent columns of
@@ -123,10 +123,9 @@ def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str, alpha: flo
                                  lb=np.append(np.zeros(2 * V), np.ones(k)),
                                  ub=np.append(np.full(2 * V, np.inf), np.full(k, alpha))),
                    start_basis=start)
-    if sol.status != "optimal":
-        raise RuntimeError(f"{name} LP returned {sol.status}")
+    record = sol.record(name)
     y = sol.dual_eq
-    return sol, sol.x[:V] - sol.x[V:2 * V], y, float(np.abs(y @ S).max())
+    return float(sol.objective), record, sol.x[:V] - sol.x[V:2 * V], y, float(np.abs(y @ S).max())
 
 
 # Scores within this fraction of the largest remaining squared norm tie.
@@ -180,7 +179,7 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     alph = p.alphabets
     cg = _DataMap(alph)
     rows = cg.data_rhs(vertex_table_matrix(alph).reshape(*alph.shape, -1))
-    sol, q, y, norm = _min_l1_combination(rows, cg.data_rhs(p.table), "nu_tilde")
+    value, record, q, y, norm = _min_l1_combination(rows, cg.data_rhs(p.table), "nu_tilde")
     # The non-signaling tables with unit coordinates span the vertex tables.
     span = cg.tables(np.eye(len(y))).reshape(alph.n_cells, -1)
     coeffs = _project_onto_span(cg.fold(y).reshape(-1), span)
@@ -190,18 +189,12 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
         claimed_bound_class="local",
         normalization=norm,
     )
-    recon = np.abs(model.evaluate() - p.table).max() if model.components else np.inf
     return BoundResult(
         quantity="nu_tilde",
-        value=float(sol.objective),
+        value=value,
         primal_certificate=model,
         dual_certificate=bell,
-        diagnostics={
-            "lp_status": sol.status,
-            "iterations": sol.iterations,
-            "duality_gap": sol.duality_gap,
-            "reconstruction_residual": float(recon),
-        },
+        diagnostics={**record, "reconstruction_residual": model.residual(p.table)},
     )
 
 
@@ -238,8 +231,7 @@ def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
 
     sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=np.append(pvec, 1.0), A_ub=A_ub,
                                  b_ub=np.full(len(budgets), 2.0 * eps), ub=ub))
-    if sol.status != "optimal":
-        raise RuntimeError(f"nu_tilde_eps LP unexpectedly returned {sol.status}")
+    record = sol.record("nu_tilde_eps")
     q = sol.x[:V] - sol.x[V:2 * V]
     model = AffineModel.from_vertex_weights(alph, q)
     p_prime = (Vt @ q).reshape(alph.shape)
@@ -249,9 +241,7 @@ def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
         epsilon=float(eps),
         primal_certificate=model,
         diagnostics={
-            "lp_status": sol.status,
-            "iterations": sol.iterations,
-            "duality_gap": sol.duality_gap,
+            **record,
             "perturbed_target": p_prime,
             "distance_used": float(
                 0.5 * np.abs(p_prime - p.table).sum(axis=(2, 3)).max()
@@ -396,42 +386,38 @@ class _MomentLayout(_DataMap):
         return AffineModel(comps, certified_class="npa-level-1")
 
 
+def _exact_program(p: ConditionalDistribution) -> tuple[_MomentLayout, SdpProgram]:
+    """The moment layout of p's alphabet and the program whose two blocks
+    must reproduce p on every Collins-Gisin coordinate."""
+    layout = _MomentLayout(p.alphabets)
+    prog = layout.program()
+    prog.add_constraint({0: layout.data, 1: -layout.data}, layout.data_rhs(p.table))
+    return layout, prog
+
+
 def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     """Level-1 relaxation of gamma2_tilde: a lower bound on it and on nu_tilde.
 
     Two homogenized moment blocks carry the positive and negative parts of
     the decomposition; their difference must reproduce p on a linearly
     independent set of coordinates (retained cells, marginals,
-    normalization), and the objective is the total scale t+ + t-.
+    normalization), and the objective is the total scale t+ + t-.  The
+    multipliers of those data constraints, folded into a coefficient
+    tensor, are the level-1 Tsirelson functional: B(p) is the value.
     """
     _require_valid(p)
-    layout = _MomentLayout(p.alphabets)
-    prog = layout.program()
-    prog.add_constraint({0: layout.data, 1: -layout.data}, layout.data_rhs(p.table))
-
+    layout, prog = _exact_program(p)
     sol = solve_sdp(prog)
-    if sol.status != "optimal":
-        raise RuntimeError(f"gamma2_tilde_1 SDP returned {sol.status}")
+    record = sol.record("gamma2_tilde_1")
     model = layout.model(sol.blocks)
-    recon = float(np.abs(model.evaluate() - p.table).max()) if model.components else np.inf
     return BoundResult(
         quantity="gamma2_tilde_1",
         value=float(sol.objective),
         primal_certificate=model,
-        diagnostics={
-            "sdp_status": sol.status,
-            "iterations": sol.iterations,
-            "relative_gap": sol.relative_gap,
-            "max_equality_residual": sol.max_equality_residual,
-            "min_eigenvalue": sol.block_min_eig(),
-            "reconstruction_residual": recon,
-            "data_dual": sol.dual[-len(layout.data):],
-        },
+        dual_certificate=BellFunctional(coeffs=layout.fold(sol.dual[-len(layout.data):]),
+                                        claimed_bound_class="npa-level-1", normalization=1.0),
+        diagnostics={**record, "reconstruction_residual": model.residual(p.table)},
     )
-
-
-_EPS_SDP_KEYS = ("sdp_status", "iterations", "relative_gap", "max_equality_residual",
-                 "min_eigenvalue")
 
 
 def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
@@ -448,40 +434,31 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     if eps == 0.0:
         # The ball is {p}: every u, v is forced to 0, so the joint program
         # has no interior.  Solve the exact program instead.
-        exact = gamma2_tilde_1(p)
-        return BoundResult(
-            quantity="gamma2_tilde_1_eps",
-            value=exact.value,
-            primal_certificate=exact.primal_certificate,
-            diagnostics={k: exact.diagnostics[k] for k in _EPS_SDP_KEYS},
-        )
-    alph = p.alphabets
-    layout = _MomentLayout(alph)
-    n, n_in = alph.n_cells, alph.nx * alph.ny
-
-    # Linear block: p', u, v (n entries each), then the nx*ny budget slacks;
-    # row k of `e` selects entry k.
-    e = np.eye(3 * n + n_in)
-    pp, u, v = e[:n], e[n:2 * n], e[2 * n:3 * n]
-    prog = layout.program(len(e))
-    E00 = layout.data[-1]
-    prog.add_constraint({0: E00, 1: -E00}, 1.0)
-    cells = layout.cells.reshape(n, layout.d, layout.d)
-    prog.add_constraint({0: cells, 1: -cells, LINEAR: -pp}, np.zeros(n))  # the blocks give p'
-    prog.add_constraint({LINEAR: pp - u + v}, p.flat())
-    prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]},
-                        np.full(n_in, 2.0 * eps))
-
+        layout, prog = _exact_program(p)
+    else:
+        alph = p.alphabets
+        layout = _MomentLayout(alph)
+        n, n_in = alph.n_cells, alph.nx * alph.ny
+        # Linear block: p', u, v (n entries each), then the nx*ny budget
+        # slacks; row k of `e` selects entry k.
+        e = np.eye(3 * n + n_in)
+        pp, u, v = e[:n], e[n:2 * n], e[2 * n:3 * n]
+        prog = layout.program(len(e))
+        E00 = layout.data[-1]
+        prog.add_constraint({0: E00, 1: -E00}, 1.0)
+        cells = layout.cells.reshape(n, layout.d, layout.d)
+        prog.add_constraint({0: cells, 1: -cells, LINEAR: -pp}, np.zeros(n))  # the blocks give p'
+        prog.add_constraint({LINEAR: pp - u + v}, p.flat())
+        prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]},
+                            np.full(n_in, 2.0 * eps))
     sol = solve_sdp(prog)
-    if sol.status != "optimal":
-        raise RuntimeError(f"gamma2_tilde_1_eps SDP returned {sol.status}")
+    record = sol.record("gamma2_tilde_1_eps")
     return BoundResult(
         quantity="gamma2_tilde_1_eps",
         value=float(sol.objective),
         epsilon=float(eps),
         primal_certificate=layout.model(sol.blocks),
-        diagnostics=dict(zip(_EPS_SDP_KEYS, (sol.status, sol.iterations, sol.relative_gap,
-                                             sol.max_equality_residual, sol.block_min_eig()))),
+        diagnostics=record,
     )
 
 
@@ -528,7 +505,7 @@ def _sign_mass(C: np.ndarray, alpha: float, name: str) -> float:
     S = _sign_vertex_matrix(*C.shape)[0]
     if not np.all(C):
         return np.inf
-    return float(_min_l1_combination(S, 1.0 / C.reshape(-1), name, alpha)[0].objective)
+    return _min_l1_combination(S, 1.0 / C.reshape(-1), name, alpha)[0]
 
 
 def nu_corr(C: np.ndarray) -> BoundResult:
@@ -536,7 +513,7 @@ def nu_corr(C: np.ndarray) -> BoundResult:
     C = _correlation_matrix(C)
     nx, ny = C.shape
     S, us, vs = _sign_vertex_matrix(nx, ny)
-    sol, q, y, norm = _min_l1_combination(S, C.reshape(-1), "nu_corr")
+    value, record, q, y, norm = _min_l1_combination(S, C.reshape(-1), "nu_corr")
     corr_B = y.reshape(nx, ny)
     bell = BellFunctional(
         coeffs=np.einsum("xy,a,b->xyab", corr_B, SIGNS, SIGNS),
@@ -547,11 +524,10 @@ def nu_corr(C: np.ndarray) -> BoundResult:
     keep = np.abs(q) > 1e-12
     return BoundResult(
         quantity="nu_corr",
-        value=float(sol.objective),
+        value=value,
         dual_certificate=bell,
         diagnostics={
-            "lp_status": sol.status,
-            "iterations": sol.iterations,
+            **record,
             "weights": q[keep],
             "sign_pairs": [(us[k // len(vs)], vs[k % len(vs)]) for k in np.flatnonzero(keep)],
         },
@@ -576,18 +552,9 @@ def gamma2_corr(C: np.ndarray) -> BoundResult:
     prog.add_constraint({0: _sym_outer(eye[:nx, None], eye[None, nx:]).reshape(-1, n, n)},
                         C.reshape(-1))
     sol = solve_sdp(prog)
-    if sol.status != "optimal":
-        raise RuntimeError(f"gamma2_corr SDP returned {sol.status}")
-    return BoundResult(
-        quantity="gamma2_corr",
-        value=float(sol.objective),
-        diagnostics={
-            "sdp_status": sol.status,
-            "iterations": sol.iterations,
-            "gram": sol.blocks[0],
-            "relative_gap": sol.relative_gap,
-        },
-    )
+    record = sol.record("gamma2_corr")
+    return BoundResult(quantity="gamma2_corr", value=float(sol.objective),
+                       diagnostics={**record, "gram": sol.blocks[0]})
 
 
 def nu_corr_alpha(C: np.ndarray, alpha: float) -> float:
@@ -616,16 +583,14 @@ def dual_bell(p: ConditionalDistribution, bound_class: str = "local") -> BellFun
     the functional nu_tilde already returns: its equality multipliers on
     the Collins-Gisin rows, folded into a coefficient tensor and projected
     onto the span of the local vertex tables, so B(p) = nu_tilde(p); the
-    normalization is max |B(vertex)| over every vertex.  npa-level-1:
-    read off the data-constraint multipliers of the gamma2_tilde_1 SDP,
+    normalization is max |B(vertex)| over every vertex.  npa-level-1: the
+    functional gamma2_tilde_1 returns, its data-constraint multipliers
     folded into a plain coefficient tensor.
     """
     if bound_class == "local":
         return nu_tilde(p).dual_certificate
     if bound_class == "npa-level-1":
-        y = gamma2_tilde_1(p).diagnostics["data_dual"]
-        return BellFunctional(coeffs=_DataMap(p.alphabets).fold(y),
-                              claimed_bound_class="npa-level-1", normalization=1.0)
+        return gamma2_tilde_1(p).dual_certificate
     raise ValueError(f"unknown bound class {bound_class!r}")
 
 
@@ -742,7 +707,7 @@ def scaled_local_reconstruction(p: ConditionalDistribution, t: int,
     if t > 0:
         comps.append((1.0 - w, prod))
     model = AffineModel(comps, certified_class="local")
-    resid = np.abs(model.evaluate() - p.table).max()
+    resid = model.residual(p.table)
     if resid > TOL_RECON:
         raise ReconstructionError(
             f"2^t p_l + (1-2^t) pA.pB misses the target by {resid:.3g}; "

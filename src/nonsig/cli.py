@@ -21,7 +21,6 @@ from .core import (
     ResourceLimitError,
     affine_basis,
     distribution_from_json,
-    load_distribution,
     to_correlation_rep,
     validate,
 )
@@ -89,16 +88,10 @@ def _emit(args, payload: dict, digest: str | None) -> None:
         print(text)
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
-def _load_correlations(path) -> np.ndarray:
-    """Correlation matrix from either a raw {"C": ...} file or a binary dist."""
-    with open(path) as f:
-        obj = json.load(f)
-    if isinstance(obj, dict) and "C" in obj and "p" not in obj:
+def _load_correlations(obj) -> np.ndarray:
+    """Correlation matrix from a bare {"C": ...} object or a binary
+    distribution; a "C" with marginals is a distribution and must validate."""
+    if isinstance(obj, dict) and "C" in obj and obj.keys().isdisjoint(("p", "MA", "MB")):
         return np.atleast_2d(np.asarray(obj["C"], dtype=float))
     dist = distribution_from_json(obj)
     bounds._require_valid(dist)  # the refusal every bound command prints
@@ -153,10 +146,15 @@ def build_parser() -> _Parser:
 
 
 def _dispatch(args) -> int:
-    digest = _digest(args.input) if getattr(args, "input", None) else None
+    obj = digest = None
+    if getattr(args, "input", None):
+        with open(args.input, "rb") as f:
+            data = f.read()
+        digest = hashlib.sha256(data).hexdigest()
+        obj = json.loads(data.decode())
 
     if args.command == "validate":
-        dist = load_distribution(args.input)
+        dist = distribution_from_json(obj)
         report = validate(dist)
         _emit(args, {
             "normalized": report.normalized,
@@ -171,7 +169,7 @@ def _dispatch(args) -> int:
         return EXIT_OK if report.ok else EXIT_INVALID
 
     if args.command in ("nu", "nu-eps", "gamma2", "gamma2-eps"):
-        dist = load_distribution(args.input)
+        dist = distribution_from_json(obj)
         if args.command == "nu":
             result = bounds.nu_tilde(dist)
         elif args.command == "nu-eps":
@@ -184,7 +182,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "bell":
-        dist = load_distribution(args.input)
+        dist = distribution_from_json(obj)
         bell = bounds.dual_bell(dist, args.bound_class)
         _emit(args, {
             "bound_class": bell.claimed_bound_class,
@@ -195,14 +193,13 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command in ("nu-corr", "gamma2-corr"):
-        C = _load_correlations(args.input)
+        C = _load_correlations(obj)
         result = bounds.nu_corr(C) if args.command == "nu-corr" else bounds.gamma2_corr(C)
         _emit(args, bounds.bound_report(result), digest)
         return EXIT_OK
 
     if args.command == "xor-bias":
-        with open(args.input) as f:
-            game = games.game_from_json(json.load(f))
+        game = games.game_from_json(obj)
         cb = games.classical_bias(game)
         qb = games.quantum_bias(game)
         _emit(args, {
@@ -215,9 +212,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "decompose":
-        dist = load_distribution(args.input)
+        dist = distribution_from_json(obj)
         model = bounds.quantum_to_local_decomposition(dist)
-        resid = float(np.abs(model.evaluate() - bounds.extended_table(dist)).max())
+        resid = model.residual(bounds.extended_table(dist))
         _emit(args, {
             "components": len(model.components),
             "mass": model.mass,
@@ -228,12 +225,12 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "gap-check":
-        dist = load_distribution(args.input)
+        dist = distribution_from_json(obj)
         _emit(args, bounds.gap_check(dist), digest)
         return EXIT_OK
 
     if args.command in ("smp-classical", "smp-quantum", "smp-boolean"):
-        dist = load_distribution(args.input)
+        dist = distribution_from_json(obj)
         nu = bounds.nu_tilde(dist)  # the local affine model of least mass
         model, mass = nu.primal_certificate, nu.value
         kwargs = {} if args.replays is None else {"replays": args.replays}

@@ -253,6 +253,10 @@ class AffineModel:
         terms = np.reshape(weights, (-1, 1, 1, 1, 1)) * tables
         return np.add.accumulate(terms, axis=0)[-1]
 
+    def residual(self, table: np.ndarray) -> float:
+        """max |evaluate() - table|, or inf for an empty model."""
+        return float(np.abs(self.evaluate() - table).max()) if self.components else np.inf
+
     def split_signed(self):
         """Group terms by weight sign into (q_plus, mix_plus, q_minus, mix_minus).
 

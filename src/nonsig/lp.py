@@ -134,6 +134,13 @@ class LpSolution:
     # ub slacks); None while any artificial is basic.
     basis: np.ndarray | None = None
 
+    def record(self, name: str) -> dict:
+        """What a bound reports of this solve; RuntimeError unless optimal."""
+        if self.status != "optimal":
+            raise RuntimeError(f"{name} LP returned {self.status}")
+        return {"status": self.status, "iterations": self.iterations,
+                "duality_gap": self.duality_gap}
+
 
 class _Simplex:
     """Bounded-variable simplex state over A z = b, l <= z <= u."""

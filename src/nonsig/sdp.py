@@ -145,6 +145,15 @@ class SdpSolution:
     def block_min_eig(self) -> float:
         return min(self.min_eigenvalues) if self.min_eigenvalues else np.nan
 
+    def record(self, name: str) -> dict:
+        """What a bound reports of this solve; RuntimeError unless optimal."""
+        if self.status != "optimal":
+            raise RuntimeError(f"{name} SDP returned {self.status}")
+        return {"status": self.status, "iterations": self.iterations,
+                "relative_gap": self.relative_gap,
+                "max_equality_residual": self.max_equality_residual,
+                "min_eigenvalue": self.block_min_eig()}
+
 
 def _sym(M):
     """Symmetric part of a matrix, or of each matrix in a stack."""

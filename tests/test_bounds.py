@@ -496,7 +496,7 @@ class TestCorrelationQuantities:
         C = np.array(C, dtype=float)
         nx, ny = C.shape
         result = gamma2_corr(C)
-        assert result.diagnostics["sdp_status"] == "optimal"
+        assert result.diagnostics["status"] == "optimal"
         assert result.diagnostics["iterations"] == iterations
         G = result.diagnostics["gram"]
         residual = max(np.abs(G[:nx, nx:] - C).max(),
@@ -824,6 +824,46 @@ class TestDualBell:
         monkeypatch.setattr("nonsig.lp._Simplex.refactor", broken)
         with pytest.raises(RuntimeError, match="numerical-error"):
             nu_tilde(pr_box())
+
+
+LP_RECORD = ("status", "iterations", "duality_gap")
+SDP_RECORD = ("status", "iterations", "relative_gap", "max_equality_residual",
+              "min_eigenvalue")
+
+
+class TestSolveRecord:
+    """Every bound's diagnostics open with its engine's record, and each
+    bound class carries its own dual functional."""
+
+    @pytest.mark.parametrize("solve, keys", [
+        (lambda p: nu_tilde(p).diagnostics, LP_RECORD),
+        (lambda p: nu_tilde_eps(p, 0.05).diagnostics, LP_RECORD),
+        (lambda p: nu_corr(to_correlation_rep(p).C).diagnostics, LP_RECORD),
+        (lambda p: gamma2_tilde_1(p).diagnostics, SDP_RECORD),
+        (lambda p: gamma2_tilde_1_eps(p, 0.0).diagnostics, SDP_RECORD),
+        (lambda p: gamma2_tilde_1_eps(p, 0.05).diagnostics, SDP_RECORD),
+        (lambda p: gamma2_corr(to_correlation_rep(p).C).diagnostics, SDP_RECORD),
+        (lambda p: games.quantum_bias(games.bell_to_game(to_correlation_rep(p).C))
+         ["diagnostics"], SDP_RECORD),
+    ], ids=["nu_tilde", "nu_tilde_eps", "nu_corr", "gamma2_tilde_1", "gamma2_tilde_1_eps-0",
+            "gamma2_tilde_1_eps", "gamma2_corr", "quantum_bias"])
+    def test_diagnostics_start_with_the_engine_record(self, solve, keys):
+        diagnostics = solve(random_nonlocal(np.random.default_rng(91), B22))
+        assert tuple(diagnostics)[:len(keys)] == keys
+        assert diagnostics["status"] == "optimal"
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2)])
+    def test_gamma2_carries_its_tsirelson_functional(self, shape):
+        p = random_nonlocal(np.random.default_rng([92, *shape]), Alphabets(*shape))
+        result = gamma2_tilde_1(p)
+        bell = result.dual_certificate
+        assert bell.claimed_bound_class == "npa-level-1"
+        assert np.array_equal(bell.coeffs, dual_bell(p, "npa-level-1").coeffs)
+        # B(p) is the dual objective, so it misses the value by the gap.
+        gap = result.diagnostics["relative_gap"] * (1.0 + 2.0 * abs(result.value))
+        assert abs(bell.value(p) - result.value) <= gap + 1e-12
+        assert best_local_response(bell.coeffs)[0] <= 1.0 + 1e-6
+        assert best_local_response(-bell.coeffs)[0] <= 1.0 + 1e-6
 
 
 class TestDecomposition:

@@ -94,6 +94,8 @@ class TestBoundCommands:
         code, report = run_json(capsys, ["gamma2", pr_file])
         assert code == 0
         assert report["value"] == pytest.approx(np.sqrt(2), abs=1e-4)
+        assert report["dual_certificate"]["class"] == "npa-level-1"
+        assert report["diagnostics"]["status"] == "optimal"
 
     def test_gamma2_eps(self, capsys, pr_file):
         code, report = run_json(capsys, ["gamma2-eps", pr_file,
@@ -233,6 +235,46 @@ class TestExitCodes:
 
     def test_invalid_input_to_bound_is_exit_1(self, signaling_file):
         assert main(["nu", signaling_file]) == 1
+
+    @pytest.mark.parametrize("marginals", [
+        {"MA": [0, 0, 0]}, {"MA": "a"}, {"MA": [1, 1], "MB": [1, -1]}],
+        ids=["wrong-length", "string", "infeasible"])
+    @pytest.mark.parametrize("command", ["nu-corr", "gamma2-corr"])
+    def test_correlation_file_with_bad_marginals_is_exit_1(self, capsys, tmp_path, command,
+                                                            marginals):
+        # A file with marginals is a distribution, refused as `nu` refuses it.
+        path = tmp_path / "corr.json"
+        path.write_text(json.dumps({"C": [[1, 1], [1, -1]], **marginals}))
+        assert main(["nu", str(path)]) == 1
+        refusal = capsys.readouterr().err
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == refusal
+        assert refusal.startswith("error: ") and refusal.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["nu"], ["nu-corr"], ["xor-bias"]])
+    def test_input_file_is_read_once(self, monkeypatch, tmp_path, argv):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"G": [[1, 1], [1, -1]], "mu": [[0.25, 0.25], [0.25, 0.25]]}
+                                   if argv == ["xor-bias"] else {"C": [[1, 1], [1, -1]]}))
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main([argv[0], str(path)]) == 0
+        assert opened.count(str(path)) == 1
+
+    def test_undecodable_file_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"C": [[1]], "name": "\xe9"}')
+        assert main(["nu-corr", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_correlation_commands_refuse_like_the_others(self, capsys, signaling_file):
         errors = []

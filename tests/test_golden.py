@@ -1,7 +1,8 @@
 """Golden ``--json`` reports: the CLI output must stay byte-identical.
 
 Only LP-backed and combinatorial commands are pinned; SDP and Monte-Carlo
-reports may differ in their last digits between BLAS or numpy versions.
+reports may differ in their last digits between BLAS or numpy versions,
+and SDP reports also between OpenBLAS thread counts on one machine.
 The inputs live in ``tests/golden/inputs`` and each expected report in
 ``tests/golden/<case>.json``.  After an intended output change, rewrite
 the expected reports with ``PYTHONPATH=src python tests/test_golden.py``.
