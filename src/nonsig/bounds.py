@@ -341,12 +341,18 @@ class _MomentLayout(_DataMap):
     entries equal first-row entries (E^2 = E) and projectors of the same
     input are orthogonal.  ``data`` holds the moments a target fixes, one
     per Collins-Gisin coordinate and in the same order.
+
+    ``prog`` is the program over a positive and a negative moment block
+    (and ``n_linear`` nonnegative entries), each block with the projector
+    constraints, minimizing the total scale t+ + t-.  It is made first, so
+    a size over the SDP engine's cap is refused before any d^2 array.
     """
 
-    def __init__(self, alph: Alphabets):
+    def __init__(self, alph: Alphabets, n_linear: int = 0):
         super().__init__(alph)
         nx, ny, na, nb = alph.shape
         self.d = d = 1 + nx * (na - 1) + ny * (nb - 1)
+        self.prog = prog = SdpProgram([d, d], n_linear)
         eye = np.eye(d)
         ea = eye[1:1 + nx * (na - 1)].reshape(nx, na - 1, d)
         eb = eye[1 + nx * (na - 1):].reshape(ny, nb - 1, d)
@@ -362,16 +368,10 @@ class _MomentLayout(_DataMap):
                                     _sym_outer(eye[0], ea).reshape(-1, d, d),
                                     _sym_outer(eye[0], eb).reshape(-1, d, d),
                                     _sym_outer(eye[0], eye[:1])])
-
-    def program(self, n_linear: int = 0) -> SdpProgram:
-        """Positive and negative moment blocks, each with the projector
-        constraints, minimizing the total scale t+ + t-."""
-        prog = SdpProgram([self.d, self.d], n_linear)
         E00 = self.data[-1]
         prog.set_objective({0: E00, 1: E00})
         for block in (0, 1):
             prog.add_constraint({block: self.structural}, np.zeros(len(self.structural)))
-        return prog
 
     def model(self, blocks: list) -> AffineModel:
         """Affine model from the positive and negative moment blocks."""
@@ -386,13 +386,12 @@ class _MomentLayout(_DataMap):
         return AffineModel(comps, certified_class="npa-level-1")
 
 
-def _exact_program(p: ConditionalDistribution) -> tuple[_MomentLayout, SdpProgram]:
-    """The moment layout of p's alphabet and the program whose two blocks
-    must reproduce p on every Collins-Gisin coordinate."""
+def _exact_layout(p: ConditionalDistribution) -> _MomentLayout:
+    """The moment layout of p's alphabet, whose program's two blocks must
+    reproduce p on every Collins-Gisin coordinate."""
     layout = _MomentLayout(p.alphabets)
-    prog = layout.program()
-    prog.add_constraint({0: layout.data, 1: -layout.data}, layout.data_rhs(p.table))
-    return layout, prog
+    layout.prog.add_constraint({0: layout.data, 1: -layout.data}, layout.data_rhs(p.table))
+    return layout
 
 
 def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
@@ -406,8 +405,8 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     tensor, are the level-1 Tsirelson functional: B(p) is the value.
     """
     _require_valid(p)
-    layout, prog = _exact_program(p)
-    sol = solve_sdp(prog)
+    layout = _exact_layout(p)
+    sol = solve_sdp(layout.prog)
     record = sol.record("gamma2_tilde_1")
     model = layout.model(sol.blocks)
     return BoundResult(
@@ -434,16 +433,16 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     if eps == 0.0:
         # The ball is {p}: every u, v is forced to 0, so the joint program
         # has no interior.  Solve the exact program instead.
-        layout, prog = _exact_program(p)
+        layout = _exact_layout(p)
     else:
         alph = p.alphabets
-        layout = _MomentLayout(alph)
         n, n_in = alph.n_cells, alph.nx * alph.ny
         # Linear block: p', u, v (n entries each), then the nx*ny budget
         # slacks; row k of `e` selects entry k.
-        e = np.eye(3 * n + n_in)
+        layout = _MomentLayout(alph, 3 * n + n_in)
+        prog = layout.prog
+        e = np.eye(prog.n_linear)
         pp, u, v = e[:n], e[n:2 * n], e[2 * n:3 * n]
-        prog = layout.program(len(e))
         E00 = layout.data[-1]
         prog.add_constraint({0: E00, 1: -E00}, 1.0)
         cells = layout.cells.reshape(n, layout.d, layout.d)
@@ -451,7 +450,7 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
         prog.add_constraint({LINEAR: pp - u + v}, p.flat())
         prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]},
                             np.full(n_in, 2.0 * eps))
-    sol = solve_sdp(prog)
+    sol = solve_sdp(layout.prog)
     record = sol.record("gamma2_tilde_1_eps")
     return BoundResult(
         quantity="gamma2_tilde_1_eps",

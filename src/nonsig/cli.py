@@ -1,10 +1,16 @@
 """Command-line interface: one subcommand per library operation.
 
+``COMMANDS`` declares each subcommand once: its help text, the reader
+that turns the input file's JSON into the command's input, its options
+and its handler.  The parser is built from it, and every call reads its
+file once, parses it with the reader and reports what the handler returns.
+
 Exit codes: 0 success, 1 invalid input distribution, 2 resource-cap
 refusal, 3 solver non-convergence or numerical breakdown, 64 usage
-errors.  Every report embeds the tool version and the SHA-256 digest of
-the input file; --json output serializes floats with 12 significant
-digits so identical invocations are byte-identical.
+errors; ``_EXIT_CODES`` maps each error to its code.  Every report embeds
+the tool version and the SHA-256 digest of the input file; --json output
+serializes floats with 12 significant digits so identical invocations
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,11 +19,13 @@ import argparse
 import hashlib
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, bounds, games, simulate
 from .core import (
+    TOL_FEAS,
     ResourceLimitError,
     affine_basis,
     distribution_from_json,
@@ -47,14 +55,8 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.ndarray, np.floating, np.integer, np.bool_)):
+        return _round_floats(obj.tolist())  # the Python list or scalar
     return obj
 
 
@@ -90,201 +92,188 @@ def _emit(args, payload: dict, digest: str | None) -> None:
 
 def _load_correlations(obj) -> np.ndarray:
     """Correlation matrix from a bare {"C": ...} object or a binary
-    distribution; a "C" with marginals is a distribution and must validate."""
+    distribution; a "C" with marginals is a distribution and must validate.
+    A validated distribution's C is exact only to ``TOL_FEAS``, so it is
+    clipped to [-1, 1]."""
     if isinstance(obj, dict) and "C" in obj and obj.keys().isdisjoint(("p", "MA", "MB")):
         return np.atleast_2d(np.asarray(obj["C"], dtype=float))
     dist = distribution_from_json(obj)
     bounds._require_valid(dist)  # the refusal every bound command prints
-    return to_correlation_rep(dist).C
+    return np.clip(to_correlation_rep(dist).C, -1.0, 1.0)
+
+
+class Command(NamedTuple):
+    """One subcommand.  ``reader`` turns the input file's JSON into the
+    handler's input (None: the command reads no file), and ``options`` are
+    (flag, ``add_argument`` keywords) pairs.  ``handler(args, input)``
+    returns the report's payload, ``validate``'s also its exit code.
+    Handlers look library functions up through their modules (``validate``
+    through this one) at call time, so wrappers installed there see every
+    call."""
+
+    help: str
+    reader: Callable | None
+    options: tuple
+    handler: Callable
+
+
+def _validate(args, p):
+    report = validate(p)
+    return {"normalized": report.normalized, "nonnegative": report.nonnegative,
+            "non_signaling": report.non_signaling,
+            "max_violations": {"normalization": report.max_normalization_violation,
+                               "nonnegativity": report.max_negativity,
+                               "non_signaling": report.max_ns_violation},
+            }, (EXIT_OK if report.ok else EXIT_INVALID)
+
+
+def _bell(args, p):
+    bell = bounds.dual_bell(p, args.bound_class)
+    return {"bound_class": bell.claimed_bound_class, "value": bell.value(p),
+            "normalization": bell.normalization, "coeffs": bell.coeffs.tolist()}
+
+
+def _xor_bias(args, game):
+    cb = games.classical_bias(game)
+    qb = games.quantum_bias(game)
+    return {"classical_bias": cb["bias"],
+            "classical_strategy": {"u": cb["u"].tolist(), "v": cb["v"].tolist()},
+            "quantum_bias": qb["bias"],
+            "classical_win_probability": 0.5 * (1.0 + cb["bias"]),
+            "quantum_win_probability": 0.5 * (1.0 + qb["bias"])}
+
+
+def _decompose(args, p):
+    model = bounds.quantum_to_local_decomposition(p)
+    return {"components": len(model.components), "mass": model.mass,
+            "weight_sum": model.weight_sum,
+            "reconstruction_residual": model.residual(bounds.extended_table(p)),
+            "weights": [w for w, _ in model.components]}
+
+
+def _smp(args, p):
+    nu = bounds.nu_tilde(p)  # the local affine model of least mass
+    model, mass = nu.primal_certificate, nu.value
+    kwargs = {} if args.replays is None else {"replays": args.replays}
+    if args.command == "smp-boolean":
+        C = to_correlation_rep(p).C
+        if not np.all(np.abs(np.abs(C) - 1.0) <= TOL_FEAS):
+            raise bounds.InvalidDistributionError(
+                "smp-boolean needs a Boolean-function distribution (C = +-1)"
+            )
+        plan = simulate.boolean_plan(mass, args.delta, args.epsilon, T=args.trials)
+        res = simulate.run_smp_boolean(np.sign(C), model, plan, args.seed, **kwargs)
+        return {"plan": {"T": plan.T, "lam": mass, "delta": args.delta},
+                "max_error_rate": res["max_error_rate"],
+                "error_rate": res["error_rate"].tolist(), "seed": args.seed}
+    if args.command == "smp-classical":
+        plan = simulate.classical_plan(mass, args.delta, p.alphabets, args.epsilon,
+                                       T=args.trials)
+        out = simulate.run_smp_classical(model, p, plan, args.seed, **kwargs)
+    else:
+        plan = simulate.quantum_plan(mass, args.delta, p.alphabets, args.epsilon,
+                                     T=args.trials, L=args.pool_size)
+        out = simulate.run_smp_quantum_sim(model, p, plan, args.seed, **kwargs)
+    return {"plan": {"T": plan.T, "beta": plan.beta, "lam": mass,
+                     "delta": plan.delta, "L": plan.L},
+            "empirical_distance": out.distance,
+            "within_budget": out.distance <= plan.epsilon + plan.delta,
+            "seed": args.seed,
+            "extras": {k: v for k, v in out.extras.items()
+                       if isinstance(v, (int, float, bool, str))}}
+
+
+def _basis(args, _):
+    basis = affine_basis(args.nx, args.ny)
+    rank = int(np.linalg.matrix_rank(np.array([b.coords() for b in basis]), tol=1e-9))
+    return {"nx": args.nx, "ny": args.ny, "count": len(basis),
+            "expected": args.nx * args.ny + args.nx + args.ny,
+            "rank": rank, "full_rank": rank == len(basis)}
+
+
+_EPSILON = (("--epsilon", {"type": float, "required": True}),)
+_SMP = (("--delta", {"type": float, "required": True}),
+        ("--epsilon", {"type": float, "default": 0.0}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--trials", {"type": int, "default": None,
+                      "help": "override the planned sample count T"}),
+        ("--replays", {"type": int, "default": None}))
+_dist = distribution_from_json
+
+# Every subcommand, in the order ``--help`` lists them.
+COMMANDS = {
+    "validate": Command("check normalization / nonnegativity / non-signaling", _dist, (),
+                        _validate),
+    "nu": Command("nu_tilde: minimal L1 mass over local affine models", _dist, (),
+                  lambda args, p: bounds.bound_report(bounds.nu_tilde(p))),
+    "nu-eps": Command("epsilon-smoothed nu_tilde", _dist, _EPSILON,
+                      lambda args, p: bounds.bound_report(bounds.nu_tilde_eps(p, args.epsilon))),
+    "gamma2": Command("level-1 relaxation of gamma2_tilde", _dist, (),
+                      lambda args, p: bounds.bound_report(bounds.gamma2_tilde_1(p))),
+    "gamma2-eps": Command(
+        "epsilon-smoothed gamma2_tilde level-1", _dist, _EPSILON,
+        lambda args, p: bounds.bound_report(bounds.gamma2_tilde_1_eps(p, args.epsilon))),
+    "bell": Command("optimal dual Bell/Tsirelson functional", _dist,
+                    (("--bound-class", {"choices": ["local", "npa-level-1"],
+                                        "default": "local"}),), _bell),
+    "nu-corr": Command("nu on correlation space (sign-matrix LP)", _load_correlations, (),
+                       lambda args, C: bounds.bound_report(bounds.nu_corr(C))),
+    "gamma2-corr": Command("gamma2 factorization norm of the correlation matrix",
+                           _load_correlations, (),
+                           lambda args, C: bounds.bound_report(bounds.gamma2_corr(C))),
+    "xor-bias": Command("classical and quantum biases of an XOR game",
+                        games.game_from_json, (), _xor_bias),
+    "decompose": Command("dummy-outcome decomposition into binary blocks", _dist, (),
+                         _decompose),
+    "gap-check": Command("nu_tilde vs Grothendieck-multiple of gamma2 level 1", _dist, (),
+                         lambda args, p: bounds.gap_check(p)),
+    "smp-classical": Command("run the classical SMP protocol", _dist, _SMP, _smp),
+    "smp-quantum": Command(
+        "run the quantum SMP protocol", _dist,
+        _SMP + (("--pool-size", {"type": int, "default": None,
+                                 "help": "override the shared-randomness pool size L"}),),
+        _smp),
+    "smp-boolean": Command("run the boolean SMP protocol", _dist, _SMP, _smp),
+    "basis": Command("affine basis of binary non-signaling space", None,
+                     (("--nx", {"type": int, "required": True}),
+                      ("--ny", {"type": int, "required": True})), _basis),
+}
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="nonsig", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, needs_input=True):
-        sp = sub.add_parser(name, help=help_)
-        if needs_input:
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        if command.reader is not None:
             sp.add_argument("input", help="path to the input JSON file")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--output", default=None, help="write the report to a file")
-        return sp
-
-    add("validate", "check normalization / nonnegativity / non-signaling")
-    add("nu", "nu_tilde: minimal L1 mass over local affine models")
-    sp = add("nu-eps", "epsilon-smoothed nu_tilde")
-    sp.add_argument("--epsilon", type=float, required=True)
-    add("gamma2", "level-1 relaxation of gamma2_tilde")
-    sp = add("gamma2-eps", "epsilon-smoothed gamma2_tilde level-1")
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp = add("bell", "optimal dual Bell/Tsirelson functional")
-    sp.add_argument("--bound-class", choices=["local", "npa-level-1"],
-                    default="local")
-    add("nu-corr", "nu on correlation space (sign-matrix LP)")
-    add("gamma2-corr", "gamma2 factorization norm of the correlation matrix")
-    add("xor-bias", "classical and quantum biases of an XOR game")
-    add("decompose", "dummy-outcome decomposition into binary blocks")
-    add("gap-check", "nu_tilde vs Grothendieck-multiple of gamma2 level 1")
-
-    for name in ("smp-classical", "smp-quantum", "smp-boolean"):
-        sp = add(name, f"run the {name.split('-')[1]} SMP protocol")
-        sp.add_argument("--delta", type=float, required=True)
-        sp.add_argument("--epsilon", type=float, default=0.0)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=None,
-                        help="override the planned sample count T")
-        sp.add_argument("--replays", type=int, default=None)
-        if name == "smp-quantum":
-            sp.add_argument("--pool-size", type=int, default=None,
-                            help="override the shared-randomness pool size L")
-
-    sp = add("basis", "affine basis of binary non-signaling space", needs_input=False)
-    sp.add_argument("--nx", type=int, required=True)
-    sp.add_argument("--ny", type=int, required=True)
+        for flag, kwargs in command.options:
+            sp.add_argument(flag, **kwargs)
     return p
 
 
 def _dispatch(args) -> int:
-    obj = digest = None
+    command, obj, digest = COMMANDS[args.command], None, None
     if getattr(args, "input", None):
         with open(args.input, "rb") as f:
             data = f.read()
         digest = hashlib.sha256(data).hexdigest()
         obj = json.loads(data.decode())
+    out = command.handler(args, command.reader(obj) if command.reader else None)
+    payload, code = out if isinstance(out, tuple) else (out, EXIT_OK)
+    _emit(args, payload, digest)
+    return code
 
-    if args.command == "validate":
-        dist = distribution_from_json(obj)
-        report = validate(dist)
-        _emit(args, {
-            "normalized": report.normalized,
-            "nonnegative": report.nonnegative,
-            "non_signaling": report.non_signaling,
-            "max_violations": {
-                "normalization": report.max_normalization_violation,
-                "nonnegativity": report.max_negativity,
-                "non_signaling": report.max_ns_violation,
-            },
-        }, digest)
-        return EXIT_OK if report.ok else EXIT_INVALID
 
-    if args.command in ("nu", "nu-eps", "gamma2", "gamma2-eps"):
-        dist = distribution_from_json(obj)
-        if args.command == "nu":
-            result = bounds.nu_tilde(dist)
-        elif args.command == "nu-eps":
-            result = bounds.nu_tilde_eps(dist, args.epsilon)
-        elif args.command == "gamma2":
-            result = bounds.gamma2_tilde_1(dist)
-        else:
-            result = bounds.gamma2_tilde_1_eps(dist, args.epsilon)
-        _emit(args, bounds.bound_report(result), digest)
-        return EXIT_OK
-
-    if args.command == "bell":
-        dist = distribution_from_json(obj)
-        bell = bounds.dual_bell(dist, args.bound_class)
-        _emit(args, {
-            "bound_class": bell.claimed_bound_class,
-            "value": bell.value(dist),
-            "normalization": bell.normalization,
-            "coeffs": bell.coeffs.tolist(),
-        }, digest)
-        return EXIT_OK
-
-    if args.command in ("nu-corr", "gamma2-corr"):
-        C = _load_correlations(obj)
-        result = bounds.nu_corr(C) if args.command == "nu-corr" else bounds.gamma2_corr(C)
-        _emit(args, bounds.bound_report(result), digest)
-        return EXIT_OK
-
-    if args.command == "xor-bias":
-        game = games.game_from_json(obj)
-        cb = games.classical_bias(game)
-        qb = games.quantum_bias(game)
-        _emit(args, {
-            "classical_bias": cb["bias"],
-            "classical_strategy": {"u": cb["u"].tolist(), "v": cb["v"].tolist()},
-            "quantum_bias": qb["bias"],
-            "classical_win_probability": 0.5 * (1.0 + cb["bias"]),
-            "quantum_win_probability": 0.5 * (1.0 + qb["bias"]),
-        }, digest)
-        return EXIT_OK
-
-    if args.command == "decompose":
-        dist = distribution_from_json(obj)
-        model = bounds.quantum_to_local_decomposition(dist)
-        resid = model.residual(bounds.extended_table(dist))
-        _emit(args, {
-            "components": len(model.components),
-            "mass": model.mass,
-            "weight_sum": model.weight_sum,
-            "reconstruction_residual": resid,
-            "weights": [w for w, _ in model.components],
-        }, digest)
-        return EXIT_OK
-
-    if args.command == "gap-check":
-        dist = distribution_from_json(obj)
-        _emit(args, bounds.gap_check(dist), digest)
-        return EXIT_OK
-
-    if args.command in ("smp-classical", "smp-quantum", "smp-boolean"):
-        dist = distribution_from_json(obj)
-        nu = bounds.nu_tilde(dist)  # the local affine model of least mass
-        model, mass = nu.primal_certificate, nu.value
-        kwargs = {} if args.replays is None else {"replays": args.replays}
-        if args.command == "smp-boolean":
-            C = to_correlation_rep(dist).C
-            if not np.all(np.abs(C) == 1.0):
-                raise bounds.InvalidDistributionError(
-                    "smp-boolean needs a Boolean-function distribution (C = +-1)"
-                )
-            plan = simulate.boolean_plan(mass, args.delta, args.epsilon,
-                                         T=args.trials)
-            res = simulate.run_smp_boolean(C, model, plan, args.seed, **kwargs)
-            _emit(args, {
-                "plan": {"T": plan.T, "lam": mass, "delta": args.delta},
-                "max_error_rate": res["max_error_rate"],
-                "error_rate": res["error_rate"].tolist(),
-                "seed": args.seed,
-            }, digest)
-            return EXIT_OK
-        if args.command == "smp-classical":
-            plan = simulate.classical_plan(mass, args.delta, dist.alphabets,
-                                           args.epsilon, T=args.trials)
-            runner = simulate.run_smp_classical
-        else:
-            plan = simulate.quantum_plan(mass, args.delta, dist.alphabets,
-                                         args.epsilon, T=args.trials,
-                                         L=args.pool_size)
-            runner = simulate.run_smp_quantum_sim
-        out = runner(model, dist, plan, args.seed, **kwargs)
-        _emit(args, {
-            "plan": {"T": plan.T, "beta": plan.beta, "lam": mass,
-                     "delta": plan.delta, "L": plan.L},
-            "empirical_distance": out.distance,
-            "within_budget": out.distance <= plan.epsilon + plan.delta,
-            "seed": args.seed,
-            "extras": {k: v for k, v in out.extras.items()
-                       if isinstance(v, (int, float, bool, str))},
-        }, digest)
-        return EXIT_OK
-
-    if args.command == "basis":
-        basis = affine_basis(args.nx, args.ny)
-        coords = np.array([b.coords() for b in basis])
-        rank = int(np.linalg.matrix_rank(coords, tol=1e-9))
-        _emit(args, {
-            "nx": args.nx, "ny": args.ny,
-            "count": len(basis),
-            "expected": args.nx * args.ny + args.nx + args.ny,
-            "rank": rank,
-            "full_rank": rank == len(basis),
-        }, digest)
-        return EXIT_OK
-
-    raise AssertionError(f"unhandled command {args.command}")
+# The exit code of each error an operation may raise; the first match wins.
+# LinAlgError subclasses ValueError but is an engine breakdown, not bad
+# input, and ResourceLimitError subclasses RuntimeError.
+_EXIT_CODES = ((np.linalg.LinAlgError, EXIT_SOLVER), (ValueError, EXIT_INVALID),
+               (OSError, EXIT_INVALID), (ResourceLimitError, EXIT_RESOURCE),
+               (MemoryError, EXIT_RESOURCE), (RuntimeError, EXIT_SOLVER))
 
 
 def main(argv=None) -> int:
@@ -295,24 +284,13 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _dispatch(args)
-    except np.linalg.LinAlgError as e:
-        # A subclass of ValueError, but an engine breakdown, not bad input.
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError as e:
-        # numpy names the failed allocation; a bare MemoryError has no text.
-        print(f"error: out of memory: {e}" if str(e) else "error: out of memory",
-              file=sys.stderr)
-        return EXIT_RESOURCE
-    except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SOLVER
+    except tuple(error for error, _ in _EXIT_CODES) as e:
+        text = str(e)
+        if isinstance(e, MemoryError):
+            # numpy names the failed allocation; a bare MemoryError has no text.
+            text = f"out of memory: {text}" if text else "out of memory"
+        print(f"error: {text}", file=sys.stderr)
+        return next(code for error, code in _EXIT_CODES if isinstance(e, error))
 
 
 if __name__ == "__main__":

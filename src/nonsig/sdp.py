@@ -31,7 +31,8 @@ the best iterate seen (by the largest of its primal residual, dual
 residual and relative gap) in one of two cases:
 
 * a numerical breakdown inside an iteration (a Cholesky or inverse of an
-  iterate that has lost definiteness): status ``numerical-error``, or
+  iterate that has lost definiteness, or a singular Schur complement):
+  status ``numerical-error``, or
   ``optimal`` if that iterate meets the contract (residual <= 1e-6,
   relative gap <= 1e-5, minimum eigenvalue or linear entry >= -1e-7), as
   after ``max-iterations``;
@@ -262,10 +263,7 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
             M += (A[:, lin] * (x * sinv)) @ A[:, lin].T
             rhs += A[:, lin] @ (x - sigma * mu * sinv + x * Rd[lin] * sinv)
             M = _sym(M)
-            try:
-                dy = np.linalg.solve(M + ridge, rhs)
-            except np.linalg.LinAlgError:
-                dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            dy = np.linalg.solve(M + ridge, rhs)
 
             dXS = np.empty_like(XS)
             dX, dS = dXS
@@ -276,8 +274,8 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
             alpha_p, alpha_d = np.minimum(_max_step(stack(XS), stack(dXS)),
                                           _max_ratio(XS[:, lin], dXS[:, lin]))
         except np.linalg.LinAlgError:
-            # The iterate has lost definiteness (rank-deficient optimum,
-            # ill-conditioned Schur system): stop on the best iterate.
+            # The iterate has lost definiteness (rank-deficient optimum) or
+            # the Schur system is singular: stop on the best iterate.
             status = "numerical-error"
             X, y, it = best_X, best_y, best_it
             break

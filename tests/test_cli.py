@@ -118,6 +118,18 @@ class TestBoundCommands:
         code, report = run_json(capsys, ["gamma2-corr", str(path)])
         assert code == 0 and report["value"] == pytest.approx(np.sqrt(2), abs=1e-4)
 
+    def test_validated_table_at_tolerance(self, capsys):
+        # p(0,0|0,0) = 0.5000000005: the normalization, 1 + 5e-10, is within
+        # TOL_FEAS, so the file validates, and its C(0,0) = 1 + 5e-10 is
+        # read as the PR box's 1 by the correlation and Boolean commands.
+        path = str(INPUTS / "pr_box_at_tolerance.json")
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        code, report = run_json(capsys, ["nu-corr", path])
+        assert code == 0 and report["value"] == pytest.approx(2.0, abs=1e-8)
+        code, report = run_json(capsys, ["smp-boolean", path, "--delta", "0.05"])
+        assert code == 0 and report["max_error_rate"] <= 0.05
+
     def test_decompose(self, capsys, pr_file):
         code, report = run_json(capsys, ["decompose", pr_file])
         assert code == 0
@@ -358,7 +370,8 @@ class TestExitCodes:
         assert message in captured.err
 
     def test_sdp_over_dimension_cap_is_exit_2(self, capsys, tmp_path):
-        # The 3x3x3x3 eps program has total block dimension 359 > 200.
+        # The 3x3x3x3 eps program has total dimension 26 + 252 = 278 > 200:
+        # two 13 x 13 moment blocks and a linear block of 3 * 81 + 9.
         path = tmp_path / "u3333.json"
         dump_distribution(uniform_distribution(Alphabets(3, 3, 3, 3)), path)
         assert main(["gamma2-eps", str(path), "--epsilon", "0.1"]) == 2

@@ -1,13 +1,14 @@
 """Tests for the interior-point SDP engine."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nonsig import bounds, games, sdp
-from nonsig.core import ResourceLimitError, pr_box
+from nonsig.core import ResourceLimitError, load_distribution, pr_box
 from nonsig.lp import LinearProgram, solve_lp
 from nonsig.sdp import _PATIENCE, LINEAR, SdpProgram, solve_sdp
 
@@ -340,6 +341,24 @@ class TestValidationAndLimits:
         with pytest.raises(ResourceLimitError):
             SdpProgram([150, 150])
 
+    @pytest.mark.parametrize("call", [bounds.gamma2_tilde_1,
+                                      lambda p: bounds.gamma2_tilde_1_eps(p, 0.1),
+                                      lambda p: bounds.dual_bell(p, "npa-level-1")],
+                             ids=["gamma2", "gamma2-eps", "bell-npa"])
+    def test_moment_programs_refused_before_their_arrays(self, call):
+        # On 99x1x2x2 the moment blocks are 101 x 101 (202 > 200).  The
+        # cells alone would be nx*ny*na*nb*d^2 floats (32 MB here, 12 GB at
+        # 99x99x2x2), so the cap must refuse before they are built.
+        p = load_distribution(INPUTS / "over_sdp_cap.json")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="exceeds cap 200"):
+                call(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     @pytest.mark.parametrize("dims, n_linear", [([2, 3], 0), ([3, 2, 3], 3), ([], 4)])
     def test_one_block_size_required(self, dims, n_linear):
         # The engine solves k >= 1 PSD blocks of one size, nothing else.
@@ -404,11 +423,15 @@ class TestValidationAndLimits:
 
 
 class TestNumericalBreakdown:
-    def test_breakdown_is_a_status(self, monkeypatch):
-        def broken(X, dX):
+    # A LinAlgError from either the step lengths or the Schur solve ends
+    # the run; no second solver takes over.
+    @pytest.mark.parametrize("target", ["nonsig.sdp._max_step", "numpy.linalg.solve"],
+                             ids=["step", "schur-solve"])
+    def test_breakdown_is_a_status(self, monkeypatch, target):
+        def broken(*args):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr("nonsig.sdp._max_step", broken)
+        monkeypatch.setattr(target, broken)
         prog = SdpProgram([2])
         prog.set_objective({0: -(unit(2, 0, 1) + unit(2, 1, 0))})
         prog.add_constraint({0: unit(2, 0, 0)}, 1.0)
