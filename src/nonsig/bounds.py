@@ -68,12 +68,15 @@ class BoundResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _require_valid(p: ConditionalDistribution) -> None:
+def _require_valid(p: ConditionalDistribution, eps: float = 0.0) -> None:
+    """Refuse a p that fails validation, then a smoothing eps outside [0, 1)."""
     report = validate(p)
     if not report.ok:
         raise InvalidDistributionError(
             "distribution fails validation: " + ", ".join(report.violated_families())
         )
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
 
 
 def _project_onto_span(y: np.ndarray, basis_cols: np.ndarray) -> np.ndarray:
@@ -212,9 +215,7 @@ def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     q+, q- and u, v; rows are Vt q - u + v = p per cell, sum q = 1 and the
     budgets.  p' = p + u - v >= p - v, so p' >= 0 is the bound v <= p.
     """
-    _require_valid(p)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+    _require_valid(p, eps)
     alph = p.alphabets
     Vt = vertex_table_matrix(alph)
     V, n_cells = Vt.shape[1], alph.n_cells
@@ -427,9 +428,7 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     p' - p = u - v with u, v >= 0, and the slacks of the per-input budgets
     sum (u + v) <= 2*eps.
     """
-    _require_valid(p)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+    _require_valid(p, eps)
     if eps == 0.0:
         # The ball is {p}: every u, v is forced to 0, so the joint program
         # has no interior.  Solve the exact program instead.

@@ -256,13 +256,13 @@ def build_parser() -> _Parser:
 
 
 def _dispatch(args) -> int:
-    command, obj, digest = COMMANDS[args.command], None, None
-    if getattr(args, "input", None):
+    command, parsed, digest = COMMANDS[args.command], None, None
+    if command.reader:
         with open(args.input, "rb") as f:
             data = f.read()
         digest = hashlib.sha256(data).hexdigest()
-        obj = json.loads(data.decode())
-    out = command.handler(args, command.reader(obj) if command.reader else None)
+        parsed = command.reader(json.loads(data.decode()))
+    out = command.handler(args, parsed)
     payload, code = out if isinstance(out, tuple) else (out, EXIT_OK)
     _emit(args, payload, digest)
     return code

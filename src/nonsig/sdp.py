@@ -26,21 +26,18 @@ factors the X and S stacks together.  Each iteration makes five
 ``numpy.linalg`` runs the same LAPACK routine on each matrix, and every sum
 keeps its order (block by block, then over constraints in order).
 
-A run ends at the inner tolerance, after 500 iterations, or on
-the best iterate seen (by the largest of its primal residual, dual
-residual and relative gap) in one of two cases:
-
-* a numerical breakdown inside an iteration (a Cholesky or inverse of an
-  iterate that has lost definiteness, or a singular Schur complement):
-  status ``numerical-error``, or
-  ``optimal`` if that iterate meets the contract (residual <= 1e-6,
-  relative gap <= 1e-5, minimum eigenvalue or linear entry >= -1e-7), as
-  after ``max-iterations``;
-* a best iterate that meets the residual and gap parts of the contract and
-  has not been improved on for ``_PATIENCE`` iterations: status
-  ``optimal`` (the iterate is interior, hence positive definite).  Near a
-  rank-deficient optimum the iterates drift away from the best one and
-  would otherwise run on to the breakdown.
+A run stops at the inner tolerance (``optimal``), on a diverging dual
+(``infeasible``), on a numerical breakdown inside an iteration (a Cholesky
+or inverse of an iterate that has lost definiteness, or a singular Schur
+complement), after 500 iterations, or once a best iterate that meets the
+residual and gap parts of the contract has not been improved on for
+``_PATIENCE`` iterations (near a rank-deficient optimum the iterates drift
+away from the best one toward the breakdown).  Each run returns one
+recorded iterate: the current one at the first two stops, else the best by
+the largest of its primal residual, dual residual and relative gap, which
+is ``optimal`` exactly when it meets the contract (residual <= 1e-6,
+relative gap <= 1e-5, minimum eigenvalue or linear entry >= -1e-7), and
+else ``numerical-error`` after a breakdown, ``max-iterations`` otherwise.
 """
 
 from __future__ import annotations
@@ -211,10 +208,12 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
     XS, y = np.stack([10.0 * scale * X] * 2), np.zeros(m)
     X, S = XS
 
-    status, it = "max-iterations", 0
-    # Best iterate so far by max(primal residual, dual residual, gap), and
-    # whether it meets the contract's residual and gap.
-    best_merit, best_X, best_y, best_it, best_ok = np.inf, X.copy(), y.copy(), 0, False
+    status = "max-iterations"
+    # The iterate the run returns, as (X, y, it, pobj, dobj, gap, residual):
+    # the current one at the inner tolerance or a diverging dual, else the best
+    # by max(primal residual, dual residual, gap); best_ok if it meets the
+    # contract's residual and gap.  Iterates are never written in place.
+    best_merit, best_ok, best = np.inf, False, (X, y, 0, np.nan, np.nan, np.nan, np.nan)
     for it in range(1, _MAX_ITER + 1):
         W[m + 1] = S
         AX, pobj, SX = products(X)
@@ -226,23 +225,22 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
         res = float(np.abs(rp).max(initial=0.0))
         prim_res = res / scale
         dual_res = float(np.abs(Rd).max(initial=0.0)) / scale
+        now = (X, y, it, pobj, dobj, gap_rel, res)
         if prim_res <= _TOL * 10 and dual_res <= _TOL * 10 \
                 and (gap_rel <= _TOL or mu / scale <= _TOL):
-            status = "optimal"
+            status, best = "optimal", now
             break
         if np.abs(y).max(initial=0.0) > 1e10 * scale and prim_res > 1e-6:
-            status = "infeasible"
+            status, best = "infeasible", now
             break
         merit = max(prim_res, dual_res, gap_rel)
         if merit < best_merit:
-            best_merit, best_X, best_y, best_it = merit, X.copy(), y.copy(), it
+            best_merit, best = merit, now
             best_ok = res <= _RES_OK and gap_rel <= _GAP_OK
-        elif best_ok and it - best_it >= _PATIENCE:
-            # The best iterate meets the contract (it is interior, so
-            # positive definite) and the merit has stopped improving: stop
-            # on it rather than drift on toward a breakdown.
-            status = "optimal"
-            X, y, it = best_X, best_y, best_it
+        elif best_ok and it - best[2] >= _PATIENCE:
+            # The best iterate meets the contract's residual and gap and the
+            # merit has stopped improving: stop on it rather than drift on
+            # toward a breakdown.
             break
 
         sigma = 0.3 if it <= 2 else sigma_next
@@ -275,9 +273,8 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
                                           _max_ratio(XS[:, lin], dXS[:, lin]))
         except np.linalg.LinAlgError:
             # The iterate has lost definiteness (rank-deficient optimum) or
-            # the Schur system is singular: stop on the best iterate.
+            # the Schur system is singular.
             status = "numerical-error"
-            X, y, it = best_X, best_y, best_it
             break
         XS = XS + np.array([[alpha_p], [alpha_d]]) * dXS
         X, S = XS
@@ -286,21 +283,14 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
         a = min(alpha_p, alpha_d)
         sigma_next = 0.05 if a > 0.9 else (0.2 if a > 0.5 else 0.5)
 
-    AX, pobj, _ = products(X)
-    rp = b - AX
-    dobj = float(b @ y)
-    blocks = list(stack(X))
+    X, y, it, pobj, dobj, gap_rel, max_res = best
     min_eigs = np.linalg.eigvalsh(stack(X))[:, 0].tolist()
-    gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    max_res = float(np.abs(rp).max(initial=0.0))
-    if status in ("max-iterations", "numerical-error") and max_res <= _RES_OK \
-            and gap_rel <= _GAP_OK and min(min_eigs + [X[lin].min(initial=np.inf)]) >= _EIG_OK:
-        # Good enough for the contract even though the inner tolerance
-        # was not reached.
+    if status != "infeasible" and max_res <= _RES_OK and gap_rel <= _GAP_OK \
+            and min(min_eigs + [X[lin].min(initial=np.inf)]) >= _EIG_OK:
         status = "optimal"
     return SdpSolution(
         status=status,
-        blocks=blocks,
+        blocks=list(stack(X)),
         objective=pobj,
         dual=y,
         dual_objective=dobj,

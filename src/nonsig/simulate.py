@@ -47,14 +47,16 @@ class SmpPlan:
 
 
 def _check_inputs(delta: float | None = None, epsilon: float | None = None,
-                  **counts) -> None:
+                  seed: int | None = None, **counts) -> None:
     """Refuse a delta outside (0, 1), an epsilon outside [0, 1) (NaN included),
-    a count (T, L, replays) below 1, and a plan numpy cannot sample: T above
-    2^63 - 1 or L above the vertex cap."""
+    a negative seed, a count (T, L, replays) below 1, and a plan numpy cannot
+    sample: T above 2^63 - 1 or L above the vertex cap."""
     if delta is not None and not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if epsilon is not None and not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     for name, k in counts.items():
         if k is not None and k < 1:
             raise ValueError(f"{name} must be >= 1, got {k}")
@@ -119,7 +121,7 @@ def boolean_plan(lam: float, delta: float, epsilon: float = 0.0,
     """Plan for the Boolean sign-estimation protocol."""
     _check_inputs(delta)
     if not 0.0 <= epsilon < 0.5:
-        raise ValueError("epsilon must lie in [0, 1/2)")
+        raise ValueError(f"epsilon must lie in [0, 1/2), got {epsilon}")
     if T is None:
         T = _ceil(lambda: 4.0 * (lam / (1.0 - 2.0 * epsilon)) ** 2 * math.log(1.0 / delta))
     _check_inputs(T=T)
@@ -188,7 +190,7 @@ def run_smp_classical(model: AffineModel, target: ConditionalDistribution,
     samples of each signed component mixture (the replay noise
     ~1/sqrt(replays) measures the result; it is not part of the protocol).
     """
-    _check_inputs(replays=replays)
+    _check_inputs(seed=seed, replays=replays)
     alph, T = target.alphabets, plan.T
     raw = np.zeros(alph.shape)
     for s, sign, q, _, table in _split_model(model):
@@ -207,7 +209,7 @@ def run_smp_quantum_sim(model: AffineModel, target: ConditionalDistribution,
     product, each swap test outputs 1 with probability (1 - p~^2)/2, and a
     cell's estimate sums sign * q * sqrt(max(0, 1 - 2 Zbar)) over the sides.
     """
-    _check_inputs(replays=replays)
+    _check_inputs(seed=seed, replays=replays)
     alph, T, L = target.alphabets, plan.T, plan.L
     raw = np.zeros(alph.shape)
     pool_dev = 0.0
@@ -235,7 +237,7 @@ def run_smp_boolean(C: np.ndarray, model: AffineModel, plan: SmpPlan,
     per replay and outputs the sign; reports the per-input error rate
     over the replays and its maximum.
     """
-    _check_inputs(replays=replays)
+    _check_inputs(seed=seed, replays=replays)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if not np.all(np.abs(C) == 1.0):
         raise ValueError("C must be a +-1 sign matrix")

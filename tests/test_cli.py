@@ -309,6 +309,14 @@ class TestExitCodes:
     def test_missing_file_is_exit_1(self):
         assert main(["nu", "/nonexistent/path.json"]) == 1
 
+    @pytest.mark.parametrize("command", ["nu", "validate"])
+    def test_empty_input_path_is_read_like_any_other(self, capsys, command):
+        # "" is a path that names no file, not a missing argument.
+        assert main([command, ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
     @pytest.mark.parametrize("where", ["input", "output"])
     def test_directory_path_is_exit_1(self, capsys, tmp_path, pr_file, where):
         argv = (["nu", str(tmp_path)] if where == "input"

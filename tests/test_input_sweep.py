@@ -12,6 +12,7 @@ box.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +80,7 @@ def _corpus() -> dict:
         "signaling": _pr_box_with({(0, 0, 0, 0): 0.5 - 1e-6, (0, 0, 0, 1): 1e-6}),
         "signaling-at-tolerance": _pr_box_with({(0, 0, 0, 0): 0.5 - 1e-9, (0, 0, 0, 1): 1e-9}),
         **{name: json.loads((INPUTS / f"{name}.json").read_text())
-           for name in ("pr_box_at_tolerance", "over_sdp_cap")},
+           for name in ("pr_box_at_tolerance", "over_sdp_cap", "over_vertex_cap")},
     }
 
 
@@ -123,6 +124,15 @@ def test_every_command_refuses_cleanly(capsys, tmp_path, name):
             assert code == 1, (argv, code, err)
 
 
+@pytest.mark.parametrize("command, items", [("nu", "local"), ("nu-corr", "sign")])
+def test_alphabet_over_vertex_cap_is_exit_2(capsys, command, items):
+    # The uniform 1x20x2x2 table has 2^21 = 2,097,152 local vertices and as
+    # many sign vertices, just over the default cap.
+    code, out, err = _run(capsys, [command, str(INPUTS / "over_vertex_cap.json"), "--json"])
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration would produce 2097152 {items} vertices (cap 2000000)\n"
+
+
 BAD_OPTIONS = [*(("--epsilon", v) for v in ("nan", "-0.1", "1")),
                *(("--delta", v) for v in ("0", "nan")),
                *((flag, "0") for flag in ("--trials", "--replays", "--pool-size")),
@@ -132,7 +142,9 @@ BAD_OPTIONS = [*(("--epsilon", v) for v in ("nan", "-0.1", "1")),
 @pytest.mark.parametrize("flag, value", BAD_OPTIONS)
 def test_bad_option_values_are_refused(capsys, flag, value):
     # Each form whose command takes the option, on the PR box, with the
-    # bad value given last (the parser keeps the last one).
+    # bad value given last (the parser keeps the last one).  The error line
+    # names the value: "got <value>" as parsed (1 reads 1.0), or the
+    # parser's quoted choice.
     forms = [form for form in FORMS if flag in dict(COMMANDS[form[0]].options)]
     assert forms
     for form in forms:
@@ -140,6 +152,8 @@ def test_bad_option_values_are_refused(capsys, flag, value):
         code, out, err = _run(capsys, argv)
         assert code in (1, 64), (argv, code)
         _assert_clean(argv, code, out, err)
+        line = next(line for line in err.splitlines() if line.startswith("error:"))
+        assert re.search(rf"(got |'){re.escape(value)}", line), (argv, line)
 
 
 @pytest.mark.parametrize("cap, codes", [("", (0, 0, 0)), ("0", (2, 2, 2)), (" 5", (2, 0, 2)),

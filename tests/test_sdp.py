@@ -189,6 +189,22 @@ class TestSolutionQuality:
         assert (sol.status, sol.iterations) == ("optimal", 21)
         assert len(steps) == 21 + _PATIENCE - 1
 
+    @pytest.mark.parametrize("max_iter", [30, sdp._MAX_ITER], ids=["limit", "breakdown"])
+    def test_other_stops_return_the_recorded_iterate(self, monkeypatch, max_iter):
+        # Same program without the early stop: cut off by the iteration
+        # limit, or run on to the failed Cholesky at iteration 39, the run
+        # returns its best iterate (21), judged against the contract.
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            prog = self._random_feasible_program(rng)
+        monkeypatch.setattr(sdp, "_PATIENCE", 10**9)
+        monkeypatch.setattr(sdp, "_MAX_ITER", max_iter)
+        sol = solve_sdp(prog)
+        assert (sol.status, sol.iterations) == ("optimal", 21)
+        assert sol.max_equality_residual <= 1e-6
+        assert sol.relative_gap <= 1e-5
+        assert sol.block_min_eig() >= -1e-7
+
     def test_reported_residual_matches_recomputation(self):
         rng = np.random.default_rng(12)
         prog = self._random_feasible_program(rng)
