@@ -10,6 +10,7 @@ lower bounds in bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,23 +80,14 @@ def _require_valid(p: ConditionalDistribution, eps: float = 0.0) -> None:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
 
 
-def _project_onto_span(y: np.ndarray, basis_cols: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of y onto the column span of basis_cols.
-
-    basis_cols must have full column rank (a basis, not merely a spanning
-    set), so a reduced QR factorization gives an orthonormal basis of the
-    span.
-    """
-    Q = np.linalg.qr(basis_cols)[0]
-    return Q @ (Q.T @ y)
-
-
-def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str, alpha: float = 1.0):
+def _min_l1_combination(structure: _L1Structure, target: np.ndarray, name: str,
+                        alpha: float = 1.0):
     """min sum |q| s.t. S q = target o r with r in [1, alpha] on every row,
     as an LP over the split q = q+ - q-, then r (at alpha = 1, no r).
 
-    S must have full row rank, so phase 1 leaves no redundant row and the
-    equality multipliers have no null directions.  Returns the optimum,
+    ``structure`` holds the columns S (full row rank, so phase 1 leaves no
+    redundant row and the equality multipliers have no null directions),
+    the twin matrix [S, -S] and the crash columns.  Returns the optimum,
     the LP's record, the weights q, the multipliers y (at alpha = 1 an
     optimal dual functional: |y . column| <= 1 on every column of S, and
     y . target is the optimum) and their normalization max |y . column|.
@@ -115,13 +107,13 @@ def _min_l1_combination(S: np.ndarray, target: np.ndarray, name: str, alpha: flo
     start nonbasic at their lower bound 1, where the rows read S q =
     target again, so the same basis is feasible.
     """
+    S, cols, twin = structure.S, structure.cols, structure.twin
     m, V = S.shape
-    cols = _pivoted_columns(S)
     weights = np.linalg.solve(S[:, cols], target)
     start = np.where(weights < -_FEAS_TOL, cols + V, cols)
     k = 0 if alpha == 1.0 else m  # r columns
     sol = solve_lp(LinearProgram(c=np.append(np.ones(2 * V), np.zeros(k)),
-                                 A_eq=np.hstack([S, -S, -np.diag(target)[:, :k]]),
+                                 A_eq=twin if k == 0 else np.hstack([twin, -np.diag(target)]),
                                  b_eq=target if k == 0 else np.zeros(m),
                                  lb=np.append(np.zeros(2 * V), np.ones(k)),
                                  ub=np.append(np.full(2 * V, np.inf), np.full(k, alpha))),
@@ -160,6 +152,58 @@ def _pivoted_columns(S: np.ndarray) -> np.ndarray:
     return cols
 
 
+@dataclass(frozen=True)
+class _L1Structure:
+    """What a min-L1 LP over the columns S takes from S alone, built once.
+
+    ``twin`` is [S, -S], ``cols`` the crash columns of S.  Local vertices
+    add ``span``, an orthonormal basis of the non-signaling tables (which
+    span the vertex tables); sign vertices add ``us`` and ``vs``, the sign
+    vectors of S's columns.  Every array is read-only, as it is shared by
+    every call on the same alphabet or shape.
+    """
+
+    twin: np.ndarray
+    cols: np.ndarray
+    span: np.ndarray | None = None
+    us: np.ndarray | None = None
+    vs: np.ndarray | None = None
+
+    @property
+    def S(self) -> np.ndarray:
+        return self.twin[:, :self.twin.shape[1] // 2]
+
+
+def _l1_structure(S: np.ndarray, **extra) -> _L1Structure:
+    """The structure over the columns S, every array made read-only."""
+    structure = _L1Structure(np.hstack([S, -S]), _pivoted_columns(S), **extra)
+    for arr in (structure.twin, structure.cols, *extra.values()):
+        arr.flags.writeable = False
+    return structure
+
+
+# Alphabets (or sign shapes) whose LP structure stays in memory.
+_L1_CACHE = 8
+
+
+@functools.lru_cache(maxsize=_L1_CACHE)
+def _build_local(alph: Alphabets) -> _L1Structure:
+    """The min-L1 LP structure over alph's local vertices, in Collins-Gisin
+    rows."""
+    cg = _DataMap(alph)
+    S = cg.data_rhs(vertex_table_matrix(alph).reshape(*alph.shape, -1))
+    # The non-signaling tables with unit coordinates span the vertex tables.
+    span = cg.tables(np.eye(len(S))).reshape(alph.n_cells, -1)
+    return _l1_structure(S, span=np.linalg.qr(span)[0])
+
+
+def _local_structure(alph: Alphabets) -> _L1Structure:
+    """``_build_local(alph)``, after the vertex cap: the cap may change
+    between calls, so it is checked on every one, cached or not."""
+    check_vertex_cap(alph.vertex_count, "local vertices")
+    return _build_local(alph)
+
+
 # ---------------------------------------------------------------------------
 # nu_tilde and its epsilon variant (LP over local deterministic vertices)
 
@@ -176,16 +220,16 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     and projected onto the span of the vertex tables, give the dual Bell
     functional.  Every valid p lies in the affine hull of the local
     vertices, so a non-optimal LP is an engine failure, not a property
-    of p.
+    of p.  All but the right-hand side depends only on the alphabet and
+    is built once per alphabet (``_build_local``).
     """
     _require_valid(p)
     alph = p.alphabets
+    structure = _local_structure(alph)
     cg = _DataMap(alph)
-    rows = cg.data_rhs(vertex_table_matrix(alph).reshape(*alph.shape, -1))
-    value, record, q, y, norm = _min_l1_combination(rows, cg.data_rhs(p.table), "nu_tilde")
-    # The non-signaling tables with unit coordinates span the vertex tables.
-    span = cg.tables(np.eye(len(y))).reshape(alph.n_cells, -1)
-    coeffs = _project_onto_span(cg.fold(y).reshape(-1), span)
+    value, record, q, y, norm = _min_l1_combination(structure, cg.data_rhs(p.table), "nu_tilde")
+    Q = structure.span
+    coeffs = Q @ (Q.T @ cg.fold(y).reshape(-1))
     model = AffineModel.from_vertex_weights(alph, q)
     bell = BellFunctional(
         coeffs=coeffs.reshape(alph.shape),
@@ -472,13 +516,25 @@ def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.nd
     sign vertex once, and the min-L1 LPs take them as the split [S, -S].
     Returns the matrix and the sign vectors: rows of ``us`` and ``vs``,
     with column k built from ``us[k // len(vs)]`` and ``vs[k % len(vs)]``.
-    The cap counts all 2^(nx+ny) sign vertices.
     """
-    check_vertex_cap(2 ** (nx + ny), "sign vertices")
     us = SIGNS[deterministic_strategies(nx, 2, range(2 ** (nx - 1)))]
     vs = SIGNS[deterministic_strategies(ny, 2, range(2 ** (ny - 1)))]
     S = (us[:, None, :, None] * vs[None, :, None, :]).reshape(len(us) * len(vs), nx * ny).T
     return S, us, vs
+
+
+@functools.lru_cache(maxsize=_L1_CACHE)
+def _build_sign(nx: int, ny: int) -> _L1Structure:
+    """The min-L1 LP structure over the nx x ny sign vertices."""
+    S, us, vs = _sign_vertex_matrix(nx, ny)
+    return _l1_structure(S, us=us, vs=vs)
+
+
+def _sign_structure(nx: int, ny: int) -> _L1Structure:
+    """``_build_sign(nx, ny)``, after the vertex cap, which counts all
+    2^(nx+ny) sign vertices and is checked on every call."""
+    check_vertex_cap(2 ** (nx + ny), "sign vertices")
+    return _build_sign(nx, ny)
 
 
 def _correlation_matrix(C, bound: float = 1.0) -> np.ndarray:
@@ -500,18 +556,19 @@ def _sign_mass(C: np.ndarray, alpha: float, name: str) -> float:
     The rows are S q = r / C, not diag(C) S q = r: the same pivots in exact
     arithmetic, but the crash's Gram-Schmidt over diag(C) S picks dependent
     columns when an entry of C is near 0 (1e-10)."""
-    S = _sign_vertex_matrix(*C.shape)[0]
+    structure = _sign_structure(*C.shape)
     if not np.all(C):
         return np.inf
-    return _min_l1_combination(S, 1.0 / C.reshape(-1), name, alpha)[0]
+    return _min_l1_combination(structure, 1.0 / C.reshape(-1), name, alpha)[0]
 
 
 def nu_corr(C: np.ndarray) -> BoundResult:
     """nu on correlation space: min sum|q| with sum q_i u_i v_i^T = C."""
     C = _correlation_matrix(C)
     nx, ny = C.shape
-    S, us, vs = _sign_vertex_matrix(nx, ny)
-    value, record, q, y, norm = _min_l1_combination(S, C.reshape(-1), "nu_corr")
+    structure = _sign_structure(nx, ny)
+    us, vs = structure.us, structure.vs
+    value, record, q, y, norm = _min_l1_combination(structure, C.reshape(-1), "nu_corr")
     corr_B = y.reshape(nx, ny)
     bell = BellFunctional(
         coeffs=np.einsum("xy,a,b->xyab", corr_B, SIGNS, SIGNS),

@@ -1,5 +1,6 @@
 """Tests for the complexity measures, certificates, and decompositions."""
 
+import functools
 import itertools
 import math
 
@@ -30,6 +31,7 @@ from nonsig.core import (
     Alphabets,
     ConditionalDistribution,
     CorrelationRep,
+    ResourceLimitError,
     TOL_FEAS,
     TOL_RECON,
     best_local_response,
@@ -229,6 +231,26 @@ class TestCrashStart:
             bell = res.dual_certificate
             self.check_functional(bell.coeffs, bell.value_on_correlations(C), res.value)
         assert len(phase_one_calls) == 4
+
+
+class TestLpCache:
+    """The min-L1 LP structure of an alphabet or sign shape is built once
+    and cached; the vertex cap still applies to every call."""
+
+    def test_cap_holds_on_a_warm_cache(self, monkeypatch):
+        monkeypatch.delenv("NONSIG_VERTEX_CAP", raising=False)
+        calls = [lambda: nu_tilde(pr_box()), lambda: nu_corr(CHSH_SIGNS)]
+        for call in calls:
+            call()
+        # 16 local vertices on the PR box, 16 sign vertices on a 2x2 matrix.
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "5")
+        for call in calls:
+            with pytest.raises(ResourceLimitError, match="cap 5"):
+                call()
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "abc")
+        for call in calls:
+            with pytest.raises(ValueError, match="NONSIG_VERTEX_CAP"):
+                call()
 
 
 class TestNuTildeEps:
@@ -616,8 +638,20 @@ class TestSignVertices:
     def use_all_sign_vertices(monkeypatch):
         """Build the same LPs over every sign vertex: the [S, -S] split then
         holds each distinct column four times.  The equal-bias and
-        epsilon_pub LPs take their columns through ``bounds`` too."""
-        monkeypatch.setattr(bounds, "_sign_vertex_matrix", all_sign_vertices)
+        epsilon_pub LPs take their columns through ``bounds`` too.  The LP
+        structures are cached per shape, so a fresh cache stands in for
+        the test's duration: every shape is built anew, and no entry over
+        all sign vertices outlives the test.  Returns the shapes built."""
+        built = []
+
+        def every_sign_vertex(nx, ny):
+            built.append((nx, ny))
+            return all_sign_vertices(nx, ny)
+
+        monkeypatch.setattr(bounds, "_sign_vertex_matrix", every_sign_vertex)
+        monkeypatch.setattr(bounds, "_build_sign", functools.lru_cache(
+            maxsize=bounds._L1_CACHE)(bounds._build_sign.__wrapped__))
+        return built
 
     @staticmethod
     def values(C):
@@ -632,10 +666,11 @@ class TestSignVertices:
     def test_values_match_all_sign_vertices(self, monkeypatch):
         matrices = list(self.matrices())
         got = [self.values(C) for C in matrices]
-        self.use_all_sign_vertices(monkeypatch)
+        built = self.use_all_sign_vertices(monkeypatch)
         for C, values in zip(matrices, got):
             for name, want in self.values(C).items():
                 assert values[name] == pytest.approx(want, abs=1e-9), (C.shape, name)
+        assert sorted(built) == sorted({C.shape for C in matrices})
 
     @staticmethod
     def max_common_bias(C, equal):
