@@ -87,10 +87,11 @@ def _min_l1_combination(structure: _L1Structure, target: np.ndarray, name: str,
 
     ``structure`` holds the columns S (full row rank, so phase 1 leaves no
     redundant row and the equality multipliers have no null directions),
-    the twin matrix [S, -S] and the crash columns.  Returns the optimum,
-    the LP's record, the weights q, the multipliers y (at alpha = 1 an
-    optimal dual functional: |y . column| <= 1 on every column of S, and
-    y . target is the optimum) and their normalization max |y . column|.
+    the twin matrix [S, -S] and the metric of the overlap score.  Returns
+    the optimum, the LP's record, the weights q, the multipliers y (at
+    alpha = 1 an optimal dual functional: |y . column| <= 1 on every
+    column of S, and y . target is the optimum) and their normalization
+    max |y . column|.
 
     The simplex starts from a crash basis and skips phase 1.  Every
     column of [S, -S] has a negated twin, so any m independent columns of
@@ -99,16 +100,20 @@ def _min_l1_combination(structure: _L1Structure, target: np.ndarray, name: str,
     ``_FEAS_TOL`` of 0 keeps its column (``solve_lp`` accepts a basic
     value that far below its bound), so rounding cannot pick the column or
     its twin for a weight that is 0 in exact arithmetic.  The columns come
-    from pivoted Gram-Schmidt over S (QR with column pivoting), which
-    keeps the basis matrix well conditioned: each step takes the column
-    with the largest squared norm outside the span of those taken, the
-    first within a relative band of the largest, so that rounding (which
-    varies with the BLAS thread count) cannot reorder the picks.  The r
-    start nonbasic at their lower bound 1, where the rows read S q =
-    target again, so the same basis is feasible.
+    from pivoted Gram-Schmidt over S (``_pivoted_columns``), weighted by
+    each column's overlap with the target, |s . M target| with M the
+    structure's metric (the identity when it has none).  For a local
+    vertex that overlap is sum_xy p(lambda_a(x), lambda_b(y) | x, y), the
+    vertex's agreement with p; for a sign vertex it is |<C, u v^T>|.  The
+    vertices that carry weight at the optimum mostly overlap the target
+    strongly, so phase 2 replaces few of the start columns.  The r start
+    nonbasic at their lower bound 1, where the rows read S q = target
+    again, so the same basis is feasible.
     """
-    S, cols, twin = structure.S, structure.cols, structure.twin
+    S, twin = structure.S, structure.twin
     m, V = S.shape
+    overlap = target if structure.metric is None else structure.metric @ target
+    cols = _pivoted_columns(S, np.abs(overlap @ S))
     weights = np.linalg.solve(S[:, cols], target)
     start = np.where(weights < -_FEAS_TOL, cols + V, cols)
     k = 0 if alpha == 1.0 else m  # r columns
@@ -123,26 +128,40 @@ def _min_l1_combination(structure: _L1Structure, target: np.ndarray, name: str,
     return float(sol.objective), record, sol.x[:V] - sol.x[V:2 * V], y, float(np.abs(y @ S).max())
 
 
-# Scores within this fraction of the largest remaining squared norm tie.
+# Criteria within this fraction of the largest remaining one tie.
 _PIVOT_BAND = 1e-9
+# Added to each relative score, so that a column with no overlap can still
+# be picked where the span needs it.
+_SCORE_FLOOR = 1e-3
 
 
-def _pivoted_columns(S: np.ndarray) -> np.ndarray:
+def _pivoted_columns(S: np.ndarray, score: np.ndarray) -> np.ndarray:
     """m column indices of the m x V matrix S, chosen by pivoted
-    Gram-Schmidt; independent when S has full row rank.  Each step
-    downdates the squared norms by one product with S.
+    Gram-Schmidt weighted by ``score`` (V values >= 0); independent when
+    S has full row rank.
 
-    One Gram-Schmidt pass per column suffices: pivoting keeps the picked
-    columns well conditioned (condition ~1e2 on the vertex and sign
-    matrices), and ``solve_lp`` checks the basis it is given, so a loss of
-    orthogonality could cost pivots but not a wrong result.
+    Each step takes the column with the largest squared norm outside the
+    span of those taken, times (score / max score + ``_SCORE_FLOOR``)^4,
+    the first within ``_PIVOT_BAND`` of the largest, so that rounding
+    (which varies with the BLAS thread count) cannot reorder the picks.
+    Equal scores give plain QR with column pivoting.  Each step downdates
+    the squared norms by one product with S.
+
+    One Gram-Schmidt pass per column suffices: the norm factor keeps the
+    picked columns well conditioned (condition below ~1e3 on the vertex
+    and sign matrices), and ``solve_lp`` checks the basis it is given, so
+    a loss of orthogonality could cost pivots but not a wrong result.
     """
     m = S.shape[0]
+    top = score.max()
+    weight = (score / top + _SCORE_FLOOR) ** 4 if top > 0 else np.ones_like(score)
     Q = np.zeros((m, m))  # rows: orthonormal basis of the picked columns
     norms = np.einsum("ij,ij->j", S, S)
+    crit = np.empty_like(norms)
     cols = np.empty(m, dtype=int)
     for k in range(m):
-        j = int(np.argmax(norms >= norms.max() * (1.0 - _PIVOT_BAND)))
+        np.multiply(norms, weight, out=crit)
+        j = int(np.argmax(crit >= crit.max() * (1.0 - _PIVOT_BAND)))
         cols[k] = j
         v = S[:, j] - (Q @ S[:, j]) @ Q
         v /= np.sqrt(v @ v)
@@ -156,16 +175,18 @@ def _pivoted_columns(S: np.ndarray) -> np.ndarray:
 class _L1Structure:
     """What a min-L1 LP over the columns S takes from S alone, built once.
 
-    ``twin`` is [S, -S], ``cols`` the crash columns of S.  Local vertices
-    add ``span``, an orthonormal basis of the non-signaling tables (which
-    span the vertex tables); sign vertices add ``us`` and ``vs``, the sign
-    vectors of S's columns.  Every array is read-only, as it is shared by
-    every call on the same alphabet or shape.
+    ``twin`` is [S, -S].  Local vertices add ``span``, an orthonormal
+    basis of the non-signaling tables (which span the vertex tables), and
+    ``metric``, the Gram matrix T^T T of the map T from Collins-Gisin
+    coordinates to tables, so that s . metric t is the inner product of
+    the two tables; sign vertices add ``us`` and ``vs``, the sign vectors
+    of S's columns.  Every array is read-only, as it is shared by every
+    call on the same alphabet or shape.
     """
 
     twin: np.ndarray
-    cols: np.ndarray
     span: np.ndarray | None = None
+    metric: np.ndarray | None = None
     us: np.ndarray | None = None
     vs: np.ndarray | None = None
 
@@ -176,8 +197,8 @@ class _L1Structure:
 
 def _l1_structure(S: np.ndarray, **extra) -> _L1Structure:
     """The structure over the columns S, every array made read-only."""
-    structure = _L1Structure(np.hstack([S, -S]), _pivoted_columns(S), **extra)
-    for arr in (structure.twin, structure.cols, *extra.values()):
+    structure = _L1Structure(np.hstack([S, -S]), **extra)
+    for arr in (structure.twin, *extra.values()):
         arr.flags.writeable = False
     return structure
 
@@ -193,8 +214,8 @@ def _build_local(alph: Alphabets) -> _L1Structure:
     cg = _DataMap(alph)
     S = cg.data_rhs(vertex_table_matrix(alph).reshape(*alph.shape, -1))
     # The non-signaling tables with unit coordinates span the vertex tables.
-    span = cg.tables(np.eye(len(S))).reshape(alph.n_cells, -1)
-    return _l1_structure(S, span=np.linalg.qr(span)[0])
+    T = cg.tables(np.eye(len(S))).reshape(alph.n_cells, -1)
+    return _l1_structure(S, span=np.linalg.qr(T)[0], metric=T.T @ T)
 
 
 def _local_structure(alph: Alphabets) -> _L1Structure:
@@ -220,8 +241,8 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     and projected onto the span of the vertex tables, give the dual Bell
     functional.  Every valid p lies in the affine hull of the local
     vertices, so a non-optimal LP is an engine failure, not a property
-    of p.  All but the right-hand side depends only on the alphabet and
-    is built once per alphabet (``_build_local``).
+    of p.  All but the right-hand side and the crash basis depends only
+    on the alphabet and is built once per alphabet (``_build_local``).
     """
     _require_valid(p)
     alph = p.alphabets

@@ -164,9 +164,11 @@ class _Simplex:
         self.recompute_xB()
 
     def recompute_xB(self):
-        xN = self.nonbasic_values()
         nonbasic = ~self.in_basis
-        rhs = self.b - self.A[:, nonbasic] @ xN[nonbasic]
+        xN = self.nonbasic_values()[nonbasic]
+        # With every nonbasic value 0 (as in the min-L1 LPs) the product
+        # is 0 and b - 0 is b exactly, so it is skipped.
+        rhs = self.b - self.A[:, nonbasic] @ xN if xN.any() else self.b
         self.xB = self.Binv @ rhs
 
     def nonbasic_values(self):

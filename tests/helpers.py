@@ -79,13 +79,14 @@ def random_nonsignaling(rng, alph: Alphabets, nonlocal_weight=0.5) -> Conditiona
     return ConditionalDistribution(alph, (1 - t) * m.table + t * v.table)
 
 
-def random_nonlocal(rng, alph: Alphabets) -> ConditionalDistribution:
+def random_nonlocal(rng, alph: Alphabets, pr_weight=None) -> ConditionalDistribution:
     """Local mixture blended with a randomly relabelled generalised PR box.
 
     The box has p(a,b|x,y) = 1/d iff b - a = x*y (mod d), d = na = nb;
     permuting the inputs, and the outcomes of each input, keeps it
-    non-signaling.  On binary outcomes a PR weight t >= 0.7 makes the
-    CHSH functional certify nu_tilde >= 3t - 1 >= 1.1.
+    non-signaling.  The PR weight t is ``pr_weight``, or else drawn from
+    [0.7, 0.95]; on binary outcomes t >= 0.7 makes the CHSH functional
+    certify nu_tilde >= 3t - 1 >= 1.1.
     """
     nx, ny, na, nb = alph.shape
     assert na == nb, "the generalised PR box needs na == nb"
@@ -97,7 +98,7 @@ def random_nonlocal(rng, alph: Alphabets) -> ConditionalDistribution:
     pb = [rng.permutation(nb) for _ in range(ny)]
     for x, y in np.ndindex(nx, ny):
         box[x, y] = box[x, y][np.ix_(pa[x], pb[y])]
-    t = rng.uniform(0.7, 0.95)
+    t = rng.uniform(0.7, 0.95) if pr_weight is None else pr_weight
     return ConditionalDistribution(alph, t * box + (1 - t) * random_local_mixture(rng, alph).table)
 
 

@@ -140,7 +140,8 @@ class TestNuTilde:
 
     def test_past_the_vertex_wall(self):
         # 4x4x3x3 has 6,561 local vertices.  Bland's rule alone took 184,509
-        # pivots (~224 s) on this point; steepest-edge pricing takes ~316.
+        # pivots (~224 s) on this point; steepest-edge pricing takes 352
+        # from the scored crash basis, 316 from the unscored one.
         p = random_nonlocal(np.random.default_rng(5), Alphabets(4, 4, 3, 3))
         result = nu_tilde(p)
         assert result.value == pytest.approx(1.6210622562, abs=1e-8)

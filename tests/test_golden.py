@@ -11,13 +11,16 @@ intended output change, rewrite the expected reports with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nonsig import bounds
 from nonsig.cli import main
+from nonsig.core import LocalVertex, best_local_response, distribution_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -30,6 +33,7 @@ CASES = {
     "decompose": ["decompose", "pr_box.json"],
     "nu-corr-chsh": ["nu-corr", "chsh.json"],
     "nu-corr-sylvester6": ["nu-corr", "sylvester6.json"],
+    "nu-3333": ["nu", "nonlocal_3333.json"],
     "basis": ["basis", "--nx", "2", "--ny", "3"],
 }
 
@@ -45,7 +49,33 @@ def test_json_report_is_golden(capsys, case):
     assert out == (GOLDEN / f"{case}.json").read_text()
 
 
-LP_CASES = ["nu", "nu-eps", "bell", "nu-corr-chsh", "nu-corr-sylvester6"]
+LP_CASES = ["nu", "nu-eps", "bell", "nu-corr-chsh", "nu-corr-sylvester6", "nu-3333"]
+
+
+@pytest.mark.parametrize("case", ["nu", "bell", "nu-corr-chsh", "nu-corr-sylvester6", "nu-3333"])
+def test_lp_certificates_hold_without_the_solver(case):
+    # What an exact LP report certifies, checked from the golden file and
+    # the input alone: the primal components rebuild the input and their
+    # mass is the value; the Bell functional B has |B(v)| <= 1 on every
+    # local deterministic vertex v (by exact enumeration) and B(p) is the
+    # value.  A correlation matrix is read as the distribution with those
+    # correlations and unbiased marginals.
+    report = json.loads((GOLDEN / f"{case}.json").read_text())
+    p = distribution_from_json(json.loads((INPUTS / CASES[case][1]).read_text()))
+    value = report["value"]
+    primal = report.get("primal_certificate")
+    if primal is not None:
+        comps = primal["components"]
+        rebuilt = sum(c["weight"] * LocalVertex(p.alphabets, tuple(c["lambda_a"]),
+                                                tuple(c["lambda_b"])).table() for c in comps)
+        assert np.abs(rebuilt - p.table).max() <= 1e-9
+        assert sum(abs(c["weight"]) for c in comps) == pytest.approx(value, abs=1e-9)
+        assert primal["mass"] == pytest.approx(value, abs=1e-9)
+    B = np.array(report["dual_certificate"]["coeffs"] if "dual_certificate" in report
+                 else report["coeffs"])
+    assert best_local_response(B)[0] <= 1.0 + 1e-9
+    assert best_local_response(-B)[0] <= 1.0 + 1e-9
+    assert float((B * p.table).sum()) == pytest.approx(value, abs=1e-9)
 
 
 def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
@@ -63,7 +93,7 @@ def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
             assert main(_argv(case)) == 0
             assert capsys.readouterr().out == (GOLDEN / f"{case}.json").read_text(), (case, state)
         assert len(built) == before, case  # the warm run built nothing
-    assert len(built) == 4  # the PR box twice (nu, bell), two sign shapes
+    assert len(built) == 5  # the PR box twice (nu, bell), two sign shapes, 3x3x3x3
     for structure in built:
         arrays = [structure.S, *(v for v in vars(structure).values() if v is not None)]
         for arr in arrays:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nonsig import bounds
 from nonsig.bounds import nu_corr, nu_tilde, nu_tilde_eps
 from nonsig.core import Alphabets, best_local_response, pr_box
 from nonsig import lp
@@ -452,8 +453,8 @@ class TestPivotRule:
     SYLVESTER_8 = np.kron(np.kron(H2, H2), H2)
 
     @pytest.mark.parametrize("n, pivots, value", [
-        pytest.param(5, 34, 2.533333333333333, id="5x5"),
-        pytest.param(6, 64, 2.7272727272727275, id="6x6"),
+        pytest.param(5, 11, 2.533333333333333, id="5x5"),
+        pytest.param(6, 24, 2.7272727272727275, id="6x6"),
     ])
     def test_nu_corr_sylvester_blocks(self, n, pivots, value):
         res = nu_corr(self.SYLVESTER_8[:n, :n])
@@ -461,8 +462,9 @@ class TestPivotRule:
         assert res.value == pytest.approx(value, rel=1e-12)
 
     def test_nu_tilde_pr_box(self):
+        # The crash basis is optimal already.
         res = nu_tilde(pr_box())
-        assert res.diagnostics["iterations"] == 3
+        assert res.diagnostics["iterations"] == 0
         assert res.value == pytest.approx(2.0, rel=1e-12)
 
     def test_nu_tilde_eps_pr_box(self):
@@ -488,9 +490,9 @@ class TestPivotRule:
         assert sol.objective == pytest.approx(-13.0, rel=1e-12)
 
     @pytest.mark.parametrize("case, pivots, value", [
-        pytest.param("sylvester-5x5", 204, 2.533333333333333, id="sylvester-5x5"),
-        pytest.param("sylvester-6x6", 2315, 2.7272727272727275, id="sylvester-6x6"),
-        pytest.param("nu-pr-box", 3, 2.0, id="nu-pr-box"),
+        pytest.param("sylvester-5x5", 31, 2.533333333333335, id="sylvester-5x5"),
+        pytest.param("sylvester-6x6", 445, 2.727272727272729, id="sylvester-6x6"),
+        pytest.param("nu-pr-box", 0, 2.0, id="nu-pr-box"),
         pytest.param("nu-eps-pr-box", 28, 1.6, id="nu-eps-pr-box"),
         pytest.param("boxed", 154, -11.3976346917502, id="boxed"),
     ])
@@ -524,25 +526,25 @@ def _panel_point(seed):
 # 168 to 3,826 pivots at one size (the 6x6 sign matrices).  Each entry is
 # (id, solve, pivots, value under Dantzig pricing).
 _PANEL = [
-    ("signs-61-6", lambda: nu_corr(_sign_matrix([61, 6])), 74, 2.499999999999997),
+    ("signs-61-6", lambda: nu_corr(_sign_matrix([61, 6])), 48, 2.499999999999997),
 ] + [
     (f"signs-71-6-{k}", lambda k=k: nu_corr(_sign_matrix([71, 6, k])), pivots, value)
     for k, (pivots, value) in enumerate([
-        (61, 2.5), (74, 2.634146341463415), (70, 2.500000000000001),
-        (75, 2.500000000000004), (76, 2.499999999999998), (81, 2.4999999999999982),
-        (73, 2.666666666666667), (69, 2.657894736842107), (85, 2.599999999999998),
-        (54, 2.500000000000002)])
+        (51, 2.5), (38, 2.634146341463415), (28, 2.500000000000001),
+        (43, 2.500000000000004), (44, 2.499999999999998), (33, 2.4999999999999982),
+        (39, 2.666666666666667), (39, 2.657894736842107), (50, 2.599999999999998),
+        (30, 2.500000000000002)])
 ] + [
-    ("sylvester-5x5", lambda: nu_corr(TestPivotRule.SYLVESTER_8[:5, :5]), 34, 2.533333333333333),
-    ("sylvester-6x6", lambda: nu_corr(TestPivotRule.SYLVESTER_8[:6, :6]), 64, 2.7272727272727275),
+    ("sylvester-5x5", lambda: nu_corr(TestPivotRule.SYLVESTER_8[:5, :5]), 11, 2.533333333333333),
+    ("sylvester-6x6", lambda: nu_corr(TestPivotRule.SYLVESTER_8[:6, :6]), 24, 2.7272727272727275),
     ("eps-3333-0", lambda: nu_tilde_eps(_panel_point(0), 0.05), 235, 1.2744402454823323),
 ] + [
     (f"nu-3333-17-{k}", lambda k=k: nu_tilde(_panel_point([17, k])), pivots, value)
     for k, (pivots, value) in enumerate([
-        (89, 1.7095752620795794), (85, 1.4950195972336182), (94, 1.7157709690596346),
-        (100, 1.6432305593195524), (96, 1.8186095613609483), (92, 1.4737049321559148),
-        (97, 1.727693293056677), (83, 1.7843600342803234), (89, 1.680049810694661),
-        (106, 1.4522234277414021)])
+        (78, 1.7095752620795794), (74, 1.4950195972336182), (65, 1.7157709690596346),
+        (69, 1.6432305593195524), (71, 1.8186095613609483), (84, 1.4737049321559148),
+        (65, 1.727693293056677), (73, 1.7843600342803234), (74, 1.680049810694661),
+        (76, 1.4522234277414021)])
 ] + [
     (f"packing-11-{k}", lambda k=k: solve_lp(_packing_program(np.random.default_rng([11, k]))),
      pivots, value)
@@ -579,6 +581,47 @@ class TestPivotPanel:
             assert best_local_response(-bell.coeffs)[0] <= 1.0 + 1e-9
         monkeypatch.setattr(lp, "_BLAND_AFTER", 10**9)
         assert self._pivots_and_value(solve())[0] == pivots
+
+
+def _scored_crash_cases():
+    """The panel's nu_corr and nu_tilde entries, then six 3x3x3x3 points of
+    PR weight 0.35, as (source, solve) pairs."""
+    alph = Alphabets(3, 3, 3, 3)
+    return [("panel", case[1]) for case in _PANEL
+            if case[0].startswith(("signs", "sylvester", "nu-"))] + [
+        ("pr-0.35", lambda k=k: nu_tilde(random_nonlocal(np.random.default_rng([35, k]), alph,
+                                                         pr_weight=0.35)))
+        for k in range(6)]
+
+
+class TestScoredCrash:
+    """The min-L1 LPs pick their crash columns by their overlap with the
+    target.  From that crash the panel's nu_corr entries, its nu_tilde
+    entries and six seeded 3x3x3x3 points each take fewer pivots in total
+    than from the crash of plain pivoted Gram-Schmidt, to the same values,
+    and neither crash ever needs phase 1."""
+
+    def test_fewer_pivots_than_the_unscored_crash(self, monkeypatch):
+        phase_one_runs = []
+        phase_one = lp._phase_one
+        monkeypatch.setattr(lp, "_phase_one", lambda *a: phase_one_runs.append(1) or phase_one(*a))
+        pivoted = bounds._pivoted_columns
+        totals = {}
+        for source, solve in _scored_crash_cases():
+            scored = solve()
+            with monkeypatch.context() as m:
+                m.setattr(bounds, "_pivoted_columns",
+                          lambda S, score: pivoted(S, np.ones(S.shape[1])))
+                plain = solve()
+            assert scored.value == pytest.approx(plain.value, abs=1e-9)
+            total = totals.setdefault((source, scored.quantity), [0, 0])
+            total[0] += scored.diagnostics["iterations"]
+            total[1] += plain.diagnostics["iterations"]
+        assert phase_one_runs == []
+        assert sorted(totals) == [("panel", "nu_corr"), ("panel", "nu_tilde"),
+                                  ("pr-0.35", "nu_tilde")]
+        for family, (scored, plain) in totals.items():
+            assert scored < plain, (family, scored, plain)
 
 
 class TestBruteForceOracle:
