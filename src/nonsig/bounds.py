@@ -30,7 +30,7 @@ from .core import (
     validate,
     vertex_table_matrix,
 )
-from .lp import _FEAS_TOL, LinearProgram, solve_lp
+from .lp import _FEAS_TOL, _TIE_REL, LinearProgram, solve_lp
 from .sdp import LINEAR, SdpProgram, solve_sdp
 
 
@@ -80,16 +80,15 @@ def _require_valid(p: ConditionalDistribution, eps: float = 0.0) -> None:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
 
 
-def _min_l1_combination(structure: _L1Structure, target: np.ndarray, name: str,
-                        alpha: float = 1.0):
+def _min_l1_combination(twin: np.ndarray, target: np.ndarray, overlap: np.ndarray,
+                        name: str, alpha: float = 1.0):
     """min sum |q| s.t. S q = target o r with r in [1, alpha] on every row,
     as an LP over the split q = q+ - q-, then r (at alpha = 1, no r).
 
-    ``structure`` holds the columns S (full row rank, so phase 1 leaves no
-    redundant row and the equality multipliers have no null directions),
-    the twin matrix [S, -S] and the metric of the overlap score.  Returns
-    the optimum, the LP's record, the weights q, the multipliers y (at
-    alpha = 1 an optimal dual functional: |y . column| <= 1 on every
+    ``twin`` is [S, -S], with S of full row rank, so phase 1 leaves no
+    redundant row and the equality multipliers have no null directions.
+    Returns the optimum, the LP's record, the weights q, the multipliers y
+    (at alpha = 1 an optimal dual functional: |y . column| <= 1 on every
     column of S, and y . target is the optimum) and their normalization
     max |y . column|.
 
@@ -101,18 +100,18 @@ def _min_l1_combination(structure: _L1Structure, target: np.ndarray, name: str,
     value that far below its bound), so rounding cannot pick the column or
     its twin for a weight that is 0 in exact arithmetic.  The columns come
     from pivoted Gram-Schmidt over S (``_pivoted_columns``), weighted by
-    each column's overlap with the target, |s . M target| with M the
-    structure's metric (the identity when it has none).  For a local
-    vertex that overlap is sum_xy p(lambda_a(x), lambda_b(y) | x, y), the
-    vertex's agreement with p; for a sign vertex it is |<C, u v^T>|.  The
-    vertices that carry weight at the optimum mostly overlap the target
-    strongly, so phase 2 replaces few of the start columns.  The r start
-    nonbasic at their lower bound 1, where the rows read S q = target
-    again, so the same basis is feasible.
+    each column's overlap |s . overlap| with the target, ``overlap`` being
+    the target under the inner product of the columns' space (for local
+    vertices ``_DataMap.metric`` times it).  For a local vertex that
+    overlap is sum_xy p(lambda_a(x), lambda_b(y) | x, y), the vertex's
+    agreement with p; for a sign vertex it is |<C, u v^T>|.  The vertices
+    that carry weight at the optimum mostly overlap the target strongly,
+    so phase 2 replaces few of the start columns.  The r start nonbasic
+    at their lower bound 1, where the rows read S q = target again, so
+    the same basis is feasible.
     """
-    S, twin = structure.S, structure.twin
-    m, V = S.shape
-    overlap = target if structure.metric is None else structure.metric @ target
+    m, V = twin.shape[0], twin.shape[1] // 2
+    S = twin[:, :V]
     cols = _pivoted_columns(S, np.abs(overlap @ S))
     weights = np.linalg.solve(S[:, cols], target)
     start = np.where(weights < -_FEAS_TOL, cols + V, cols)
@@ -128,8 +127,6 @@ def _min_l1_combination(structure: _L1Structure, target: np.ndarray, name: str,
     return float(sol.objective), record, sol.x[:V] - sol.x[V:2 * V], y, float(np.abs(y @ S).max())
 
 
-# Criteria within this fraction of the largest remaining one tie.
-_PIVOT_BAND = 1e-9
 # Added to each relative score, so that a column with no overlap can still
 # be picked where the span needs it.
 _SCORE_FLOOR = 1e-3
@@ -142,7 +139,7 @@ def _pivoted_columns(S: np.ndarray, score: np.ndarray) -> np.ndarray:
 
     Each step takes the column with the largest squared norm outside the
     span of those taken, times (score / max score + ``_SCORE_FLOOR``)^4,
-    the first within ``_PIVOT_BAND`` of the largest, so that rounding
+    the first within ``_TIE_REL`` of the largest, so that rounding
     (which varies with the BLAS thread count) cannot reorder the picks.
     Equal scores give plain QR with column pivoting.  Each step downdates
     the squared norms by one product with S.
@@ -161,7 +158,7 @@ def _pivoted_columns(S: np.ndarray, score: np.ndarray) -> np.ndarray:
     cols = np.empty(m, dtype=int)
     for k in range(m):
         np.multiply(norms, weight, out=crit)
-        j = int(np.argmax(crit >= crit.max() * (1.0 - _PIVOT_BAND)))
+        j = int(np.argmax(crit >= crit.max() * (1.0 - _TIE_REL)))
         cols[k] = j
         v = S[:, j] - (Q @ S[:, j]) @ Q
         v /= np.sqrt(v @ v)
@@ -169,60 +166,6 @@ def _pivoted_columns(S: np.ndarray, score: np.ndarray) -> np.ndarray:
         norms -= np.square(v @ S)
         norms[j] = -np.inf
     return cols
-
-
-@dataclass(frozen=True)
-class _L1Structure:
-    """What a min-L1 LP over the columns S takes from S alone, built once.
-
-    ``twin`` is [S, -S].  Local vertices add ``span``, an orthonormal
-    basis of the non-signaling tables (which span the vertex tables), and
-    ``metric``, the Gram matrix T^T T of the map T from Collins-Gisin
-    coordinates to tables, so that s . metric t is the inner product of
-    the two tables; sign vertices add ``us`` and ``vs``, the sign vectors
-    of S's columns.  Every array is read-only, as it is shared by every
-    call on the same alphabet or shape.
-    """
-
-    twin: np.ndarray
-    span: np.ndarray | None = None
-    metric: np.ndarray | None = None
-    us: np.ndarray | None = None
-    vs: np.ndarray | None = None
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.twin[:, :self.twin.shape[1] // 2]
-
-
-def _l1_structure(S: np.ndarray, **extra) -> _L1Structure:
-    """The structure over the columns S, every array made read-only."""
-    structure = _L1Structure(np.hstack([S, -S]), **extra)
-    for arr in (structure.twin, *extra.values()):
-        arr.flags.writeable = False
-    return structure
-
-
-# Alphabets (or sign shapes) whose LP structure stays in memory.
-_L1_CACHE = 8
-
-
-@functools.lru_cache(maxsize=_L1_CACHE)
-def _build_local(alph: Alphabets) -> _L1Structure:
-    """The min-L1 LP structure over alph's local vertices, in Collins-Gisin
-    rows."""
-    cg = _DataMap(alph)
-    S = cg.data_rhs(vertex_table_matrix(alph).reshape(*alph.shape, -1))
-    # The non-signaling tables with unit coordinates span the vertex tables.
-    T = cg.tables(np.eye(len(S))).reshape(alph.n_cells, -1)
-    return _l1_structure(S, span=np.linalg.qr(T)[0], metric=T.T @ T)
-
-
-def _local_structure(alph: Alphabets) -> _L1Structure:
-    """``_build_local(alph)``, after the vertex cap: the cap may change
-    between calls, so it is checked on every one, cached or not."""
-    check_vertex_cap(alph.vertex_count, "local vertices")
-    return _build_local(alph)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +185,16 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     functional.  Every valid p lies in the affine hull of the local
     vertices, so a non-optimal LP is an engine failure, not a property
     of p.  All but the right-hand side and the crash basis depends only
-    on the alphabet and is built once per alphabet (``_build_local``).
+    on the alphabet and is built once per alphabet, by its cached data map
+    (``_data_map``).
     """
     _require_valid(p)
     alph = p.alphabets
-    structure = _local_structure(alph)
-    cg = _DataMap(alph)
-    value, record, q, y, norm = _min_l1_combination(structure, cg.data_rhs(p.table), "nu_tilde")
-    Q = structure.span
+    check_vertex_cap(alph.vertex_count, "local vertices")  # every call: the cap may change
+    cg = _data_map(alph)
+    rhs = cg.data_rhs(p.table)
+    value, record, q, y, norm = _min_l1_combination(cg.twin, rhs, cg.metric @ rhs, "nu_tilde")
+    Q = cg.span
     coeffs = Q @ (Q.T @ cg.fold(y).reshape(-1))
     model = AffineModel.from_vertex_weights(alph, q)
     bell = BellFunctional(
@@ -326,6 +271,12 @@ def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 0.5 * (uv + np.swapaxes(uv, -1, -2))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only: a cached array is shared by every later call."""
+    arr.flags.writeable = False
+    return arr
+
+
 class _DataMap:
     """Collins-Gisin coordinates of the tables of one alphabet.
 
@@ -335,10 +286,38 @@ class _DataMap:
     the values a decomposition of p must reproduce.  ``data_rhs`` gives
     them, ``fold`` is its adjoint and ``tables`` its inverse on
     non-signaling tables.
+
+    The nu_tilde LP's arrays are built on first use and kept with the map
+    (``_data_map``), each read-only, as every call on the alphabet shares
+    it: ``twin`` = [S, -S], S the coordinates of the local vertex tables;
+    ``metric`` = T^T T for the map T from coordinates to tables, so that
+    s . metric t is the inner product of two tables; and ``span``, an
+    orthonormal basis of the non-signaling tables, which span the vertex
+    tables.
     """
 
     def __init__(self, alph: Alphabets):
         self.alph = alph
+
+    @functools.cached_property
+    def twin(self) -> np.ndarray:
+        S = self.data_rhs(vertex_table_matrix(self.alph).reshape(*self.alph.shape, -1))
+        return _read_only(np.hstack([S, -S]))
+
+    def _unit_tables(self) -> np.ndarray:
+        """The non-signaling tables with unit coordinates, one per column."""
+        nx, ny, na, nb = self.alph.shape
+        n = (1 + nx * (na - 1)) * (1 + ny * (nb - 1))  # coordinates
+        return self.tables(np.eye(n)).reshape(self.alph.n_cells, -1)
+
+    @functools.cached_property
+    def metric(self) -> np.ndarray:
+        T = self._unit_tables()
+        return _read_only(T.T @ T)
+
+    @functools.cached_property
+    def span(self) -> np.ndarray:
+        return _read_only(np.linalg.qr(self._unit_tables())[0])
 
     def _split(self, c: np.ndarray) -> list:
         """The cell, Alice-marginal, Bob-marginal and normalization parts of c."""
@@ -393,7 +372,17 @@ class _DataMap:
         return B
 
 
-class _MomentLayout(_DataMap):
+# Alphabets (or sign shapes) whose min-L1 LP arrays stay in memory.
+_L1_CACHE = 8
+
+
+@functools.lru_cache(maxsize=_L1_CACHE)
+def _data_map(alph: Alphabets) -> _DataMap:
+    """alph's data map, with the LP arrays it has built."""
+    return _DataMap(alph)
+
+
+class _MomentLayout:
     """The homogenized level-1 moment matrix of one alphabet, compiled once.
 
     Row/column 0 is the identity; one outcome per input is eliminated via
@@ -406,7 +395,8 @@ class _MomentLayout(_DataMap):
     ``structural`` holds the projector constraints (each = 0): diagonal
     entries equal first-row entries (E^2 = E) and projectors of the same
     input are orthogonal.  ``data`` holds the moments a target fixes, one
-    per Collins-Gisin coordinate and in the same order.
+    per Collins-Gisin coordinate of the alphabet's map ``cg``: the map's
+    coordinates of ``cells``, with the scale E00 as the normalization.
 
     ``prog`` is the program over a positive and a negative moment block
     (and ``n_linear`` nonnegative entries), each block with the projector
@@ -415,10 +405,10 @@ class _MomentLayout(_DataMap):
     """
 
     def __init__(self, alph: Alphabets, n_linear: int = 0):
-        super().__init__(alph)
         nx, ny, na, nb = alph.shape
         self.d = d = 1 + nx * (na - 1) + ny * (nb - 1)
         self.prog = prog = SdpProgram([d, d], n_linear)
+        self.cg = _data_map(alph)
         eye = np.eye(d)
         ea = eye[1:1 + nx * (na - 1)].reshape(nx, na - 1, d)
         eb = eye[1 + nx * (na - 1):].reshape(ny, nb - 1, d)
@@ -430,11 +420,8 @@ class _MomentLayout(_DataMap):
                   for i in range(len(u)) for j in range(i + 1, len(u))]
         uv = np.reshape(pairs, (-1, 2, d))  # (k, 2, d), also for k = 0
         self.structural = _sym_outer(uv[:, 0], uv[:, 1])
-        self.data = np.concatenate([self.cells[:, :, :-1, :-1].reshape(-1, d, d),
-                                    _sym_outer(eye[0], ea).reshape(-1, d, d),
-                                    _sym_outer(eye[0], eb).reshape(-1, d, d),
-                                    _sym_outer(eye[0], eye[:1])])
-        E00 = self.data[-1]
+        E00 = _sym_outer(eye[0], eye[0])
+        self.data = np.concatenate([self.cg.data_rhs(self.cells)[:-1], E00[None]])
         prog.set_objective({0: E00, 1: E00})
         for block in (0, 1):
             prog.add_constraint({block: self.structural}, np.zeros(len(self.structural)))
@@ -447,8 +434,8 @@ class _MomentLayout(_DataMap):
             if t > 1e-8:
                 # A numpy sum per cell, not a BLAS product (tensordot), so
                 # the tables' last bits do not depend on the BLAS build.
-                tab = (self.cells * G).reshape(*self.alph.shape, -1).sum(-1) / t
-                comps.append((sign * t, ConditionalDistribution(self.alph, tab)))
+                tab = (self.cells * G).reshape(*self.cg.alph.shape, -1).sum(-1) / t
+                comps.append((sign * t, ConditionalDistribution(self.cg.alph, tab)))
         return AffineModel(comps, certified_class="npa-level-1")
 
 
@@ -456,7 +443,7 @@ def _exact_layout(p: ConditionalDistribution) -> _MomentLayout:
     """The moment layout of p's alphabet, whose program's two blocks must
     reproduce p on every Collins-Gisin coordinate."""
     layout = _MomentLayout(p.alphabets)
-    layout.prog.add_constraint({0: layout.data, 1: -layout.data}, layout.data_rhs(p.table))
+    layout.prog.add_constraint({0: layout.data, 1: -layout.data}, layout.cg.data_rhs(p.table))
     return layout
 
 
@@ -479,7 +466,7 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
         quantity="gamma2_tilde_1",
         value=float(sol.objective),
         primal_certificate=model,
-        dual_certificate=BellFunctional(coeffs=layout.fold(sol.dual[-len(layout.data):]),
+        dual_certificate=BellFunctional(coeffs=layout.cg.fold(sol.dual[-len(layout.data):]),
                                         claimed_bound_class="npa-level-1", normalization=1.0),
         diagnostics={**record, "reconstruction_residual": model.residual(p.table)},
     )
@@ -545,13 +532,14 @@ def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 @functools.lru_cache(maxsize=_L1_CACHE)
-def _build_sign(nx: int, ny: int) -> _L1Structure:
-    """The min-L1 LP structure over the nx x ny sign vertices."""
+def _build_sign(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[S, -S] over the nx x ny sign vertices and their sign vectors
+    (``_sign_vertex_matrix``), read-only: every call on the shape shares them."""
     S, us, vs = _sign_vertex_matrix(nx, ny)
-    return _l1_structure(S, us=us, vs=vs)
+    return _read_only(np.hstack([S, -S])), _read_only(us), _read_only(vs)
 
 
-def _sign_structure(nx: int, ny: int) -> _L1Structure:
+def _sign_structure(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_build_sign(nx, ny)``, after the vertex cap, which counts all
     2^(nx+ny) sign vertices and is checked on every call."""
     check_vertex_cap(2 ** (nx + ny), "sign vertices")
@@ -577,19 +565,20 @@ def _sign_mass(C: np.ndarray, alpha: float, name: str) -> float:
     The rows are S q = r / C, not diag(C) S q = r: the same pivots in exact
     arithmetic, but the crash's Gram-Schmidt over diag(C) S picks dependent
     columns when an entry of C is near 0 (1e-10)."""
-    structure = _sign_structure(*C.shape)
+    twin = _sign_structure(*C.shape)[0]
     if not np.all(C):
         return np.inf
-    return _min_l1_combination(structure, 1.0 / C.reshape(-1), name, alpha)[0]
+    target = 1.0 / C.reshape(-1)
+    return _min_l1_combination(twin, target, target, name, alpha)[0]
 
 
 def nu_corr(C: np.ndarray) -> BoundResult:
     """nu on correlation space: min sum|q| with sum q_i u_i v_i^T = C."""
     C = _correlation_matrix(C)
     nx, ny = C.shape
-    structure = _sign_structure(nx, ny)
-    us, vs = structure.us, structure.vs
-    value, record, q, y, norm = _min_l1_combination(structure, C.reshape(-1), "nu_corr")
+    twin, us, vs = _sign_structure(nx, ny)
+    target = C.reshape(-1)
+    value, record, q, y, norm = _min_l1_combination(twin, target, target, "nu_corr")
     corr_B = y.reshape(nx, ny)
     bell = BellFunctional(
         coeffs=np.einsum("xy,a,b->xyab", corr_B, SIGNS, SIGNS),

@@ -433,7 +433,7 @@ class TestMomentLayout:
                 assert np.sum(M * G) == 0.0
             assert np.array_equal(np.einsum("...ij,ij->...", layout.cells, G), v.table())
             assert np.array_equal(np.einsum("kij,ij->k", layout.data, G),
-                                  layout.data_rhs(v.table()))
+                                  layout.cg.data_rhs(v.table()))
 
 
 class TestDataMap:
@@ -465,6 +465,24 @@ class TestDataMap:
         y = rng.normal(size=self.size(shape))
         np.testing.assert_allclose(np.einsum("xyab,xyabk->k", cg.fold(y), tables),
                                    y @ cg.data_rhs(tables), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_moment_data_rows_are_the_coordinates(self, shape):
+        # The moment program's data rows are the coordinates of the
+        # layout's cells under its alphabet's map, bit for bit, with the
+        # scale block E00 as the normalization row.  Written out: the
+        # retained cells, then each retained projector's first-row entry,
+        # Alice's before Bob's.
+        alph = Alphabets(*shape)
+        layout = bounds._MomentLayout(alph)
+        assert layout.cg is bounds._data_map(alph)
+        d, eye = layout.d, np.eye(layout.d)
+        E00 = bounds._sym_outer(eye[0], eye[0])
+        assert np.array_equal(layout.data[:-1], layout.cg.data_rhs(layout.cells)[:-1])
+        assert np.array_equal(layout.data[-1], E00)
+        assert np.array_equal(layout.data, np.concatenate(
+            [layout.cells[:, :, :-1, :-1].reshape(-1, d, d),
+             bounds._sym_outer(eye[0], eye[1:]), E00[None]]))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_tables_invert_the_coordinates(self, shape):

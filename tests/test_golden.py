@@ -4,10 +4,11 @@ Only LP-backed and combinatorial commands are pinned; SDP and Monte-Carlo
 reports may differ in their last digits between BLAS or numpy versions,
 and SDP reports also between OpenBLAS thread counts on one machine.
 The LP reports must not depend on what earlier solves left in the LP
-structure caches of ``nonsig.bounds`` either: each is checked on cleared
-caches and again on warm ones.  The inputs live in ``tests/golden/inputs``
-and each expected report in ``tests/golden/<case>.json``.  After an
-intended output change, rewrite the expected reports with
+caches of ``nonsig.bounds`` (each alphabet's data map, each sign shape's
+arrays) either: each is checked on cleared caches and again on warm
+ones.  The inputs live in ``tests/golden/inputs`` and each expected
+report in ``tests/golden/<case>.json``.  After an intended output
+change, rewrite the expected reports with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -34,6 +35,7 @@ CASES = {
     "nu-corr-chsh": ["nu-corr", "chsh.json"],
     "nu-corr-sylvester6": ["nu-corr", "sylvester6.json"],
     "nu-3333": ["nu", "nonlocal_3333.json"],
+    "nu-eps-2233": ["nu-eps", "nonlocal_2233.json", "--epsilon", "0.05"],
     "basis": ["basis", "--nx", "2", "--ny", "3"],
 }
 
@@ -49,7 +51,8 @@ def test_json_report_is_golden(capsys, case):
     assert out == (GOLDEN / f"{case}.json").read_text()
 
 
-LP_CASES = ["nu", "nu-eps", "bell", "nu-corr-chsh", "nu-corr-sylvester6", "nu-3333"]
+LP_CASES = ["nu", "nu-eps", "bell", "nu-corr-chsh", "nu-corr-sylvester6", "nu-3333",
+            "nu-eps-2233"]
 
 
 @pytest.mark.parametrize("case", ["nu", "bell", "nu-corr-chsh", "nu-corr-sylvester6", "nu-3333"])
@@ -80,25 +83,36 @@ def test_lp_certificates_hold_without_the_solver(case):
 
 def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
     # Each LP case runs on cleared LP caches, then again on what the first
-    # run cached; every array the first run cached must be read-only.
-    built = []
-    make = bounds._l1_structure
-    monkeypatch.setattr(bounds, "_l1_structure", lambda S, **extra: built.append(make(S, **extra))
-                        or built[-1])
+    # run cached.  A cached build makes the vertex matrix of its alphabet
+    # or sign shape, so the warm run makes none, except for the eps LP,
+    # which builds its own vertex matrix on every call and caches nothing.
+    # Every array the cache holds is read-only.
+    builds, maps, triples = [], [], []
+    for name in ("vertex_table_matrix", "_sign_vertex_matrix"):
+        make = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, make=make: builds.append(a) or make(*a))
+    new_map, build_sign = bounds._DataMap, bounds._build_sign
+    monkeypatch.setattr(bounds, "_DataMap", lambda alph: maps.append(new_map(alph)) or maps[-1])
+    monkeypatch.setattr(bounds, "_build_sign",
+                        lambda nx, ny: triples.append(build_sign(nx, ny)) or triples[-1])
     for case in LP_CASES:
-        bounds._build_local.cache_clear()
-        bounds._build_sign.cache_clear()
+        bounds._data_map.cache_clear()
+        build_sign.cache_clear()
+        counts = []
         for state in ("cold", "warm"):
-            before = len(built)
+            before = len(builds)
             assert main(_argv(case)) == 0
             assert capsys.readouterr().out == (GOLDEN / f"{case}.json").read_text(), (case, state)
-        assert len(built) == before, case  # the warm run built nothing
-    assert len(built) == 5  # the PR box twice (nu, bell), two sign shapes, 3x3x3x3
-    for structure in built:
-        arrays = [structure.S, *(v for v in vars(structure).values() if v is not None)]
-        for arr in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                arr.flat[0] = arr.flat[0]
+            counts.append(len(builds) - before)
+        assert counts == ([1, 1] if CASES[case][0] == "nu-eps" else [1, 0]), case
+    assert len(maps) == 3  # the PR box twice (nu, bell), 3x3x3x3
+    assert all({"twin", "metric", "span"} <= vars(cg).keys() for cg in maps)  # all built
+    assert len({id(t) for t in triples}) == 2  # the two sign shapes
+    arrays = [arr for cg in maps for arr in (cg.twin, cg.metric, cg.span)]
+    arrays += [arr for triple in triples for arr in triple]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
 
 
 if __name__ == "__main__":

@@ -275,7 +275,7 @@ class TestStackedPrograms:
         prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1(p))
         layout = bounds._MomentLayout(p.alphabets)
         ref = self.moment_reference(layout)
-        for M, rhs in zip(layout.data, layout.data_rhs(p.table)):
+        for M, rhs in zip(layout.data, layout.cg.data_rhs(p.table)):
             ref.add_constraint({0: M, 1: -M}, rhs)
         self.assert_same(prog, ref)
 
