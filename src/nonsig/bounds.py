@@ -142,7 +142,7 @@ def _pivoted_columns(S: np.ndarray, score: np.ndarray) -> np.ndarray:
     the first within ``_TIE_REL`` of the largest, so that rounding
     (which varies with the BLAS thread count) cannot reorder the picks.
     Equal scores give plain QR with column pivoting.  Each step downdates
-    the squared norms by one product with S.
+    that weighted criterion by one product with S.
 
     One Gram-Schmidt pass per column suffices: the norm factor keeps the
     picked columns well conditioned (condition below ~1e3 on the vertex
@@ -153,18 +153,16 @@ def _pivoted_columns(S: np.ndarray, score: np.ndarray) -> np.ndarray:
     top = score.max()
     weight = (score / top + _SCORE_FLOOR) ** 4 if top > 0 else np.ones_like(score)
     Q = np.zeros((m, m))  # rows: orthonormal basis of the picked columns
-    norms = np.einsum("ij,ij->j", S, S)
-    crit = np.empty_like(norms)
+    crit = np.einsum("ij,ij->j", S, S) * weight
     cols = np.empty(m, dtype=int)
     for k in range(m):
-        np.multiply(norms, weight, out=crit)
-        j = int(np.argmax(crit >= crit.max() * (1.0 - _TIE_REL)))
+        j = int((crit >= crit.max() * (1.0 - _TIE_REL)).argmax())
         cols[k] = j
         v = S[:, j] - (Q @ S[:, j]) @ Q
-        v /= np.sqrt(v @ v)
+        v /= math.sqrt(v @ v)
         Q[k] = v
-        norms -= np.square(v @ S)
-        norms[j] = -np.inf
+        crit -= weight * (v @ S) ** 2
+        crit[j] = -np.inf
     return cols
 
 

@@ -7,10 +7,13 @@ the columns whose move off their bound lowers the objective, it enters the
 one with the largest d_j^2 / gamma_j, where d is the reduced cost and
 gamma_j = 1 + ||B^-1 a_j||^2 the squared length of the column's edge, the
 first index among those within a relative ``_TIE_REL`` of it.  The weights
-are computed from the basis at the start of each phase, in column blocks
-so that B^-1 A is never held whole.  At each basis change (column q enters
-at row r, w = B^-1 a_q) one (2, m) x (m, n) product gives the pivot row
-alpha_r = e_r^T B^-1 A / w_r and A^T B^-T w, and
+are computed from the basis at the start of each phase, one column block
+of B^-1 A at a time in one work buffer of at most ``_WEIGHT_BLOCK`` bytes,
+so that B^-1 A is never held whole and no block is a fresh array: blocks
+large enough to be mapped from the OS cost hundreds of page faults per
+solve.  At each basis change (column q enters at row r, w = B^-1 a_q) one
+(2, m) x (m, n) product gives the pivot row alpha_r = e_r^T B^-1 A / w_r
+and A^T B^-T w, and
 
     gamma_j <- max(gamma_j - 2 alpha_rj a_j^T B^-T w + alpha_rj^2 gamma_q,
                    1 + alpha_rj^2),
@@ -55,7 +58,13 @@ _COND_LIMIT = 1e10
 _BLAND_AFTER = 50
 # Relative band within which pricing and ratio-test scores tie.
 _TIE_REL = 1e-9
-# Most entries of B^-1 A held at once while the start weights are built.
+# Bytes of the one work buffer that holds a column block of B^-1 A while the
+# start weights are built.  It bounds memory on large LPs, and it keeps the
+# buffer small enough that the allocator serves it from its heap: 512 KiB
+# blocks, each product and its square a fresh array, were mapped from and
+# returned to the OS on every solve, 220-370 minor page faults per 3x3x3x3
+# nu_tilde or 6x6 nu_corr.  The bound is set by those faults, not by a
+# cache size.
 _WEIGHT_BLOCK = 1 << 16
 
 
@@ -194,13 +203,19 @@ class _Simplex:
         return c - (c[self.basis] @ self.Binv) @ self.A
 
     def edge_weights(self):
-        """gamma_j = 1 + ||B^-1 a_j||^2 for every column, built in column
-        blocks of at most ``_WEIGHT_BLOCK`` entries of B^-1 A."""
-        gamma = np.empty(self.n)
-        step = max(1, _WEIGHT_BLOCK // self.m)
-        for s in range(0, self.n, step):
-            W = self.Binv @ self.A[:, s:s + step]
-            gamma[s:s + step] = 1.0 + (W * W).sum(axis=0)
+        """gamma_j = 1 + ||B^-1 a_j||^2 for every column, one column block
+        of B^-1 A at a time in a work buffer of at most ``_WEIGHT_BLOCK``
+        bytes (one column when a column alone is larger)."""
+        m, n = self.m, self.n
+        gamma = np.empty(n)
+        step = max(1, _WEIGHT_BLOCK // (8 * m))
+        buf = np.empty(m * min(step, n))
+        for s in range(0, n, step):
+            W = buf[:m * min(step, n - s)].reshape(m, -1)
+            np.matmul(self.Binv, self.A[:, s:s + step], out=W)
+            W *= W
+            W.sum(axis=0, out=gamma[s:s + step])
+        gamma += 1.0
         return gamma
 
     def iterate(self, c, max_iter):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,64 @@ class TestCrashStart:
             bell = res.dual_certificate
             self.check_functional(bell.coeffs, bell.value_on_correlations(C), res.value)
         assert len(phase_one_calls) == 4
+
+
+def _pivoted_columns_loop(S, score):
+    """The crash's pivoted Gram-Schmidt as first written: the squared norms
+    downdated, then weighted afresh at every step."""
+    m = S.shape[0]
+    top = score.max()
+    weight = (score / top + bounds._SCORE_FLOOR) ** 4 if top > 0 else np.ones_like(score)
+    Q = np.zeros((m, m))
+    norms = np.einsum("ij,ij->j", S, S)
+    cols = []
+    for k in range(m):
+        crit = norms * weight
+        j = int(np.argmax(crit >= crit.max() * (1.0 - lp._TIE_REL)))
+        cols.append(j)
+        v = S[:, j] - (Q @ S[:, j]) @ Q
+        v /= np.sqrt(v @ v)
+        Q[k] = v
+        norms -= np.square(v @ S)
+        norms[j] = -np.inf
+    return cols
+
+
+class TestMinL1Path:
+    # The alphabets and sign shapes of the LP goldens.
+    LOCAL = [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3)]
+    SIGN = [(2, 2), (6, 6)]
+
+    @classmethod
+    def vertex_matrices(cls):
+        for shape in cls.LOCAL:
+            twin = bounds._data_map(Alphabets(*shape)).twin
+            yield shape, twin[:, :twin.shape[1] // 2]
+        for shape in cls.SIGN:
+            twin = bounds._sign_structure(*shape)[0]
+            yield shape, twin[:, :twin.shape[1] // 2]
+
+    def test_crash_columns_match_the_loop(self):
+        # Random scores, and equal scores (plain pivoted QR).
+        for shape, S in self.vertex_matrices():
+            rng = np.random.default_rng(list(shape))
+            for score in [rng.uniform(size=S.shape[1]) for _ in range(5)] + [np.ones(S.shape[1])]:
+                cols = bounds._pivoted_columns(S, score)
+                assert cols.tolist() == _pivoted_columns_loop(S, score), shape
+
+    def test_warm_3333_nu_tilde_stays_under_1_mib(self):
+        # Traced memory of one call on a warm alphabet: the LP's standard
+        # form (576 KiB) and the solver's work arrays, no block of B^-1 A.
+        alph = Alphabets(3, 3, 3, 3)
+        points = [random_nonlocal(np.random.default_rng([28, k]), alph) for k in range(2)]
+        nu_tilde(points[0])  # warms the alphabet's data map
+        tracemalloc.start()
+        try:
+            nu_tilde(points[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLpCache:

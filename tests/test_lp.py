@@ -1,6 +1,7 @@
 """Tests for the dense simplex LP engine."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,42 @@ class TestDeterminism:
         if a.status == "optimal":
             assert np.array_equal(a.x, b.x)
             assert a.iterations == b.iterations
+
+
+class TestEdgeWeights:
+    """The start weights are built one column block at a time in a work
+    buffer of at most ``_WEIGHT_BLOCK`` bytes."""
+
+    M = 49  # rows of the 3x3x3x3 nu_tilde LP
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 80), (3, 0), (3, 1)],
+                             ids=["below-one-block", "multiple", "one-past"])
+    def test_blocks_give_the_one_shot_weights(self, blocks, extra):
+        m = self.M
+        n = blocks * (lp._WEIGHT_BLOCK // (8 * m)) + extra  # 167 columns a block
+        rng = np.random.default_rng(n)
+        sx = _Simplex(rng.normal(size=(m, n)), np.zeros(m), None, None)
+        sx.Binv = rng.normal(size=(m, m))
+        expected = 1.0 + ((sx.Binv @ sx.A) ** 2).sum(axis=0)
+        np.testing.assert_allclose(sx.edge_weights(), expected, rtol=1e-12, atol=0)
+
+    def test_memory_is_the_weights_and_one_buffer(self):
+        # On the 3x3x3x3 nu_tilde LP's standard form: [S, -S] and the
+        # artificials.  4 KiB covers the call's Python objects (the block
+        # views' array headers); a fresh array for each block of B^-1 A and
+        # for its square would take ~1 MiB here.
+        twin = bounds._data_map(Alphabets(3, 3, 3, 3)).twin
+        m = twin.shape[0]
+        assert m == self.M
+        sx = _Simplex(np.hstack([twin, np.eye(m)]), np.zeros(m), None, None)
+        sx.Binv = np.eye(m)
+        tracemalloc.start()
+        try:
+            gamma = sx.edge_weights()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gamma.nbytes + lp._WEIGHT_BLOCK + 4096
 
 
 def _boxed_program():
