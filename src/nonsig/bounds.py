@@ -222,10 +222,12 @@ def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     budget sum (u + v) <= 2*eps.  Columns are the split vertex weights
     q+, q- and u, v; rows are Vt q - u + v = p per cell, sum q = 1 and the
     budgets.  p' = p + u - v >= p - v, so p' >= 0 is the bound v <= p.
+    The vertex tables are built once per alphabet (``_DataMap.vertices``).
     """
     _require_valid(p, eps)
     alph = p.alphabets
-    Vt = vertex_table_matrix(alph)
+    check_vertex_cap(alph.vertex_count, "local vertices")  # every call: the cap may change
+    Vt = _data_map(alph).vertices
     V, n_cells = Vt.shape[1], alph.n_cells
     pvec = p.flat()
 
@@ -285,37 +287,48 @@ class _DataMap:
     them, ``fold`` is its adjoint and ``tables`` its inverse on
     non-signaling tables.
 
-    The nu_tilde LP's arrays are built on first use and kept with the map
-    (``_data_map``), each read-only, as every call on the alphabet shares
-    it: ``twin`` = [S, -S], S the coordinates of the local vertex tables;
-    ``metric`` = T^T T for the map T from coordinates to tables, so that
-    s . metric t is the inner product of two tables; and ``span``, an
-    orthonormal basis of the non-signaling tables, which span the vertex
-    tables.
+    Every array of the local-polytope programs that depends only on the
+    alphabet is built on first use and kept, read-only, with the map
+    (``_data_map``): ``twin`` = [S, -S], S the coordinates of the vertex
+    tables (which it does not keep); ``metric`` = T^T T for the map T from
+    coordinates to tables (``_unit_tables``), so that s . metric t is the
+    inner product of two tables; ``span``, an orthonormal basis of the
+    non-signaling tables, which span the vertex tables; ``vertices``, the
+    vertex tables; and ``moments``, the moment layout.
     """
 
     def __init__(self, alph: Alphabets):
         self.alph = alph
+        self.d = 1 + alph.nx * (alph.na - 1) + alph.ny * (alph.nb - 1)  # moment block size
+
+    @functools.cached_property
+    def vertices(self) -> np.ndarray:
+        return _read_only(vertex_table_matrix(self.alph))
 
     @functools.cached_property
     def twin(self) -> np.ndarray:
         S = self.data_rhs(vertex_table_matrix(self.alph).reshape(*self.alph.shape, -1))
         return _read_only(np.hstack([S, -S]))
 
+    @functools.cached_property
     def _unit_tables(self) -> np.ndarray:
         """The non-signaling tables with unit coordinates, one per column."""
         nx, ny, na, nb = self.alph.shape
         n = (1 + nx * (na - 1)) * (1 + ny * (nb - 1))  # coordinates
-        return self.tables(np.eye(n)).reshape(self.alph.n_cells, -1)
+        return _read_only(self.tables(np.eye(n)).reshape(self.alph.n_cells, -1))
 
     @functools.cached_property
     def metric(self) -> np.ndarray:
-        T = self._unit_tables()
+        T = self._unit_tables
         return _read_only(T.T @ T)
 
     @functools.cached_property
     def span(self) -> np.ndarray:
-        return _read_only(np.linalg.qr(self._unit_tables())[0])
+        return _read_only(np.linalg.qr(self._unit_tables)[0])
+
+    @functools.cached_property
+    def moments(self) -> _MomentLayout:
+        return _MomentLayout(self)
 
     def _split(self, c: np.ndarray) -> list:
         """The cell, Alice-marginal, Bob-marginal and normalization parts of c."""
@@ -370,18 +383,19 @@ class _DataMap:
         return B
 
 
-# Alphabets (or sign shapes) whose min-L1 LP arrays stay in memory.
+# Alphabets (data maps) and sign shapes (LP arrays) whose arrays stay in memory.
 _L1_CACHE = 8
 
 
 @functools.lru_cache(maxsize=_L1_CACHE)
 def _data_map(alph: Alphabets) -> _DataMap:
-    """alph's data map, with the LP arrays it has built."""
+    """alph's data map, with the arrays it has built."""
     return _DataMap(alph)
 
 
 class _MomentLayout:
-    """The homogenized level-1 moment matrix of one alphabet, compiled once.
+    """The homogenized level-1 moment matrix of one alphabet, compiled once,
+    by its data map ``cg`` (``_DataMap.moments``); every array read-only.
 
     Row/column 0 is the identity; one outcome per input is eliminated via
     completeness, leaving na-1 (nb-1) projectors per Alice (Bob) input.
@@ -393,36 +407,26 @@ class _MomentLayout:
     ``structural`` holds the projector constraints (each = 0): diagonal
     entries equal first-row entries (E^2 = E) and projectors of the same
     input are orthogonal.  ``data`` holds the moments a target fixes, one
-    per Collins-Gisin coordinate of the alphabet's map ``cg``: the map's
-    coordinates of ``cells``, with the scale E00 as the normalization.
-
-    ``prog`` is the program over a positive and a negative moment block
-    (and ``n_linear`` nonnegative entries), each block with the projector
-    constraints, minimizing the total scale t+ + t-.  It is made first, so
-    a size over the SDP engine's cap is refused before any d^2 array.
+    per Collins-Gisin coordinate of ``cg``: the map's coordinates of
+    ``cells``, with the scale E00 as the normalization.
     """
 
-    def __init__(self, alph: Alphabets, n_linear: int = 0):
-        nx, ny, na, nb = alph.shape
-        self.d = d = 1 + nx * (na - 1) + ny * (nb - 1)
-        self.prog = prog = SdpProgram([d, d], n_linear)
-        self.cg = _data_map(alph)
+    def __init__(self, cg: _DataMap):
+        nx, ny, na, nb = cg.alph.shape
+        self.alph, d = cg.alph, cg.d
         eye = np.eye(d)
         ea = eye[1:1 + nx * (na - 1)].reshape(nx, na - 1, d)
         eb = eye[1 + nx * (na - 1):].reshape(ny, nb - 1, d)
         alice = np.concatenate([ea, eye[0] - ea.sum(axis=1, keepdims=True)], axis=1)
         bob = np.concatenate([eb, eye[0] - eb.sum(axis=1, keepdims=True)], axis=1)
-        self.cells = _sym_outer(alice[:, None, :, None], bob[None, :, None, :])
+        self.cells = _read_only(_sym_outer(alice[:, None, :, None], bob[None, :, None, :]))
         pairs = [(eye[k], eye[k] - eye[0]) for k in range(1, d)]
         pairs += [(u[i], u[j]) for u in (*ea, *eb)
                   for i in range(len(u)) for j in range(i + 1, len(u))]
         uv = np.reshape(pairs, (-1, 2, d))  # (k, 2, d), also for k = 0
-        self.structural = _sym_outer(uv[:, 0], uv[:, 1])
+        self.structural = _read_only(_sym_outer(uv[:, 0], uv[:, 1]))
         E00 = _sym_outer(eye[0], eye[0])
-        self.data = np.concatenate([self.cg.data_rhs(self.cells)[:-1], E00[None]])
-        prog.set_objective({0: E00, 1: E00})
-        for block in (0, 1):
-            prog.add_constraint({block: self.structural}, np.zeros(len(self.structural)))
+        self.data = _read_only(np.concatenate([cg.data_rhs(self.cells)[:-1], E00[None]]))
 
     def model(self, blocks: list) -> AffineModel:
         """Affine model from the positive and negative moment blocks."""
@@ -432,17 +436,45 @@ class _MomentLayout:
             if t > 1e-8:
                 # A numpy sum per cell, not a BLAS product (tensordot), so
                 # the tables' last bits do not depend on the BLAS build.
-                tab = (self.cells * G).reshape(*self.cg.alph.shape, -1).sum(-1) / t
-                comps.append((sign * t, ConditionalDistribution(self.cg.alph, tab)))
+                tab = (self.cells * G).reshape(*self.alph.shape, -1).sum(-1) / t
+                comps.append((sign * t, ConditionalDistribution(self.alph, tab)))
         return AffineModel(comps, certified_class="npa-level-1")
 
 
-def _exact_layout(p: ConditionalDistribution) -> _MomentLayout:
-    """The moment layout of p's alphabet, whose program's two blocks must
-    reproduce p on every Collins-Gisin coordinate."""
-    layout = _MomentLayout(p.alphabets)
-    layout.prog.add_constraint({0: layout.data, 1: -layout.data}, layout.cg.data_rhs(p.table))
-    return layout
+def _moment_program(p: ConditionalDistribution, eps: float = 0.0) -> tuple:
+    """p's level-1 moment program at smoothing eps, and its data map.
+
+    A positive and a negative moment block, each with the projector
+    constraints, minimizing the total scale t+ + t-; the program is made
+    first, so the SDP cap refuses a size before any d^2 array.  At eps = 0
+    (where the ball {p} leaves the joint program no interior) the blocks
+    must reproduce p on every Collins-Gisin coordinate.  Otherwise a
+    nonnegative linear block holds the p' the blocks represent (so p' >= 0),
+    the ball p' - p = u - v with u, v >= 0 and the slacks of the per-input
+    budgets sum (u + v) <= 2*eps.
+    """
+    alph = p.alphabets
+    cg = _data_map(alph)
+    n, n_in = alph.n_cells, alph.nx * alph.ny
+    prog = SdpProgram([cg.d, cg.d], 0 if eps == 0.0 else 3 * n + n_in)
+    layout = cg.moments
+    E00 = layout.data[-1]
+    prog.set_objective({0: E00, 1: E00})
+    for block in (0, 1):
+        prog.add_constraint({block: layout.structural}, np.zeros(len(layout.structural)))
+    if eps == 0.0:
+        prog.add_constraint({0: layout.data, 1: -layout.data}, cg.data_rhs(p.table))
+        return prog, cg
+    # Linear block: p', u, v (n entries each), then the budget slacks; e[k] selects entry k.
+    e = np.eye(prog.n_linear)
+    pp, u, v = e[:n], e[n:2 * n], e[2 * n:3 * n]
+    prog.add_constraint({0: E00, 1: -E00}, 1.0)
+    cells = layout.cells.reshape(n, cg.d, cg.d)
+    prog.add_constraint({0: cells, 1: -cells, LINEAR: -pp}, np.zeros(n))  # the blocks give p'
+    prog.add_constraint({LINEAR: pp - u + v}, p.flat())
+    prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]},
+                        np.full(n_in, 2.0 * eps))
+    return prog, cg
 
 
 def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
@@ -456,56 +488,32 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     tensor, are the level-1 Tsirelson functional: B(p) is the value.
     """
     _require_valid(p)
-    layout = _exact_layout(p)
-    sol = solve_sdp(layout.prog)
+    prog, cg = _moment_program(p)
+    sol = solve_sdp(prog)
     record = sol.record("gamma2_tilde_1")
-    model = layout.model(sol.blocks)
+    model = cg.moments.model(sol.blocks)
     return BoundResult(
         quantity="gamma2_tilde_1",
         value=float(sol.objective),
         primal_certificate=model,
-        dual_certificate=BellFunctional(coeffs=layout.cg.fold(sol.dual[-len(layout.data):]),
+        dual_certificate=BellFunctional(coeffs=cg.fold(sol.dual[-len(cg.moments.data):]),
                                         claimed_bound_class="npa-level-1", normalization=1.0),
         diagnostics={**record, "reconstruction_residual": model.residual(p.table)},
     )
 
 
 def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
-    """Epsilon-smoothed level-1 relaxation, as one joint SDP.
-
-    The perturbed target p' is whatever the two moment blocks represent.
-    A nonnegative linear block holds p' itself (so p' >= 0), the ball
-    p' - p = u - v with u, v >= 0, and the slacks of the per-input budgets
-    sum (u + v) <= 2*eps.
-    """
+    """Epsilon-smoothed level-1 relaxation, as one joint SDP
+    (``_moment_program``): the exact program at eps = 0."""
     _require_valid(p, eps)
-    if eps == 0.0:
-        # The ball is {p}: every u, v is forced to 0, so the joint program
-        # has no interior.  Solve the exact program instead.
-        layout = _exact_layout(p)
-    else:
-        alph = p.alphabets
-        n, n_in = alph.n_cells, alph.nx * alph.ny
-        # Linear block: p', u, v (n entries each), then the nx*ny budget
-        # slacks; row k of `e` selects entry k.
-        layout = _MomentLayout(alph, 3 * n + n_in)
-        prog = layout.prog
-        e = np.eye(prog.n_linear)
-        pp, u, v = e[:n], e[n:2 * n], e[2 * n:3 * n]
-        E00 = layout.data[-1]
-        prog.add_constraint({0: E00, 1: -E00}, 1.0)
-        cells = layout.cells.reshape(n, layout.d, layout.d)
-        prog.add_constraint({0: cells, 1: -cells, LINEAR: -pp}, np.zeros(n))  # the blocks give p'
-        prog.add_constraint({LINEAR: pp - u + v}, p.flat())
-        prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]},
-                            np.full(n_in, 2.0 * eps))
-    sol = solve_sdp(layout.prog)
+    prog, cg = _moment_program(p, eps)
+    sol = solve_sdp(prog)
     record = sol.record("gamma2_tilde_1_eps")
     return BoundResult(
         quantity="gamma2_tilde_1_eps",
         value=float(sol.objective),
         epsilon=float(eps),
-        primal_certificate=layout.model(sol.blocks),
+        primal_certificate=cg.moments.model(sol.blocks),
         diagnostics=record,
     )
 

@@ -67,6 +67,11 @@ def check_vertex_cap(count: int, items: str) -> None:
             f"enumeration would produce {count} {items} (cap {limit})")
 
 
+def is_integer(v) -> bool:
+    """Whether v is a Python or numpy integer; a bool, though an int, is none."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Alphabets:
     """Input/outcome alphabet sizes: nx, ny inputs and na, nb outcomes."""
@@ -78,8 +83,8 @@ class Alphabets:
 
     def __post_init__(self):
         for name in ("nx", "ny", "na", "nb"):
-            v = getattr(self, name)  # bool subclasses int, but is no size
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            v = getattr(self, name)
+            if not is_integer(v) or v < 1:
                 raise ShapeError(f"{name} must be a positive integer, got {v!r}")
 
     @property

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ResourceLimitError
+from .core import ResourceLimitError, is_integer
 
 _DIM_CAP, _MAX_ITER, _TOL = 200, 500, 1e-9  # size cap, iteration limit, inner tolerance
 LINEAR = "lin"  # key of the nonnegative linear block in coefficient dicts
@@ -69,15 +69,17 @@ class SdpProgram:
     layout ``c`` is the objective, row i of ``A`` is constraint i and ``b``
     holds the right-hand sides.  Coefficient dicts map a block index to a
     matrix (symmetrized on entry) and ``LINEAR`` to a vector; missing blocks
-    cost 0.  Bad input raises ``ValueError`` when it is given.
+    cost 0.  Sizes and block indices are Python or numpy integers, not bools
+    or floats.  Bad input raises ``ValueError`` when it is given.
     """
 
     def __init__(self, block_dims, n_linear: int = 0):
-        self.block_dims = [int(d) for d in block_dims]
-        self.n_linear = int(n_linear)
-        if len(set(self.block_dims)) != 1 or self.block_dims[0] < 1 or self.n_linear < 0:
+        dims = list(block_dims)
+        if (not all(map(is_integer, [*dims, n_linear])) or len(set(dims)) != 1 or dims[0] < 1
+                or n_linear < 0):
             raise ValueError("expected k >= 1 PSD blocks of one positive size and a linear "
-                             f"length >= 0, got {self.block_dims} and {self.n_linear}")
+                             f"length >= 0, all integers, got {dims} and {n_linear!r}")
+        self.block_dims, self.n_linear = [int(d) for d in dims], int(n_linear)
         if self.total_dim > _DIM_CAP:  # refused before any array is built
             raise ResourceLimitError(
                 f"total block dimension {self.total_dim} exceeds cap {_DIM_CAP}")
@@ -106,7 +108,7 @@ class SdpProgram:
         the leading shape ``lead``."""
         rows = np.zeros((*lead, len(self.c)))
         for j, M in coeffs.items():
-            if j not in self.span:
+            if j not in self.span or not (is_integer(j) or j == LINEAR):  # True == 1, 0.0 == 0
                 raise ValueError(f"no block {j!r} in a program of {len(self.block_dims)}")
             M = np.asarray(M, dtype=float)
             shape = lead + ((self.n_linear,) if j == LINEAR else (self.block_dims[int(j)],) * 2)

@@ -299,7 +299,8 @@ class TestLpCache:
 
     def test_cap_holds_on_a_warm_cache(self, monkeypatch):
         monkeypatch.delenv("NONSIG_VERTEX_CAP", raising=False)
-        calls = [lambda: nu_tilde(pr_box()), lambda: nu_corr(CHSH_SIGNS)]
+        calls = [lambda: nu_tilde(pr_box()), lambda: nu_tilde_eps(pr_box(), 0.1),
+                 lambda: nu_corr(CHSH_SIGNS)]
         for call in calls:
             call()
         # 16 local vertices on the PR box, 16 sign vertices on a 2x2 matrix.
@@ -458,7 +459,7 @@ class TestGamma2Tilde1Eps:
         gamma2_tilde_1_eps(pr_box(), 0.1)
         assert progs[0].block_dims == [5, 5]
         assert progs[0].n_linear == 3 * 16 + 4
-        n_structural = len(bounds._MomentLayout(B22).structural)
+        n_structural = len(bounds._data_map(B22).moments.structural)
         assert progs[0].n_constraints == 2 * n_structural + 2 * 16 + 4 + 1
 
     @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
@@ -481,18 +482,19 @@ class TestMomentLayout:
         # table and its data moments give data_rhs, all without the SDP.
         alph = Alphabets(*shape)
         nx, ny, na, nb = shape
-        layout = bounds._MomentLayout(alph)
+        cg = bounds._data_map(alph)
+        layout = cg.moments
         for v in enumerate_local_vertices(alph):
             g = np.concatenate(
                 [[1.0]] + [np.arange(na - 1) == a for a in v.lambda_a]
                 + [np.arange(nb - 1) == b for b in v.lambda_b]).astype(float)
-            assert g.shape == (layout.d,)
+            assert g.shape == (cg.d,)
             G = np.outer(g, g)
             for M in layout.structural:
                 assert np.sum(M * G) == 0.0
             assert np.array_equal(np.einsum("...ij,ij->...", layout.cells, G), v.table())
             assert np.array_equal(np.einsum("kij,ij->k", layout.data, G),
-                                  layout.cg.data_rhs(v.table()))
+                                  cg.data_rhs(v.table()))
 
 
 class TestDataMap:
@@ -531,13 +533,13 @@ class TestDataMap:
         # layout's cells under its alphabet's map, bit for bit, with the
         # scale block E00 as the normalization row.  Written out: the
         # retained cells, then each retained projector's first-row entry,
-        # Alice's before Bob's.
-        alph = Alphabets(*shape)
-        layout = bounds._MomentLayout(alph)
-        assert layout.cg is bounds._data_map(alph)
-        d, eye = layout.d, np.eye(layout.d)
+        # Alice's before Bob's.  The map builds the layout once.
+        cg = bounds._data_map(Alphabets(*shape))
+        layout = cg.moments
+        assert cg.moments is layout
+        d, eye = cg.d, np.eye(cg.d)
         E00 = bounds._sym_outer(eye[0], eye[0])
-        assert np.array_equal(layout.data[:-1], layout.cg.data_rhs(layout.cells)[:-1])
+        assert np.array_equal(layout.data[:-1], cg.data_rhs(layout.cells)[:-1])
         assert np.array_equal(layout.data[-1], E00)
         assert np.array_equal(layout.data, np.concatenate(
             [layout.cells[:, :, :-1, :-1].reshape(-1, d, d),

@@ -339,6 +339,18 @@ class TestExitCodes:
         monkeypatch.setenv("NONSIG_VERTEX_CAP", "4")
         assert main(["bell", pr_file]) == 2
 
+    def test_warm_nu_eps_over_vertex_cap_is_exit_2(self, capsys, monkeypatch, pr_file):
+        # The PR box's vertex tables are cached by the first call; the cap
+        # is still checked on the second.
+        monkeypatch.delenv("NONSIG_VERTEX_CAP", raising=False)
+        argv = ["nu-eps", pr_file, "--epsilon", "0.1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "4")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: enumeration would produce 16 local vertices (cap 4)\n"
+
     @pytest.mark.parametrize("setting", ["2e6", "-5", "many"])
     def test_malformed_vertex_cap_is_exit_1_and_named(self, capsys, monkeypatch, pr_file,
                                                       setting):

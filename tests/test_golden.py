@@ -3,13 +3,13 @@
 Only LP-backed and combinatorial commands are pinned; SDP and Monte-Carlo
 reports may differ in their last digits between BLAS or numpy versions,
 and SDP reports also between OpenBLAS thread counts on one machine.
-The LP reports must not depend on what earlier solves left in the LP
-caches of ``nonsig.bounds`` (each alphabet's data map, each sign shape's
-arrays) either: each is checked on cleared caches and again on warm
-ones.  The inputs live in ``tests/golden/inputs`` and each expected
-report in ``tests/golden/<case>.json``.  After an intended output
-change, rewrite the expected reports with
-``PYTHONPATH=src python tests/test_golden.py``.
+The LP reports must not depend on what earlier solves left in the caches
+of ``nonsig.bounds`` (each alphabet's data map, each sign shape's arrays)
+either: each is checked on cleared caches and again on warm ones, and so
+are the moment-program reports, against each other.  The inputs live in
+``tests/golden/inputs`` and each expected report in
+``tests/golden/<case>.json``.  After an intended output change, rewrite
+the expected reports with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
@@ -81,13 +81,23 @@ def test_lp_certificates_hold_without_the_solver(case):
     assert float((B * p.table).sum()) == pytest.approx(value, abs=1e-9)
 
 
+def _cached_arrays(obj) -> dict:
+    """The arrays an object holds, by attribute name."""
+    return {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+
+
+def _assert_read_only(arrays):
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
 def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
     # Each LP case runs on cleared LP caches, then again on what the first
-    # run cached.  A cached build makes the vertex matrix of its alphabet
-    # or sign shape, so the warm run makes none, except for the eps LP,
-    # which builds its own vertex matrix on every call and caches nothing.
-    # Every array the cache holds is read-only.
-    builds, maps, triples = [], [], []
+    # run cached.  The cold run makes the vertex matrix of its alphabet or
+    # sign shape once, and the warm run none.  Each data map holds the
+    # arrays its LP reads, and every array the cache holds is read-only.
+    builds, maps, triples, built = [], [], [], {}
     for name in ("vertex_table_matrix", "_sign_vertex_matrix"):
         make = getattr(bounds, name)
         monkeypatch.setattr(bounds, name, lambda *a, make=make: builds.append(a) or make(*a))
@@ -98,21 +108,52 @@ def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
     for case in LP_CASES:
         bounds._data_map.cache_clear()
         build_sign.cache_clear()
-        counts = []
+        counts, first = [], len(maps)
         for state in ("cold", "warm"):
             before = len(builds)
             assert main(_argv(case)) == 0
             assert capsys.readouterr().out == (GOLDEN / f"{case}.json").read_text(), (case, state)
             counts.append(len(builds) - before)
-        assert counts == ([1, 1] if CASES[case][0] == "nu-eps" else [1, 0]), case
-    assert len(maps) == 3  # the PR box twice (nu, bell), 3x3x3x3
-    assert all({"twin", "metric", "span"} <= vars(cg).keys() for cg in maps)  # all built
+        assert counts == [1, 0], case
+        built[case] = [sorted(_cached_arrays(cg)) for cg in maps[first:]]
+    lp = ["_unit_tables", "metric", "span", "twin"]
+    assert built == {"nu": [lp], "nu-eps": [["vertices"]], "bell": [lp], "nu-corr-chsh": [],
+                     "nu-corr-sylvester6": [], "nu-3333": [lp], "nu-eps-2233": [["vertices"]]}
     assert len({id(t) for t in triples}) == 2  # the two sign shapes
-    arrays = [arr for cg in maps for arr in (cg.twin, cg.metric, cg.span)]
-    arrays += [arr for triple in triples for arr in triple]
-    for arr in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            arr.flat[0] = arr.flat[0]
+    _assert_read_only([arr for cg in maps for arr in _cached_arrays(cg).values()]
+                      + [arr for triple in triples for arr in triple])
+
+
+MOMENT_FORMS = {"gamma2": [], "gamma2-eps": ["--epsilon", "0.1"],
+                "bell": ["--bound-class", "npa-level-1"], "gap-check": []}
+
+
+@pytest.mark.parametrize("inp", ["pr_box.json", "nonlocal_2233.json"])
+@pytest.mark.parametrize("command", sorted(MOMENT_FORMS))
+def test_moment_reports_do_not_depend_on_the_cache(capsys, monkeypatch, command, inp):
+    # A moment-program report is the same on a cleared and on a warm data
+    # map.  The cold run builds its alphabet's moment layout once (and
+    # gap-check the vertex matrix of its LP); the warm run builds neither.
+    layouts, builds = [], []
+    make_layout, make = bounds._MomentLayout, bounds.vertex_table_matrix
+    monkeypatch.setattr(bounds, "_MomentLayout",
+                        lambda cg: layouts.append(make_layout(cg)) or layouts[-1])
+    monkeypatch.setattr(bounds, "vertex_table_matrix", lambda a: builds.append(a) or make(a))
+    bounds._data_map.cache_clear()
+    outs, counts = [], []
+    for state in ("cold", "warm"):
+        before = (len(layouts), len(builds))
+        assert main([command, str(INPUTS / inp), *MOMENT_FORMS[command], "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+        counts.append((len(layouts) - before[0], len(builds) - before[1]))
+    assert outs[0] == outs[1]
+    assert counts == [(1, int(command == "gap-check")), (0, 0)]
+    alph = distribution_from_json(json.loads((INPUTS / inp).read_text())).alphabets
+    layout = bounds._data_map(alph).moments
+    assert layout is layouts[0]
+    assert sorted(_cached_arrays(layout)) == ["cells", "data", "structural"]
+    _assert_read_only([*_cached_arrays(layout).values(),
+                       *_cached_arrays(bounds._data_map(alph)).values()])
 
 
 if __name__ == "__main__":

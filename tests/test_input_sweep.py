@@ -124,13 +124,24 @@ def test_every_command_refuses_cleanly(capsys, tmp_path, name):
             assert code == 1, (argv, code, err)
 
 
-@pytest.mark.parametrize("command, items", [("nu", "local"), ("nu-corr", "sign")])
+@pytest.mark.parametrize("command, items", [("nu", "local"), ("nu-corr", "sign"),
+                                            ("nu-eps", "local")])
 def test_alphabet_over_vertex_cap_is_exit_2(capsys, command, items):
     # The uniform 1x20x2x2 table has 2^21 = 2,097,152 local vertices and as
     # many sign vertices, just over the default cap.
-    code, out, err = _run(capsys, [command, str(INPUTS / "over_vertex_cap.json"), "--json"])
+    form = next(form for form in FORMS if form[0] == command)
+    code, out, err = _run(capsys, [command, str(INPUTS / "over_vertex_cap.json"), *form[1:],
+                                   "--json"])
     assert (code, out) == (2, "")
     assert err == f"error: enumeration would produce 2097152 {items} vertices (cap 2000000)\n"
+
+
+def test_moment_program_past_the_vertex_cap(capsys):
+    # The same point's moment program builds no vertex table, so the
+    # vertex cap does not apply to it: two 22 x 22 blocks.
+    code, out, err = _run(capsys, ["gamma2", str(INPUTS / "over_vertex_cap.json"), "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-6)
 
 
 BAD_OPTIONS = [*(("--epsilon", v) for v in ("nan", "-0.1", "1")),

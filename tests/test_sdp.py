@@ -1,6 +1,7 @@
 """Tests for the interior-point SDP engine."""
 
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -261,8 +262,9 @@ class TestStackedPrograms:
         for name in ("A", "b", "c"):
             assert np.array_equal(getattr(prog, name), getattr(ref, name)), name
 
-    def moment_reference(self, layout, n_linear=0):
-        ref = SdpProgram([layout.d, layout.d], n_linear)
+    def moment_reference(self, cg, n_linear=0):
+        layout = cg.moments
+        ref = SdpProgram([cg.d, cg.d], n_linear)
         E00 = layout.data[-1]
         ref.set_objective({0: E00, 1: E00})
         for block in (0, 1):
@@ -273,22 +275,22 @@ class TestStackedPrograms:
     def test_gamma2_tilde_1(self, monkeypatch):
         p = pr_box()
         prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1(p))
-        layout = bounds._MomentLayout(p.alphabets)
-        ref = self.moment_reference(layout)
-        for M, rhs in zip(layout.data, layout.cg.data_rhs(p.table)):
+        cg = bounds._data_map(p.alphabets)
+        ref = self.moment_reference(cg)
+        for M, rhs in zip(cg.moments.data, cg.data_rhs(p.table)):
             ref.add_constraint({0: M, 1: -M}, rhs)
         self.assert_same(prog, ref)
 
     def test_gamma2_tilde_1_eps(self, monkeypatch):
         p, eps = pr_box(), 0.1
         prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1_eps(p, eps))
-        layout = bounds._MomentLayout(p.alphabets)
+        cg = bounds._data_map(p.alphabets)
         n, n_in, per_input = 16, 4, 4
         e = np.eye(3 * n + n_in)  # linear block: p', u, v, budget slacks
-        ref = self.moment_reference(layout, len(e))
-        E00 = layout.data[-1]
+        ref = self.moment_reference(cg, len(e))
+        E00 = cg.moments.data[-1]
         ref.add_constraint({0: E00, 1: -E00}, 1.0)
-        for k, A in enumerate(layout.cells.reshape(n, 5, 5)):
+        for k, A in enumerate(cg.moments.cells.reshape(n, 5, 5)):
             ref.add_constraint({0: A, 1: -A, LINEAR: -e[k]}, 0.0)
         for k, pv in enumerate(p.flat()):
             ref.add_constraint({LINEAR: e[k] - e[n + k] + e[2 * n + k]}, pv)
@@ -375,24 +377,42 @@ class TestValidationAndLimits:
             tracemalloc.stop()
         assert peak < 1e6
 
-    @pytest.mark.parametrize("dims, n_linear", [([2, 3], 0), ([3, 2, 3], 3), ([], 4)])
+    @pytest.mark.parametrize("dims, n_linear", [([2, 3], 0), ([3, 2, 3], 3), ([], 4),
+                                                ([2.7], 0), ([2], 1.5), ([True], 0),
+                                                ([2], True), ([2.0, 2.0], 0)])
     def test_one_block_size_required(self, dims, n_linear):
-        # The engine solves k >= 1 PSD blocks of one size, nothing else.
-        with pytest.raises(ValueError, match="PSD blocks of one positive size"):
+        # The engine solves k >= 1 PSD blocks of one integer size, nothing
+        # else: a float or a bool is refused, not truncated, and named.
+        with pytest.raises(ValueError, match="PSD blocks of one positive size") as err:
             SdpProgram(dims, n_linear)
+        assert f"got {dims} and {n_linear!r}" in str(err.value)
+
+    def test_numpy_integer_sizes_accepted(self):
+        prog = SdpProgram([np.int64(2), np.int32(2)], np.int8(3))
+        assert prog.block_dims == [2, 2] and prog.n_linear == 3
+        assert all(type(v) is int for v in [*prog.block_dims, prog.n_linear])
+        prog.add_constraint({np.int64(1): np.eye(2), LINEAR: np.ones(3)}, 1.0)
+        assert prog.A.shape == (1, 11)
 
     def test_bad_block_shape(self):
         prog = SdpProgram([2])
         with pytest.raises(ValueError):
             prog.add_constraint({0: np.eye(3)}, 1.0)
 
-    @pytest.mark.parametrize("key", [-1, 1, "x"])
-    def test_unknown_block_rejected(self, key):
-        prog = SdpProgram([2])
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("key, dims", [
+        pytest.param(-1, [2], id="-1"), pytest.param(1, [2], id="1"),
+        pytest.param("x", [2], id="x"), pytest.param(True, [2, 2], id="True"),
+        pytest.param(0.0, [2], id="0.0"), pytest.param(np.True_, [2, 2], id="numpy-True"),
+        pytest.param(np.float64(1.0), [2, 2], id="numpy-1.0")])
+    def test_unknown_block_rejected(self, key, dims):
+        # A block key is an index or LINEAR: a bool or a float names no
+        # block, though it equals an index of the program (True == 1).
+        prog = SdpProgram(dims)
+        with pytest.raises(ValueError, match=f"no block {re.escape(repr(key))} "):
             prog.add_constraint({key: np.eye(2)}, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no block"):
             prog.set_objective({key: np.eye(2)})
+        assert prog.n_constraints == 0 and not prog.c.any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficient_rejected(self, bad):
