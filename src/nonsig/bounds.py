@@ -188,8 +188,7 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     """
     _require_valid(p)
     alph = p.alphabets
-    check_vertex_cap(alph.vertex_count, "local vertices")  # every call: the cap may change
-    cg = _data_map(alph)
+    cg = _vertex_map(alph)
     rhs = cg.data_rhs(p.table)
     value, record, q, y, norm = _min_l1_combination(cg.twin, rhs, cg.metric @ rhs, "nu_tilde")
     Q = cg.span
@@ -226,8 +225,7 @@ def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     """
     _require_valid(p, eps)
     alph = p.alphabets
-    check_vertex_cap(alph.vertex_count, "local vertices")  # every call: the cap may change
-    Vt = _data_map(alph).vertices
+    Vt = _vertex_map(alph).vertices
     V, n_cells = Vt.shape[1], alph.n_cells
     pvec = p.flat()
 
@@ -294,7 +292,8 @@ class _DataMap:
     coordinates to tables (``_unit_tables``), so that s . metric t is the
     inner product of two tables; ``span``, an orthonormal basis of the
     non-signaling tables, which span the vertex tables; ``vertices``, the
-    vertex tables; and ``moments``, the moment layout.
+    vertex tables; ``moments``, the moment layout; and, on a binary alphabet,
+    ``signs``: the sign LPs' [S, -S] and sign vectors (``_sign_vertex_matrix``).
     """
 
     def __init__(self, alph: Alphabets):
@@ -329,6 +328,11 @@ class _DataMap:
     @functools.cached_property
     def moments(self) -> _MomentLayout:
         return _MomentLayout(self)
+
+    @functools.cached_property
+    def signs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        S, us, vs = _sign_vertex_matrix(self.alph.nx, self.alph.ny)
+        return _read_only(np.hstack([S, -S])), _read_only(us), _read_only(vs)
 
     def _split(self, c: np.ndarray) -> list:
         """The cell, Alice-marginal, Bob-marginal and normalization parts of c."""
@@ -383,7 +387,7 @@ class _DataMap:
         return B
 
 
-# Alphabets (data maps) and sign shapes (LP arrays) whose arrays stay in memory.
+# Alphabets whose data maps (sign shapes' on their binary alphabets) stay in memory.
 _L1_CACHE = 8
 
 
@@ -391,6 +395,13 @@ _L1_CACHE = 8
 def _data_map(alph: Alphabets) -> _DataMap:
     """alph's data map, with the arrays it has built."""
     return _DataMap(alph)
+
+
+def _vertex_map(alph: Alphabets, items: str = "local vertices") -> _DataMap:
+    """``_data_map(alph)`` after the vertex cap on alph's local vertices (``items``),
+    checked on every call: the cap may change while the map stays cached."""
+    check_vertex_cap(alph.vertex_count, items)
+    return _data_map(alph)
 
 
 class _MomentLayout:
@@ -537,21 +548,6 @@ def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return S, us, vs
 
 
-@functools.lru_cache(maxsize=_L1_CACHE)
-def _build_sign(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[S, -S] over the nx x ny sign vertices and their sign vectors
-    (``_sign_vertex_matrix``), read-only: every call on the shape shares them."""
-    S, us, vs = _sign_vertex_matrix(nx, ny)
-    return _read_only(np.hstack([S, -S])), _read_only(us), _read_only(vs)
-
-
-def _sign_structure(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_build_sign(nx, ny)``, after the vertex cap, which counts all
-    2^(nx+ny) sign vertices and is checked on every call."""
-    check_vertex_cap(2 ** (nx + ny), "sign vertices")
-    return _build_sign(nx, ny)
-
-
 def _correlation_matrix(C, bound: float = 1.0) -> np.ndarray:
     """C as a float matrix; ValueError unless it is a finite, non-empty 2-D
     matrix with entries in [-bound, bound] (to 1e-12)."""
@@ -571,7 +567,7 @@ def _sign_mass(C: np.ndarray, alpha: float, name: str) -> float:
     The rows are S q = r / C, not diag(C) S q = r: the same pivots in exact
     arithmetic, but the crash's Gram-Schmidt over diag(C) S picks dependent
     columns when an entry of C is near 0 (1e-10)."""
-    twin = _sign_structure(*C.shape)[0]
+    twin = _vertex_map(Alphabets(*C.shape, 2, 2), "sign vertices").signs[0]
     if not np.all(C):
         return np.inf
     target = 1.0 / C.reshape(-1)
@@ -582,7 +578,7 @@ def nu_corr(C: np.ndarray) -> BoundResult:
     """nu on correlation space: min sum|q| with sum q_i u_i v_i^T = C."""
     C = _correlation_matrix(C)
     nx, ny = C.shape
-    twin, us, vs = _sign_structure(nx, ny)
+    twin, us, vs = _vertex_map(Alphabets(nx, ny, 2, 2), "sign vertices").signs
     target = C.reshape(-1)
     value, record, q, y, norm = _min_l1_combination(twin, target, target, "nu_corr")
     corr_B = y.reshape(nx, ny)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Alphabets, AffineModel, ConditionalDistribution, LocalVertex,
-                   ResourceLimitError, check_vertex_cap)
+                   ResourceLimitError, ShapeError, check_vertex_cap)
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,18 @@ def renormalize_estimates(Q: np.ndarray) -> np.ndarray:
     return out / out.sum()
 
 
-def _split_model(model: AffineModel) -> list:
-    """(s, sign, q, mix, table) for each nonempty side s of q+ p+ - q- p-,
-    where mix lists (probability, local vertex) pairs and table is their mixture."""
+def _split_model(model: AffineModel, shape: tuple) -> list:
+    """(s, sign, q, mix, table) for each nonempty side s of q+ p+ - q- p-, where
+    mix lists (probability, local vertex of alphabets ``shape``) pairs and
+    table is their mixture."""
     q_plus, mix_plus, q_minus, mix_minus = model.split_signed()
     for _, comp in mix_plus + mix_minus:
         if not isinstance(comp, LocalVertex):
             raise ValueError("SMP protocols need components that are local "
                              f"deterministic vertices; got {type(comp).__name__}")
+        if comp.alphabets.shape != shape:
+            raise ShapeError(f"model alphabets {comp.alphabets.shape} do not match "
+                             f"the target's {shape}")
     return [(s, 1.0 - 2.0 * s, float(q), mix, AffineModel(mix).evaluate())
             for s, (q, mix) in enumerate(((q_plus, mix_plus), (q_minus, mix_minus)))
             if mix]
@@ -193,7 +197,7 @@ def run_smp_classical(model: AffineModel, target: ConditionalDistribution,
     _check_inputs(seed=seed, replays=replays)
     alph, T = target.alphabets, plan.T
     raw = np.zeros(alph.shape)
-    for s, sign, q, _, table in _split_model(model):
+    for s, sign, q, _, table in _split_model(model, alph.shape):
         for x, y in np.ndindex(alph.nx, alph.ny):
             counts = _rng(seed, x, y, s).multinomial(T, table[x, y].reshape(-1))
             raw[x, y] += (q * counts / T).reshape(alph.na, alph.nb) * sign
@@ -213,7 +217,7 @@ def run_smp_quantum_sim(model: AffineModel, target: ConditionalDistribution,
     alph, T, L = target.alphabets, plan.T, plan.L
     raw = np.zeros(alph.shape)
     pool_dev = 0.0
-    for s, sign, q, mix, table in _split_model(model):
+    for s, sign, q, mix, table in _split_model(model, alph.shape):
         # Pool frequencies: the fraction of pool strings producing (a,b).
         picks = _rng(seed, 0, 0, 10 + s).choice(len(mix), size=L, p=[w for w, _ in mix])
         idx, cnt = np.unique(picks, return_counts=True)
@@ -244,7 +248,7 @@ def run_smp_boolean(C: np.ndarray, model: AffineModel, plan: SmpPlan,
     T = plan.T
     # P[ab = +1] of each side, reading outcome index 0 as the sign +1.
     sides = [(s, sign, q, table[:, :, 0, 0] + table[:, :, 1, 1])
-             for s, sign, q, _, table in _split_model(model)]
+             for s, sign, q, _, table in _split_model(model, (*C.shape, 2, 2))]
     errors = np.zeros(C.shape)
     for x, y in np.ndindex(C.shape):
         val = np.zeros(replays)  # the referee's estimate of C(x, y), one per replay

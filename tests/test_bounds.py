@@ -267,7 +267,7 @@ class TestMinL1Path:
             twin = bounds._data_map(Alphabets(*shape)).twin
             yield shape, twin[:, :twin.shape[1] // 2]
         for shape in cls.SIGN:
-            twin = bounds._sign_structure(*shape)[0]
+            twin = bounds._data_map(Alphabets(*shape, 2, 2)).signs[0]
             yield shape, twin[:, :twin.shape[1] // 2]
 
     def test_crash_columns_match_the_loop(self):
@@ -294,13 +294,16 @@ class TestMinL1Path:
 
 
 class TestLpCache:
-    """The min-L1 LP structure of an alphabet or sign shape is built once
-    and cached; the vertex cap still applies to every call."""
+    """The min-L1 LP structure of an alphabet or sign shape is built once,
+    on the data map of its alphabet (a sign shape's binary alphabet); the
+    vertex cap still applies to every call."""
 
     def test_cap_holds_on_a_warm_cache(self, monkeypatch):
         monkeypatch.delenv("NONSIG_VERTEX_CAP", raising=False)
         calls = [lambda: nu_tilde(pr_box()), lambda: nu_tilde_eps(pr_box(), 0.1),
-                 lambda: nu_corr(CHSH_SIGNS)]
+                 lambda: nu_corr(CHSH_SIGNS), lambda: nu_corr_alpha(CHSH_SIGNS, 1.5),
+                 lambda: games.equal_bias_value(CHSH_SIGNS),
+                 lambda: games.epsilon_pub(CHSH_SIGNS)]
         for call in calls:
             call()
         # 16 local vertices on the PR box, 16 sign vertices on a 2x2 matrix.
@@ -312,6 +315,29 @@ class TestLpCache:
         for call in calls:
             with pytest.raises(ValueError, match="NONSIG_VERTEX_CAP"):
                 call()
+
+    def test_pr_box_and_chsh_share_one_map(self):
+        # The CHSH sign vertices are the correlations of the PR box's
+        # local vertices: both LPs read the 2x2x2x2 map.
+        bounds._data_map.cache_clear()
+        nu_tilde(pr_box())
+        nu_corr(CHSH_SIGNS)
+        assert bounds._data_map.cache_info().currsize == 1
+        cg = bounds._data_map(B22)
+        assert {"twin", "signs"} <= set(vars(cg))
+
+    def test_one_cache_of_8_maps_in_all(self):
+        # Five alphabets and five sign shapes, ten distinct maps, through
+        # the one cache, which keeps at most 8 of them.
+        bounds._data_map.cache_clear()
+        rng = np.random.default_rng(72)
+        for shape in [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (2, 2, 2, 3), (3, 2, 3, 2)]:
+            nu_tilde(random_nonsignaling(rng, Alphabets(*shape)))
+        for shape in [(1, 2), (2, 3), (3, 4), (4, 4), (4, 5)]:
+            nu_corr(rng.uniform(-1.0, 1.0, size=shape))
+        info = bounds._data_map.cache_info()
+        assert info.misses == 10
+        assert info.currsize <= 8
 
 
 class TestNuTildeEps:
@@ -718,10 +744,11 @@ class TestSignVertices:
     def use_all_sign_vertices(monkeypatch):
         """Build the same LPs over every sign vertex: the [S, -S] split then
         holds each distinct column four times.  The equal-bias and
-        epsilon_pub LPs take their columns through ``bounds`` too.  The LP
-        structures are cached per shape, so a fresh cache stands in for
-        the test's duration: every shape is built anew, and no entry over
-        all sign vertices outlives the test.  Returns the shapes built."""
+        epsilon_pub LPs take their columns through ``bounds`` too.  The sign
+        arrays are cached on each binary alphabet's data map, so a fresh
+        map cache stands in for the test's duration: every shape is built
+        anew, and no map over all sign vertices outlives the test.  Returns
+        the shapes built."""
         built = []
 
         def every_sign_vertex(nx, ny):
@@ -729,8 +756,8 @@ class TestSignVertices:
             return all_sign_vertices(nx, ny)
 
         monkeypatch.setattr(bounds, "_sign_vertex_matrix", every_sign_vertex)
-        monkeypatch.setattr(bounds, "_build_sign", functools.lru_cache(
-            maxsize=bounds._L1_CACHE)(bounds._build_sign.__wrapped__))
+        monkeypatch.setattr(bounds, "_data_map", functools.lru_cache(
+            maxsize=bounds._L1_CACHE)(bounds._data_map.__wrapped__))
         return built
 
     @staticmethod

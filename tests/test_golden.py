@@ -3,13 +3,13 @@
 Only LP-backed and combinatorial commands are pinned; SDP and Monte-Carlo
 reports may differ in their last digits between BLAS or numpy versions,
 and SDP reports also between OpenBLAS thread counts on one machine.
-The LP reports must not depend on what earlier solves left in the caches
-of ``nonsig.bounds`` (each alphabet's data map, each sign shape's arrays)
-either: each is checked on cleared caches and again on warm ones, and so
-are the moment-program reports, against each other.  The inputs live in
-``tests/golden/inputs`` and each expected report in
-``tests/golden/<case>.json``.  After an intended output change, rewrite
-the expected reports with ``PYTHONPATH=src python tests/test_golden.py``.
+The LP reports must not depend on what earlier solves left in the one
+cache of ``nonsig.bounds``, each alphabet's data map (a sign shape's arrays
+on its binary alphabet's) either: each is checked on a cleared cache and
+again on a warm one, and so are the moment-program reports, against each
+other.  The inputs live in ``tests/golden/inputs`` and each expected
+report in ``tests/golden/<case>.json``.  After an intended output change,
+rewrite the expected reports with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
@@ -82,32 +82,32 @@ def test_lp_certificates_hold_without_the_solver(case):
 
 
 def _cached_arrays(obj) -> dict:
-    """The arrays an object holds, by attribute name."""
-    return {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+    """The arrays an object holds, by attribute name; a tuple of arrays
+    (``signs``) counts as one entry."""
+    return {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)
+            or isinstance(v, tuple) and all(isinstance(a, np.ndarray) for a in v)}
 
 
 def _assert_read_only(arrays):
     for arr in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            arr.flat[0] = arr.flat[0]
+        for a in arr if isinstance(arr, tuple) else [arr]:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
 
 
 def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
-    # Each LP case runs on cleared LP caches, then again on what the first
+    # Each LP case runs on a cleared cache, then again on what the first
     # run cached.  The cold run makes the vertex matrix of its alphabet or
     # sign shape once, and the warm run none.  Each data map holds the
     # arrays its LP reads, and every array the cache holds is read-only.
-    builds, maps, triples, built = [], [], [], {}
+    builds, maps, built = [], [], {}
     for name in ("vertex_table_matrix", "_sign_vertex_matrix"):
         make = getattr(bounds, name)
         monkeypatch.setattr(bounds, name, lambda *a, make=make: builds.append(a) or make(*a))
-    new_map, build_sign = bounds._DataMap, bounds._build_sign
+    new_map = bounds._DataMap
     monkeypatch.setattr(bounds, "_DataMap", lambda alph: maps.append(new_map(alph)) or maps[-1])
-    monkeypatch.setattr(bounds, "_build_sign",
-                        lambda nx, ny: triples.append(build_sign(nx, ny)) or triples[-1])
     for case in LP_CASES:
         bounds._data_map.cache_clear()
-        build_sign.cache_clear()
         counts, first = [], len(maps)
         for state in ("cold", "warm"):
             before = len(builds)
@@ -117,11 +117,10 @@ def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
         assert counts == [1, 0], case
         built[case] = [sorted(_cached_arrays(cg)) for cg in maps[first:]]
     lp = ["_unit_tables", "metric", "span", "twin"]
-    assert built == {"nu": [lp], "nu-eps": [["vertices"]], "bell": [lp], "nu-corr-chsh": [],
-                     "nu-corr-sylvester6": [], "nu-3333": [lp], "nu-eps-2233": [["vertices"]]}
-    assert len({id(t) for t in triples}) == 2  # the two sign shapes
-    _assert_read_only([arr for cg in maps for arr in _cached_arrays(cg).values()]
-                      + [arr for triple in triples for arr in triple])
+    assert built == {"nu": [lp], "nu-eps": [["vertices"]], "bell": [lp],
+                     "nu-corr-chsh": [["signs"]], "nu-corr-sylvester6": [["signs"]],
+                     "nu-3333": [lp], "nu-eps-2233": [["vertices"]]}
+    _assert_read_only([arr for cg in maps for arr in _cached_arrays(cg).values()])
 
 
 MOMENT_FORMS = {"gamma2": [], "gamma2-eps": ["--epsilon", "0.1"],

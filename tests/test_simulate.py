@@ -10,10 +10,13 @@ from nonsig.core import (
     AffineModel,
     Alphabets,
     ResourceLimitError,
+    ShapeError,
     enumerate_local_vertices,
     pr_box,
     to_correlation_rep,
+    uniform_distribution,
 )
+from nonsig import simulate
 from nonsig.simulate import (
     SmpPlan,
     boolean_plan,
@@ -305,3 +308,30 @@ class TestBooleanProtocol:
         assert np.array_equal(a["error_rate"], b["error_rate"])
         with pytest.raises(ValueError):
             run_smp_boolean(np.array([[0.5, 1.0], [1.0, 1.0]]), model, plan, seed=0)
+
+
+class TestModelShape:
+    """A model whose alphabets differ from the target's is refused, naming
+    both shapes, before anything is sampled."""
+
+    @staticmethod
+    def runs():
+        plan_c = classical_plan(2.0, 0.1, B22, T=10)
+        plan_q = quantum_plan(2.0, 0.1, B22, T=10, L=10)
+        plan_b = boolean_plan(2.0, 0.1)
+        for shape in [(3, 3, 2, 2), (2, 2, 3, 3), (1, 2, 2, 2)]:
+            target = uniform_distribution(Alphabets(*shape))
+            yield shape, lambda m, t=target: run_smp_classical(m, t, plan_c, 0)
+            yield shape, lambda m, t=target: run_smp_quantum_sim(m, t, plan_q, 0)
+        for nx, ny in [(1, 2), (3, 3), (2, 3)]:
+            C = np.ones((nx, ny))
+            yield (nx, ny, 2, 2), lambda m, C=C: run_smp_boolean(C, m, plan_b, 0)
+
+    def test_other_shapes_refused_before_sampling(self, monkeypatch):
+        model = pr_model()
+        monkeypatch.setattr(simulate, "_rng", lambda *key: pytest.fail("sampled"))
+        for shape, run in self.runs():
+            with pytest.raises(ShapeError) as info:
+                run(model)
+            assert str(info.value) == (f"model alphabets (2, 2, 2, 2) do not match "
+                                       f"the target's {shape}")
