@@ -17,14 +17,14 @@ part is k >= 1 blocks of one size d (every program the package builds: two
 d x d moment blocks, or one Gram block); any other shape is refused with
 ``ValueError`` when the program is made.
 
-The PSD blocks are one (k, d, d) stack, and every per-block step runs on
-it: one batched inverse of S, one batched product each for the Schur
-complement, its right-hand side and dX, and one ``_max_step`` call that
-factors the X and S stacks together.  Each iteration makes five
-``numpy.linalg`` calls: that inverse, a Cholesky, an inverse and an
-``eigvalsh`` for both step lengths, and the Schur solve.  Batched
-``numpy.linalg`` runs the same LAPACK routine on each matrix, and every sum
-keeps its order (block by block, then over constraints in order).
+The PSD blocks are one (k, d, d) stack.  A solve first reads A's nonzeros
+in row-major order.  A v, A^T w, the Schur right-hand side and the linear
+block's Schur term (over the pairs of its nonzeros in one column) are one
+``numpy.bincount`` each, which adds in its input's order on one thread.
+BLAS does the rest: two batched products and one over all blocks for the
+PSD blocks' Schur term, the batched d x d products, and five
+``numpy.linalg`` calls an iteration: an inverse of S, a Cholesky, an inverse
+and an ``eigvalsh`` for both step lengths, and the m x m Schur solve.
 
 A run stops at the inner tolerance (``optimal``), on a diverging dual
 (``infeasible``), on a numerical breakdown inside an iteration (a Cholesky
@@ -179,28 +179,32 @@ def _max_ratio(x, dx):
 
 def solve_sdp(prog: SdpProgram) -> SdpSolution:
     """Interior-point solve; see module docstring for the problem form."""
-    k, d, m, b = len(prog.block_dims), prog.block_dims[0], prog.n_constraints, prog.b
-    # W stacks A, the objective c and a row for S, so that one elementwise
-    # product with an iterate X gives A X, c.X and S.X.
-    W = np.concatenate([prog.A, prog.c[None], np.zeros((1, len(prog.c)))])
-    A, c = W[:m], W[m]
-    lin, spans, psd = prog.span[LINEAR], list(prog.span.values()), slice(0, k * d * d)
-    # A as (k, m, d*d): block j's coefficients.
-    A_blocks = A[:, psd].reshape(m, k, d * d).transpose(1, 0, 2)
+    k, d, m, b, c = len(prog.block_dims), prog.block_dims[0], prog.n_constraints, prog.b, prog.c
+    lin, psd = prog.span[LINEAR], slice(0, k * d * d)
+    # A's nonzeros in row-major order: A v, A^T w and the Schur right-hand
+    # side are each one bincount over them, which adds in this fixed order.
+    rows, cols, vals = *np.nonzero(prog.A), prog.A[prog.A != 0]
+
+    def apply_A(v):
+        return np.bincount(rows, vals * v[cols], m)
+
+    def apply_AT(w):
+        return np.bincount(cols, vals * w[rows], len(c))
 
     def stack(v):  # the PSD blocks of v's rows, as one (..., k, d, d) view
         return v[..., psd].reshape(*v.shape[:-1], k, d, d)
 
-    # Sums run block by block, and over constraints in order, rather than
-    # through one BLAS product: near a rank-deficient optimum the iteration
-    # count follows rounding, and this order keeps it fixed.
-    def products(v):  # (A v, c.v, S.v), S being the last row of W
-        P = W * v
-        sums = sum(P[:, sl].sum(axis=1) for sl in spans)
-        return sums[:m], float(sums[m]), float(sums[m + 1])
-
-    def apply_AT(w):
-        return (w[:, None] * A).sum(axis=0)
+    # For the Schur complement: block j's A_ij side by side, A's PSD columns
+    # as rows, and the two products' buffers, which every iteration reuses.
+    A_wide = stack(prog.A).transpose(1, 2, 0, 3).reshape(k, d, m * d)
+    A_psd_T, XA, XAS = prog.A[:, psd].T.copy(), np.empty((k, d, m * d)), np.empty((m, k, d, d))
+    # The linear block's term sum_t A_it A_lt x_t / s_t, over the pairs of its
+    # nonzeros (t, r) that share a column t, in the order of t, then r.
+    t, r = np.nonzero(prog.A[:, lin].T)
+    lo, hi, v = np.searchsorted(t, t), np.searchsorted(t, t, "right"), prog.A[:, lin][r, t]
+    p = np.repeat(np.arange(len(t)), hi - lo)
+    q = np.arange(len(p)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+    pair_at, pair_val, pair_t = r[p] * m + r[q], v[p] * v[q], t[p]
 
     scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(c).max(initial=0.0)))
     ridge = 1e-14 * scale * np.eye(m)
@@ -217,11 +221,9 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
     # contract's residual and gap.  Iterates are never written in place.
     best_merit, best_ok, best = np.inf, False, (X, y, 0, np.nan, np.nan, np.nan, np.nan)
     for it in range(1, _MAX_ITER + 1):
-        W[m + 1] = S
-        AX, pobj, SX = products(X)
-        rp = b - AX
+        rp = b - apply_A(X)
         Rd = c - apply_AT(y) - S
-        mu = SX / prog.total_dim
+        pobj, mu = float((c * X).sum()), float((S * X).sum()) / prog.total_dim
         dobj = float(b @ y)
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         res = float(np.abs(rp).max(initial=0.0))
@@ -252,18 +254,16 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
             x, sinv = X[lin], 1.0 / S[lin]
             # Schur complement M[i,l] = sum_j tr(A_ij X_j A_lj Sinv_j), where
             # the linear block acts as the diagonal blocks diag(x), diag(s).
-            # Each block's term is its own m x m product, added in block
-            # order; the k of them are alive at once (0.16 MB for the two
-            # 101 x 101 terms of a 2x2x3x3 eps program).
-            XAS = (Xk @ stack(A) @ Sinv).transpose(1, 0, 3, 2).reshape(k, m, d * d)
+            # X_j A_ij Sinv_j goes to XAS[i, j], laid out as row i of A, so one
+            # product with A_psd_T sums over the blocks.
+            np.matmul(Xk, A_wide, out=XA)
+            np.matmul(XA.reshape(k, d, m, d), Sinv[:, None], out=XAS.transpose(1, 2, 0, 3))
+            M = XAS.reshape(m, k * d * d) @ A_psd_T
+            M += np.bincount(pair_at, pair_val * (x * sinv)[pair_t], m * m).reshape(m, m)
             w = Xk - sigma * mu * Sinv + Xk @ stack(Rd) @ Sinv
-            w = w.transpose(0, 2, 1).reshape(k, d * d)
-            M = sum(XAS @ A_blocks.transpose(0, 2, 1))
-            rhs = sum((A_blocks @ w[:, :, None])[:, :, 0], rp)
-            M += (A[:, lin] * (x * sinv)) @ A[:, lin].T
-            rhs += A[:, lin] @ (x - sigma * mu * sinv + x * Rd[lin] * sinv)
-            M = _sym(M)
-            dy = np.linalg.solve(M + ridge, rhs)
+            rhs = rp + apply_A(np.concatenate([w.reshape(-1),
+                                               x - sigma * mu * sinv + x * Rd[lin] * sinv]))
+            dy = np.linalg.solve(_sym(M) + ridge, rhs)
 
             dXS = np.empty_like(XS)
             dX, dS = dXS

@@ -160,29 +160,31 @@ class TestSolutionQuality:
             denom = 1.0 + abs(sol.objective) + abs(sol.dual_objective)
             assert abs(sol.objective - sol.dual_objective) / denom <= 2e-5
 
-    def test_rank_deficient_optimum_seed_11(self):
-        # The 5th draw of seed 11 has a rank-deficient optimum: after the
-        # best iterate the iterates drift toward a loss of definiteness (a
-        # failed Cholesky at iteration 39 without the early stop), and the
-        # engine must return its best iterate.
+    def _seed_11_draw(self, n):
         rng = np.random.default_rng(11)
-        for _ in range(5):
+        for _ in range(n):
             prog = self._random_feasible_program(rng)
-        sol = solve_sdp(prog)
+        return prog
+
+    def test_rank_deficient_optimum_seed_11(self):
+        # The 5th draw of seed 11 has a rank-deficient optimum (smallest
+        # eigenvalue 1.5e-9).  The engine reaches its inner tolerance there at
+        # iteration 22 (mu / scale <= 1e-9), and must return a certified
+        # optimum.
+        sol = solve_sdp(self._seed_11_draw(5))
         assert sol.status == "optimal"
-        # The count is that of the returned iterate, not of the last one.
-        assert sol.iterations == 21
+        assert sol.iterations == 22
         assert sol.max_equality_residual <= 1e-6
         assert sol.block_min_eig() >= -1e-7
         assert sol.relative_gap <= 1e-5
 
     def test_stalled_best_iterate_ends_the_run(self, monkeypatch):
-        # Same program: once its best iterate (21) meets the contract, the
-        # run stops _PATIENCE iterations later instead of running on to the
-        # breakdown at iteration 39.  Steps are computed before the stop only.
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            prog = self._random_feasible_program(rng)
+        # After the best iterate (21) of the 4th draw of seed 11 the iterates
+        # drift toward a loss of definiteness (a failed Cholesky at iteration
+        # 49 without the early stop).  Once that best iterate meets the
+        # contract, the run stops _PATIENCE iterations later instead.  Steps
+        # are computed before the stop only.
+        prog = self._seed_11_draw(4)
         steps = []
         real = sdp._max_step
         monkeypatch.setattr(sdp, "_max_step", lambda X, dX: steps.append(1) or real(X, dX))
@@ -193,11 +195,9 @@ class TestSolutionQuality:
     @pytest.mark.parametrize("max_iter", [30, sdp._MAX_ITER], ids=["limit", "breakdown"])
     def test_other_stops_return_the_recorded_iterate(self, monkeypatch, max_iter):
         # Same program without the early stop: cut off by the iteration
-        # limit, or run on to the failed Cholesky at iteration 39, the run
+        # limit, or run on to the failed Cholesky at iteration 49, the run
         # returns its best iterate (21), judged against the contract.
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            prog = self._random_feasible_program(rng)
+        prog = self._seed_11_draw(4)
         monkeypatch.setattr(sdp, "_PATIENCE", 10**9)
         monkeypatch.setattr(sdp, "_MAX_ITER", max_iter)
         sol = solve_sdp(prog)
@@ -206,34 +206,85 @@ class TestSolutionQuality:
         assert sol.relative_gap <= 1e-5
         assert sol.block_min_eig() >= -1e-7
 
-    def test_reported_residual_matches_recomputation(self):
-        rng = np.random.default_rng(12)
-        prog = self._random_feasible_program(rng)
+    @pytest.mark.parametrize("layout", ["one-block", "three-blocks-and-linear", "gram-block",
+                                        "eps-moments", "linear-only-row", "zero-coefficient"])
+    def test_reported_residual_matches_recomputation(self, monkeypatch, layout):
+        # The engine forms A x from A's nonzeros; on every layout of blocks
+        # the residual it reports is that of the program's dense A.
+        sylvester = json.loads((INPUTS / "sylvester6.json").read_text())["C"]
+        prog = {
+            "one-block": lambda: self._random_feasible_program(np.random.default_rng(12)),
+            "three-blocks-and-linear": lambda: three_blocks_and_linear()[0],
+            "gram-block": lambda: captured(monkeypatch, bounds,
+                                           lambda: bounds.gamma2_corr(np.array(sylvester))),
+            "eps-moments": lambda: bounds._moment_program(pr_box(), 0.05)[0],
+            "linear-only-row": linear_only_row,
+            "zero-coefficient": zero_coefficient,
+        }[layout]()
         sol = solve_sdp(prog)
+        assert sol.status == "optimal"
         x = np.concatenate([B.reshape(-1) for B in sol.blocks] + [sol.linear])
         res = np.abs(prog.A @ x - prog.b).max()
         assert res == pytest.approx(sol.max_equality_residual, abs=1e-9)
 
 
+def three_blocks_and_linear():
+    """Three 3x3 blocks, one (3, 3, 3) stack, and a linear block:
+    min sum_j <C_j, X_j> + c.x  s.t.  tr X_j = 1, sum(x) = 2.  Returns the
+    program, the C_j and c."""
+    rng = np.random.default_rng(7)
+    dims, c = [3, 3, 3], np.array([0.7, 0.3, 1.1])
+    Cs = [0.5 * (G + G.T) for G in (rng.normal(size=(d, d)) for d in dims)]
+    prog = SdpProgram(dims, 3)
+    prog.set_objective({**dict(enumerate(Cs)), LINEAR: c})
+    for j, d in enumerate(dims):
+        prog.add_constraint({j: np.eye(d)}, 1.0)
+    prog.add_constraint({LINEAR: np.ones(3)}, 2.0)
+    return prog, Cs, c
+
+
+def linear_only_row():
+    """min t + x0 s.t. [[t, 1], [1, t]] >= 0, t - x0 = 0.5 and, touching
+    the linear block only, x0 + x1 = 1."""
+    prog = SdpProgram([2], 2)
+    prog.set_objective({0: 0.5 * np.eye(2), LINEAR: [1.0, 0.0]})
+    prog.add_constraint({0: unit(2, 0, 1) + unit(2, 1, 0)}, 2.0)
+    prog.add_constraint({0: unit(2, 0, 0) - unit(2, 1, 1)}, 0.0)
+    prog.add_constraint({0: unit(2, 0, 0), LINEAR: [-1.0, 0.0]}, 0.5)
+    prog.add_constraint({LINEAR: [1.0, 1.0]}, 1.0)
+    return prog
+
+
+def zero_coefficient():
+    """Two 2x2 blocks, each constraint with an all-zero coefficient on one
+    of them: min tr X_0 + tr X_1 s.t. X_0[0, 1] = 1, X_1[0, 0] = 1."""
+    prog, zero = SdpProgram([2, 2]), np.zeros((2, 2))
+    prog.set_objective({0: np.eye(2), 1: np.eye(2)})
+    prog.add_constraint({0: unit(2, 0, 1) + unit(2, 1, 0), 1: zero}, 2.0)
+    prog.add_constraint({0: zero, 1: unit(2, 0, 0)}, 1.0)
+    return prog
+
+
+def captured(monkeypatch, mod, build):
+    """The first program that ``build()`` hands to ``mod.solve_sdp``."""
+    progs = []
+    real = mod.solve_sdp
+    monkeypatch.setattr(mod, "solve_sdp", lambda prog: progs.append(prog) or real(prog))
+    build()
+    return progs[0]
+
+
 class TestStackedBlocks:
     def test_three_blocks_and_linear_block(self):
-        # Three 3x3 blocks, one (3, 3, 3) stack, and a linear block.
-        # min sum_j <C_j, X_j> + c.x  s.t.  tr X_j = 1, sum(x) = 2  splits into
-        # independent parts: lambda_min(C_j) for each block, 2 min(c).
-        rng = np.random.default_rng(7)
-        dims, c = [3, 3, 3], np.array([0.7, 0.3, 1.1])
-        Cs = [0.5 * (G + G.T) for G in (rng.normal(size=(d, d)) for d in dims)]
+        # The program splits into independent parts: lambda_min(C_j) for
+        # each block, 2 min(c).
+        prog, Cs, c = three_blocks_and_linear()
         lams = [float(np.linalg.eigvalsh(C)[0]) for C in Cs]
         assert np.diff(sorted(lams)).min() > 0.1  # so a swap of any two blocks shows
-        prog = SdpProgram(dims, 3)
-        prog.set_objective({**dict(enumerate(Cs)), LINEAR: c})
-        for j, d in enumerate(dims):
-            prog.add_constraint({j: np.eye(d)}, 1.0)
-        prog.add_constraint({LINEAR: np.ones(3)}, 2.0)
         sol = solve_sdp(prog)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(sum(lams) + 2 * c.min(), abs=1e-6)
-        assert [B.shape for B in sol.blocks] == [(d, d) for d in dims]
+        assert [B.shape for B in sol.blocks] == [(3, 3)] * 3
         assert len(sol.min_eigenvalues) == 3 and sol.block_min_eig() >= -1e-7
         for B, C, lam in zip(sol.blocks, Cs, lams):
             assert np.trace(B) == pytest.approx(1.0, abs=1e-6)
@@ -249,13 +300,6 @@ def sym_unit(d, i, j):
 class TestStackedPrograms:
     """The package's builders add their constraints as stacks; each program
     must equal the one built one ``add_constraint`` call at a time."""
-
-    def captured(self, monkeypatch, mod, build):
-        progs = []
-        real = mod.solve_sdp
-        monkeypatch.setattr(mod, "solve_sdp", lambda prog: progs.append(prog) or real(prog))
-        build()
-        return progs[0]
 
     def assert_same(self, prog, ref):
         assert prog.block_dims == ref.block_dims and prog.n_linear == ref.n_linear
@@ -274,7 +318,7 @@ class TestStackedPrograms:
 
     def test_gamma2_tilde_1(self, monkeypatch):
         p = pr_box()
-        prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1(p))
+        prog = captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1(p))
         cg = bounds._data_map(p.alphabets)
         ref = self.moment_reference(cg)
         for M, rhs in zip(cg.moments.data, cg.data_rhs(p.table)):
@@ -283,7 +327,7 @@ class TestStackedPrograms:
 
     def test_gamma2_tilde_1_eps(self, monkeypatch):
         p, eps = pr_box(), 0.1
-        prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1_eps(p, eps))
+        prog = captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1_eps(p, eps))
         cg = bounds._data_map(p.alphabets)
         n, n_in, per_input = 16, 4, 4
         e = np.eye(3 * n + n_in)  # linear block: p', u, v, budget slacks
@@ -301,7 +345,7 @@ class TestStackedPrograms:
 
     def test_gamma2_corr(self, monkeypatch):
         C = np.array(json.loads((INPUTS / "sylvester6.json").read_text())["C"], dtype=float)
-        prog = self.captured(monkeypatch, bounds, lambda: bounds.gamma2_corr(C))
+        prog = captured(monkeypatch, bounds, lambda: bounds.gamma2_corr(C))
         nx, ny = C.shape
         n = nx + ny
         ref = SdpProgram([n])
@@ -315,7 +359,7 @@ class TestStackedPrograms:
 
     def test_quantum_bias(self, monkeypatch):
         game = games.chsh_game()
-        prog = self.captured(monkeypatch, games, lambda: games.quantum_bias(game))
+        prog = captured(monkeypatch, games, lambda: games.quantum_bias(game))
         W = np.zeros((4, 4))
         W[:2, 2:] = game.mu * game.G
         ref = SdpProgram([4])
