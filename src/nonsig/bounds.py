@@ -285,15 +285,21 @@ class _DataMap:
     them, ``fold`` is its adjoint and ``tables`` its inverse on
     non-signaling tables.
 
-    Every array of the local-polytope programs that depends only on the
-    alphabet is built on first use and kept, read-only, with the map
-    (``_data_map``): ``twin`` = [S, -S], S the coordinates of the vertex
-    tables (which it does not keep); ``metric`` = T^T T for the map T from
-    coordinates to tables (``_unit_tables``), so that s . metric t is the
-    inner product of two tables; ``span``, an orthonormal basis of the
-    non-signaling tables, which span the vertex tables; ``vertices``, the
-    vertex tables; ``moments``, the moment layout; and, on a binary alphabet,
-    ``signs``: the sign LPs' [S, -S] and sign vectors (``_sign_vertex_matrix``).
+    Every array and SDP structure that depends only on the alphabet is
+    built on first use and kept, read-only, with the map (``_data_map``):
+    ``twin`` = [S, -S], S the coordinates of the vertex tables (which it
+    does not keep); ``metric`` = T^T T for the map T from coordinates to
+    tables (``_unit_tables``), so that s . metric t is the inner product of
+    two tables; ``span``, an orthonormal basis of the non-signaling tables,
+    which span the vertex tables; ``vertices``, the vertex tables;
+    ``moments``, the moment layout; ``moment_sdp`` and ``moment_eps_sdp``,
+    the moment programs at eps = 0 and eps > 0 without their data
+    (``_moment_structure``); and, on a binary alphabet (nx, ny, 2, 2),
+    ``signs``: the sign LPs' [S, -S] and sign vectors
+    (``_sign_vertex_matrix``), and ``corr_sdp`` and ``bias_sdp``, the Gram
+    programs of ``gamma2_corr`` and ``games.quantum_bias`` without their
+    data.  Each SDP structure is a frozen ``SdpProgram``, compiled once; a
+    call solves its ``with_data`` copy.
     """
 
     def __init__(self, alph: Alphabets):
@@ -333,6 +339,39 @@ class _DataMap:
     def signs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         S, us, vs = _sign_vertex_matrix(self.alph.nx, self.alph.ny)
         return _read_only(np.hstack([S, -S])), _read_only(us), _read_only(vs)
+
+    @functools.cached_property
+    def moment_sdp(self) -> SdpProgram:
+        return _moment_structure(self, smoothed=False)
+
+    @functools.cached_property
+    def moment_eps_sdp(self) -> SdpProgram:
+        return _moment_structure(self, smoothed=True)
+
+    @functools.cached_property
+    def corr_sdp(self) -> SdpProgram:
+        """min c over Gram matrices [[D1, C], [C^T, D2]] with every diagonal
+        entry c (``gamma2_corr``): its C rows come last, at right-hand side 0."""
+        nx, ny = self.alph.nx, self.alph.ny
+        n = nx + ny
+        prog = SdpProgram([n])
+        eye = np.eye(n)
+        E00 = _sym_outer(eye[0], eye[0])
+        prog.set_objective({0: E00})
+        prog.add_constraint({0: _sym_outer(eye[1:], eye[1:]) - E00}, np.zeros(n - 1))
+        prog.add_constraint({0: _sym_outer(eye[:nx, None], eye[None, nx:]).reshape(-1, n, n)},
+                            np.zeros(nx * ny))
+        return prog.freeze()
+
+    @functools.cached_property
+    def bias_sdp(self) -> SdpProgram:
+        """Gram matrices of nx + ny unit vectors, X_kk = 1, at objective 0
+        (``games.quantum_bias``, which supplies its game's)."""
+        n = self.alph.nx + self.alph.ny
+        prog = SdpProgram([n])
+        eye = np.eye(n)
+        prog.add_constraint({0: eye[:, :, None] * eye[:, None, :]}, np.ones(n))
+        return prog.freeze()
 
     def _split(self, c: np.ndarray) -> list:
         """The cell, Alice-marginal, Bob-marginal and normalization parts of c."""
@@ -387,7 +426,8 @@ class _DataMap:
         return B
 
 
-# Alphabets whose data maps (sign shapes' on their binary alphabets) stay in memory.
+# Alphabets whose data maps (sign shapes' and Gram programs' on their binary alphabets)
+# stay in memory.
 _L1_CACHE = 8
 
 
@@ -452,8 +492,9 @@ class _MomentLayout:
         return AffineModel(comps, certified_class="npa-level-1")
 
 
-def _moment_program(p: ConditionalDistribution, eps: float = 0.0) -> tuple:
-    """p's level-1 moment program at smoothing eps, and its data map.
+def _moment_structure(cg: _DataMap, smoothed: bool) -> SdpProgram:
+    """The level-1 moment program of cg's alphabet without its data, frozen
+    (``_DataMap.moment_sdp`` and ``moment_eps_sdp``).
 
     A positive and a negative moment block, each with the projector
     constraints, minimizing the total scale t+ + t-; the program is made
@@ -462,30 +503,40 @@ def _moment_program(p: ConditionalDistribution, eps: float = 0.0) -> tuple:
     must reproduce p on every Collins-Gisin coordinate.  Otherwise a
     nonnegative linear block holds the p' the blocks represent (so p' >= 0),
     the ball p' - p = u - v with u, v >= 0 and the slacks of the per-input
-    budgets sum (u + v) <= 2*eps.
+    budgets sum (u + v) <= 2*eps.  The rows that p and eps fix come last,
+    at right-hand side 0: the data rows, or the ball and the budgets.
     """
-    alph = p.alphabets
-    cg = _data_map(alph)
+    alph = cg.alph
     n, n_in = alph.n_cells, alph.nx * alph.ny
-    prog = SdpProgram([cg.d, cg.d], 0 if eps == 0.0 else 3 * n + n_in)
+    prog = SdpProgram([cg.d, cg.d], 3 * n + n_in if smoothed else 0)
     layout = cg.moments
     E00 = layout.data[-1]
     prog.set_objective({0: E00, 1: E00})
     for block in (0, 1):
         prog.add_constraint({block: layout.structural}, np.zeros(len(layout.structural)))
-    if eps == 0.0:
-        prog.add_constraint({0: layout.data, 1: -layout.data}, cg.data_rhs(p.table))
-        return prog, cg
+    if not smoothed:
+        prog.add_constraint({0: layout.data, 1: -layout.data}, np.zeros(len(layout.data)))
+        return prog.freeze()
     # Linear block: p', u, v (n entries each), then the budget slacks; e[k] selects entry k.
     e = np.eye(prog.n_linear)
     pp, u, v = e[:n], e[n:2 * n], e[2 * n:3 * n]
     prog.add_constraint({0: E00, 1: -E00}, 1.0)
     cells = layout.cells.reshape(n, cg.d, cg.d)
     prog.add_constraint({0: cells, 1: -cells, LINEAR: -pp}, np.zeros(n))  # the blocks give p'
-    prog.add_constraint({LINEAR: pp - u + v}, p.flat())
-    prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]},
-                        np.full(n_in, 2.0 * eps))
-    return prog, cg
+    prog.add_constraint({LINEAR: pp - u + v}, np.zeros(n))
+    prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]}, np.zeros(n_in))
+    return prog.freeze()
+
+
+def _moment_program(p: ConditionalDistribution, eps: float = 0.0) -> tuple:
+    """p's level-1 moment program at smoothing eps (``_moment_structure``),
+    and its data map: the map's structure with p's coordinates, or with p
+    and the budgets 2*eps."""
+    cg = _data_map(p.alphabets)
+    if eps == 0.0:
+        return cg.moment_sdp.with_data(cg.data_rhs(p.table)), cg
+    budgets = np.full(p.alphabets.nx * p.alphabets.ny, 2.0 * eps)
+    return cg.moment_eps_sdp.with_data(np.concatenate([p.flat(), budgets])), cg
 
 
 def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
@@ -606,19 +657,12 @@ def gamma2_corr(C: np.ndarray) -> BoundResult:
 
     SDP: minimize the common diagonal value c of a PSD completion
     [[D1, C], [C^T, D2]] with all diagonal entries equal to c; forcing
-    equality is harmless since raising a diagonal preserves PSD-ness.
+    equality is harmless since raising a diagonal preserves PSD-ness.  The
+    constraints are those of the binary alphabet's data map
+    (``_DataMap.corr_sdp``); C gives the right-hand side.
     """
     C = _correlation_matrix(C, np.inf)
-    nx, ny = C.shape
-    n = nx + ny
-    eye = np.eye(n)
-    E00 = _sym_outer(eye[0], eye[0])
-    prog = SdpProgram([n])
-    prog.set_objective({0: E00})
-    prog.add_constraint({0: _sym_outer(eye[1:], eye[1:]) - E00}, np.zeros(n - 1))
-    prog.add_constraint({0: _sym_outer(eye[:nx, None], eye[None, nx:]).reshape(-1, n, n)},
-                        C.reshape(-1))
-    sol = solve_sdp(prog)
+    sol = solve_sdp(_data_map(Alphabets(*C.shape, 2, 2)).corr_sdp.with_data(C.reshape(-1)))
     record = sol.record("gamma2_corr")
     return BoundResult(quantity="gamma2_corr", value=float(sol.objective),
                        diagnostics={**record, "gram": sol.blocks[0]})

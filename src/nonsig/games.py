@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BellFunctional, SIGNS, best_local_response
-from .bounds import _correlation_matrix, _sign_mass
+from .core import Alphabets, BellFunctional, SIGNS, best_local_response
+from .bounds import _correlation_matrix, _data_map, _sign_mass
 # Not called here: bench/tracing.py wraps games.solve_lp by name and fails
 # if the attribute is missing.
 from .lp import solve_lp  # noqa: F401
-from .sdp import SdpProgram, solve_sdp
+from .sdp import solve_sdp
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,15 @@ def quantum_bias(game: XorGame) -> dict:
     """Entangled bias: SDP over Gram matrices of unit vectors.
 
     max sum mu*G*<a_x, b_y> with all vectors unit; by Tsirelson's
-    characterization this equals the entangled XOR-game bias.
+    characterization this equals the entangled XOR-game bias.  The
+    constraints are those of the binary alphabet's data map
+    (``bounds._DataMap.bias_sdp``); the game gives the objective.
     """
     n = game.nx + game.ny
     W = np.zeros((n, n))
     W[:game.nx, game.nx:] = game.mu * game.G  # the program symmetrizes it
-    prog = SdpProgram([n])
-    prog.set_objective({0: -W})
-    eye = np.eye(n)
-    prog.add_constraint({0: eye[:, :, None] * eye[:, None, :]}, np.ones(n))  # X_kk = 1
-    sol = solve_sdp(prog)
+    sol = solve_sdp(_data_map(Alphabets(game.nx, game.ny, 2, 2)).bias_sdp.with_data(
+        objective={0: -W}))
     record = sol.record("quantum_bias")
     return {"bias": -float(sol.objective), "gram": sol.blocks[0], "diagnostics": record}
 

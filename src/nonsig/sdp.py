@@ -17,14 +17,21 @@ part is k >= 1 blocks of one size d (every program the package builds: two
 d x d moment blocks, or one Gram block); any other shape is refused with
 ``ValueError`` when the program is made.
 
-The PSD blocks are one (k, d, d) stack.  A solve first reads A's nonzeros
-in row-major order.  A v, A^T w, the Schur right-hand side and the linear
-block's Schur term (over the pairs of its nonzeros in one column) are one
-``numpy.bincount`` each, which adds in its input's order on one thread.
-BLAS does the rest: two batched products and one over all blocks for the
-PSD blocks' Schur term, the batched d x d products, and five
-``numpy.linalg`` calls an iteration: an inverse of S, a Cholesky, an inverse
-and an ``eigvalsh`` for both step lengths, and the m x m Schur solve.
+The engine compiles a program's constraints once (``_Compiled``): A's
+nonzeros in row-major order, two dense layouts of the PSD blocks'
+coefficients, and the pairs of the linear block's nonzeros that share a
+column.  A program that many calls share is frozen (``SdpProgram.freeze``):
+its arrays turn read-only, it takes no more constraints, and it keeps its
+compiled form, which each call's program (``with_data``: its own
+right-hand side and objective) reuses; any other program is compiled at
+each solve.  The PSD blocks are one (k, d, d) stack.  A v, A^T w, the
+Schur right-hand side and the linear block's Schur term are one
+``numpy.bincount`` each over the compiled nonzeros, which adds in its
+input's order on one thread.  BLAS does the rest: two batched products and
+one over all blocks for the PSD blocks' Schur term, the batched d x d
+products, and five ``numpy.linalg`` calls an iteration: an inverse of S, a
+Cholesky, an inverse and an ``eigvalsh`` for both step lengths, and the
+m x m Schur solve.
 
 A run stops at the inner tolerance (``optimal``), on a diverging dual
 (``infeasible``), on a numerical breakdown inside an iteration (a Cholesky
@@ -42,6 +49,7 @@ else ``numerical-error`` after a breakdown, ``max-iterations`` otherwise.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,13 +96,16 @@ class SdpProgram:
         for j, size in zip([*range(len(self.block_dims)), LINEAR], sizes):
             self.span[j], end = slice(end, end + size), end + size
         self.c, self.A, self.b = np.zeros(end), np.zeros((0, end)), np.zeros(0)
+        self._compiled = None  # the constraints compiled once, when frozen
 
     def set_objective(self, coeffs: dict) -> None:
+        self._refuse_if_frozen()
         self.c = self._rows(coeffs, ())
 
     def add_constraint(self, coeffs: dict, rhs) -> None:
         """Add one constraint (scalar ``rhs``) or a stack of m (``rhs`` of
         length m, every coefficient with a leading axis of length m)."""
+        self._refuse_if_frozen()
         rhs = np.asarray(rhs, dtype=float)
         if not coeffs:
             raise ValueError("constraint touches no block")
@@ -102,6 +113,39 @@ class SdpProgram:
             raise ValueError("the right-hand side must be a finite scalar or vector")
         rows = self._rows(coeffs, rhs.shape).reshape(rhs.size, len(self.c))
         self.A, self.b = np.concatenate([self.A, rows]), np.concatenate([self.b, rhs.reshape(-1)])
+
+    def freeze(self) -> SdpProgram:
+        """This program as a structure that calls share: its arrays made
+        read-only, its constraints compiled for the engine once, and no
+        more constraints or objective taken.  A call solves ``with_data``'s
+        program."""
+        for arr in (self.c, self.A, self.b):
+            arr.flags.writeable = False
+        self._compiled = _Compiled(self)
+        return self
+
+    def with_data(self, rhs=(), objective: dict | None = None) -> SdpProgram:
+        """A frozen program's copy for one call: its last len(rhs)
+        right-hand sides replaced by ``rhs`` (the rows a call's data fixes
+        come last) and, if given, its objective by ``objective``.  The copy
+        shares A and the compiled constraints, and is frozen too."""
+        if self._compiled is None:
+            raise ValueError("only a frozen program takes a call's data")
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim != 1 or len(rhs) > self.n_constraints or not np.isfinite(rhs).all():
+            raise ValueError(f"expected at most {self.n_constraints} finite right-hand sides, "
+                             f"got shape {rhs.shape}")
+        prog = copy.copy(self)
+        prog.b = np.concatenate([self.b[:self.n_constraints - len(rhs)], rhs])
+        prog.b.flags.writeable = False
+        if objective is not None:
+            prog.c = self._rows(objective, ())
+            prog.c.flags.writeable = False
+        return prog
+
+    def _refuse_if_frozen(self) -> None:
+        if self._compiled is not None:
+            raise ValueError("a frozen program takes no constraint or objective")
 
     def _rows(self, coeffs: dict, lead: tuple) -> np.ndarray:
         """The coefficients laid out as rows of the iterate, one per index of
@@ -177,13 +221,40 @@ def _max_ratio(x, dx):
     return ratios.min(axis=-1, initial=1.0)
 
 
+class _Compiled:
+    """A program's constraints as the engine reads them, every array
+    read-only.  A's nonzeros in row-major order (``rows``, ``cols``,
+    ``vals``): A v, A^T w and the Schur right-hand side are each one
+    bincount over them, which adds in this fixed order.  For the PSD
+    blocks' Schur term, block j's A_ij side by side (``A_wide``, (k, d, m d))
+    and A's PSD columns as rows (``A_psd_T``).  For the linear block's term
+    sum_t A_it A_lt x_t / s_t, the pairs of its nonzeros (t, r) that share a
+    column t, in the order of t, then r: the Schur entry each adds to
+    (``pair_at``), the product of the two coefficients (``pair_val``) and t
+    (``pair_t``)."""
+
+    def __init__(self, prog: SdpProgram):
+        k, d, m, A = len(prog.block_dims), prog.block_dims[0], prog.n_constraints, prog.A
+        psd, lin = A[:, :k * d * d], A[:, prog.span[LINEAR]]
+        self.rows, self.cols = np.nonzero(A)
+        self.vals = A[A != 0]
+        self.A_wide = psd.reshape(m, k, d, d).transpose(1, 2, 0, 3).reshape(k, d, m * d)
+        self.A_psd_T = psd.T.copy()
+        t, r = np.nonzero(lin.T)
+        lo, hi, v = np.searchsorted(t, t), np.searchsorted(t, t, "right"), lin[r, t]
+        p = np.repeat(np.arange(len(t)), hi - lo)
+        q = np.arange(len(p)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+        self.pair_at, self.pair_val, self.pair_t = r[p] * m + r[q], v[p] * v[q], t[p]
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+
+
 def solve_sdp(prog: SdpProgram) -> SdpSolution:
     """Interior-point solve; see module docstring for the problem form."""
     k, d, m, b, c = len(prog.block_dims), prog.block_dims[0], prog.n_constraints, prog.b, prog.c
     lin, psd = prog.span[LINEAR], slice(0, k * d * d)
-    # A's nonzeros in row-major order: A v, A^T w and the Schur right-hand
-    # side are each one bincount over them, which adds in this fixed order.
-    rows, cols, vals = *np.nonzero(prog.A), prog.A[prog.A != 0]
+    comp = prog._compiled if prog._compiled is not None else _Compiled(prog)
+    rows, cols, vals = comp.rows, comp.cols, comp.vals
 
     def apply_A(v):
         return np.bincount(rows, vals * v[cols], m)
@@ -194,17 +265,8 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
     def stack(v):  # the PSD blocks of v's rows, as one (..., k, d, d) view
         return v[..., psd].reshape(*v.shape[:-1], k, d, d)
 
-    # For the Schur complement: block j's A_ij side by side, A's PSD columns
-    # as rows, and the two products' buffers, which every iteration reuses.
-    A_wide = stack(prog.A).transpose(1, 2, 0, 3).reshape(k, d, m * d)
-    A_psd_T, XA, XAS = prog.A[:, psd].T.copy(), np.empty((k, d, m * d)), np.empty((m, k, d, d))
-    # The linear block's term sum_t A_it A_lt x_t / s_t, over the pairs of its
-    # nonzeros (t, r) that share a column t, in the order of t, then r.
-    t, r = np.nonzero(prog.A[:, lin].T)
-    lo, hi, v = np.searchsorted(t, t), np.searchsorted(t, t, "right"), prog.A[:, lin][r, t]
-    p = np.repeat(np.arange(len(t)), hi - lo)
-    q = np.arange(len(p)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
-    pair_at, pair_val, pair_t = r[p] * m + r[q], v[p] * v[q], t[p]
+    # The Schur complement's two products go to buffers that every iteration reuses.
+    XA, XAS = np.empty((k, d, m * d)), np.empty((m, k, d, d))
 
     scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(c).max(initial=0.0)))
     ridge = 1e-14 * scale * np.eye(m)
@@ -256,10 +318,11 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
             # the linear block acts as the diagonal blocks diag(x), diag(s).
             # X_j A_ij Sinv_j goes to XAS[i, j], laid out as row i of A, so one
             # product with A_psd_T sums over the blocks.
-            np.matmul(Xk, A_wide, out=XA)
+            np.matmul(Xk, comp.A_wide, out=XA)
             np.matmul(XA.reshape(k, d, m, d), Sinv[:, None], out=XAS.transpose(1, 2, 0, 3))
-            M = XAS.reshape(m, k * d * d) @ A_psd_T
-            M += np.bincount(pair_at, pair_val * (x * sinv)[pair_t], m * m).reshape(m, m)
+            M = XAS.reshape(m, k * d * d) @ comp.A_psd_T
+            M += np.bincount(comp.pair_at, comp.pair_val * (x * sinv)[comp.pair_t],
+                             m * m).reshape(m, m)
             w = Xk - sigma * mu * Sinv + Xk @ stack(Rd) @ Sinv
             rhs = rp + apply_A(np.concatenate([w.reshape(-1),
                                                x - sigma * mu * sinv + x * Rd[lin] * sinv]))

@@ -5,11 +5,12 @@ reports may differ in their last digits between BLAS or numpy versions,
 and SDP reports also between OpenBLAS thread counts on one machine.
 The LP reports must not depend on what earlier solves left in the one
 cache of ``nonsig.bounds``, each alphabet's data map (a sign shape's arrays
-on its binary alphabet's) either: each is checked on a cleared cache and
-again on a warm one, and so are the moment-program reports, against each
-other.  The inputs live in ``tests/golden/inputs`` and each expected
-report in ``tests/golden/<case>.json``.  After an intended output change,
-rewrite the expected reports with ``PYTHONPATH=src python tests/test_golden.py``.
+and Gram programs on its binary alphabet's) either: each is checked on a
+cleared cache and again on a warm one, and so are the SDP reports (moment
+and Gram programs), against each other.  The inputs live in
+``tests/golden/inputs`` and each expected report in
+``tests/golden/<case>.json``.  After an intended output change, rewrite
+the expected reports with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
@@ -19,9 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonsig import bounds
+from nonsig import bounds, sdp
 from nonsig.cli import main
-from nonsig.core import LocalVertex, best_local_response, distribution_from_json
+from nonsig.core import Alphabets, LocalVertex, best_local_response, distribution_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -92,7 +93,7 @@ def _assert_read_only(arrays):
     for arr in arrays:
         for a in arr if isinstance(arr, tuple) else [arr]:
             with pytest.raises(ValueError, match="read-only"):
-                a.flat[0] = a.flat[0]
+                a[...] = a  # also refused on an empty array
 
 
 def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
@@ -125,34 +126,63 @@ def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
 
 MOMENT_FORMS = {"gamma2": [], "gamma2-eps": ["--epsilon", "0.1"],
                 "bell": ["--bound-class", "npa-level-1"], "gap-check": []}
+# Each SDP command, its input, and the data-map entry of its SDP structure.
+SDP_CASES = [pytest.param(command, inp, MOMENT_FORMS[command],
+                          "moment_eps_sdp" if command == "gamma2-eps" else "moment_sdp",
+                          id=f"{command}-{inp}")
+             for command in sorted(MOMENT_FORMS) for inp in ["nonlocal_2233.json", "pr_box.json"]]
+SDP_CASES += [pytest.param("gamma2-corr", "sylvester6.json", [], "corr_sdp",
+                           id="gamma2-corr-sylvester6.json"),
+              pytest.param("xor-bias", "chsh.json", [], "bias_sdp", id="xor-bias-chsh.json")]
 
 
-@pytest.mark.parametrize("inp", ["pr_box.json", "nonlocal_2233.json"])
-@pytest.mark.parametrize("command", sorted(MOMENT_FORMS))
-def test_moment_reports_do_not_depend_on_the_cache(capsys, monkeypatch, command, inp):
-    # A moment-program report is the same on a cleared and on a warm data
-    # map.  The cold run builds its alphabet's moment layout once (and
-    # gap-check the vertex matrix of its LP); the warm run builds neither.
-    layouts, builds = [], []
+@pytest.mark.parametrize("command, inp, options, structure", SDP_CASES)
+def test_moment_reports_do_not_depend_on_the_cache(capsys, monkeypatch, tmp_path, command, inp,
+                                                   options, structure):
+    # An SDP report is the same on a cleared and on a warm data map.  The
+    # cold run builds its alphabet's moment layout once (and gap-check the
+    # vertex matrix of its LP), and builds and compiles its SDP structure
+    # once; the warm run builds and compiles none.  xor-bias reads the CHSH
+    # game: chsh.json's sign matrix on uniform inputs.
+    path = INPUTS / inp
+    C = json.loads(path.read_text()).get("C")
+    if command == "xor-bias":
+        path = tmp_path / "chsh_game.json"
+        path.write_text(json.dumps({"G": C, "mu": np.full((2, 2), 0.25).tolist()}))
+    layouts, builds, frozen, compiled = [], [], [], []
     make_layout, make = bounds._MomentLayout, bounds.vertex_table_matrix
+    freeze, compile_ = sdp.SdpProgram.freeze, sdp._Compiled
     monkeypatch.setattr(bounds, "_MomentLayout",
                         lambda cg: layouts.append(make_layout(cg)) or layouts[-1])
     monkeypatch.setattr(bounds, "vertex_table_matrix", lambda a: builds.append(a) or make(a))
+    monkeypatch.setattr(sdp.SdpProgram, "freeze", lambda prog: frozen.append(freeze(prog)) or prog)
+    monkeypatch.setattr(sdp, "_Compiled", lambda prog: compiled.append(compile_(prog))
+                        or compiled[-1])
     bounds._data_map.cache_clear()
     outs, counts = [], []
     for state in ("cold", "warm"):
-        before = (len(layouts), len(builds))
-        assert main([command, str(INPUTS / inp), *MOMENT_FORMS[command], "--json"]) == 0
+        before = [len(made) for made in (layouts, builds, frozen, compiled)]
+        assert main([command, str(path), *options, "--json"]) == 0
         outs.append(capsys.readouterr().out)
-        counts.append((len(layouts) - before[0], len(builds) - before[1]))
+        counts.append([len(made) - n for made, n in zip((layouts, builds, frozen, compiled),
+                                                         before)])
     assert outs[0] == outs[1]
-    assert counts == [(1, int(command == "gap-check")), (0, 0)]
-    alph = distribution_from_json(json.loads((INPUTS / inp).read_text())).alphabets
-    layout = bounds._data_map(alph).moments
-    assert layout is layouts[0]
-    assert sorted(_cached_arrays(layout)) == ["cells", "data", "structural"]
-    _assert_read_only([*_cached_arrays(layout).values(),
-                       *_cached_arrays(bounds._data_map(alph)).values()])
+    moments = command in MOMENT_FORMS
+    assert counts == [[int(moments), int(command == "gap-check"), 1, 1], [0, 0, 0, 0]]
+    alph = (Alphabets(*np.shape(C), 2, 2) if C is not None
+            else distribution_from_json(json.loads(path.read_text())).alphabets)
+    cg = bounds._data_map(alph)
+    prog = getattr(cg, structure)
+    assert frozen == [prog] and compiled == [prog._compiled]
+    cached = [*_cached_arrays(cg).values(), *_cached_arrays(prog).values(),
+              *_cached_arrays(prog._compiled).values()]
+    assert sorted(_cached_arrays(prog)) == ["A", "b", "c"]
+    assert len(_cached_arrays(prog._compiled)) == 8
+    if moments:
+        assert cg.moments is layouts[0]
+        assert sorted(_cached_arrays(cg.moments)) == ["cells", "data", "structural"]
+        cached += _cached_arrays(cg.moments).values()
+    _assert_read_only(cached)
 
 
 if __name__ == "__main__":

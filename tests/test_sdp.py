@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from nonsig import bounds, games, sdp
-from nonsig.core import ResourceLimitError, load_distribution, pr_box
+from nonsig.core import Alphabets, ResourceLimitError, load_distribution, pr_box
 from nonsig.lp import LinearProgram, solve_lp
 from nonsig.sdp import _PATIENCE, LINEAR, SdpProgram, solve_sdp
+
+from helpers import random_nonlocal
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -397,6 +399,91 @@ class TestIterationCounts:
         assert games.quantum_bias(games.chsh_game())["diagnostics"]["iterations"] == 12
 
 
+def solutions(monkeypatch, mod):
+    """The list that each solve through ``mod.solve_sdp`` appends its solution to."""
+    sols = []
+    real = mod.solve_sdp
+    monkeypatch.setattr(mod, "solve_sdp", lambda prog: sols.append(real(prog)) or sols[-1])
+    return sols
+
+
+class TestSharedStructures:
+    """Each SDP the package builds is a frozen structure on a data map,
+    shared by every call on its alphabet; a call supplies only its data."""
+
+    STRUCTURES = ["moment_sdp", "moment_eps_sdp", "corr_sdp", "bias_sdp"]
+
+    @staticmethod
+    def form(name):
+        """The module whose solve_sdp a form calls, the call, and two points."""
+        rng = np.random.default_rng(41)
+        if name in ("moments", "moments-eps"):
+            call = (bounds.gamma2_tilde_1 if name == "moments"
+                    else lambda p: bounds.gamma2_tilde_1_eps(p, 0.05))
+            return bounds, call, [random_nonlocal(rng, Alphabets(2, 2, 3, 3)) for _ in range(2)]
+        if name == "gram":
+            return bounds, bounds.gamma2_corr, [rng.uniform(-1.0, 1.0, (3, 4)) for _ in range(2)]
+        return games, games.quantum_bias, [
+            games.XorGame(np.where(rng.normal(size=(3, 4)) < 0, -1.0, 1.0),
+                          rng.dirichlet(np.ones(12)).reshape(3, 4)) for _ in range(2)]
+
+    @pytest.mark.parametrize("name", ["moments", "moments-eps", "gram", "game"])
+    def test_calls_do_not_leak(self, monkeypatch, name):
+        # Each point solved on a cleared cache, then both on one cache in
+        # either order: the solves agree to the bit.
+        mod, call, points = self.form(name)
+        sols = solutions(monkeypatch, mod)
+        cold = []
+        for x in points:
+            bounds._data_map.cache_clear()
+            call(x)
+            cold.append(sols.pop())
+        assert cold[0].objective != cold[1].objective
+        for order in ([0, 1], [1, 0]):
+            bounds._data_map.cache_clear()
+            for i in order:
+                call(points[i])
+            for i, sol in zip(order, sols):
+                ref = cold[i]
+                assert (sol.status, sol.iterations, sol.objective) == \
+                    (ref.status, ref.iterations, ref.objective)
+                for got, want in [(sol.dual, ref.dual), (sol.linear, ref.linear),
+                                  *zip(sol.blocks, ref.blocks)]:
+                    assert np.array_equal(got, want)
+            sols.clear()
+
+    @pytest.mark.parametrize("name", STRUCTURES)
+    def test_structures_refuse_changes(self, name):
+        # A structure and each call's copy of it take no constraint or
+        # objective and refuse writes to their arrays; the copy has its own
+        # right-hand side and shares the rest.
+        prog = getattr(bounds._data_map(Alphabets(2, 2, 2, 2)), name)
+        b = prog.b.copy()
+        call = prog.with_data(np.ones(2), {0: np.eye(prog.block_dims[0])})
+        assert call.A is prog.A and call._compiled is prog._compiled
+        assert np.array_equal(call.b, np.concatenate([b[:-2], np.ones(2)]))
+        assert np.array_equal(prog.b, b)
+        eye = np.eye(prog.block_dims[0])
+        for p in (prog, call):
+            with pytest.raises(ValueError, match="frozen"):
+                p.add_constraint({0: eye}, 1.0)
+            with pytest.raises(ValueError, match="frozen"):
+                p.set_objective({0: eye})
+            for arr in (p.A, p.b, p.c):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+        assert prog.n_constraints == len(b)
+
+    def test_bad_data_refused(self):
+        # The CHSH game's structure has four constraints, X_kk = 1.
+        prog = bounds._data_map(Alphabets(2, 2, 2, 2)).bias_sdp
+        for rhs in ([np.nan], [[1.0]], np.ones(5)):
+            with pytest.raises(ValueError, match="at most 4 finite right-hand sides"):
+                prog.with_data(rhs)
+        with pytest.raises(ValueError, match="only a frozen program"):
+            SdpProgram([2]).with_data()
+
+
 class TestValidationAndLimits:
     def test_dim_cap(self):
         # Refused when the program is made, before its arrays are built.
@@ -410,16 +497,21 @@ class TestValidationAndLimits:
     def test_moment_programs_refused_before_their_arrays(self, call):
         # On 99x1x2x2 the moment blocks are 101 x 101 (202 > 200).  The
         # cells alone would be nx*ny*na*nb*d^2 floats (32 MB here, 12 GB at
-        # 99x99x2x2), so the cap must refuse before they are built.
+        # 99x99x2x2), so the cap must refuse before they are built, also on
+        # the second call, when the alphabet's data map is cached; and the
+        # map keeps neither a moment structure nor the layout.
         p = load_distribution(INPUTS / "over_sdp_cap.json")
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match="exceeds cap 200"):
-                call(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match="exceeds cap 200"):
+                    call(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+        cached = set(vars(bounds._data_map(p.alphabets)))
+        assert not cached & {"moment_sdp", "moment_eps_sdp", "moments"}
 
     @pytest.mark.parametrize("dims, n_linear", [([2, 3], 0), ([3, 2, 3], 3), ([], 4),
                                                 ([2.7], 0), ([2], 1.5), ([True], 0),
