@@ -283,18 +283,20 @@ class _DataMap:
     1775 (2004)): a linearly independent set on non-signaling tables, and
     the values a decomposition of p must reproduce.  ``data_rhs`` gives
     them, ``fold`` is its adjoint and ``tables`` its inverse on
-    non-signaling tables.
+    non-signaling tables; there are ``n`` of them.
 
-    Every array and SDP structure that depends only on the alphabet is
-    built on first use and kept, read-only, with the map (``_data_map``):
-    ``twin`` = [S, -S], S the coordinates of the vertex tables (which it
-    does not keep); ``metric`` = T^T T for the map T from coordinates to
-    tables (``_unit_tables``), so that s . metric t is the inner product of
-    two tables; ``span``, an orthonormal basis of the non-signaling tables,
-    which span the vertex tables; ``vertices``, the vertex tables;
-    ``moments``, the moment layout; ``moment_sdp`` and ``moment_eps_sdp``,
-    the moment programs at eps = 0 and eps > 0 without their data
-    (``_moment_structure``); and, on a binary alphabet (nx, ny, 2, 2),
+    Every array and SDP structure that depends only on the alphabet and
+    that a later call reads is built on first use and kept, read-only, with
+    the map (``_data_map``): ``twin`` = [S, -S], S the coordinates of the
+    vertex tables (which it does not keep); ``metric`` = T^T T for the map
+    T from coordinates to tables (``_unit_tables``), so that s . metric t
+    is the inner product of two tables; ``span``, an orthonormal basis of
+    the non-signaling tables, which span the vertex tables; ``vertices``,
+    the vertex tables; ``moment_cells``, the cells of the d x d moment
+    matrix, which every primal certificate of the moment programs reads;
+    ``moment_sdp`` and ``moment_eps_sdp``, the moment programs at eps = 0
+    and eps > 0 without their data (``_moment_structure``, which builds
+    their other rows); and, on a binary alphabet (nx, ny, 2, 2),
     ``signs``: the sign LPs' [S, -S] and sign vectors
     (``_sign_vertex_matrix``), and ``corr_sdp`` and ``bias_sdp``, the Gram
     programs of ``gamma2_corr`` and ``games.quantum_bias`` without their
@@ -303,8 +305,10 @@ class _DataMap:
     """
 
     def __init__(self, alph: Alphabets):
+        nx, ny, na, nb = alph.shape
         self.alph = alph
-        self.d = 1 + alph.nx * (alph.na - 1) + alph.ny * (alph.nb - 1)  # moment block size
+        self.d = 1 + nx * (na - 1) + ny * (nb - 1)  # moment block size
+        self.n = (1 + nx * (na - 1)) * (1 + ny * (nb - 1))  # coordinates
 
     @functools.cached_property
     def vertices(self) -> np.ndarray:
@@ -318,9 +322,7 @@ class _DataMap:
     @functools.cached_property
     def _unit_tables(self) -> np.ndarray:
         """The non-signaling tables with unit coordinates, one per column."""
-        nx, ny, na, nb = self.alph.shape
-        n = (1 + nx * (na - 1)) * (1 + ny * (nb - 1))  # coordinates
-        return _read_only(self.tables(np.eye(n)).reshape(self.alph.n_cells, -1))
+        return _read_only(self.tables(np.eye(self.n)).reshape(self.alph.n_cells, -1))
 
     @functools.cached_property
     def metric(self) -> np.ndarray:
@@ -331,9 +333,26 @@ class _DataMap:
     def span(self) -> np.ndarray:
         return _read_only(np.linalg.qr(self._unit_tables)[0])
 
+    def _projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The moment matrix's rows of Alice's and Bob's retained projectors, as
+        unit vectors (nx, na-1, d) and (ny, nb-1, d): row 0, then Alice's, then Bob's."""
+        nx, ny, na, nb = self.alph.shape
+        eye = np.eye(self.d)
+        return (eye[1:1 + nx * (na - 1)].reshape(nx, na - 1, self.d),
+                eye[1 + nx * (na - 1):].reshape(ny, nb - 1, self.d))
+
     @functools.cached_property
-    def moments(self) -> _MomentLayout:
-        return _MomentLayout(self)
+    def moment_cells(self) -> np.ndarray:
+        """cells[x, y, a, b]: the symmetrized outer product of Alice's outcome
+        (x, a) and Bob's (y, b), so <cells[x, y, a, b], G> is the (a,b|x,y)
+        value a moment block G implies.  A retained outcome is the unit
+        vector of its row, an eliminated one e_0 minus its input's retained
+        rows (completeness)."""
+        ea, eb = self._projectors()
+        e0 = np.eye(self.d)[0]
+        alice = np.concatenate([ea, e0 - ea.sum(axis=1, keepdims=True)], axis=1)
+        bob = np.concatenate([eb, e0 - eb.sum(axis=1, keepdims=True)], axis=1)
+        return _read_only(_sym_outer(alice[:, None, :, None], bob[None, :, None, :]))
 
     @functools.cached_property
     def signs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -444,84 +463,62 @@ def _vertex_map(alph: Alphabets, items: str = "local vertices") -> _DataMap:
     return _data_map(alph)
 
 
-class _MomentLayout:
-    """The homogenized level-1 moment matrix of one alphabet, compiled once,
-    by its data map ``cg`` (``_DataMap.moments``); every array read-only.
-
-    Row/column 0 is the identity; one outcome per input is eliminated via
-    completeness, leaving na-1 (nb-1) projectors per Alice (Bob) input.
-    Alice's outcome (x, a) is the unit vector of its row if retained and
-    e_0 minus the input's retained rows if eliminated (Bob's likewise),
-    and ``cells[x, y, a, b]`` is the symmetrized outer product of the two,
-    so <cells[x, y, a, b], G> is the (a,b|x,y) value a block G implies.
-
-    ``structural`` holds the projector constraints (each = 0): diagonal
-    entries equal first-row entries (E^2 = E) and projectors of the same
-    input are orthogonal.  ``data`` holds the moments a target fixes, one
-    per Collins-Gisin coordinate of ``cg``: the map's coordinates of
-    ``cells``, with the scale E00 as the normalization.
-    """
-
-    def __init__(self, cg: _DataMap):
-        nx, ny, na, nb = cg.alph.shape
-        self.alph, d = cg.alph, cg.d
-        eye = np.eye(d)
-        ea = eye[1:1 + nx * (na - 1)].reshape(nx, na - 1, d)
-        eb = eye[1 + nx * (na - 1):].reshape(ny, nb - 1, d)
-        alice = np.concatenate([ea, eye[0] - ea.sum(axis=1, keepdims=True)], axis=1)
-        bob = np.concatenate([eb, eye[0] - eb.sum(axis=1, keepdims=True)], axis=1)
-        self.cells = _read_only(_sym_outer(alice[:, None, :, None], bob[None, :, None, :]))
-        pairs = [(eye[k], eye[k] - eye[0]) for k in range(1, d)]
-        pairs += [(u[i], u[j]) for u in (*ea, *eb)
-                  for i in range(len(u)) for j in range(i + 1, len(u))]
-        uv = np.reshape(pairs, (-1, 2, d))  # (k, 2, d), also for k = 0
-        self.structural = _read_only(_sym_outer(uv[:, 0], uv[:, 1]))
-        E00 = _sym_outer(eye[0], eye[0])
-        self.data = _read_only(np.concatenate([cg.data_rhs(self.cells)[:-1], E00[None]]))
-
-    def model(self, blocks: list) -> AffineModel:
-        """Affine model from the positive and negative moment blocks."""
-        comps = []
-        for sign, G in zip((1.0, -1.0), blocks):
-            t = float(G[0, 0])
-            if t > 1e-8:
-                # A numpy sum per cell, not a BLAS product (tensordot), so
-                # the tables' last bits do not depend on the BLAS build.
-                tab = (self.cells * G).reshape(*self.alph.shape, -1).sum(-1) / t
-                comps.append((sign * t, ConditionalDistribution(self.alph, tab)))
-        return AffineModel(comps, certified_class="npa-level-1")
+def _moment_model(cg: _DataMap, blocks: list) -> AffineModel:
+    """Affine model from the positive and negative moment blocks of cg."""
+    comps = []
+    for sign, G in zip((1.0, -1.0), blocks):
+        t = float(G[0, 0])
+        if t > 1e-8:
+            # A numpy sum per cell, not a BLAS product (tensordot), so
+            # the tables' last bits do not depend on the BLAS build.
+            tab = (cg.moment_cells * G).reshape(*cg.alph.shape, -1).sum(-1) / t
+            comps.append((sign * t, ConditionalDistribution(cg.alph, tab)))
+    return AffineModel(comps, certified_class="npa-level-1")
 
 
 def _moment_structure(cg: _DataMap, smoothed: bool) -> SdpProgram:
     """The level-1 moment program of cg's alphabet without its data, frozen
     (``_DataMap.moment_sdp`` and ``moment_eps_sdp``).
 
-    A positive and a negative moment block, each with the projector
-    constraints, minimizing the total scale t+ + t-; the program is made
-    first, so the SDP cap refuses a size before any d^2 array.  At eps = 0
-    (where the ball {p} leaves the joint program no interior) the blocks
-    must reproduce p on every Collins-Gisin coordinate.  Otherwise a
-    nonnegative linear block holds the p' the blocks represent (so p' >= 0),
-    the ball p' - p = u - v with u, v >= 0 and the slacks of the per-input
-    budgets sum (u + v) <= 2*eps.  The rows that p and eps fix come last,
-    at right-hand side 0: the data rows, or the ball and the budgets.
+    A positive and a negative homogenized level-1 moment block (Navascues,
+    Pironio and Acin, PRL 98, 010401 (2007)): row/column 0 is the identity,
+    and one outcome per input is eliminated via completeness
+    (``_DataMap._projectors``).  Each block has the projector constraints
+    (each = 0): diagonal entries equal first-row entries (E^2 = E) and
+    projectors of one input are orthogonal.  The objective is the total
+    scale t+ + t-.  The program is made first, so the SDP cap refuses a
+    size before any d^2 array.  At eps = 0 (where the ball {p} leaves the
+    joint program no interior) the blocks must reproduce p on every
+    Collins-Gisin coordinate: the data rows are the map's coordinates of
+    ``_DataMap.moment_cells``, with E00 as the normalization.  Otherwise a
+    nonnegative linear block holds the p' the blocks represent (so
+    p' >= 0), the ball p' - p = u - v with u, v >= 0 and the slacks of the
+    per-input budgets sum (u + v) <= 2*eps.  The rows that p and eps fix
+    come last, at right-hand side 0: the data rows, or the ball and the
+    budgets.
     """
-    alph = cg.alph
+    alph, d = cg.alph, cg.d
     n, n_in = alph.n_cells, alph.nx * alph.ny
-    prog = SdpProgram([cg.d, cg.d], 3 * n + n_in if smoothed else 0)
-    layout = cg.moments
-    E00 = layout.data[-1]
+    prog = SdpProgram([d, d], 3 * n + n_in if smoothed else 0)
+    eye = np.eye(d)
+    E00 = _sym_outer(eye[0], eye[0])
     prog.set_objective({0: E00, 1: E00})
+    ea, eb = cg._projectors()
+    pairs = [(eye[k], eye[k] - eye[0]) for k in range(1, d)]
+    pairs += [(u[i], u[j]) for u in (*ea, *eb) for i in range(len(u)) for j in range(i + 1, len(u))]
+    uv = np.reshape(pairs, (-1, 2, d))  # (k, 2, d), also for k = 0
+    structural = _sym_outer(uv[:, 0], uv[:, 1])
     for block in (0, 1):
-        prog.add_constraint({block: layout.structural}, np.zeros(len(layout.structural)))
+        prog.add_constraint({block: structural}, np.zeros(len(structural)))
     if not smoothed:
-        prog.add_constraint({0: layout.data, 1: -layout.data}, np.zeros(len(layout.data)))
+        data = np.concatenate([cg.data_rhs(cg.moment_cells)[:-1], E00[None]])
+        prog.add_constraint({0: data, 1: -data}, np.zeros(cg.n))
         return prog.freeze()
     # Linear block: p', u, v (n entries each), then the budget slacks; e[k] selects entry k.
     e = np.eye(prog.n_linear)
     pp, u, v = e[:n], e[n:2 * n], e[2 * n:3 * n]
     prog.add_constraint({0: E00, 1: -E00}, 1.0)
-    cells = layout.cells.reshape(n, cg.d, cg.d)
+    cells = cg.moment_cells.reshape(n, d, d)
     prog.add_constraint({0: cells, 1: -cells, LINEAR: -pp}, np.zeros(n))  # the blocks give p'
     prog.add_constraint({LINEAR: pp - u + v}, np.zeros(n))
     prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]}, np.zeros(n_in))
@@ -553,12 +550,12 @@ def gamma2_tilde_1(p: ConditionalDistribution) -> BoundResult:
     prog, cg = _moment_program(p)
     sol = solve_sdp(prog)
     record = sol.record("gamma2_tilde_1")
-    model = cg.moments.model(sol.blocks)
+    model = _moment_model(cg, sol.blocks)
     return BoundResult(
         quantity="gamma2_tilde_1",
         value=float(sol.objective),
         primal_certificate=model,
-        dual_certificate=BellFunctional(coeffs=cg.fold(sol.dual[-len(cg.moments.data):]),
+        dual_certificate=BellFunctional(coeffs=cg.fold(sol.dual[-cg.n:]),
                                         claimed_bound_class="npa-level-1", normalization=1.0),
         diagnostics={**record, "reconstruction_residual": model.residual(p.table)},
     )
@@ -575,7 +572,7 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
         quantity="gamma2_tilde_1_eps",
         value=float(sol.objective),
         epsilon=float(eps),
-        primal_certificate=cg.moments.model(sol.blocks),
+        primal_certificate=_moment_model(cg, sol.blocks),
         diagnostics=record,
     )
 
@@ -617,12 +614,13 @@ def _sign_mass(C: np.ndarray, alpha: float, name: str) -> float:
     every cell; inf if C has a zero entry, where no combination reaches 1.
     The rows are S q = r / C, not diag(C) S q = r: the same pivots in exact
     arithmetic, but the crash's Gram-Schmidt over diag(C) S picks dependent
-    columns when an entry of C is near 0 (1e-10)."""
-    twin = _vertex_map(Alphabets(*C.shape, 2, 2), "sign vertices").signs[0]
+    columns when an entry of C is near 0 (1e-10).  The vertex cap is checked
+    first, a zero entry next, before any sign vertex is built."""
+    cg = _vertex_map(Alphabets(*C.shape, 2, 2), "sign vertices")
     if not np.all(C):
         return np.inf
     target = 1.0 / C.reshape(-1)
-    return _min_l1_combination(twin, target, target, name, alpha)[0]
+    return _min_l1_combination(cg.signs[0], target, target, name, alpha)[0]
 
 
 def nu_corr(C: np.ndarray) -> BoundResult:

@@ -28,6 +28,7 @@ from .core import (
     TOL_FEAS,
     ResourceLimitError,
     affine_basis,
+    check_vertex_cap,
     distribution_from_json,
     to_correlation_rep,
     validate,
@@ -152,15 +153,23 @@ def _decompose(args, p):
 
 
 def _smp(args, p):
-    nu = bounds.nu_tilde(p)  # the local affine model of least mass
-    model, mass = nu.primal_certificate, nu.value
-    kwargs = {} if args.replays is None else {"replays": args.replays}
+    # Every refusal that does not need the model's mass comes before its LP,
+    # in the order the LP, the plan and the run give them.
+    bounds._require_valid(p)
+    check_vertex_cap(p.alphabets.vertex_count, "local vertices")
     if args.command == "smp-boolean":
         C = to_correlation_rep(p).C
         if not np.all(np.abs(np.abs(C) - 1.0) <= TOL_FEAS):
             raise bounds.InvalidDistributionError(
                 "smp-boolean needs a Boolean-function distribution (C = +-1)"
             )
+    simulate.check_options(args.command.removeprefix("smp-"), args.delta, args.epsilon,
+                           args.trials, getattr(args, "pool_size", None), args.seed,
+                           args.replays)
+    nu = bounds.nu_tilde(p)  # the local affine model of least mass
+    model, mass = nu.primal_certificate, nu.value
+    kwargs = {} if args.replays is None else {"replays": args.replays}
+    if args.command == "smp-boolean":
         plan = simulate.boolean_plan(mass, args.delta, args.epsilon, T=args.trials)
         res = simulate.run_smp_boolean(np.sign(C), model, plan, args.seed, **kwargs)
         return {"plan": {"T": plan.T, "lam": mass, "delta": args.delta},

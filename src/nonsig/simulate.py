@@ -61,11 +61,25 @@ def _check_inputs(delta: float | None = None, epsilon: float | None = None,
         if k is not None and k < 1:
             raise ValueError(f"{name} must be >= 1, got {k}")
     cap = 2 ** 63 - 1  # numpy's samplers take C int64 counts
-    if counts.get("T", 0) > cap:
+    if (counts.get("T") or 0) > cap:
         raise ResourceLimitError(f"plan needs T = {counts['T']} samples per sign and input "
                                  f"pair (cap {cap}, the largest count numpy can sample)")
     if counts.get("L") is not None:
         check_vertex_cap(counts["L"], "pool strings")
+
+
+def check_options(variant: str, delta: float, epsilon: float, T: int | None = None,
+                  L: int | None = None, seed: int | None = None,
+                  replays: int | None = None) -> None:
+    """Refuse what ``variant``'s plan and run refuse whatever the model's
+    mass, in their order: delta, epsilon (below 1/2 for ``boolean``), a
+    given T or L, then seed and replays.  A caller can run it before it
+    solves for the model."""
+    _check_inputs(delta, None if variant == "boolean" else epsilon)
+    if variant == "boolean" and not 0.0 <= epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in [0, 1/2), got {epsilon}")
+    _check_inputs(T=T, L=L)
+    _check_inputs(seed=seed, replays=replays)
 
 
 def _ceil(formula) -> int | float:
@@ -91,7 +105,7 @@ class SimulationOutcome:
 def classical_plan(lam: float, delta: float, alphabets: Alphabets,
                    epsilon: float = 0.0, T: int | None = None) -> SmpPlan:
     """Trial count and slack for the classical SMP protocol."""
-    _check_inputs(delta, epsilon)
+    check_options("classical", delta, epsilon, T=T)
     AB = alphabets.na * alphabets.nb
     beta = delta / (4.0 * AB)
     if T is None:
@@ -103,7 +117,7 @@ def classical_plan(lam: float, delta: float, alphabets: Alphabets,
 def quantum_plan(lam: float, delta: float, alphabets: Alphabets, epsilon: float = 0.0,
                  T: int | None = None, L: int | None = None) -> SmpPlan:
     """Plan for the quantum-fingerprint SMP protocol (simulated)."""
-    _check_inputs(delta, epsilon)
+    check_options("quantum", delta, epsilon, T=T, L=L)
     AB = alphabets.na * alphabets.nb
     beta = delta / (8.0 * AB)
     if T is None:
@@ -119,9 +133,7 @@ def quantum_plan(lam: float, delta: float, alphabets: Alphabets, epsilon: float 
 def boolean_plan(lam: float, delta: float, epsilon: float = 0.0,
                  T: int | None = None) -> SmpPlan:
     """Plan for the Boolean sign-estimation protocol."""
-    _check_inputs(delta)
-    if not 0.0 <= epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in [0, 1/2), got {epsilon}")
+    check_options("boolean", delta, epsilon, T=T)
     if T is None:
         T = _ceil(lambda: 4.0 * (lam / (1.0 - 2.0 * epsilon)) ** 2 * math.log(1.0 / delta))
     _check_inputs(T=T)
@@ -130,9 +142,14 @@ def boolean_plan(lam: float, delta: float, epsilon: float = 0.0,
 
 
 def hoeffding_bound(T: int, beta: float, range_width: float) -> float:
-    """Tail bound exp(-2 T beta^2 / width^2) for a mean of bounded trials."""
-    if T < 1 or beta < 0 or range_width <= 0:
-        raise ValueError("need T >= 1, beta >= 0, range_width > 0")
+    """Tail bound exp(-2 T beta^2 / width^2) for a mean of bounded trials.
+    A NaN beta or range_width is refused by name, as a value out of range is."""
+    if not T >= 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not range_width > 0:
+        raise ValueError(f"range_width must be > 0, got {range_width}")
     return math.exp(-2.0 * T * beta ** 2 / range_width ** 2)
 
 

@@ -485,8 +485,9 @@ class TestGamma2Tilde1Eps:
         gamma2_tilde_1_eps(pr_box(), 0.1)
         assert progs[0].block_dims == [5, 5]
         assert progs[0].n_linear == 3 * 16 + 4
-        n_structural = len(bounds._data_map(B22).moments.structural)
-        assert progs[0].n_constraints == 2 * n_structural + 2 * 16 + 4 + 1
+        # On binary outcomes the projector constraints are E^2 = E, one per
+        # row but the first (d - 1 = 4); no input has two retained projectors.
+        assert progs[0].n_constraints == 2 * 4 + 2 * 16 + 4 + 1
 
     @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
     def test_pr_box_closed_form(self, eps):
@@ -503,24 +504,26 @@ class TestMomentLayout:
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 2, 4)])
     def test_local_vertex_moments(self, shape):
         # A local vertex has the rank-one moment matrix g g^T, where g holds
-        # 1 and the indicators of its retained outcomes.  The layout's
-        # projector constraints vanish on it, its cells give the vertex
-        # table and its data moments give data_rhs, all without the SDP.
+        # 1 and the indicators of its retained outcomes.  In either block of
+        # the moment program it meets every projector constraint, and the
+        # data rows give data_rhs (negated in the negative block); the map's
+        # cells give the vertex table, all without the SDP.
         alph = Alphabets(*shape)
         nx, ny, na, nb = shape
         cg = bounds._data_map(alph)
-        layout = cg.moments
+        prog, d = cg.moment_sdp, cg.d
+        rows = prog.A.reshape(-1, 2, d, d)  # (constraint, block, d, d)
         for v in enumerate_local_vertices(alph):
             g = np.concatenate(
                 [[1.0]] + [np.arange(na - 1) == a for a in v.lambda_a]
                 + [np.arange(nb - 1) == b for b in v.lambda_b]).astype(float)
-            assert g.shape == (cg.d,)
+            assert g.shape == (d,)
             G = np.outer(g, g)
-            for M in layout.structural:
-                assert np.sum(M * G) == 0.0
-            assert np.array_equal(np.einsum("...ij,ij->...", layout.cells, G), v.table())
-            assert np.array_equal(np.einsum("kij,ij->k", layout.data, G),
-                                  cg.data_rhs(v.table()))
+            data = cg.data_rhs(v.table())
+            zeros = np.zeros(len(rows) - cg.n)
+            assert np.array_equal(np.einsum("kjab,ab->jk", rows, G),
+                                  [np.concatenate([zeros, data]), np.concatenate([zeros, -data])])
+            assert np.array_equal(np.einsum("...ij,ij->...", cg.moment_cells, G), v.table())
 
 
 class TestDataMap:
@@ -555,20 +558,23 @@ class TestDataMap:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_moment_data_rows_are_the_coordinates(self, shape):
-        # The moment program's data rows are the coordinates of the
-        # layout's cells under its alphabet's map, bit for bit, with the
-        # scale block E00 as the normalization row.  Written out: the
-        # retained cells, then each retained projector's first-row entry,
-        # Alice's before Bob's.  The map builds the layout once.
+        # The moment program's data rows, its last n, are the coordinates
+        # of the map's cells, bit for bit, with the scale block E00 as the
+        # normalization row: +M on the positive block, -M on the negative.
+        # Written out: the retained cells, then each retained projector's
+        # first-row entry, Alice's before Bob's.  The map builds its cells
+        # and the program once.
         cg = bounds._data_map(Alphabets(*shape))
-        layout = cg.moments
-        assert cg.moments is layout
+        cells, prog = cg.moment_cells, cg.moment_sdp
+        assert cg.moment_cells is cells and cg.moment_sdp is prog
         d, eye = cg.d, np.eye(cg.d)
+        data = prog.A[-cg.n:, prog.span[0]].reshape(-1, d, d)
+        assert np.array_equal(prog.A[-cg.n:, prog.span[1]].reshape(-1, d, d), -data)
         E00 = bounds._sym_outer(eye[0], eye[0])
-        assert np.array_equal(layout.data[:-1], cg.data_rhs(layout.cells)[:-1])
-        assert np.array_equal(layout.data[-1], E00)
-        assert np.array_equal(layout.data, np.concatenate(
-            [layout.cells[:, :, :-1, :-1].reshape(-1, d, d),
+        assert np.array_equal(data[:-1], cg.data_rhs(cells)[:-1])
+        assert np.array_equal(data[-1], E00)
+        assert np.array_equal(data, np.concatenate(
+            [cells[:, :, :-1, :-1].reshape(-1, d, d),
              bounds._sym_outer(eye[0], eye[1:]), E00[None]]))
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -855,12 +861,33 @@ class TestCorrelationInput:
 
     def test_zero_entry_is_decided_without_an_lp(self, monkeypatch):
         # 0 lies in the sign hull, so the best common bias is exactly 0.
+        # Deciding it builds no sign vertex either: the sign LPs' arrays of
+        # a 9x9 C take ~160 MiB.  The vertex cap still refuses first.
         C = np.array([[1.0, 0.0, -0.5], [0.25, -1.0, 1.0]])
         progs = captured_lps(monkeypatch)
         with pytest.raises(ValueError, match="no equal-bias strategy"):
             games.equal_bias_value(C)
         assert games.epsilon_pub(C) == 0.0
         assert progs == []
+        C9 = np.where(np.random.default_rng(9).normal(size=(9, 9)) < 0, -1.0, 1.0)
+        C9[4, 7] = 0.0
+        bounds._data_map.cache_clear()
+        tracemalloc.start()
+        try:
+            assert games.epsilon_pub(C9) == 0.0
+            with pytest.raises(ValueError, match="no equal-bias strategy"):
+                games.equal_bias_value(C9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "signs" not in vars(bounds._data_map(Alphabets(9, 9, 2, 2)))
+        monkeypatch.setenv("NONSIG_VERTEX_CAP", "5")
+        for M, count in [(C, 2**5), (C9, 2**18)]:
+            message = rf"^enumeration would produce {count} sign vertices \(cap 5\)$"
+            for call in (games.equal_bias_value, games.epsilon_pub):
+                with pytest.raises(ResourceLimitError, match=message):
+                    call(M)
 
     @pytest.mark.parametrize("e", [1e-6, 1e-10])
     def test_entry_near_zero(self, e):

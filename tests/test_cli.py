@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonsig import __version__
+from nonsig import __version__, bounds
 from nonsig.cli import main
 from nonsig.core import distribution_to_json, dump_distribution, pr_box, uniform_distribution, Alphabets
 
@@ -228,10 +228,18 @@ class TestSmpCommands:
         assert code == 0
         assert report["extras"]["replays"] == 7
 
-    def test_smp_boolean_rejects_non_sign_input(self, capsys, tmp_path):
+    def test_smp_boolean_rejects_non_sign_input(self, capsys, monkeypatch, tmp_path):
+        # A binary point that is no Boolean function, and a point with
+        # three outcomes, are refused before the nu_tilde LP runs.
         path = tmp_path / "uniform.json"
         dump_distribution(uniform_distribution(Alphabets(2, 2, 2, 2)), path)
+        solves = []
+        monkeypatch.setattr(bounds, "nu_tilde", lambda p: solves.append(p))
         assert main(["smp-boolean", str(path), "--delta", "0.1"]) == 1
+        assert "Boolean-function distribution" in capsys.readouterr().err
+        assert main(["smp-boolean", str(INPUTS / "nonlocal_2233.json"), "--delta", "0.1"]) == 1
+        assert "binary outcomes" in capsys.readouterr().err
+        assert solves == []
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ import pytest
 from nonsig.core import (
     AffineModel,
     Alphabets,
+    BellFunctional,
     ConditionalDistribution,
     CorrelationRep,
     InfeasibleRepresentationError,
@@ -218,6 +219,21 @@ class TestStrategyEnumeration:
         assert [(w, v.lambda_a, v.lambda_b) for w, v in model.components] == expected
 
 
+class TestModelRefusals:
+    def test_strategy_length_must_match_the_inputs(self):
+        with pytest.raises(ShapeError, match="strategy length"):
+            LocalVertex(B22, (0,), (0, 1))
+
+    def test_empty_model_has_no_table(self):
+        with pytest.raises(ValueError, match="empty affine model"):
+            AffineModel([]).evaluate()
+
+    def test_functional_without_correlation_form(self):
+        bell = BellFunctional(np.zeros(B22.shape))
+        with pytest.raises(UnsupportedRepresentationError, match="no correlation-space form"):
+            bell.value_on_correlations(np.ones((2, 2)))
+
+
 class TestBestLocalResponse:
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 2, 4),
                                        (3, 2, 4, 2), (3, 3, 3, 3), (1, 4, 5, 2)])
@@ -330,6 +346,10 @@ class TestSymmetrizeMarginals:
         assert np.allclose(rep.C, 1)
         assert np.allclose(rep.MA, 0) and np.allclose(rep.MB, 0)
 
+    def test_non_binary_rejected(self):
+        with pytest.raises(UnsupportedRepresentationError, match="requires binary outcomes"):
+            symmetrize_marginals(uniform_distribution(Alphabets(2, 2, 2, 3)))
+
     def test_preserves_correlations(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -359,6 +379,10 @@ class TestJson:
     def test_missing_keys_rejected(self):
         with pytest.raises(ShapeError):
             distribution_from_json({"nx": 2})
+        obj = distribution_to_json(pr_box())
+        del obj["nb"]
+        with pytest.raises(ShapeError, match="^missing field 'nb'$"):
+            distribution_from_json(obj)
 
     def test_boolean_alphabet_size_rejected(self):
         # bool subclasses int; True is no alphabet size.

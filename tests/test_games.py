@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nonsig.core import ResourceLimitError, pr_box, to_correlation_rep
+from nonsig.core import BellFunctional, ResourceLimitError, pr_box, to_correlation_rep
 from nonsig.bounds import dual_bell, nu_corr
 from nonsig.games import (
     XorGame,
@@ -120,6 +120,11 @@ class TestGameBellBijection:
         assert game.mu[0, 1] == 0.0
         recovered = game_to_bell(game).corr_coeffs
         assert np.abs(recovered - B).max() <= 1e-12
+
+    def test_functional_without_correlation_form_rejected(self):
+        bell = BellFunctional(np.ones((2, 2, 2, 2)))
+        with pytest.raises(ValueError, match="no correlation-space coefficients"):
+            bell_to_game(bell)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):

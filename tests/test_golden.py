@@ -140,48 +140,49 @@ SDP_CASES += [pytest.param("gamma2-corr", "sylvester6.json", [], "corr_sdp",
 def test_moment_reports_do_not_depend_on_the_cache(capsys, monkeypatch, tmp_path, command, inp,
                                                    options, structure):
     # An SDP report is the same on a cleared and on a warm data map.  The
-    # cold run builds its alphabet's moment layout once (and gap-check the
+    # cold run builds its alphabet's data map once (and gap-check the
     # vertex matrix of its LP), and builds and compiles its SDP structure
-    # once; the warm run builds and compiles none.  xor-bias reads the CHSH
-    # game: chsh.json's sign matrix on uniform inputs.
+    # once; the warm run builds and compiles none, and reads the moment
+    # cells the cold run cached.  xor-bias reads the CHSH game: chsh.json's
+    # sign matrix on uniform inputs.
     path = INPUTS / inp
     C = json.loads(path.read_text()).get("C")
     if command == "xor-bias":
         path = tmp_path / "chsh_game.json"
         path.write_text(json.dumps({"G": C, "mu": np.full((2, 2), 0.25).tolist()}))
-    layouts, builds, frozen, compiled = [], [], [], []
-    make_layout, make = bounds._MomentLayout, bounds.vertex_table_matrix
+    maps, builds, frozen, compiled = [], [], [], []
+    new_map, make = bounds._DataMap, bounds.vertex_table_matrix
     freeze, compile_ = sdp.SdpProgram.freeze, sdp._Compiled
-    monkeypatch.setattr(bounds, "_MomentLayout",
-                        lambda cg: layouts.append(make_layout(cg)) or layouts[-1])
+    monkeypatch.setattr(bounds, "_DataMap", lambda alph: maps.append(new_map(alph)) or maps[-1])
     monkeypatch.setattr(bounds, "vertex_table_matrix", lambda a: builds.append(a) or make(a))
     monkeypatch.setattr(sdp.SdpProgram, "freeze", lambda prog: frozen.append(freeze(prog)) or prog)
     monkeypatch.setattr(sdp, "_Compiled", lambda prog: compiled.append(compile_(prog))
                         or compiled[-1])
     bounds._data_map.cache_clear()
-    outs, counts = [], []
+    outs, counts, cells = [], [], []
     for state in ("cold", "warm"):
-        before = [len(made) for made in (layouts, builds, frozen, compiled)]
+        before = [len(made) for made in (maps, builds, frozen, compiled)]
         assert main([command, str(path), *options, "--json"]) == 0
         outs.append(capsys.readouterr().out)
-        counts.append([len(made) - n for made, n in zip((layouts, builds, frozen, compiled),
+        counts.append([len(made) - n for made, n in zip((maps, builds, frozen, compiled),
                                                          before)])
+        cells.append(vars(maps[0]).get("moment_cells"))
     assert outs[0] == outs[1]
-    moments = command in MOMENT_FORMS
-    assert counts == [[int(moments), int(command == "gap-check"), 1, 1], [0, 0, 0, 0]]
+    assert counts == [[1, int(command == "gap-check"), 1, 1], [0, 0, 0, 0]]
     alph = (Alphabets(*np.shape(C), 2, 2) if C is not None
             else distribution_from_json(json.loads(path.read_text())).alphabets)
     cg = bounds._data_map(alph)
+    assert cg is maps[0]
     prog = getattr(cg, structure)
     assert frozen == [prog] and compiled == [prog._compiled]
     cached = [*_cached_arrays(cg).values(), *_cached_arrays(prog).values(),
               *_cached_arrays(prog._compiled).values()]
     assert sorted(_cached_arrays(prog)) == ["A", "b", "c"]
     assert len(_cached_arrays(prog._compiled)) == 8
-    if moments:
-        assert cg.moments is layouts[0]
-        assert sorted(_cached_arrays(cg.moments)) == ["cells", "data", "structural"]
-        cached += _cached_arrays(cg.moments).values()
+    lp = ["_unit_tables", "metric", "span", "twin"] if command == "gap-check" else []
+    moments = ["moment_cells"] if command in MOMENT_FORMS else []
+    assert sorted(_cached_arrays(cg)) == sorted(lp + moments)
+    assert cells[0] is cells[1] and (cells[0] is not None) == bool(moments)
     _assert_read_only(cached)
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nonsig import bounds
 from nonsig.cli import COMMANDS, main
 from nonsig.core import distribution_to_json, pr_box
 
@@ -151,13 +152,16 @@ BAD_OPTIONS = [*(("--epsilon", v) for v in ("nan", "-0.1", "1")),
 
 
 @pytest.mark.parametrize("flag, value", BAD_OPTIONS)
-def test_bad_option_values_are_refused(capsys, flag, value):
+def test_bad_option_values_are_refused(capsys, monkeypatch, flag, value):
     # Each form whose command takes the option, on the PR box, with the
     # bad value given last (the parser keeps the last one).  The error line
     # names the value: "got <value>" as parsed (1 reads 1.0), or the
-    # parser's quoted choice.
+    # parser's quoted choice.  No form solves an LP first: an SMP command
+    # refuses each value before the nu_tilde LP that gives its mass.
     forms = [form for form in FORMS if flag in dict(COMMANDS[form[0]].options)]
     assert forms
+    solves = []
+    monkeypatch.setattr(bounds, "nu_tilde", lambda p: solves.append(p))
     for form in forms:
         argv = [form[0], str(INPUTS / "pr_box.json"), *form[1:], flag, value, "--json"]
         code, out, err = _run(capsys, argv)
@@ -165,6 +169,7 @@ def test_bad_option_values_are_refused(capsys, flag, value):
         _assert_clean(argv, code, out, err)
         line = next(line for line in err.splitlines() if line.startswith("error:"))
         assert re.search(rf"(got |'){re.escape(value)}", line), (argv, line)
+    assert solves == []
 
 
 @pytest.mark.parametrize("cap, codes", [("", (0, 0, 0)), ("0", (2, 2, 2)), (" 5", (2, 0, 2)),

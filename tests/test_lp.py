@@ -92,6 +92,8 @@ class TestBasics:
     def test_unbounded(self):
         sol = solve_lp(LinearProgram(c=[-1.0, 0.0], A_eq=[[0.0, 1.0]], b_eq=[1.0]))
         assert sol.status == "unbounded"
+        # With no rows at all, the bounds alone decide it.
+        assert solve_lp(LinearProgram(c=[1.0, -1.0])).status == "unbounded"
 
     def test_upper_bounds_respected(self):
         # min -x - 2y, x + y <= 3, x <= 1, y <= 5
@@ -128,6 +130,8 @@ class TestBasics:
             LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=None)
         with pytest.raises(ValueError):
             LinearProgram(c=[1.0], lb=[-np.inf])
+        with pytest.raises(ValueError, match="^b_ub length 2 != 1 rows$"):
+            LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[1.0, 2.0])
 
     @pytest.mark.parametrize("kwargs", [
         {"A_eq": [[1.0]], "b_eq": [np.nan]},
@@ -135,10 +139,23 @@ class TestBasics:
         {"A_ub": [[1.0]], "b_ub": [np.nan]},
         {"A_ub": [[1.0]], "b_ub": [-np.inf]},
         {"ub": [np.nan]},
-    ], ids=["b_eq-nan", "b_eq-inf", "b_ub-nan", "b_ub-inf", "ub-nan"])
+        {"c": [np.nan]},
+    ], ids=["b_eq-nan", "b_eq-inf", "b_ub-nan", "b_ub-inf", "ub-nan", "c-nan"])
     def test_non_finite_input_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            LinearProgram(c=[1.0], **kwargs)
+            LinearProgram(**{"c": [1.0], **kwargs})
+
+    def test_sloppy_optimum_is_not_optimal(self, monkeypatch):
+        # x = (0, 1.5) is optimal, but 0.2 * 1.5 rounds to 0.30000000000000004.
+        # That residual, 5.6e-17, is within the feasibility tolerance; with
+        # no tolerance the optimum is refused as sloppy.
+        prog = LinearProgram(c=[1.0, 1.0], A_eq=[[0.1, 0.2]], b_eq=[0.3])
+        sol = solve_lp(prog)
+        assert (sol.status, sol.objective) == ("optimal", 1.5)
+        monkeypatch.setattr(lp, "_FEAS_TOL", 0.0)
+        sloppy = solve_lp(prog)
+        assert sloppy.status == "iteration-limit"
+        np.testing.assert_equal(sloppy.x, sol.x)
 
     @pytest.mark.parametrize("rows", [
         {"A_eq": [[1.0, 1.0]], "b_eq": [3.0]},
@@ -401,6 +418,27 @@ class TestStartBasis:
             np.testing.assert_equal(plain, _outputs(solve_lp(prog, start_basis=start)))
         feasible = solve_lp(prog, start_basis=np.where(weights < 0.0, cols + 7, cols))
         assert feasible.objective == pytest.approx(plain[5], rel=1e-12)
+
+    def test_ill_conditioned_start_falls_back_to_phase_one(self, monkeypatch):
+        # Columns 0 and 1 differ by 1e-13 in one entry: their basis matrix
+        # inverts, but its condition (~4e13) is past the limit, so the start
+        # is refused and phase 1 runs as without a start.  (An exactly
+        # singular start, which does not invert, is the plain solve's case
+        # above.)
+        prog = LinearProgram(c=[1.0, 2.0, 3.0], A_eq=[[1.0, 1.0, 0.0], [0.0, 1e-13, 1.0]],
+                             b_eq=[1.0, 1.0])
+        B = prog.A_eq[:, :2]
+        assert np.abs(B).sum(axis=0).max() * np.abs(np.linalg.inv(B)).sum(axis=0).max() \
+            > lp._COND_LIMIT
+        phase_one_runs = []
+        phase_one = lp._phase_one
+        monkeypatch.setattr(lp, "_phase_one", lambda *a: phase_one_runs.append(1) or phase_one(*a))
+        plain = solve_lp(prog)
+        started = solve_lp(prog, start_basis=[0, 1])
+        assert phase_one_runs == [1, 1]
+        assert started.status == "optimal"
+        assert started.objective == pytest.approx(4.0, abs=1e-12)
+        np.testing.assert_equal(_outputs(started), _outputs(plain))
 
     @pytest.mark.parametrize("start", [
         pytest.param([0, 1], id="too-short"),

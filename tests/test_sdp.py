@@ -1,5 +1,6 @@
 """Tests for the interior-point SDP engine."""
 
+import itertools
 import json
 import re
 import tracemalloc
@@ -308,42 +309,85 @@ class TestStackedPrograms:
         for name in ("A", "b", "c"):
             assert np.array_equal(getattr(prog, name), getattr(ref, name)), name
 
-    def moment_reference(self, cg, n_linear=0):
-        layout = cg.moments
-        ref = SdpProgram([cg.d, cg.d], n_linear)
-        E00 = layout.data[-1]
-        ref.set_objective({0: E00, 1: E00})
+    @staticmethod
+    def outcome(offset, n_out, x, a):
+        """{row: coefficient} of outcome a of input x in the moment matrix,
+        whose retained projectors start at row ``offset``: the outcome's own
+        row if retained, else row 0 minus its input's retained rows."""
+        first = offset + x * (n_out - 1)
+        if a < n_out - 1:
+            return {first + a: 1.0}
+        return {0: 1.0, **{first + k: -1.0 for k in range(n_out - 1)}}
+
+    def cell(self, alph, x, y, a, b):
+        """The moment matrix's coefficient of the (a,b|x,y) value, from sym-unit pairs."""
+        nx, ny, na, nb = alph.shape
+        d = 1 + nx * (na - 1) + ny * (nb - 1)
+        u, v = self.outcome(1, na, x, a), self.outcome(1 + nx * (na - 1), nb, y, b)
+        return sum(cu * cv * sym_unit(d, i, j) for i, cu in u.items() for j, cv in v.items())
+
+    def moment_reference(self, alph, n_linear=0):
+        """The moment program's objective t+ + t- and its projector rows,
+        one constraint at a time from sym-unit index pairs: row 0 is the
+        identity, then Alice's retained projectors input by input, then
+        Bob's; each row k > 0 has X_kk = X_0k, and the rows of one input
+        are orthogonal."""
+        nx, ny, na, nb = alph.shape
+        d = 1 + nx * (na - 1) + ny * (nb - 1)
+        inputs = [range(1 + x * (na - 1), 1 + (x + 1) * (na - 1)) for x in range(nx)]
+        inputs += [range(inputs[-1].stop + y * (nb - 1), inputs[-1].stop + (y + 1) * (nb - 1))
+                   for y in range(ny)]
+        ref = SdpProgram([d, d], n_linear)
+        ref.set_objective({0: sym_unit(d, 0, 0), 1: sym_unit(d, 0, 0)})
         for block in (0, 1):
-            for M in layout.structural:
-                ref.add_constraint({block: M}, 0.0)
+            for k in range(1, d):
+                ref.add_constraint({block: sym_unit(d, k, k) - sym_unit(d, 0, k)}, 0.0)
+            for rows in inputs:
+                for i, j in itertools.combinations(rows, 2):
+                    ref.add_constraint({block: sym_unit(d, i, j)}, 0.0)
         return ref
 
+    @staticmethod
+    def points():
+        # The PR box, and a point with three outcomes, whose inputs have
+        # two retained projectors each (orthogonality rows).
+        return [pr_box(), random_nonlocal(np.random.default_rng(3), Alphabets(2, 2, 3, 3))]
+
     def test_gamma2_tilde_1(self, monkeypatch):
-        p = pr_box()
-        prog = captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1(p))
-        cg = bounds._data_map(p.alphabets)
-        ref = self.moment_reference(cg)
-        for M, rhs in zip(cg.moments.data, cg.data_rhs(p.table)):
-            ref.add_constraint({0: M, 1: -M}, rhs)
-        self.assert_same(prog, ref)
+        for p in self.points():
+            prog = captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1(p))
+            alph = p.alphabets
+            nx, ny, na, nb = alph.shape
+            ref = self.moment_reference(alph)
+            d = ref.block_dims[0]
+            data = [self.cell(alph, x, y, a, b) for x, y, a, b in
+                    itertools.product(range(nx), range(ny), range(na - 1), range(nb - 1))]
+            data += [sym_unit(d, 0, k) for k in range(1, d)]  # the retained marginals
+            data.append(sym_unit(d, 0, 0))  # normalization
+            for M, rhs in zip(data, bounds._data_map(alph).data_rhs(p.table), strict=True):
+                ref.add_constraint({0: M, 1: -M}, rhs)
+            self.assert_same(prog, ref)
 
     def test_gamma2_tilde_1_eps(self, monkeypatch):
-        p, eps = pr_box(), 0.1
-        prog = captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1_eps(p, eps))
-        cg = bounds._data_map(p.alphabets)
-        n, n_in, per_input = 16, 4, 4
-        e = np.eye(3 * n + n_in)  # linear block: p', u, v, budget slacks
-        ref = self.moment_reference(cg, len(e))
-        E00 = cg.moments.data[-1]
-        ref.add_constraint({0: E00, 1: -E00}, 1.0)
-        for k, A in enumerate(cg.moments.cells.reshape(n, 5, 5)):
-            ref.add_constraint({0: A, 1: -A, LINEAR: -e[k]}, 0.0)
-        for k, pv in enumerate(p.flat()):
-            ref.add_constraint({LINEAR: e[k] - e[n + k] + e[2 * n + k]}, pv)
-        for i in range(n_in):
-            uv = (e[n:2 * n] + e[2 * n:3 * n])[i * per_input:(i + 1) * per_input].sum(axis=0)
-            ref.add_constraint({LINEAR: uv + e[3 * n + i]}, 2.0 * eps)
-        self.assert_same(prog, ref)
+        eps = 0.1
+        for p in self.points():
+            prog = captured(monkeypatch, bounds, lambda: bounds.gamma2_tilde_1_eps(p, eps))
+            alph = p.alphabets
+            nx, ny, na, nb = alph.shape
+            n, n_in, per_input = alph.n_cells, nx * ny, na * nb
+            e = np.eye(3 * n + n_in)  # linear block: p', u, v, budget slacks
+            ref = self.moment_reference(alph, len(e))
+            d = ref.block_dims[0]
+            ref.add_constraint({0: sym_unit(d, 0, 0), 1: -sym_unit(d, 0, 0)}, 1.0)
+            for k, (x, y, a, b) in enumerate(np.ndindex(alph.shape)):
+                A = self.cell(alph, x, y, a, b)
+                ref.add_constraint({0: A, 1: -A, LINEAR: -e[k]}, 0.0)
+            for k, pv in enumerate(p.flat()):
+                ref.add_constraint({LINEAR: e[k] - e[n + k] + e[2 * n + k]}, pv)
+            for i in range(n_in):
+                uv = (e[n:2 * n] + e[2 * n:3 * n])[i * per_input:(i + 1) * per_input].sum(axis=0)
+                ref.add_constraint({LINEAR: uv + e[3 * n + i]}, 2.0 * eps)
+            self.assert_same(prog, ref)
 
     def test_gamma2_corr(self, monkeypatch):
         C = np.array(json.loads((INPUTS / "sylvester6.json").read_text())["C"], dtype=float)
@@ -499,7 +543,7 @@ class TestValidationAndLimits:
         # cells alone would be nx*ny*na*nb*d^2 floats (32 MB here, 12 GB at
         # 99x99x2x2), so the cap must refuse before they are built, also on
         # the second call, when the alphabet's data map is cached; and the
-        # map keeps neither a moment structure nor the layout.
+        # map keeps neither a moment structure nor the cells.
         p = load_distribution(INPUTS / "over_sdp_cap.json")
         for _ in range(2):
             tracemalloc.start()
@@ -511,7 +555,7 @@ class TestValidationAndLimits:
                 tracemalloc.stop()
             assert peak < 1e6
         cached = set(vars(bounds._data_map(p.alphabets)))
-        assert not cached & {"moment_sdp", "moment_eps_sdp", "moments"}
+        assert not cached & {"moment_sdp", "moment_eps_sdp", "moment_cells"}
 
     @pytest.mark.parametrize("dims, n_linear", [([2, 3], 0), ([3, 2, 3], 3), ([], 4),
                                                 ([2.7], 0), ([2], 1.5), ([True], 0),

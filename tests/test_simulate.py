@@ -1,6 +1,7 @@
 """Tests for the SMP protocol simulations and sample-size planning."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,10 +130,14 @@ class TestHoeffding:
         assert hoeffding_bound(274, 0.07, 2.0) == pytest.approx(b ** 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            hoeffding_bound(0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            hoeffding_bound(10, 0.1, 0.0)
+        # Refused by name; a NaN is no exception, where the bound would be NaN.
+        for args, message in [((0, 0.1, 1.0), "T must be >= 1, got 0"),
+                              ((10, -0.1, 1.0), "beta must be >= 0, got -0.1"),
+                              ((10, 0.1, 0.0), "range_width must be > 0, got 0.0"),
+                              ((10, math.nan, 1.0), "beta must be >= 0, got nan"),
+                              ((10, 0.1, math.nan), "range_width must be > 0, got nan")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                hoeffding_bound(*args)
 
 
 class TestRenormalize:
