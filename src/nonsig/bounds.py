@@ -102,8 +102,9 @@ def _min_l1_combination(twin: np.ndarray, target: np.ndarray, overlap: np.ndarra
     from pivoted Gram-Schmidt over S (``_pivoted_columns``), weighted by
     each column's overlap |s . overlap| with the target, ``overlap`` being
     the target under the inner product of the columns' space (for local
-    vertices ``_DataMap.metric`` times it).  For a local vertex that
-    overlap is sum_xy p(lambda_a(x), lambda_b(y) | x, y), the vertex's
+    vertices T^T p, T the map from coordinates to tables,
+    ``_DataMap._unit_tables``).  For a local vertex that overlap is
+    (T s) . p = sum_xy p(lambda_a(x), lambda_b(y) | x, y), the vertex's
     agreement with p; for a sign vertex it is |<C, u v^T>|.  The vertices
     that carry weight at the optimum mostly overlap the target strongly,
     so phase 2 replaces few of the start columns.  The r start nonbasic
@@ -190,7 +191,8 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     alph = p.alphabets
     cg = _vertex_map(alph)
     rhs = cg.data_rhs(p.table)
-    value, record, q, y, norm = _min_l1_combination(cg.twin, rhs, cg.metric @ rhs, "nu_tilde")
+    value, record, q, y, norm = _min_l1_combination(cg.twin, rhs, cg._unit_tables.T @ p.flat(),
+                                                    "nu_tilde")
     Q = cg.span
     coeffs = Q @ (Q.T @ cg.fold(y).reshape(-1))
     model = AffineModel.from_vertex_weights(alph, q)
@@ -221,11 +223,13 @@ def nu_tilde_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
     budget sum (u + v) <= 2*eps.  Columns are the split vertex weights
     q+, q- and u, v; rows are Vt q - u + v = p per cell, sum q = 1 and the
     budgets.  p' = p + u - v >= p - v, so p' >= 0 is the bound v <= p.
-    The vertex tables are built once per alphabet (``_DataMap.vertices``).
+    The LP, vertex tables included, is built on each call and not kept:
+    it holds the tables twice and the solver's standard form twice more,
+    so a kept copy would save a small part of a solve.
     """
     _require_valid(p, eps)
     alph = p.alphabets
-    Vt = _vertex_map(alph).vertices
+    Vt = vertex_table_matrix(alph)  # checks the vertex cap first
     V, n_cells = Vt.shape[1], alph.n_cells
     pvec = p.flat()
 
@@ -288,12 +292,11 @@ class _DataMap:
     Every array and SDP structure that depends only on the alphabet and
     that a later call reads is built on first use and kept, read-only, with
     the map (``_data_map``): ``twin`` = [S, -S], S the coordinates of the
-    vertex tables (which it does not keep); ``metric`` = T^T T for the map
-    T from coordinates to tables (``_unit_tables``), so that s . metric t
-    is the inner product of two tables; ``span``, an orthonormal basis of
-    the non-signaling tables, which span the vertex tables; ``vertices``,
-    the vertex tables; ``moment_cells``, the cells of the d x d moment
-    matrix, which every primal certificate of the moment programs reads;
+    vertex tables (which it does not keep); ``_unit_tables``, the map T
+    from coordinates to tables, whose transpose gives ``nu_tilde``'s crash
+    score; ``span``, an orthonormal basis of the non-signaling tables,
+    which span the vertex tables; ``moment_cells``, the cells of the d x d
+    moment matrix, which every primal certificate of the moment programs reads;
     ``moment_sdp`` and ``moment_eps_sdp``, the moment programs at eps = 0
     and eps > 0 without their data (``_moment_structure``, which builds
     their other rows); and, on a binary alphabet (nx, ny, 2, 2),
@@ -301,7 +304,8 @@ class _DataMap:
     (``_sign_vertex_matrix``), and ``corr_sdp`` and ``bias_sdp``, the Gram
     programs of ``gamma2_corr`` and ``games.quantum_bias`` without their
     data.  Each SDP structure is a frozen ``SdpProgram``, compiled once; a
-    call solves its ``with_data`` copy.
+    call solves its ``with_data`` copy.  ``nu_tilde_eps`` reads no map: its
+    LP, vertex tables included, is built on each call.
     """
 
     def __init__(self, alph: Alphabets):
@@ -309,10 +313,6 @@ class _DataMap:
         self.alph = alph
         self.d = 1 + nx * (na - 1) + ny * (nb - 1)  # moment block size
         self.n = (1 + nx * (na - 1)) * (1 + ny * (nb - 1))  # coordinates
-
-    @functools.cached_property
-    def vertices(self) -> np.ndarray:
-        return _read_only(vertex_table_matrix(self.alph))
 
     @functools.cached_property
     def twin(self) -> np.ndarray:
@@ -323,11 +323,6 @@ class _DataMap:
     def _unit_tables(self) -> np.ndarray:
         """The non-signaling tables with unit coordinates, one per column."""
         return _read_only(self.tables(np.eye(self.n)).reshape(self.alph.n_cells, -1))
-
-    @functools.cached_property
-    def metric(self) -> np.ndarray:
-        T = self._unit_tables
-        return _read_only(T.T @ T)
 
     @functools.cached_property
     def span(self) -> np.ndarray:

@@ -47,16 +47,19 @@ class SmpPlan:
 
 
 def _check_inputs(delta: float | None = None, epsilon: float | None = None,
-                  seed: int | None = None, **counts) -> None:
+                  seed: int | None = None, lam: float | None = None, **counts) -> None:
     """Refuse a delta outside (0, 1), an epsilon outside [0, 1) (NaN included),
-    a negative seed, a count (T, L, replays) below 1, and a plan numpy cannot
-    sample: T above 2^63 - 1 or L above the vertex cap."""
+    a negative seed, a model mass lam that is not positive (NaN included), a
+    count (T, L, replays) below 1, and a plan numpy cannot sample: T above
+    2^63 - 1 or L above the vertex cap."""
     if delta is not None and not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if epsilon is not None and not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if lam is not None and not lam > 0:
+        raise ValueError(f"lam must be > 0, got {lam}")
     for name, k in counts.items():
         if k is not None and k < 1:
             raise ValueError(f"{name} must be >= 1, got {k}")
@@ -106,6 +109,7 @@ def classical_plan(lam: float, delta: float, alphabets: Alphabets,
                    epsilon: float = 0.0, T: int | None = None) -> SmpPlan:
     """Trial count and slack for the classical SMP protocol."""
     check_options("classical", delta, epsilon, T=T)
+    _check_inputs(lam=lam)
     AB = alphabets.na * alphabets.nb
     beta = delta / (4.0 * AB)
     if T is None:
@@ -118,6 +122,7 @@ def quantum_plan(lam: float, delta: float, alphabets: Alphabets, epsilon: float 
                  T: int | None = None, L: int | None = None) -> SmpPlan:
     """Plan for the quantum-fingerprint SMP protocol (simulated)."""
     check_options("quantum", delta, epsilon, T=T, L=L)
+    _check_inputs(lam=lam)
     AB = alphabets.na * alphabets.nb
     beta = delta / (8.0 * AB)
     if T is None:
@@ -134,6 +139,7 @@ def boolean_plan(lam: float, delta: float, epsilon: float = 0.0,
                  T: int | None = None) -> SmpPlan:
     """Plan for the Boolean sign-estimation protocol."""
     check_options("boolean", delta, epsilon, T=T)
+    _check_inputs(lam=lam)
     if T is None:
         T = _ceil(lambda: 4.0 * (lam / (1.0 - 2.0 * epsilon)) ** 2 * math.log(1.0 / delta))
     _check_inputs(T=T)

@@ -1,16 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonsig import __version__, bounds
-from nonsig.cli import main
+from nonsig import __version__, bounds, lp
+from nonsig.cli import _round_floats, main
 from nonsig.core import distribution_to_json, dump_distribution, pr_box, uniform_distribution, Alphabets
 
-INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ROOT / "tests" / "golden" / "inputs"
 
 
 @pytest.fixture
@@ -348,8 +352,9 @@ class TestExitCodes:
         assert main(["bell", pr_file]) == 2
 
     def test_warm_nu_eps_over_vertex_cap_is_exit_2(self, capsys, monkeypatch, pr_file):
-        # The PR box's vertex tables are cached by the first call; the cap
-        # is still checked on the second.
+        # A first call under the default cap leaves nothing that lets the
+        # second skip the lower one: nu-eps makes its vertex tables after
+        # the cap on every call.
         monkeypatch.delenv("NONSIG_VERTEX_CAP", raising=False)
         argv = ["nu-eps", pr_file, "--epsilon", "0.1"]
         assert main(argv) == 0
@@ -412,6 +417,17 @@ class TestExitCodes:
         monkeypatch.setattr("nonsig.lp._Simplex.refactor", broken)
         assert main(["nu", pr_file]) == 3
 
+    @pytest.mark.parametrize("argv, name", [
+        (["nu", "nonlocal_3333.json"], "nu_tilde"),
+        (["nu-eps", "nonlocal_2233.json", "--epsilon", "0.05"], "nu_tilde_eps")])
+    def test_pivot_limit_is_exit_3(self, capsys, monkeypatch, argv, name):
+        # One pivot per simplex phase: nu's crash-started phase 2 and
+        # nu-eps's phase 1 each stop at the limit and report it.
+        iterate = lp._Simplex.iterate
+        monkeypatch.setattr(lp._Simplex, "iterate", lambda sx, c, max_iter: iterate(sx, c, 1))
+        assert main([str(INPUTS / a) if a.endswith(".json") else a for a in argv]) == 3
+        assert capsys.readouterr().err == f"error: {name} LP returned iteration-limit\n"
+
     def test_gamma2_corr_near_breakdown_is_exit_0(self, capsys, signs_6x6_file):
         code, report = run_json(capsys, ["gamma2-corr", signs_6x6_file])
         assert code == 0
@@ -440,3 +456,23 @@ class TestExitCodes:
 
     def test_missing_required_flag_is_exit_64(self, pr_file):
         assert main(["nu-eps", pr_file]) == 64
+
+
+def test_module_entry_point():
+    # python -m nonsig.cli runs main and exits with its code.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "nonsig.cli", "validate",
+                           "tests/golden/inputs/pr_box.json", "--json"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "golden" / "validate.json").read_text()
+
+
+def test_round_floats_turns_numpy_values_into_python_values():
+    out = _round_floats({"x": np.float64(1 / 3), "n": np.int64(3), "ok": np.bool_(True),
+                         "a": np.array([[2 / 3, 1.0]])})
+    assert out == {"x": 0.333333333333, "n": 3, "ok": True, "a": [[0.666666666667, 1.0]]}
+    assert [type(out[k]) for k in ("x", "n", "ok")] == [float, int, bool]
+    assert type(out["a"][0][0]) is float

@@ -1,4 +1,4 @@
-"""The bounds are invariant under relabelings of p.
+"""Relations the bounds satisfy whatever program computes them.
 
 Relabeling the inputs, relabeling the outcomes of one input, or swapping
 the parties maps non-signaling points to non-signaling points and local
@@ -10,6 +10,11 @@ are seeded, over four shapes with nx != ny or na != nb among them:
 point is nonlocal, as a local point reads 1 whatever its labels; a random
 non-signaling vertex is mostly local, so those two seeds are ones whose
 point is not.
+
+The smoothed bounds start at the exact ones (the ball of radius 0 is {p})
+and do not increase with eps (the balls are nested).  On the binary point
+p_C with unbiased marginals and correlations C, both bounds are those of
+C, floored at 1.
 """
 
 import functools
@@ -17,12 +22,20 @@ import functools
 import numpy as np
 import pytest
 
-from nonsig.bounds import gamma2_tilde_1, nu_tilde, nu_tilde_eps
-from nonsig.core import Alphabets, ConditionalDistribution, best_local_response
+from nonsig.bounds import (gamma2_corr, gamma2_tilde_1, gamma2_tilde_1_eps, nu_corr, nu_tilde,
+                           nu_tilde_eps)
+from nonsig.core import (Alphabets, ConditionalDistribution, CorrelationRep, best_local_response,
+                         from_correlation_rep)
 from helpers import random_nonlocal, random_nonsignaling
 
 SEEDS = {(2, 2, 3, 3): 0, (3, 2, 2, 2): 0, (2, 2, 2, 3): 1, (2, 3, 3, 2): 47}
 EPS = 0.05
+GAMMA2_EPS = 0.03
+SWEEP = (0.0, 0.01, 0.02, 0.05, 0.1)
+# The shapes of the gamma2_tilde_1_eps relations, kept to two so that the
+# file runs in about a second: the smallest, one with an input of three
+# outcomes.
+GAMMA2_EPS_SHAPES = [(3, 2, 2, 2), (2, 2, 2, 3)]
 
 
 def _inputs(T):
@@ -47,14 +60,26 @@ RELABELINGS = {"inputs": _inputs, "outcomes": _outcomes, "parties": _parties}
 
 @functools.cache
 def _point(shape):
-    """The shape's point and its nu_tilde, nu_tilde_eps and gamma2_tilde_1."""
+    """The shape's point and its nu_tilde and gamma2_tilde_1."""
     rng = np.random.default_rng([SEEDS[shape], *shape])
     alph = Alphabets(*shape)
     p = (random_nonlocal(rng, alph) if shape[2] == shape[3]
          else random_nonsignaling(rng, alph, nonlocal_weight=1.0))
     nu = nu_tilde(p)
     assert nu.value > 1.05
-    return p, nu, nu_tilde_eps(p, EPS).value, gamma2_tilde_1(p).value
+    return p, nu, gamma2_tilde_1(p).value
+
+
+@functools.cache
+def _nu_tilde_eps(shape):
+    """nu_tilde_eps of the shape's point at each eps of SWEEP."""
+    p = _point(shape)[0]
+    return [nu_tilde_eps(p, eps) for eps in SWEEP]
+
+
+@functools.cache
+def _gamma2_tilde_1_eps(shape):
+    return gamma2_tilde_1_eps(_point(shape)[0], GAMMA2_EPS).value
 
 
 def _image(p, name):
@@ -62,37 +87,93 @@ def _image(p, name):
     return ConditionalDistribution(Alphabets(*table.shape), table)
 
 
-CASES = pytest.mark.parametrize("shape, name", [
-    pytest.param(shape, name, id=f"{'x'.join(map(str, shape))}-{name}")
-    for shape in SEEDS for name in RELABELINGS])
+def _id(shape):
+    return "x".join(map(str, shape))
+
+
+def _cases(shapes):
+    return pytest.mark.parametrize("shape, name", [
+        pytest.param(shape, name, id=f"{_id(shape)}-{name}")
+        for shape in shapes for name in RELABELINGS])
+
+
+CASES = _cases(SEEDS)
+SHAPES = pytest.mark.parametrize("shape", list(SEEDS), ids=_id)
 
 
 @CASES
 def test_nu_tilde(shape, name):
-    p, nu, _, _ = _point(shape)
+    p, nu, _ = _point(shape)
     assert nu_tilde(_image(p, name)).value == pytest.approx(nu.value, rel=0, abs=1e-12)
 
 
 @CASES
 def test_nu_tilde_eps(shape, name):
-    p, _, nu_eps, _ = _point(shape)
+    p, nu_eps = _point(shape)[0], _nu_tilde_eps(shape)[SWEEP.index(EPS)].value
     assert nu_tilde_eps(_image(p, name), EPS).value == pytest.approx(nu_eps, rel=0, abs=1e-12)
 
 
 @CASES
 def test_gamma2_tilde_1(shape, name):
     # Within the SDP contract's relative gap.
-    p, _, _, gamma2 = _point(shape)
+    p, _, gamma2 = _point(shape)
     assert gamma2_tilde_1(_image(p, name)).value == pytest.approx(gamma2, rel=1e-5, abs=0)
+
+
+@_cases(GAMMA2_EPS_SHAPES)
+def test_gamma2_tilde_1_eps(shape, name):
+    p = _point(shape)[0]
+    assert gamma2_tilde_1_eps(_image(p, name), GAMMA2_EPS).value == pytest.approx(
+        _gamma2_tilde_1_eps(shape), rel=1e-5, abs=0)
 
 
 @CASES
 def test_nu_tilde_certificate(shape, name):
     # p's Bell functional, relabeled as p is, certifies the image: it is
     # at most 1 on every local vertex and reaches nu_tilde of the image.
-    p, nu, _, _ = _point(shape)
+    p, nu, _ = _point(shape)
     q = _image(p, name)
     B = RELABELINGS[name](nu.dual_certificate.coeffs)
     assert float((B * q.table).sum()) == pytest.approx(nu_tilde(q).value, rel=0, abs=1e-12)
     assert best_local_response(B)[0] <= 1.0 + 1e-9
     assert best_local_response(-B)[0] <= 1.0 + 1e-9
+
+
+@SHAPES
+def test_nu_tilde_eps_at_zero_is_nu_tilde(shape):
+    nu = _point(shape)[1]
+    assert _nu_tilde_eps(shape)[0].value == pytest.approx(nu.value, rel=0, abs=1e-12)
+
+
+@SHAPES
+def test_nu_tilde_eps_does_not_increase(shape):
+    # While the value exceeds 1, p' is a whole eps from p on some input
+    # pair: were it closer on every pair, mixing p' with a local point
+    # would stay in the ball and lower the value.
+    results = _nu_tilde_eps(shape)
+    for eps, res in zip(SWEEP, results):
+        if res.value > 1.0 + 1e-9:
+            assert res.diagnostics["distance_used"] == pytest.approx(eps, rel=0, abs=1e-12)
+    values = [res.value for res in results]
+    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), values
+
+
+@pytest.mark.parametrize("shape", GAMMA2_EPS_SHAPES, ids=_id)
+def test_gamma2_tilde_1_eps_does_not_increase(shape):
+    # At eps = 0 gamma2_tilde_1_eps solves gamma2_tilde_1's program.
+    p, _, gamma2 = _point(shape)
+    values = [gamma2] + [gamma2_tilde_1_eps(p, eps).value for eps in SWEEP[1:]]
+    assert all(b <= a * (1.0 + 1e-5) for a, b in zip(values, values[1:])), values
+
+
+@pytest.mark.parametrize("n, scale", [(2, 1.0), (3, 1.0), (4, 1.0), (5, 1.0), (2, 0.4), (5, 0.4)])
+def test_binary_point_of_correlations(n, scale):
+    # Random signs at magnitudes 0.6 to 1 are nonlocal at these seeds;
+    # scaled by 0.4 they are local, and both bounds read 1.
+    rng = np.random.default_rng([n, 7])
+    C = scale * rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(0.6, 1.0, (n, n))
+    p = from_correlation_rep(CorrelationRep(C, np.zeros(n), np.zeros(n)))
+    nu, gamma2 = nu_corr(C).value, gamma2_corr(C).value
+    assert (nu > 1.0) == (scale == 1.0)
+    assert nu_tilde(p).value == pytest.approx(max(1.0, nu), rel=0, abs=1e-12)
+    assert gamma2_tilde_1(p).value == pytest.approx(max(1.0, gamma2), rel=1e-5, abs=0)

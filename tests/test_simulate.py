@@ -85,6 +85,19 @@ class TestPlans:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("lam", [float("nan"), 0.0, -2.0])
+    @pytest.mark.parametrize("plan", [lambda lam: classical_plan(lam, 0.1, B22),
+                                      lambda lam: quantum_plan(lam, 0.1, B22),
+                                      lambda lam: boolean_plan(lam, 0.1)],
+                             ids=["classical", "quantum", "boolean"])
+    def test_mass_that_is_not_positive_is_refused_by_name(self, plan, lam):
+        with pytest.raises(ValueError, match=f"^lam must be > 0, got {lam}$"):
+            plan(lam)
+
+    def test_options_are_refused_before_the_mass(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            boolean_plan(-2.0, 0.1, epsilon=0.5)
+
     @pytest.mark.parametrize("make", [
         lambda: quantum_plan(2.0, 0.001, B22),          # T ~ 3.7e20 > 2^63 - 1
         lambda: classical_plan(2.0, 1e-9, B22),         # T ~ 1.2e22
@@ -92,6 +105,9 @@ class TestPlans:
         lambda: classical_plan(2.0, 1e-200, B22),       # T overflows a float
         lambda: quantum_plan(2.0, 1e-200, B22, T=10),   # L divides by delta^2 = 0
         lambda: boolean_plan(2.0, 0.1, T=2 ** 63),
+        lambda: classical_plan(math.inf, 0.1, B22),     # an infinite mass plans T = inf
+        lambda: quantum_plan(math.inf, 0.1, B22),
+        lambda: boolean_plan(math.inf, 0.1),
     ])
     def test_unsamplable_plans_refused(self, make):
         with pytest.raises(ResourceLimitError, match="cap"):
