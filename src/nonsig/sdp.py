@@ -5,9 +5,10 @@ X_j >= 0 (PSD), x >= 0, over symmetric matrix blocks X_j plus one optional
 nonnegative linear block x (SDPT3's mixed ``s``/``l`` blocks), via an
 infeasible-start primal-dual interior-point method (HKM direction, which
 on x is the diagonal x/s scaling of linear programming).  Intended for
-the small moment-matrix problems in this package: a program whose PSD
-dimensions plus linear length exceed 200 is refused with
-``ResourceLimitError`` when it is made, before its arrays are built.  The
+the small moment-matrix problems in this package: a program that a solve
+could need more than 512 MiB for (``_solve_bytes``, counted from its
+shapes) is refused with ``ResourceLimitError`` when it is made, before
+its arrays are built.  The
 returned residuals, per-block minimum eigenvalues and linear block let
 callers verify the solution independently of the algorithm.
 
@@ -18,20 +19,25 @@ d x d moment blocks, or one Gram block); any other shape is refused with
 ``ValueError`` when the program is made.
 
 The engine compiles a program's constraints once (``_Compiled``): A's
-nonzeros in row-major order, two dense layouts of the PSD blocks'
-coefficients, and the pairs of the linear block's nonzeros that share a
-column.  A program that many calls share is frozen (``SdpProgram.freeze``):
-its arrays turn read-only, it takes no more constraints, and it keeps its
-compiled form, which each call's program (``with_data``: its own
-right-hand side and objective) reuses; any other program is compiled at
-each solve.  The PSD blocks are one (k, d, d) stack.  A v, A^T w, the
-Schur right-hand side and the linear block's Schur term are one
-``numpy.bincount`` each over the compiled nonzeros, which adds in its
-input's order on one thread.  BLAS does the rest: two batched products and
-one over all blocks for the PSD blocks' Schur term, the batched d x d
-products, and five ``numpy.linalg`` calls an iteration: an inverse of S, a
-Cholesky, an inverse and an ``eigvalsh`` for both step lengths, and the
-m x m Schur solve.
+nonzeros in row-major order, the rows that touch a PSD block, two dense
+layouts of those rows' PSD coefficients, and the pairs of the linear
+block's nonzeros that share a column.  A program that many calls share is
+frozen (``SdpProgram.freeze``): its arrays turn read-only, it takes no
+more constraints, and it keeps its constraints in compiled form only
+(``SdpProgram.A`` makes a dense copy on request), which each call's
+program (``with_data``: its own right-hand side and objective) reuses; any
+other program is compiled at each solve.  The PSD blocks are one (k, d, d)
+stack.  A v, A^T w, the Schur right-hand side and the linear block's
+Schur term are one ``numpy.bincount`` each over the compiled nonzeros,
+which adds in its input's order on one thread.  BLAS does the rest: two
+batched products and one over all blocks for the PSD blocks' Schur term,
+which only the rows that touch a PSD block enter (the coarsest grain of
+SDPA's sparse Schur assembly: Fujisawa, Kojima and Nakata, Math.
+Programming 79, 1997), the batched d x d products, and five
+``numpy.linalg`` calls an iteration: an inverse of S, a Cholesky, an
+inverse and an ``eigvalsh`` for both step lengths, and the m x m Schur
+solve.  The Schur complement and its
+symmetrized copy are two m x m buffers that every iteration reuses.
 
 A run stops at the inner tolerance (``optimal``), on a diverging dual
 (``infeasible``), on a numerical breakdown inside an iteration (a Cholesky
@@ -56,7 +62,9 @@ import numpy as np
 
 from .core import ResourceLimitError, is_integer
 
-_DIM_CAP, _MAX_ITER, _TOL = 200, 500, 1e-9  # size cap, iteration limit, inner tolerance
+_MAX_ITER, _TOL = 500, 1e-9  # iteration limit, inner tolerance
+# The bytes a solve may hold (``_solve_bytes``); a larger program is refused.
+_BYTE_CAP = 512 * 2**20
 LINEAR = "lin"  # key of the nonnegative linear block in coefficient dicts
 # The contract a returned "optimal" iterate meets: equality residual, relative
 # duality gap, and smallest eigenvalue of a PSD block or entry of the linear block.
@@ -88,14 +96,17 @@ class SdpProgram:
             raise ValueError("expected k >= 1 PSD blocks of one positive size and a linear "
                              f"length >= 0, all integers, got {dims} and {n_linear!r}")
         self.block_dims, self.n_linear = [int(d) for d in dims], int(n_linear)
-        if self.total_dim > _DIM_CAP:  # refused before any array is built
+        need = _solve_bytes(len(dims), self.block_dims[0], self.n_linear)
+        if need > _BYTE_CAP:  # refused before any array is built
             raise ResourceLimitError(
-                f"total block dimension {self.total_dim} exceeds cap {_DIM_CAP}")
+                f"an SDP of PSD blocks {self.block_dims} and a linear block of "
+                f"{self.n_linear} may need {need / 2**20:.0f} MiB to solve (cap "
+                f"{_BYTE_CAP // 2**20} MiB)")
         sizes = [d * d for d in self.block_dims] + [self.n_linear]
         self.span, end = {}, 0
         for j, size in zip([*range(len(self.block_dims)), LINEAR], sizes):
             self.span[j], end = slice(end, end + size), end + size
-        self.c, self.A, self.b = np.zeros(end), np.zeros((0, end)), np.zeros(0)
+        self.c, self._A, self.b = np.zeros(end), np.zeros((0, end)), np.zeros(0)
         self._compiled = None  # the constraints compiled once, when frozen
 
     def set_objective(self, coeffs: dict) -> None:
@@ -112,23 +123,23 @@ class SdpProgram:
         if rhs.ndim > 1 or not np.isfinite(rhs).all():
             raise ValueError("the right-hand side must be a finite scalar or vector")
         rows = self._rows(coeffs, rhs.shape).reshape(rhs.size, len(self.c))
-        self.A, self.b = np.concatenate([self.A, rows]), np.concatenate([self.b, rhs.reshape(-1)])
+        self._A, self.b = np.concatenate([self._A, rows]), np.concatenate([self.b, rhs.reshape(-1)])
 
     def freeze(self) -> SdpProgram:
         """This program as a structure that calls share: its arrays made
-        read-only, its constraints compiled for the engine once, and no
-        more constraints or objective taken.  A call solves ``with_data``'s
-        program."""
-        for arr in (self.c, self.A, self.b):
+        read-only, its constraints compiled for the engine once (and kept
+        only in that form), and no more constraints or objective taken.  A
+        call solves ``with_data``'s program."""
+        for arr in (self.c, self.b):
             arr.flags.writeable = False
-        self._compiled = _Compiled(self)
+        self._compiled, self._A = _Compiled(self), None
         return self
 
     def with_data(self, rhs=(), objective: dict | None = None) -> SdpProgram:
         """A frozen program's copy for one call: its last len(rhs)
         right-hand sides replaced by ``rhs`` (the rows a call's data fixes
         come last) and, if given, its objective by ``objective``.  The copy
-        shares A and the compiled constraints, and is frozen too."""
+        shares the compiled constraints, and is frozen too."""
         if self._compiled is None:
             raise ValueError("only a frozen program takes a call's data")
         rhs = np.asarray(rhs, dtype=float)
@@ -165,6 +176,18 @@ class SdpProgram:
         return rows
 
     @property
+    def A(self) -> np.ndarray:
+        """The constraints as one dense array, a row each over the iterate:
+        the program's own while it is built, and made anew, read-only, from
+        the compiled nonzeros on each read once it is frozen."""
+        if self._compiled is None:
+            return self._A
+        comp, A = self._compiled, np.zeros((self.n_constraints, len(self.c)))
+        A[comp.rows, comp.cols] = comp.vals
+        A.flags.writeable = False
+        return A
+
+    @property
     def total_dim(self) -> int:
         return sum(self.block_dims) + self.n_linear
 
@@ -199,6 +222,18 @@ class SdpSolution:
                 "min_eigenvalue": self.block_min_eig()}
 
 
+def _solve_bytes(k: int, d: int, n_linear: int) -> int:
+    """The most a solve of k d x d blocks and n_linear linear entries holds,
+    counted from the shapes alone at the largest m a program with
+    independent rows can have, k d(d+1)/2 + n_linear: 8 bytes for each
+    entry of the dense A, of the four PSD Schur arrays (``_Compiled.A_wide``
+    and ``A_psd_T``, and a solve's two products) and of four m x m arrays
+    (the Schur complement, its symmetrized copy, the copy the linear solve
+    factors, and one as a margin)."""
+    m, n_psd = k * d * (d + 1) // 2 + n_linear, k * d * d
+    return 8 * (m * (n_psd + n_linear) + 4 * m * n_psd + 4 * m * m)
+
+
 def _sym(M):
     """Symmetric part of a matrix, or of each matrix in a stack."""
     return 0.5 * (M + M.swapaxes(-1, -2))
@@ -226,25 +261,31 @@ class _Compiled:
     read-only.  A's nonzeros in row-major order (``rows``, ``cols``,
     ``vals``): A v, A^T w and the Schur right-hand side are each one
     bincount over them, which adds in this fixed order.  For the PSD
-    blocks' Schur term, block j's A_ij side by side (``A_wide``, (k, d, m d))
-    and A's PSD columns as rows (``A_psd_T``).  For the linear block's term
-    sum_t A_it A_lt x_t / s_t, the pairs of its nonzeros (t, r) that share a
-    column t, in the order of t, then r: the Schur entry each adds to
-    (``pair_at``), the product of the two coefficients (``pair_val``) and t
-    (``pair_t``)."""
+    blocks' Schur term, the rows with a PSD nonzero, wherever they sit
+    (``psd_rows``), and their coefficients: block j's A_ij side by side
+    (``A_wide``, (k, d, m_psd d)) and A's PSD columns as rows (``A_psd_T``).
+    A row that touches only the linear block gets only the linear block's
+    term sum_t A_it A_lt x_t / s_t.  For that term, the pairs of the linear
+    block's nonzeros (t, r) that share a column t, in the order of t, then
+    r: the index of the Schur entry each adds to (``pair_bin``) in the
+    distinct entries' flat positions (``lin_at``), the product of the two
+    coefficients (``pair_val``) and t (``pair_t``)."""
 
     def __init__(self, prog: SdpProgram):
         k, d, m, A = len(prog.block_dims), prog.block_dims[0], prog.n_constraints, prog.A
         psd, lin = A[:, :k * d * d], A[:, prog.span[LINEAR]]
         self.rows, self.cols = np.nonzero(A)
         self.vals = A[A != 0]
-        self.A_wide = psd.reshape(m, k, d, d).transpose(1, 2, 0, 3).reshape(k, d, m * d)
+        self.psd_rows = np.flatnonzero(psd.any(axis=1))
+        psd = psd[self.psd_rows]
+        self.A_wide = psd.reshape(-1, k, d, d).transpose(1, 2, 0, 3).reshape(k, d, -1)
         self.A_psd_T = psd.T.copy()
         t, r = np.nonzero(lin.T)
         lo, hi, v = np.searchsorted(t, t), np.searchsorted(t, t, "right"), lin[r, t]
         p = np.repeat(np.arange(len(t)), hi - lo)
         q = np.arange(len(p)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
-        self.pair_at, self.pair_val, self.pair_t = r[p] * m + r[q], v[p] * v[q], t[p]
+        self.lin_at, self.pair_bin = np.unique(r[p] * m + r[q], return_inverse=True)
+        self.pair_val, self.pair_t = v[p] * v[q], t[p]
         for arr in vars(self).values():
             arr.flags.writeable = False
 
@@ -265,11 +306,15 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
     def stack(v):  # the PSD blocks of v's rows, as one (..., k, d, d) view
         return v[..., psd].reshape(*v.shape[:-1], k, d, d)
 
-    # The Schur complement's two products go to buffers that every iteration reuses.
-    XA, XAS = np.empty((k, d, m * d)), np.empty((m, k, d, d))
+    # Buffers that every iteration reuses: the Schur complement M, its
+    # symmetrized copy Ms, and the products that give M's entries among the
+    # rows that touch a PSD block (Mp, which sits in Ms until Ms is made).
+    m_psd, psd_block = len(comp.psd_rows), np.ix_(comp.psd_rows, comp.psd_rows)
+    XA, XAS = np.empty((k, d, m_psd * d)), np.empty((m_psd, k, d, d))
+    M, Ms = np.empty((m, m)), np.empty((m, m))
+    Mp, Ms_diag = Ms.reshape(-1)[:m_psd * m_psd].reshape(m_psd, m_psd), Ms.reshape(-1)[::m + 1]
 
     scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(c).max(initial=0.0)))
-    ridge = 1e-14 * scale * np.eye(m)
     # The primal iterate X and the dual slack S are the rows of XS, so that
     # the X and S stacks are one (2, k, d, d) view.
     X = np.concatenate([np.eye(d).reshape(-1)] * k + [np.ones(prog.n_linear)])
@@ -316,17 +361,22 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
             x, sinv = X[lin], 1.0 / S[lin]
             # Schur complement M[i,l] = sum_j tr(A_ij X_j A_lj Sinv_j), where
             # the linear block acts as the diagonal blocks diag(x), diag(s).
-            # X_j A_ij Sinv_j goes to XAS[i, j], laid out as row i of A, so one
-            # product with A_psd_T sums over the blocks.
+            # X_j A_ij Sinv_j goes to XAS[i, j], laid out as the i-th PSD row
+            # of A, so one product with A_psd_T sums over the blocks.
             np.matmul(Xk, comp.A_wide, out=XA)
-            np.matmul(XA.reshape(k, d, m, d), Sinv[:, None], out=XAS.transpose(1, 2, 0, 3))
-            M = XAS.reshape(m, k * d * d) @ comp.A_psd_T
-            M += np.bincount(comp.pair_at, comp.pair_val * (x * sinv)[comp.pair_t],
-                             m * m).reshape(m, m)
+            np.matmul(XA.reshape(k, d, m_psd, d), Sinv[:, None], out=XAS.transpose(1, 2, 0, 3))
+            np.matmul(XAS.reshape(m_psd, k * d * d), comp.A_psd_T, out=Mp)
+            M.fill(0.0)
+            M[psd_block] = Mp
+            M.reshape(-1)[comp.lin_at] += np.bincount(
+                comp.pair_bin, comp.pair_val * (x * sinv)[comp.pair_t], len(comp.lin_at))
             w = Xk - sigma * mu * Sinv + Xk @ stack(Rd) @ Sinv
             rhs = rp + apply_A(np.concatenate([w.reshape(-1),
                                                x - sigma * mu * sinv + x * Rd[lin] * sinv]))
-            dy = np.linalg.solve(_sym(M) + ridge, rhs)
+            np.add(M, M.T, out=Ms)
+            Ms *= 0.5
+            Ms_diag += 1e-14 * scale  # a ridge
+            dy = np.linalg.solve(Ms, rhs)
 
             dXS = np.empty_like(XS)
             dX, dS = dXS

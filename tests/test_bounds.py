@@ -642,6 +642,24 @@ class TestCorrelationQuantities:
         # gamma2 of a sign matrix is at least 1 and at most sqrt(min(nx, ny)).
         assert 1.0 <= result.value <= np.sqrt(min(nx, ny)) + 1e-6
 
+    def test_gamma2_corr_over_the_sdp_cap(self):
+        # A 50 x 50 matrix's Gram block is 100 x 100, and a solve could need
+        # 2.7 GiB (the coefficient stack alone would be 2,500 x 10,000
+        # floats, 200 MB): refused before the stack is built, on a cold and
+        # on a warm data map, which keeps no Gram program.
+        C = np.random.default_rng(50).choice([-1.0, 1.0], (50, 50))
+        bounds._data_map.cache_clear()
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match=r"\(cap 512 MiB\)"):
+                    gamma2_corr(C)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+        assert "corr_sdp" not in vars(bounds._data_map(Alphabets(50, 50, 2, 2)))
+
     def test_corr_nu_matches_distribution_nu(self):
         # nu on correlation space equals nu_tilde of the Boolean
         # distribution whenever the value exceeds 1.

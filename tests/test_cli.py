@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,22 @@ def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def assert_refused_lean(capsys, argv):
+    """argv exits 2 with one error line naming the SDP cap, and a
+    tracemalloc peak under 1 MB."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "(cap 512 MiB)" in captured.err
+    assert peak < 1e6
 
 
 class TestEnvelope:
@@ -402,13 +419,29 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
 
-    def test_sdp_over_dimension_cap_is_exit_2(self, capsys, tmp_path):
-        # The 3x3x3x3 eps program has total dimension 26 + 252 = 278 > 200:
-        # two 13 x 13 moment blocks and a linear block of 3 * 81 + 9.
+    def test_sdp_over_dimension_cap_is_exit_2(self, capsys):
+        # The moment blocks of over_sdp_cap.json are 101 x 101: a solve could
+        # need 11 GiB, over the 512 MiB cap.  Every moment command is refused
+        # before the program's arrays are built.
+        path = str(INPUTS / "over_sdp_cap.json")
+        for argv in (["gamma2"], ["gamma2-eps", "--epsilon", "0.1"],
+                     ["bell", "--bound-class", "npa-level-1"]):
+            assert_refused_lean(capsys, [argv[0], path, *argv[1:]])
+
+    def test_gamma2_corr_over_sdp_cap_is_exit_2(self, capsys, tmp_path):
+        # A 50 x 50 matrix's Gram block is 100 x 100: a solve could need 2.7 GiB.
+        path = tmp_path / "c50.json"
+        C = np.random.default_rng(50).choice([-1, 1], (50, 50))
+        path.write_text(json.dumps({"C": C.tolist()}))
+        assert_refused_lean(capsys, ["gamma2-corr", str(path)])
+
+    def test_3333_gamma2_eps_is_exit_0(self, capsys, tmp_path):
+        # Two 13 x 13 moment blocks and a linear block of 3 * 81 + 9: at
+        # most 12 MiB, under the cap.  The uniform point is local.
         path = tmp_path / "u3333.json"
         dump_distribution(uniform_distribution(Alphabets(3, 3, 3, 3)), path)
-        assert main(["gamma2-eps", str(path), "--epsilon", "0.1"]) == 2
-        assert "cap 200" in capsys.readouterr().err
+        code, report = run_json(capsys, ["gamma2-eps", str(path), "--epsilon", "0.1"])
+        assert code == 0 and report["value"] >= 1.0
 
     def test_forced_lp_breakdown_is_exit_3(self, monkeypatch, pr_file):
         def broken(self):

@@ -15,6 +15,12 @@ The smoothed bounds start at the exact ones (the ball of radius 0 is {p})
 and do not increase with eps (the balls are nested).  On the binary point
 p_C with unbiased marginals and correlations C, both bounds are those of
 C, floored at 1.
+
+The correlation bounds ``nu_corr`` and ``gamma2_corr`` take the same value
+on C and on C with its rows or its columns permuted, with the signs of
+some rows or some columns flipped (an input's two outcomes swapped), and
+transposed (the parties swapped), on seeded sign matrices and Sylvester's
+4 x 4 Hadamard matrix.
 """
 
 import functools
@@ -177,3 +183,38 @@ def test_binary_point_of_correlations(n, scale):
     assert (nu > 1.0) == (scale == 1.0)
     assert nu_tilde(p).value == pytest.approx(max(1.0, nu), rel=0, abs=1e-12)
     assert gamma2_tilde_1(p).value == pytest.approx(max(1.0, gamma2), rel=1e-5, abs=0)
+
+
+def _sylvester4():
+    H = np.ones((1, 1))
+    for _ in range(2):
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+SIGN_MATRICES = {**{f"{n}x{n}": np.random.default_rng([n, 17]).choice([-1.0, 1.0], (n, n))
+                    for n in range(2, 6)},
+                 "sylvester4": _sylvester4()}
+CORR_MAPS = {
+    "rows": lambda C: C[np.roll(np.arange(len(C)), 1)],
+    "columns": lambda C: C[:, ::-1],
+    "row-signs": lambda C: C * (-1.0) ** np.arange(len(C))[:, None],
+    "column-signs": lambda C: C * np.where(np.arange(C.shape[1]) < 2, -1.0, 1.0),
+    "transpose": lambda C: C.T,
+}
+
+
+@functools.cache
+def _corr_bounds(name):
+    C = SIGN_MATRICES[name]
+    return nu_corr(C).value, gamma2_corr(C).value
+
+
+@pytest.mark.parametrize("relation", list(CORR_MAPS))
+@pytest.mark.parametrize("name", list(SIGN_MATRICES))
+def test_correlation_bounds(name, relation):
+    # gamma2_corr within the SDP contract's relative gap.
+    nu, gamma2 = _corr_bounds(name)
+    image = CORR_MAPS[relation](SIGN_MATRICES[name])
+    assert nu_corr(image).value == pytest.approx(nu, rel=0, abs=1e-12)
+    assert gamma2_corr(image).value == pytest.approx(gamma2, rel=1e-5, abs=0)

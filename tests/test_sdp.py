@@ -110,10 +110,44 @@ class TestLinearBlock:
             prog.set_objective({LINEAR: np.ones(4)})
 
     def test_total_dim_counts_linear_length(self):
+        # total_dim scales the barrier parameter; the cap counts bytes, not
+        # it: the 3x3x3x3 eps program (278) is made, and two 100 x 100
+        # blocks (200) are refused.
         assert SdpProgram([3, 3], 4).total_dim == 10
-        assert SdpProgram([100, 100]).total_dim == 200  # at the cap
-        with pytest.raises(ResourceLimitError, match="201 exceeds cap 200"):
-            SdpProgram([100, 100], 1)
+        assert SdpProgram([13, 13], 3 * 81 + 9).total_dim == 278
+        with pytest.raises(ResourceLimitError, match=r"\(cap 512 MiB\)"):
+            SdpProgram([100, 100])
+
+    def test_linear_only_rows_anywhere(self):
+        # A seeded program, feasible (b from a positive definite X0 and a
+        # positive x0) and bounded (c = A^T y0 + s0, s0 positive definite),
+        # whose rows 1, 4 and 6 touch only the linear block.  It solves to
+        # the same objective as the same program with those rows last, and
+        # the compiled row index lists exactly the rows with a PSD nonzero.
+        rng = np.random.default_rng(29)
+        k, d, n_lin, m = 2, 3, 5, 9
+        linear_only = [1, 4, 6]
+        A = rng.normal(size=(m, k * d * d + n_lin))
+        A[linear_only, :k * d * d] = 0.0
+        psd = A[:, :k * d * d].reshape(m, k, d, d)
+        psd[...] = 0.5 * (psd + psd.swapaxes(-1, -2))
+        X0 = np.concatenate([(np.eye(d) + 0.1 * np.ones((d, d))).reshape(-1)] * k
+                            + [rng.uniform(0.5, 2.0, n_lin)])
+        S0 = np.concatenate([np.eye(d).reshape(-1)] * k + [rng.uniform(0.1, 1.0, n_lin)])
+        b, c = A @ X0, A.T @ rng.normal(size=m) + S0
+        order = [i for i in range(m) if i not in linear_only] + linear_only
+        objectives = []
+        for rows, psd_rows in ((range(m), [0, 2, 3, 5, 7, 8]), (order, range(6))):
+            prog = SdpProgram([d] * k, n_lin)
+            prog.set_objective({**{j: c[prog.span[j]].reshape(d, d) for j in range(k)},
+                                LINEAR: c[prog.span[LINEAR]]})
+            prog.add_constraint({**{j: psd[rows, j] for j in range(k)},
+                                 LINEAR: A[rows, prog.span[LINEAR]]}, b[rows])
+            sol = solve_sdp(prog.freeze())
+            assert sol.status == "optimal"
+            objectives.append(sol.objective)
+            assert list(prog._compiled.psd_rows) == list(psd_rows)
+        assert objectives[1] == pytest.approx(objectives[0], rel=0, abs=1e-9)
 
 
 class TestLambdaMaxOracle:
@@ -500,11 +534,13 @@ class TestSharedStructures:
     def test_structures_refuse_changes(self, name):
         # A structure and each call's copy of it take no constraint or
         # objective and refuse writes to their arrays; the copy has its own
-        # right-hand side and shares the rest.
+        # right-hand side and shares the rest: the compiled constraints,
+        # which alone hold A once it is frozen.
         prog = getattr(bounds._data_map(Alphabets(2, 2, 2, 2)), name)
         b = prog.b.copy()
         call = prog.with_data(np.ones(2), {0: np.eye(prog.block_dims[0])})
-        assert call.A is prog.A and call._compiled is prog._compiled
+        assert call._compiled is prog._compiled and prog._A is call._A is None
+        assert np.array_equal(call.A, prog.A)
         assert np.array_equal(call.b, np.concatenate([b[:-2], np.ones(2)]))
         assert np.array_equal(prog.b, b)
         eye = np.eye(prog.block_dims[0])
@@ -530,25 +566,38 @@ class TestSharedStructures:
 
 class TestValidationAndLimits:
     def test_dim_cap(self):
-        # Refused when the program is made, before its arrays are built.
-        with pytest.raises(ResourceLimitError):
-            SdpProgram([150, 150])
+        # The cap bounds the bytes a solve may hold, counted from the block
+        # size, the block count and the linear length alone (the 3x3x3x3 eps
+        # program: 12 MiB; a 65 x 65 Gram block: 486 MiB), and refuses a
+        # program when it is made, before its arrays are built.
+        assert sdp._solve_bytes(2, 13, 252) // 2**20 == 12
+        assert SdpProgram([65]).n_constraints == 0
+        for dims in ([66], [47, 47], [150, 150]):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match=r"MiB to solve \(cap 512 MiB\)"):
+                    SdpProgram(dims)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
 
     @pytest.mark.parametrize("call", [bounds.gamma2_tilde_1,
                                       lambda p: bounds.gamma2_tilde_1_eps(p, 0.1),
                                       lambda p: bounds.dual_bell(p, "npa-level-1")],
                              ids=["gamma2", "gamma2-eps", "bell-npa"])
     def test_moment_programs_refused_before_their_arrays(self, call):
-        # On 99x1x2x2 the moment blocks are 101 x 101 (202 > 200).  The
-        # cells alone would be nx*ny*na*nb*d^2 floats (32 MB here, 12 GB at
-        # 99x99x2x2), so the cap must refuse before they are built, also on
-        # the second call, when the alphabet's data map is cached; and the
-        # map keeps neither a moment structure nor the cells.
+        # On 99x1x2x2 the moment blocks are 101 x 101, and a solve could
+        # need 11 GiB (over 512 MiB).  The cells alone would be
+        # nx*ny*na*nb*d^2 floats (32 MB here, 12 GB at 99x99x2x2), so the
+        # cap must refuse before they are built, also on the second call,
+        # when the alphabet's data map is cached; and the map keeps neither
+        # a moment structure nor the cells.
         p = load_distribution(INPUTS / "over_sdp_cap.json")
         for _ in range(2):
             tracemalloc.start()
             try:
-                with pytest.raises(ResourceLimitError, match="exceeds cap 200"):
+                with pytest.raises(ResourceLimitError, match=r"\(cap 512 MiB\)"):
                     call(p)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
