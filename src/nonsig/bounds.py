@@ -185,7 +185,9 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     vertices, so a non-optimal LP is an engine failure, not a property
     of p.  All but the right-hand side and the crash basis depends only
     on the alphabet and is built once per alphabet, by its cached data map
-    (``_data_map``).
+    (``_data_map``): the LP's matrix, the twin [S, -S], is written from
+    the two parties' single-party tables, with no vertex tables, and the
+    simplex runs on that read-only matrix itself, with no copy.
     """
     _require_valid(p)
     alph = p.alphabets
@@ -208,6 +210,13 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
         dual_certificate=bell,
         diagnostics={**record, "reconstruction_residual": model.residual(p.table)},
     )
+
+
+def _indicators(n_inputs: int, n_outcomes: int) -> np.ndarray:
+    """[x, a, k]: 1.0 where one party's deterministic strategy k (in the
+    order of ``deterministic_strategies``) answers a to input x, else 0.0."""
+    strategies = deterministic_strategies(n_inputs, n_outcomes)
+    return (strategies.T[:, None, :] == np.arange(n_outcomes)[:, None]).astype(float)
 
 
 def _budget_rows(alph: Alphabets) -> np.ndarray:
@@ -292,7 +301,8 @@ class _DataMap:
     Every array and SDP structure that depends only on the alphabet and
     that a later call reads is built on first use and kept, read-only, with
     the map (``_data_map``): ``twin`` = [S, -S], S the coordinates of the
-    vertex tables (which it does not keep); ``_unit_tables``, the map T
+    local vertices, written from the two single-party indicator tables
+    (no vertex table is built); ``_unit_tables``, the map T
     from coordinates to tables, whose transpose gives ``nu_tilde``'s crash
     score; ``span``, an orthonormal basis of the non-signaling tables,
     which span the vertex tables; ``moment_cells``, the cells of the d x d
@@ -300,12 +310,13 @@ class _DataMap:
     ``moment_sdp`` and ``moment_eps_sdp``, the moment programs at eps = 0
     and eps > 0 without their data (``_moment_structure``, which builds
     their other rows); and, on a binary alphabet (nx, ny, 2, 2),
-    ``signs``: the sign LPs' [S, -S] and sign vectors
-    (``_sign_vertex_matrix``), and ``corr_sdp`` and ``bias_sdp``, the Gram
-    programs of ``gamma2_corr`` and ``games.quantum_bias`` without their
-    data.  Each SDP structure is a frozen ``SdpProgram``, compiled once; a
-    call solves its ``with_data`` copy.  ``nu_tilde_eps`` reads no map: its
-    LP, vertex tables included, is built on each call.
+    ``signs``: the sign LPs' [S, -S], written from the sign vectors, and
+    those vectors (``_sign_vertex_matrix``), and ``corr_sdp`` and
+    ``bias_sdp``, the Gram programs of ``gamma2_corr`` and
+    ``games.quantum_bias`` without their data.  Each SDP structure is a
+    frozen ``SdpProgram``, compiled once; a call solves its ``with_data``
+    copy.  ``nu_tilde_eps`` reads no map: its LP, vertex tables included,
+    is built on each call.
     """
 
     def __init__(self, alph: Alphabets):
@@ -316,8 +327,25 @@ class _DataMap:
 
     @functools.cached_property
     def twin(self) -> np.ndarray:
-        S = self.data_rhs(vertex_table_matrix(self.alph).reshape(*self.alph.shape, -1))
-        return _read_only(np.hstack([S, -S]))
+        """[S, -S], S the coordinates of the local vertices in the order of
+        ``vertex_table_matrix`` (column k pairs Alice's strategy k % na^nx
+        with Bob's k // na^nx), written in place from the two single-party
+        indicator tables: the cells as their outer products, each marginal
+        row as one party's indicators, the normalization as ones.  The
+        entries are exact products of 0s and 1s, so S is the
+        ``data_rhs`` of the vertex tables bit for bit."""
+        nx, ny, na, nb = self.alph.shape
+        alice, bob = _indicators(nx, na), _indicators(ny, nb)  # [x, a, k]
+        twin = np.empty((self.n, 2, bob.shape[-1], alice.shape[-1]))
+        S = twin[:, 0]
+        cell, mA, mB, norm = self._split(S)
+        np.multiply(alice[:, None, :-1, None, None, :], bob[None, :, None, :-1, :, None],
+                    out=cell.reshape(nx, ny, na - 1, nb - 1, *S.shape[1:]))
+        mA[...] = alice[:, :-1, None, :].reshape(-1, 1, alice.shape[-1])
+        mB[...] = bob[:, :-1, :, None].reshape(-1, bob.shape[-1], 1)
+        norm[...] = 1.0
+        np.negative(S, out=twin[:, 1])
+        return _read_only(twin.reshape(self.n, -1))
 
     @functools.cached_property
     def _unit_tables(self) -> np.ndarray:
@@ -351,8 +379,7 @@ class _DataMap:
 
     @functools.cached_property
     def signs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        S, us, vs = _sign_vertex_matrix(self.alph.nx, self.alph.ny)
-        return _read_only(np.hstack([S, -S])), _read_only(us), _read_only(vs)
+        return tuple(_read_only(arr) for arr in _sign_vertex_matrix(self.alph.nx, self.alph.ny))
 
     @functools.cached_property
     def moment_sdp(self) -> SdpProgram:
@@ -577,18 +604,26 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
 
 
 def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One column per pair +-u v^T of rank-one sign matrices, u in {+-1}^nx
-    etc.: the flattened u v^T with u_0 = v_0 = +1, 2^(nx+ny-2) columns.
+    """The split [S, -S] of the min-L1 LPs over sign vertices, and the sign
+    vectors of S's columns.
 
-    u v^T = (-u)(-v)^T, so these columns and their negations are every
-    sign vertex once, and the min-L1 LPs take them as the split [S, -S].
-    Returns the matrix and the sign vectors: rows of ``us`` and ``vs``,
-    with column k built from ``us[k // len(vs)]`` and ``vs[k % len(vs)]``.
+    S has one column per pair +-u v^T of rank-one sign matrices, u in
+    {+-1}^nx etc.: the flattened u v^T with u_0 = v_0 = +1, 2^(nx+ny-2)
+    columns.  u v^T = (-u)(-v)^T, so these columns and their negations are
+    every sign vertex once.  S is written in place as u (x) v, then negated
+    into the right half.  The array is column-major, each column's entries
+    contiguous: BLAS products with S (the crash's, the normalization
+    max |y . column|) round by its layout, and this is the layout the
+    sign-vertex reports were computed with.  Column k of S is built from
+    ``us[k // len(vs)]`` and ``vs[k % len(vs)]``, rows of the returned
+    ``us`` and ``vs``.
     """
     us = SIGNS[deterministic_strategies(nx, 2, range(2 ** (nx - 1)))]
     vs = SIGNS[deterministic_strategies(ny, 2, range(2 ** (ny - 1)))]
-    S = (us[:, None, :, None] * vs[None, :, None, :]).reshape(len(us) * len(vs), nx * ny).T
-    return S, us, vs
+    cols = np.empty((2, len(us), len(vs), nx, ny))
+    np.multiply(us[:, None, :, None], vs[None, :, None, :], out=cols[0])
+    np.negative(cols[0], out=cols[1])
+    return cols.reshape(-1, nx * ny).T, us, vs
 
 
 def _correlation_matrix(C, bound: float = 1.0) -> np.ndarray:

@@ -29,16 +29,19 @@ until the next nondegenerate step, so it cannot cycle (Bland 1977).
 ``solve_lp`` can start from a given basis: when its matrix is
 nonsingular and its basic values lie within their bounds, phase 1 is
 skipped (the min-L1 LPs of ``bounds`` start this way from a crash basis);
-otherwise the two phases run from the artificial basis as usual.  Only
-``_Simplex.iterate`` changes a basis.  Phase 2 fixes every artificial at
-zero and leaves in place those still basic after phase 1: each leaves at
-the first pivot whose column touches its row, and one on a redundant
-equality row stays basic at zero.
+otherwise the two phases run from the artificial basis as usual.  The
+artificial columns are built only when phase 1 runs: an equality-only
+program that skips it is solved on the caller's A_eq itself, read-only or
+not, with no copy.  Only ``_Simplex.iterate`` changes a basis.  Phase 2
+fixes every artificial at zero and leaves in place those still basic after
+phase 1: each leaves at the first pivot whose column touches its row, and
+one on a redundant equality row stays basic at zero.
 Deterministic: a given program always takes the same pivot sequence.
 Sizes here are desk-scale (hundreds of rows), so the basis inverse is kept
 dense and refactorized periodically.  A singular basis matrix at a
-refactorization (a numerical breakdown) ends the solve with status
-``numerical-error`` instead of raising ``LinAlgError``.
+refactorization, or finite data whose products overflow (a numerical
+breakdown), ends the solve with status ``numerical-error`` instead of
+raising ``LinAlgError`` or a floating-point warning.
 """
 
 from __future__ import annotations
@@ -367,38 +370,40 @@ def solve_lp(prog: LinearProgram, start_basis=None) -> LpSolution:
         obj = float(prog.c @ x)
         return LpSolution("optimal", x, np.array([]), np.array([]), obj, 0.0, 0)
 
-    # Standard form, written into one array: rows [A_eq 0; A_ub I], columns
-    # [vars | ub slacks | artificials].  A is its view without the artificials.
-    A_full = np.zeros((m, first_art + m))
-    A = A_full[:, :first_art]
-    if m_eq:
-        A[:m_eq, :n] = prog.A_eq
+    # The standard form's matrix A: the caller's A_eq itself when there are
+    # no inequality rows, else [A_eq 0; A_ub I], written into an array with
+    # room for the artificial columns that phase 1 appends.
     if m_ub:
+        A_full = np.zeros((m, first_art + m))
+        A = A_full[:, :first_art]
+        if m_eq:
+            A[:m_eq, :n] = prog.A_eq
         A[m_eq:, :n] = prog.A_ub
         A[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = 1.0
+    else:
+        A_full, A = None, prog.A_eq
     b = np.concatenate([prog.b_eq if m_eq else np.empty(0),
                         prog.b_ub if m_ub else np.empty(0)])
     lo = np.concatenate([prog.lb, np.zeros(m_ub)])
     up = np.concatenate([prog.ub, np.full(m_ub, np.inf)])
-
-    # Artificials with signs making their start value nonnegative.
-    resid = b - A @ lo
-    A_full[np.arange(m), first_art + np.arange(m)] = np.where(resid >= 0, 1.0, -1.0)
-    lo_full = np.concatenate([lo, np.zeros(m)])
-    up_full = np.concatenate([up, np.full(m, np.inf)])
-    limit = 50 * (m + A_full.shape[1])  # pivots per phase
+    limit = 50 * (2 * m + first_art)  # pivots per phase
     scale = 1.0 + float(np.abs(b).max(initial=0.0))
 
-    sx = _Simplex(A_full, b, lo_full, up_full)
+    sx = _Simplex(A, b, lo, up)
     try:
-        if start_basis is None or not _start_from(sx, start_basis, scale):
-            status = _phase_one(sx, first_art, limit, scale)
-            if status is not None:
-                return LpSolution(status, iterations=sx.iterations)
-        return _phase_two(prog, sx, A, limit, scale)
-    except np.linalg.LinAlgError:
-        # A singular basis matrix at a refactorization: the engine broke
-        # down, which is a status for the caller, not an exception.
+        # Finite data whose products overflow is a breakdown too: no
+        # floating-point warning leaves the engine.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if start_basis is None or not _start_from(sx, start_basis, scale):
+                sx = _artificial_start(A, A_full, b, lo, up)
+                status = _phase_one(sx, first_art, limit, scale)
+                if status is not None:
+                    return LpSolution(status, iterations=sx.iterations)
+            return _phase_two(prog, sx, A, limit, scale)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        # A singular basis matrix at a refactorization, or an overflow: the
+        # engine broke down, which is a status for the caller, not an
+        # exception.
         return LpSolution("numerical-error", iterations=sx.iterations)
 
 
@@ -422,12 +427,12 @@ def _check_start(prog: LinearProgram, basis, m: int) -> np.ndarray:
 
 
 def _start_from(sx: _Simplex, basis: np.ndarray, scale: float) -> bool:
-    """Put ``sx`` at ``basis`` (a start basis, or phase 1's artificial
-    basis) with every nonbasic column at its lower bound.
+    """Put ``sx`` at the start basis ``basis`` with every nonbasic column at
+    its lower bound.
 
     Returns whether that start is usable: a well-conditioned basis matrix
     whose basic values lie within their bounds to ``_FEAS_TOL * scale``.
-    If not, ``sx`` is left as it was and phase 1 starts as usual.
+    If not, ``sx`` is dropped and phase 1 starts from the artificial basis.
     """
     B = sx.A[:, basis]
     try:
@@ -442,21 +447,42 @@ def _start_from(sx: _Simplex, basis: np.ndarray, scale: float) -> bool:
     sx.Binv = Binv
     sx.recompute_xB()
     tol = _FEAS_TOL * scale
-    if np.all(sx.xB >= sx.lo[basis] - tol) and np.all(sx.xB <= sx.up[basis] + tol):
-        return True
-    sx.in_basis[:] = False
-    return False
+    return bool(np.all(sx.xB >= sx.lo[basis] - tol) and np.all(sx.xB <= sx.up[basis] + tol))
+
+
+def _artificial_start(A: np.ndarray, A_full: np.ndarray | None, b: np.ndarray,
+                      lo: np.ndarray, up: np.ndarray) -> _Simplex:
+    """The simplex over [A D] at the artificial basis D, every other column
+    at its lower bound.
+
+    D is the signed identity whose signs make the basic values
+    |b - A lo| >= 0.  It is written into the last m columns of ``A_full``,
+    whose first columns already hold A, or, when ``A_full`` is None (A is
+    then the caller's A_eq), into a new copy of A: the one copy of A_eq an
+    equality-only solve makes, and only when phase 1 runs.  The start needs
+    no check: D is its own inverse, and the values are finite because the
+    data is and an overflow raises.
+    """
+    m, n = A.shape
+    if A_full is None:
+        A_full = np.zeros((m, n + m))
+        A_full[:, :n] = A
+    resid = b - A @ lo if lo.any() else b
+    arts = n + np.arange(m)
+    A_full[np.arange(m), arts] = np.where(resid >= 0, 1.0, -1.0)
+    sx = _Simplex(A_full, b, np.concatenate([lo, np.zeros(m)]),
+                  np.concatenate([up, np.full(m, np.inf)]))
+    sx.basis = arts
+    sx.in_basis[arts] = True
+    sx.Binv = np.linalg.inv(A_full[:, arts])  # D, exactly
+    sx.xB = sx.Binv @ resid
+    return sx
 
 
 def _phase_one(sx: _Simplex, first_art: int, limit: int, scale: float) -> str | None:
-    """Phase 1 from the artificial basis (the columns of ``sx`` from
-    ``first_art`` on).  Returns a failure status, or None when a feasible
-    basis is found."""
-    # The artificial basis: a signed identity (condition 1) whose values
-    # are |b - A lo| >= 0, refused only if those values are NaN.
-    if not _start_from(sx, np.arange(first_art, sx.n), scale):
-        return "numerical-error"
-
+    """Phase 1 from the artificial basis (``_artificial_start``: the columns
+    of ``sx`` from ``first_art`` on).  Returns a failure status, or None
+    when a feasible basis is found."""
     # Minimize artificial mass.
     c1 = np.zeros(sx.n)
     c1[first_art:] = 1.0

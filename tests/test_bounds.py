@@ -176,6 +176,11 @@ class TestNuTilde:
             nu_tilde(ConditionalDistribution(B22, t))
 
 
+def _left_half(twin):
+    """S of a split [S, -S]."""
+    return twin[:, :twin.shape[1] // 2]
+
+
 def _crash_points():
     points = [random_nonsignaling_vertex(np.random.default_rng([21, k]), B22)
               for k in range(30)]
@@ -228,7 +233,7 @@ class TestCrashStart:
         for n in range(3, 7):
             C = np.where(np.random.default_rng([23, n]).uniform(size=(n, n)) < 0.5, -1.0, 1.0)
             res = nu_corr(C)
-            S = bounds._sign_vertex_matrix(*C.shape)[0]
+            S = _left_half(bounds._sign_vertex_matrix(*C.shape)[0])
             assert res.value == pytest.approx(self.plain_min_l1(S, C.reshape(-1)), abs=1e-9)
             bell = res.dual_certificate
             self.check_functional(bell.coeffs, bell.value_on_correlations(C), res.value)
@@ -292,6 +297,37 @@ class TestMinL1Path:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("solve", ["nu_tilde 4x4x3x3", "nu_corr 8x8"])
+    def test_peaks_against_the_twin(self, solve):
+        # A cold call holds the twin [S, -S] it builds and little else: no
+        # vertex tables, no second copy of S, no standard-form copy.  A warm
+        # call adds the solver's work arrays above the map, O(columns) and
+        # O(rows^2).  Both are measured in bytes of the twin.
+        if solve.startswith("nu_tilde"):
+            alph = Alphabets(4, 4, 3, 3)
+            points = [random_nonlocal(np.random.default_rng([30, k]), alph) for k in range(2)]
+            calls = [lambda p=p: nu_tilde(p) for p in points]
+            twin = lambda: bounds._data_map(alph).twin
+        else:
+            signs = [np.where(np.random.default_rng([31, k]).uniform(size=(8, 8)) < 0.5, -1.0, 1.0)
+                     for k in range(2)]
+            calls = [lambda C=C: nu_corr(C) for C in signs]
+            twin = lambda: bounds._data_map(Alphabets(8, 8, 2, 2)).signs[0]
+        bounds._data_map.cache_clear()
+        cold = self.traced_peak(calls[0])
+        warm = self.traced_peak(calls[1])
+        assert cold <= 1.5 * twin().nbytes
+        assert warm <= 0.5 * twin().nbytes
+
 
 class TestLpCache:
     """The min-L1 LP structure of an alphabet or sign shape is built once,
@@ -315,6 +351,22 @@ class TestLpCache:
         for call in calls:
             with pytest.raises(ValueError, match="NONSIG_VERTEX_CAP"):
                 call()
+
+    def test_no_vertex_tables(self, monkeypatch):
+        # The twin is written from the two single-party tables: nu_tilde,
+        # the local Bell functional and gap_check's LP never make the
+        # vertex tables, on a cold map or a warm one.
+        def refused(alph):
+            raise AssertionError(f"vertex tables of {alph}")
+
+        monkeypatch.setattr(bounds, "vertex_table_matrix", refused)
+        bounds._data_map.cache_clear()
+        for shape in [(2, 2, 2, 2), (2, 3, 2, 4), (3, 3, 3, 3)]:
+            p = random_nonsignaling(np.random.default_rng(list(shape)), Alphabets(*shape))
+            for _ in range(2):
+                nu_tilde(p)
+                dual_bell(p, "local")
+                gap_check(p)
 
     def test_pr_box_and_chsh_share_one_map(self):
         # The CHSH sign vertices are the correlations of the PR box's
@@ -545,6 +597,17 @@ class TestDataMap:
         assert np.linalg.matrix_rank(rows) == self.size(shape)
 
     @pytest.mark.parametrize("shape", SHAPES)
+    def test_twin_is_the_split_of_the_vertex_coordinates(self, shape):
+        # Written from the single-party tables, the twin is [S, -S] with S
+        # the coordinates of the vertex tables, bit for bit, and read-only.
+        alph = Alphabets(*shape)
+        cg = bounds._DataMap(alph)
+        S = cg.data_rhs(vertex_table_matrix(alph).reshape(*shape, -1))
+        assert cg.twin.shape == (self.size(shape), 2 * alph.vertex_count)
+        assert cg.twin.tobytes() == np.hstack([S, -S]).tobytes()
+        assert not cg.twin.flags.writeable
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_fold_is_the_adjoint(self, shape):
         # On normalized tables, signaling or not, stacked as columns.
         nx, ny, na, nb = shape
@@ -610,7 +673,8 @@ class TestCorrelationQuantities:
             cols = [np.outer(1.0 - 2.0 * np.array(ub), 1.0 - 2.0 * np.array(vb)).ravel()
                     for ub in np.ndindex(*(2,) * nx) for vb in np.ndindex(*(2,) * ny)
                     if ub[0] == vb[0] == 0]
-            assert np.array_equal(bounds._sign_vertex_matrix(nx, ny)[0], np.array(cols).T)
+            S = np.array(cols).T
+            assert np.array_equal(bounds._sign_vertex_matrix(nx, ny)[0], np.hstack([S, -S]))
         C = np.random.default_rng(8).uniform(-0.9, 0.9, size=(3, 4))
         d = nu_corr(C).diagnostics
         recon = sum(w * np.outer(u, v) for w, (u, v) in zip(d["weights"], d["sign_pairs"]))
@@ -748,7 +812,7 @@ class TestSignVertices:
 
     @pytest.mark.parametrize("nx, ny", SHAPES)
     def test_one_column_per_pair(self, nx, ny):
-        S = bounds._sign_vertex_matrix(nx, ny)[0]
+        S = _left_half(bounds._sign_vertex_matrix(nx, ny)[0])
         every = all_sign_vertices(nx, ny)[0]
         full = _distinct_columns(every)
         assert len(full) == 2 ** (nx + ny - 1)
@@ -756,6 +820,14 @@ class TestSignVertices:
         # Distinct up to sign, and with their negations every distinct u v^T.
         assert len(_distinct_columns(S) | _distinct_columns(-S)) == 2 * S.shape[1]
         assert _distinct_columns(np.hstack([S, -S])) == full
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_twin_is_the_split_of_the_sign_vertices(self, n):
+        # [S, -S], bit for bit, with S's columns the flattened u v^T in the
+        # order of its sign vectors.
+        twin, us, vs = bounds._sign_vertex_matrix(n, n)
+        S = np.array([np.outer(u, v).ravel() for u in us for v in vs]).T
+        assert twin.tobytes() == np.hstack([S, -S]).tobytes()
 
     @staticmethod
     def matrices():
@@ -777,7 +849,8 @@ class TestSignVertices:
 
         def every_sign_vertex(nx, ny):
             built.append((nx, ny))
-            return all_sign_vertices(nx, ny)
+            S, us, vs = all_sign_vertices(nx, ny)
+            return np.hstack([S, -S]), us, vs
 
         monkeypatch.setattr(bounds, "_sign_vertex_matrix", every_sign_vertex)
         monkeypatch.setattr(bounds, "_data_map", functools.lru_cache(

@@ -51,9 +51,9 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
-def assert_refused_lean(capsys, argv):
-    """argv exits 2 with one error line naming the SDP cap, and a
-    tracemalloc peak under 1 MB."""
+def assert_refused_lean(capsys, argv, cap="(cap 512 MiB)"):
+    """argv exits 2 with one error line naming the cap (the SDP cap unless
+    given), and a tracemalloc peak under 1 MB."""
     tracemalloc.start()
     try:
         code = main(argv)
@@ -63,7 +63,7 @@ def assert_refused_lean(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "(cap 512 MiB)" in captured.err
+    assert cap in captured.err
     assert peak < 1e6
 
 
@@ -363,6 +363,13 @@ class TestExitCodes:
     def test_resource_cap_is_exit_2(self, monkeypatch, pr_file):
         monkeypatch.setenv("NONSIG_VERTEX_CAP", "4")
         assert main(["nu", pr_file]) == 2
+
+    def test_nu_over_vertex_cap_is_refused_before_any_array(self, capsys, monkeypatch):
+        # 2^21 local vertices: the map's cap check refuses them before the
+        # twin, or anything else of the alphabet, is built.
+        monkeypatch.delenv("NONSIG_VERTEX_CAP", raising=False)
+        assert_refused_lean(capsys, ["nu", str(INPUTS / "over_vertex_cap.json")],
+                            "2097152 local vertices (cap 2000000)")
 
     def test_bell_over_vertex_cap_is_exit_2(self, monkeypatch, pr_file):
         monkeypatch.setenv("NONSIG_VERTEX_CAP", "4")

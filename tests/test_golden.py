@@ -98,10 +98,12 @@ def _assert_read_only(arrays):
 
 def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
     # Each LP case runs on a cleared cache, then again on what the first
-    # run cached.  The cold run makes the vertex matrix of its alphabet or
-    # sign shape once, and the warm run none; nu-eps builds no data map and
-    # makes its vertex matrix on every call.  Each data map holds the
-    # arrays its LP reads, and every array the cache holds is read-only.
+    # run cached.  A sign shape's cold run makes its sign matrix once, and
+    # the warm run none; a local alphabet's twin is written from the two
+    # single-party tables, so nu and bell make no vertex matrix at all;
+    # nu-eps builds no data map and makes its vertex matrix on every call.
+    # Each data map holds the arrays its LP reads, and every array the
+    # cache holds is read-only.
     builds, maps, built = [], [], {}
     for name in ("vertex_table_matrix", "_sign_vertex_matrix"):
         make = getattr(bounds, name)
@@ -116,7 +118,8 @@ def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
             assert main(_argv(case)) == 0
             assert capsys.readouterr().out == (GOLDEN / f"{case}.json").read_text(), (case, state)
             counts.append(len(builds) - before)
-        assert counts == ([1, 1] if case.startswith("nu-eps") else [1, 0]), case
+        assert counts == ([1, 1] if case.startswith("nu-eps") else
+                          [1, 0] if case.startswith("nu-corr") else [0, 0]), case
         built[case] = [sorted(_cached_arrays(cg)) for cg in maps[first:]]
     lp = ["_unit_tables", "span", "twin"]
     assert built == {"nu": [lp], "nu-eps": [], "bell": [lp],
@@ -141,10 +144,10 @@ SDP_CASES += [pytest.param("gamma2-corr", "sylvester6.json", [], "corr_sdp",
 def test_moment_reports_do_not_depend_on_the_cache(capsys, monkeypatch, tmp_path, command, inp,
                                                    options, structure):
     # An SDP report is the same on a cleared and on a warm data map.  The
-    # cold run builds its alphabet's data map once (and gap-check the
-    # vertex matrix of its LP), and builds and compiles its SDP structure
-    # once; the warm run builds and compiles none, and reads the moment
-    # cells the cold run cached.  xor-bias reads the CHSH game: chsh.json's
+    # cold run builds its alphabet's data map once, and builds and compiles
+    # its SDP structure once; the warm run builds and compiles none, and
+    # reads the moment cells the cold run cached.  No run makes a vertex
+    # matrix: gap-check's LP writes its twin from single-party tables.  xor-bias reads the CHSH game: chsh.json's
     # sign matrix on uniform inputs.
     path = INPUTS / inp
     C = json.loads(path.read_text()).get("C")
@@ -169,7 +172,7 @@ def test_moment_reports_do_not_depend_on_the_cache(capsys, monkeypatch, tmp_path
                                                          before)])
         cells.append(vars(maps[0]).get("moment_cells"))
     assert outs[0] == outs[1]
-    assert counts == [[1, int(command == "gap-check"), 1, 1], [0, 0, 0, 0]]
+    assert counts == [[1, 0, 1, 1], [0, 0, 0, 0]]
     alph = (Alphabets(*np.shape(C), 2, 2) if C is not None
             else distribution_from_json(json.loads(path.read_text())).alphabets)
     cg = bounds._data_map(alph)

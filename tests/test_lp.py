@@ -440,6 +440,33 @@ class TestStartBasis:
         assert started.objective == pytest.approx(4.0, abs=1e-12)
         np.testing.assert_equal(_outputs(started), _outputs(plain))
 
+    def test_read_only_matrix_is_not_copied(self):
+        # An equality-only program from a usable start runs phase 2 on the
+        # caller's A_eq itself: the same solution, bit for bit, as on a
+        # writable copy, and no m x n array (a copy would take 1.1 MiB).
+        p = random_nonlocal(np.random.default_rng(29), Alphabets(3, 3, 3, 3))
+        cg = bounds._data_map(p.alphabets)
+        twin = cg.twin
+        V = twin.shape[1] // 2
+        target = cg.data_rhs(p.table)
+        S = twin[:, :V]
+        cols = bounds._pivoted_columns(S, np.abs(cg._unit_tables.T @ p.flat() @ S))
+        start = np.where(np.linalg.solve(twin[:, cols], target) < -lp._FEAS_TOL, cols + V, cols)
+        progs = [LinearProgram(c=np.ones(2 * V), A_eq=A, b_eq=target) for A in (twin, twin.copy())]
+        assert not progs[0].A_eq.flags.writeable and progs[0].A_eq is twin
+        tracemalloc.start()
+        try:
+            sol = solve_lp(progs[0], start_basis=start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "optimal" and peak < twin.nbytes // 2
+        again = solve_lp(progs[1], start_basis=start)
+        for name in ("x", "dual_eq", "dual_ub", "basis"):
+            assert getattr(sol, name).tobytes() == getattr(again, name).tobytes(), name
+        for name in ("status", "iterations", "objective", "duality_gap"):
+            assert getattr(sol, name) == getattr(again, name), name
+
     @pytest.mark.parametrize("start", [
         pytest.param([0, 1], id="too-short"),
         pytest.param([0, 1, 2, 3], id="too-long"),
@@ -786,3 +813,27 @@ class TestNumericalBreakdown:
         assert sol.x is None
         # The phase-1 pivots before the failing refactorization count.
         assert sol.iterations >= 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("start", [None, [0]], ids=["phase-one", "start-basis"])
+    def test_overflow_is_a_status(self, start):
+        # Feasible at x1 = x2 = 1e10, but A lo overflows, in the phase-1
+        # start |b - A lo| or in the basic values of the given start.  It
+        # used to end "infeasible", with six RuntimeWarnings.
+        prog = LinearProgram(c=[1.0, 1.0], A_eq=[[1e300, -1e300]], b_eq=[0.0],
+                             lb=[1e10, 1e10])
+        sol = solve_lp(prog, start_basis=start)
+        assert (sol.status, sol.x, sol.iterations) == ("numerical-error", None, 0)
+
+    def test_phase_one_start_is_feasible_by_construction(self):
+        # The artificial start's basic values are |b - A lo| exactly, so
+        # phase 1 needs no check of them: here b - A lo has mixed signs and
+        # a cancellation of 1e16-sized terms.
+        A = np.array([[1e16, -1e16, 1.0], [-3.0, 1.0, 2.0]])
+        lo = np.array([1.0, 1.0, 0.5])
+        b = np.array([-2.0, 7.0])
+        sx = lp._artificial_start(A, None, b, lo, np.full(3, np.inf))
+        resid = b - A @ lo
+        assert np.array_equal(sx.xB, np.abs(resid)) and np.all(resid != 0.0)
+        assert np.array_equal(sx.A[:, 3:], np.diag(np.sign(resid)))
+        assert np.array_equal(sx.Binv, np.diag(np.sign(resid)))
