@@ -24,6 +24,7 @@ from .core import (
     LocalVertex,
     SIGNS,
     TOL_RECON,
+    best_local_response,
     check_vertex_cap,
     deterministic_strategies,
     product_distribution,
@@ -87,10 +88,13 @@ def _min_l1_combination(twin: np.ndarray, target: np.ndarray, overlap: np.ndarra
 
     ``twin`` is [S, -S], with S of full row rank, so phase 1 leaves no
     redundant row and the equality multipliers have no null directions.
-    Returns the optimum, the LP's record, the weights q, the multipliers y
-    (at alpha = 1 an optimal dual functional: |y . column| <= 1 on every
-    column of S, and y . target is the optimum) and their normalization
-    max |y . column|.
+    Returns the optimum, the LP's record, the weights q and the multipliers
+    y (at alpha = 1 an optimal dual functional: |y . column| <= 1 on every
+    column of S, and y . target is the optimum).  S is read only for the
+    crash: the callers take a certificate's normalization from
+    ``core.best_local_response`` on the coefficients it carries, the
+    package's one local-bound computation, so it checks independently of
+    this LP and does not round by S's memory layout.
 
     The simplex starts from a crash basis and skips phase 1.  Every
     column of [S, -S] has a negated twin, so any m independent columns of
@@ -123,9 +127,7 @@ def _min_l1_combination(twin: np.ndarray, target: np.ndarray, overlap: np.ndarra
                                  lb=np.append(np.zeros(2 * V), np.ones(k)),
                                  ub=np.append(np.full(2 * V, np.inf), np.full(k, alpha))),
                    start_basis=start)
-    record = sol.record(name)
-    y = sol.dual_eq
-    return float(sol.objective), record, sol.x[:V] - sol.x[V:2 * V], y, float(np.abs(y @ S).max())
+    return float(sol.objective), sol.record(name), sol.x[:V] - sol.x[V:2 * V], sol.dual_eq
 
 
 # Added to each relative score, so that a column with no overlap can still
@@ -181,27 +183,29 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     tables; a signaling part of p below the validation tolerance is
     ignored.  The equality multipliers, folded into a coefficient tensor
     and projected onto the span of the vertex tables, give the dual Bell
-    functional.  Every valid p lies in the affine hull of the local
-    vertices, so a non-optimal LP is an engine failure, not a property
-    of p.  All but the right-hand side and the crash basis depends only
-    on the alphabet and is built once per alphabet, by its cached data map
-    (``_data_map``): the LP's matrix, the twin [S, -S], is written from
-    the two parties' single-party tables, with no vertex tables, and the
-    simplex runs on that read-only matrix itself, with no copy.
+    functional B; its normalization is max |B(vertex)|, the larger of
+    ``best_local_response`` on B and on -B.  Every valid p lies in the
+    affine hull of the local vertices, so a non-optimal LP is an engine
+    failure, not a property of p.  All but the right-hand side and the
+    crash basis depends only on the alphabet and is built once per
+    alphabet, by its cached data map (``_data_map``): the LP's matrix, the
+    twin [S, -S], is written from the two parties' single-party tables,
+    with no vertex tables, and the simplex runs on that read-only matrix
+    itself, with no copy.
     """
     _require_valid(p)
     alph = p.alphabets
     cg = _vertex_map(alph)
     rhs = cg.data_rhs(p.table)
-    value, record, q, y, norm = _min_l1_combination(cg.twin, rhs, cg._unit_tables.T @ p.flat(),
-                                                    "nu_tilde")
+    value, record, q, y = _min_l1_combination(cg.twin, rhs, cg._unit_tables.T @ p.flat(),
+                                              "nu_tilde")
     Q = cg.span
-    coeffs = Q @ (Q.T @ cg.fold(y).reshape(-1))
+    coeffs = (Q @ (Q.T @ cg.fold(y).reshape(-1))).reshape(alph.shape)
     model = AffineModel.from_vertex_weights(alph, q)
     bell = BellFunctional(
-        coeffs=coeffs.reshape(alph.shape),
+        coeffs=coeffs,
         claimed_bound_class="local",
-        normalization=norm,
+        normalization=max(best_local_response(coeffs)[0], best_local_response(-coeffs)[0]),
     )
     return BoundResult(
         quantity="nu_tilde",
@@ -612,9 +616,11 @@ def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.nd
     columns.  u v^T = (-u)(-v)^T, so these columns and their negations are
     every sign vertex once.  S is written in place as u (x) v, then negated
     into the right half.  The array is column-major, each column's entries
-    contiguous: BLAS products with S (the crash's, the normalization
-    max |y . column|) round by its layout, and this is the layout the
-    sign-vertex reports were computed with.  Column k of S is built from
+    contiguous: the crash's BLAS products with S round by its layout, and
+    this is the layout the sign-vertex reports were computed with.  No
+    normalization reads S: a certificate's comes from
+    ``core.best_local_response``, the package's one local-bound
+    computation.  Column k of S is built from
     ``us[k // len(vs)]`` and ``vs[k % len(vs)]``, rows of the returned
     ``us`` and ``vs``.
     """
@@ -654,17 +660,22 @@ def _sign_mass(C: np.ndarray, alpha: float, name: str) -> float:
 
 
 def nu_corr(C: np.ndarray) -> BoundResult:
-    """nu on correlation space: min sum|q| with sum q_i u_i v_i^T = C."""
+    """nu on correlation space: min sum|q| with sum q_i u_i v_i^T = C.
+
+    The dual functional's normalization is ``best_local_response`` on its
+    coefficients: the sign vertices are closed under u -> -u, so its max
+    over them is max |B(vertex)|."""
     C = _correlation_matrix(C)
     nx, ny = C.shape
     twin, us, vs = _vertex_map(Alphabets(nx, ny, 2, 2), "sign vertices").signs
     target = C.reshape(-1)
-    value, record, q, y, norm = _min_l1_combination(twin, target, target, "nu_corr")
+    value, record, q, y = _min_l1_combination(twin, target, target, "nu_corr")
     corr_B = y.reshape(nx, ny)
+    coeffs = np.einsum("xy,a,b->xyab", corr_B, SIGNS, SIGNS)
     bell = BellFunctional(
-        coeffs=np.einsum("xy,a,b->xyab", corr_B, SIGNS, SIGNS),
+        coeffs=coeffs,
         claimed_bound_class="local",
-        normalization=norm,
+        normalization=best_local_response(coeffs)[0],
         corr_coeffs=corr_B,
     )
     keep = np.abs(q) > 1e-12
@@ -722,7 +733,8 @@ def dual_bell(p: ConditionalDistribution, bound_class: str = "local") -> BellFun
     the functional nu_tilde already returns: its equality multipliers on
     the Collins-Gisin rows, folded into a coefficient tensor and projected
     onto the span of the local vertex tables, so B(p) = nu_tilde(p); the
-    normalization is max |B(vertex)| over every vertex.  npa-level-1: the
+    normalization is max |B(vertex)| over every vertex, by
+    ``best_local_response`` on B and on -B.  npa-level-1: the
     functional gamma2_tilde_1 returns, its data-constraint multipliers
     folded into a plain coefficient tensor.
     """

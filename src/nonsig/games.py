@@ -83,13 +83,14 @@ def quantum_bias(game: XorGame) -> dict:
 
 
 def game_to_bell(game: XorGame) -> BellFunctional:
-    """The correlation Bell functional G o mu with its exact local bound."""
+    """The correlation Bell functional G o mu with its exact local bound,
+    ``best_local_response`` on its own coefficients (the classical bias)."""
     corr = game.G * game.mu
     coeffs = np.einsum("xy,a,b->xyab", corr, SIGNS, SIGNS)
     return BellFunctional(
         coeffs=coeffs,
         claimed_bound_class="local",
-        normalization=classical_bias(game)["bias"],
+        normalization=best_local_response(coeffs)[0],
         corr_coeffs=corr,
     )
 

@@ -115,9 +115,11 @@ class LinearProgram:
             raise ValueError("some upper bound is NaN or below its lower bound")
         if not np.all(np.isfinite(self.c)):
             raise ValueError("objective contains non-finite coefficients")
+        # NaN propagates through min and max, so two reductions check
+        # finiteness with no temporary the size of the matrix.
         for name in ("A_eq", "b_eq", "A_ub", "b_ub"):
             M = getattr(self, name)
-            if M is not None and not np.all(np.isfinite(M)):
+            if M is not None and not np.isfinite([M.min(initial=0.0), M.max(initial=0.0)]).all():
                 raise ValueError(f"{name} contains non-finite entries")
 
     @property

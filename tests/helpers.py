@@ -5,8 +5,8 @@ objectives over the non-signaling polytope with the package's own LP
 engine and blending the optimum with a random local mixture.  That
 optimum is usually a local deterministic vertex, so these points are
 mostly local (nu_tilde = 1).  Points that are nonlocal by construction
-come from ``random_nonlocal``: a local mixture blended with a PR box
-whose inputs and outcomes are relabelled at random.
+come from ``random_nonlocal``, on any shape: a local mixture blended with
+a PR box whose inputs and outcomes are relabelled at random.
 """
 
 import numpy as np
@@ -82,17 +82,19 @@ def random_nonsignaling(rng, alph: Alphabets, nonlocal_weight=0.5) -> Conditiona
 def random_nonlocal(rng, alph: Alphabets, pr_weight=None) -> ConditionalDistribution:
     """Local mixture blended with a randomly relabelled generalised PR box.
 
-    The box has p(a,b|x,y) = 1/d iff b - a = x*y (mod d), d = na = nb;
-    permuting the inputs, and the outcomes of each input, keeps it
-    non-signaling.  The PR weight t is ``pr_weight``, or else drawn from
-    [0.7, 0.95]; on binary outcomes t >= 0.7 makes the CHSH functional
-    certify nu_tilde >= 3t - 1 >= 1.1.
+    The box has p(a,b|x,y) = 1/d iff a, b < d and b - a = x*y (mod d),
+    d = min(na, nb): on the first d outcomes of each party, so na may
+    differ from nb.  Each party's marginal is uniform on those outcomes
+    whatever the other's input, and permuting the inputs, and the
+    outcomes of each input, keeps it non-signaling.  The PR weight t is
+    ``pr_weight``, or else drawn from [0.7, 0.95]; on binary outcomes
+    t >= 0.7 makes the CHSH functional certify nu_tilde >= 3t - 1 >= 1.1.
     """
     nx, ny, na, nb = alph.shape
-    assert na == nb, "the generalised PR box needs na == nb"
+    d = min(na, nb)
     box = np.zeros(alph.shape)
-    for x, y, a in np.ndindex(nx, ny, na):
-        box[x, y, a, (a + x * y) % na] = 1.0 / na
+    for x, y, a in np.ndindex(nx, ny, d):
+        box[x, y, a, (a + x * y) % d] = 1.0 / d
     box = box[rng.permutation(nx)][:, rng.permutation(ny)]
     pa = [rng.permutation(na) for _ in range(nx)]
     pb = [rng.permutation(nb) for _ in range(ny)]

@@ -2,8 +2,10 @@
 
 import functools
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from nonsig.core import (
     boolean_distribution,
     enumerate_local_vertices,
     from_correlation_rep,
+    load_distribution,
     pr_box,
     symmetrize_marginals,
     to_correlation_rep,
@@ -986,6 +989,58 @@ class TestCorrelationInput:
         C = np.array([[1.0, e], [1.0, -1.0]])
         assert games.equal_bias_value(C) == pytest.approx(1.0 / e, rel=1e-9)
         assert games.epsilon_pub(C) == pytest.approx(e, rel=1e-9)
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _local_bound(B):
+    """max |B(v)| over the local vertices, by the package's one oracle."""
+    return max(best_local_response(B)[0], best_local_response(-B)[0])
+
+
+class TestNormalizationIsTheOracle:
+    # Every local certificate's normalization is core.best_local_response
+    # on the coefficients it carries, bit for bit, not a product with an
+    # LP's vertex matrix, whose rounding follows that matrix's layout (on
+    # the PR box, 1.0 from that product, 1.0000000000000004 from the
+    # oracle).
+
+    @pytest.mark.parametrize("name", ["pr_box", "pr_box_at_tolerance", "nonlocal_2233",
+                                      "nonlocal_3333"])
+    def test_nu_tilde_golden_inputs(self, name):
+        p = load_distribution(GOLDEN_INPUTS / f"{name}.json")
+        bell = nu_tilde(p).dual_certificate
+        assert bell.normalization == _local_bound(bell.coeffs)
+        assert dual_bell(p).normalization == bell.normalization
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (3, 2, 2, 3)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_nu_tilde_seeded_points(self, shape):
+        for seed in range(3):
+            p = random_nonlocal(np.random.default_rng([seed, 9, *shape]), Alphabets(*shape))
+            bell = nu_tilde(p).dual_certificate
+            assert bell.normalization == _local_bound(bell.coeffs)
+
+    @pytest.mark.parametrize("C", [
+        *(pytest.param(np.random.default_rng([n, 71]).choice([-1.0, 1.0], (n, n)), id=f"{n}x{n}")
+          for n in range(2, 7)),
+        pytest.param(json.loads((GOLDEN_INPUTS / "sylvester6.json").read_text())["C"],
+                     id="sylvester6")])
+    def test_nu_corr(self, C):
+        # The sign vertices are closed under negation: one call.
+        bell = nu_corr(C).dual_certificate
+        assert bell.normalization == best_local_response(bell.coeffs)[0]
+        assert bell.normalization == _local_bound(bell.coeffs)
+
+    def test_game_to_bell(self):
+        rng = np.random.default_rng(72)
+        for game in [games.chsh_game()] + [
+                games.XorGame(rng.choice([-1.0, 1.0], (nx, ny)), rng.dirichlet(np.ones(nx * ny))
+                              .reshape(nx, ny)) for nx, ny in [(2, 3), (3, 3), (4, 2), (4, 4)]]:
+            bell = games.game_to_bell(game)
+            assert bell.normalization == best_local_response(bell.coeffs)[0]
+            assert bell.normalization == games.classical_bias(game)["bias"]
 
 
 class TestDualBell:

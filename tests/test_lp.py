@@ -145,6 +145,37 @@ class TestBasics:
         with pytest.raises(ValueError):
             LinearProgram(**{"c": [1.0], **kwargs})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["A_eq", "b_eq", "A_ub", "b_ub"])
+    def test_non_finite_data_named(self, name, bad):
+        # Each array's last entry alone is bad; a NaN between finite
+        # entries still reaches the min and max that check it.
+        data = {"A_eq": np.ones((2, 3)), "b_eq": np.ones(2),
+                "A_ub": np.ones((1, 3)), "b_ub": np.ones(1)}
+        data[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            LinearProgram(c=np.ones(3), **data)
+
+    def test_empty_data_accepted(self):
+        prog = LinearProgram(c=np.ones(3), A_eq=np.zeros((0, 3)), b_eq=np.zeros(0),
+                             A_ub=np.zeros((0, 3)), b_ub=np.zeros(0))
+        assert prog.n_eq == 0 and prog.A_ub.shape == (0, 3)
+
+    def test_finiteness_check_takes_no_matrix_sized_temporary(self):
+        # A read-only 1,000 x 4,000 A_eq is kept as given; np.isfinite over
+        # it would hold one byte per entry (3.8 MiB).  What is left is the
+        # bounds' copies, 2 x 31 KiB.
+        A = np.ones((1000, 4000))
+        A.flags.writeable = False
+        c, b = np.ones(4000), np.ones(1000)
+        tracemalloc.start()
+        try:
+            prog = LinearProgram(c=c, A_eq=A, b_eq=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prog.A_eq is A and peak < 0.1 * 2 ** 20
+
     def test_sloppy_optimum_is_not_optimal(self, monkeypatch):
         # x = (0, 1.5) is optimal, but 0.2 * 1.5 rounds to 0.30000000000000004.
         # That residual, 5.6e-17, is within the feasibility tolerance; with
