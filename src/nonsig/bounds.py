@@ -540,14 +540,26 @@ def _moment_structure(cg: _DataMap, smoothed: bool) -> SdpProgram:
         data = np.concatenate([cg.data_rhs(cg.moment_cells)[:-1], E00[None]])
         prog.add_constraint({0: data, 1: -data}, np.zeros(cg.n))
         return prog.freeze()
-    # Linear block: p', u, v (n entries each), then the budget slacks; e[k] selects entry k.
-    e = np.eye(prog.n_linear)
-    pp, u, v = e[:n], e[n:2 * n], e[2 * n:3 * n]
+    # Linear block: p', u, v (n entries each), then the budget slacks.  Each
+    # stack's entries are written by index: cell k's p', u and v are entries
+    # k, n + k and 2n + k, and its input pair's budget row is k // (na nb).
+    k, i = np.arange(n), np.arange(n_in)
+
+    def linear(rows, *entries):
+        stack = np.zeros((rows, prog.n_linear))
+        for at, value in entries:
+            stack[at] = value
+        return stack
+
     prog.add_constraint({0: E00, 1: -E00}, 1.0)
     cells = cg.moment_cells.reshape(n, d, d)
-    prog.add_constraint({0: cells, 1: -cells, LINEAR: -pp}, np.zeros(n))  # the blocks give p'
-    prog.add_constraint({LINEAR: pp - u + v}, np.zeros(n))
-    prog.add_constraint({LINEAR: _budget_rows(alph) @ (u + v) + e[3 * n:]}, np.zeros(n_in))
+    prog.add_constraint({0: cells, 1: -cells, LINEAR: linear(n, ((k, k), -1.0))},
+                        np.zeros(n))  # the blocks give p'
+    prog.add_constraint({LINEAR: linear(n, ((k, k), 1.0), ((k, n + k), -1.0),
+                                        ((k, 2 * n + k), 1.0))}, np.zeros(n))
+    budget = k // (alph.na * alph.nb)
+    prog.add_constraint({LINEAR: linear(n_in, ((budget, n + k), 1.0), ((budget, 2 * n + k), 1.0),
+                                        ((i, 3 * n + i), 1.0))}, np.zeros(n_in))
     return prog.freeze()
 
 

@@ -12,32 +12,39 @@ its arrays are built.  The
 returned residuals, per-block minimum eigenvalues and linear block let
 callers verify the solution independently of the algorithm.
 
-An ``SdpProgram`` holds the arrays the engine solves, and its
-``add_constraint`` takes a whole stack of constraints in one call.  Its PSD
-part is k >= 1 blocks of one size d (every program the package builds: two
-d x d moment blocks, or one Gram block); any other shape is refused with
-``ValueError`` when the program is made.
+An ``SdpProgram`` holds the objective and the right-hand sides as dense
+vectors and, from its first constraint on, the constraint matrix A as its
+nonzeros only, in row-major order (SDPA's sparse storage).  Its
+``add_constraint`` takes a whole stack of constraints in one call and
+keeps each block's nonzeros, put in row order by a count of each row's
+nonzeros in each block; ``SdpProgram.A`` makes a dense, read-only copy on
+request, which no build or solve makes.  Its PSD part is k >= 1 blocks of
+one size d (every program the package builds: two d x d moment blocks, or
+one Gram block); any other shape is refused with ``ValueError`` when the
+program is made.
 
-The engine compiles a program's constraints once (``_Compiled``): A's
-nonzeros in row-major order, the rows that touch a PSD block, two dense
-layouts of those rows' PSD coefficients, and the pairs of the linear
-block's nonzeros that share a column.  A program that many calls share is
-frozen (``SdpProgram.freeze``): its arrays turn read-only, it takes no
-more constraints, and it keeps its constraints in compiled form only
-(``SdpProgram.A`` makes a dense copy on request), which each call's
-program (``with_data``: its own right-hand side and objective) reuses; any
-other program is compiled at each solve.  The PSD blocks are one (k, d, d)
-stack.  A v, A^T w, the Schur right-hand side and the linear block's
-Schur term are one ``numpy.bincount`` each over the compiled nonzeros,
-which adds in its input's order on one thread.  BLAS does the rest: two
-batched products and one over all blocks for the PSD blocks' Schur term,
-which only the rows that touch a PSD block enter (the coarsest grain of
-SDPA's sparse Schur assembly: Fujisawa, Kojima and Nakata, Math.
-Programming 79, 1997), the batched d x d products, and five
+The engine compiles a program's constraints once (``_Compiled``), from
+those nonzeros: the nonzeros themselves, the rows that touch a PSD block,
+two dense layouts of those rows' PSD coefficients, each written from the
+nonzeros by index, and the pairs of the linear block's nonzeros that
+share a column.  A program that many calls share is frozen
+(``SdpProgram.freeze``): its arrays turn read-only, it takes no more
+constraints, and it keeps its constraints in compiled form only, which
+each call's program (``with_data``: its own right-hand side and
+objective) reuses; any other program is compiled at each solve.  The PSD
+blocks are one (k, d, d) stack.  A v, A^T w, the Schur right-hand side
+and the linear block's Schur term are one ``numpy.bincount`` each over
+the compiled nonzeros, which adds in its input's order on one thread.
+BLAS does the rest: two batched products and one over all blocks for the
+PSD blocks' Schur term, which only the rows that touch a PSD block enter
+(the coarsest grain of SDPA's sparse Schur assembly: Fujisawa, Kojima and
+Nakata, Math. Programming 79, 1997), the batched d x d products, and five
 ``numpy.linalg`` calls an iteration: an inverse of S, a Cholesky, an
 inverse and an ``eigvalsh`` for both step lengths, and the m x m Schur
-solve.  The Schur complement and its
-symmetrized copy are two m x m buffers that every iteration reuses.
+solve.  The Schur complement and its symmetrized copy sit in two buffers
+that every iteration reuses, and that first hold the PSD blocks' two
+products, so a solve holds no other array of that size but the copy the
+Schur solve factors.
 
 A run stops at the inner tolerance (``optimal``), on a diverging dual
 (``infeasible``), on a numerical breakdown inside an iteration (a Cholesky
@@ -56,6 +63,7 @@ else ``numerical-error`` after a breakdown, ``max-iterations`` otherwise.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,24 +114,46 @@ class SdpProgram:
         self.span, end = {}, 0
         for j, size in zip([*range(len(self.block_dims)), LINEAR], sizes):
             self.span[j], end = slice(end, end + size), end + size
-        self.c, self._A, self.b = np.zeros(end), np.zeros((0, end)), np.zeros(0)
-        self._compiled = None  # the constraints compiled once, when frozen
+        self.c, self.b = np.zeros(end), np.zeros(0)
+        # A's nonzeros in row-major order (rows, columns, values), one chunk
+        # per add_constraint call, joined when read; once the program is
+        # frozen, only in the constraints compiled once.
+        self._chunks = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+        self._compiled = None
 
     def set_objective(self, coeffs: dict) -> None:
         self._refuse_if_frozen()
-        self.c = self._rows(coeffs, ())
+        self.c = self._objective(coeffs)
 
     def add_constraint(self, coeffs: dict, rhs) -> None:
         """Add one constraint (scalar ``rhs``) or a stack of m (``rhs`` of
-        length m, every coefficient with a leading axis of length m)."""
+        length m, every coefficient with a leading axis of length m).  Only
+        the rows' nonzeros are kept: each block's, put in row-major order by
+        a count of each row's nonzeros in each block."""
         self._refuse_if_frozen()
         rhs = np.asarray(rhs, dtype=float)
         if not coeffs:
             raise ValueError("constraint touches no block")
         if rhs.ndim > 1 or not np.isfinite(rhs).all():
             raise ValueError("the right-hand side must be a finite scalar or vector")
-        rows = self._rows(coeffs, rhs.shape).reshape(rhs.size, len(self.c))
-        self._A, self.b = np.concatenate([self._A, rows]), np.concatenate([self.b, rhs.reshape(-1)])
+        m, parts = rhs.size, []  # each block's nonzeros, row-major within the block
+        for j, M in sorted(self._stacks(coeffs, rhs.shape), key=lambda jM: self.span[jM[0]].start):
+            M = M.reshape(m, M.shape[-1])
+            r, t = np.nonzero(M)
+            parts.append((r, t + self.span[j].start, M[r, t]))
+        # counts[i, q] is row i's nonzeros in the q-th block; their running
+        # total over (row, block) is where each block's run in a row starts.
+        counts = np.stack([np.bincount(r, minlength=m) for r, _, _ in parts], axis=1)
+        starts = (np.cumsum(counts.reshape(-1)) - counts.reshape(-1)).reshape(counts.shape)
+        rows = np.repeat(np.arange(self.n_constraints, self.n_constraints + m), counts.sum(1))
+        cols, vals = np.empty(len(rows), np.intp), np.empty(len(rows))
+        for q, (r, t, v) in enumerate(parts):
+            # each nonzero's place: where its row's run of block q starts,
+            # plus its place in that run
+            at = starts[r, q] + np.arange(len(r)) - (np.cumsum(counts[:, q]) - counts[:, q])[r]
+            cols[at], vals[at] = t, v
+        self._chunks.append((rows, cols, vals))
+        self.b = np.concatenate([self.b, rhs.reshape(-1)])
 
     def freeze(self) -> SdpProgram:
         """This program as a structure that calls share: its arrays made
@@ -132,7 +162,7 @@ class SdpProgram:
         call solves ``with_data``'s program."""
         for arr in (self.c, self.b):
             arr.flags.writeable = False
-        self._compiled, self._A = _Compiled(self), None
+        self._compiled, self._chunks = _Compiled(self), None
         return self
 
     def with_data(self, rhs=(), objective: dict | None = None) -> SdpProgram:
@@ -150,7 +180,7 @@ class SdpProgram:
         prog.b = np.concatenate([self.b[:self.n_constraints - len(rhs)], rhs])
         prog.b.flags.writeable = False
         if objective is not None:
-            prog.c = self._rows(objective, ())
+            prog.c = self._objective(objective)
             prog.c.flags.writeable = False
         return prog
 
@@ -158,10 +188,11 @@ class SdpProgram:
         if self._compiled is not None:
             raise ValueError("a frozen program takes no constraint or objective")
 
-    def _rows(self, coeffs: dict, lead: tuple) -> np.ndarray:
-        """The coefficients laid out as rows of the iterate, one per index of
-        the leading shape ``lead``."""
-        rows = np.zeros((*lead, len(self.c)))
+    def _stacks(self, coeffs: dict, lead: tuple) -> list:
+        """The coefficients, checked, as (block, stack) pairs in the dict's
+        order: each PSD block's symmetrized, each flattened over its span of
+        the iterate, one row per index of the leading shape ``lead``."""
+        stacks = []
         for j, M in coeffs.items():
             if j not in self.span or not (is_integer(j) or j == LINEAR):  # True == 1, 0.0 == 0
                 raise ValueError(f"no block {j!r} in a program of {len(self.block_dims)}")
@@ -171,19 +202,31 @@ class SdpProgram:
                 raise ValueError(f"block {j!r} expects shape {shape}, got {M.shape}")
             if not np.isfinite(M).all():
                 raise ValueError(f"block {j!r} has a non-finite coefficient")
-            block = rows[..., self.span[j]]
-            block[...] = (M if j == LINEAR else _sym(M)).reshape(block.shape)
-        return rows
+            span = self.span[j]
+            stacks.append((j, (M if j == LINEAR else _sym(M)).reshape(*lead, span.stop - span.start)))
+        return stacks
+
+    def _objective(self, coeffs: dict) -> np.ndarray:
+        c = np.zeros(len(self.c))
+        for j, M in self._stacks(coeffs, ()):
+            c[self.span[j]] = M
+        return c
+
+    def _nonzeros(self) -> tuple:
+        """A's nonzeros in row-major order: their rows, columns and values."""
+        if self._compiled is not None:
+            return self._compiled.rows, self._compiled.cols, self._compiled.vals
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(map(np.concatenate, zip(*self._chunks)))]
+        return self._chunks[0]
 
     @property
     def A(self) -> np.ndarray:
-        """The constraints as one dense array, a row each over the iterate:
-        the program's own while it is built, and made anew, read-only, from
-        the compiled nonzeros on each read once it is frozen."""
-        if self._compiled is None:
-            return self._A
-        comp, A = self._compiled, np.zeros((self.n_constraints, len(self.c)))
-        A[comp.rows, comp.cols] = comp.vals
+        """The constraints as one dense array, a row each over the iterate,
+        made anew, read-only, from the nonzeros on each read."""
+        rows, cols, vals = self._nonzeros()
+        A = np.zeros((self.n_constraints, len(self.c)))
+        A[rows, cols] = vals
         A.flags.writeable = False
         return A
 
@@ -223,13 +266,18 @@ class SdpSolution:
 
 
 def _solve_bytes(k: int, d: int, n_linear: int) -> int:
-    """The most a solve of k d x d blocks and n_linear linear entries holds,
-    counted from the shapes alone at the largest m a program with
-    independent rows can have, k d(d+1)/2 + n_linear: 8 bytes for each
+    """A bound on the bytes a solve of k d x d blocks and n_linear linear
+    entries holds, counted from the shapes alone at the largest m a program
+    with independent rows can have, k d(d+1)/2 + n_linear: 8 bytes for each
     entry of the dense A, of the four PSD Schur arrays (``_Compiled.A_wide``
     and ``A_psd_T``, and a solve's two products) and of four m x m arrays
     (the Schur complement, its symmetrized copy, the copy the linear solve
-    factors, and one as a margin)."""
+    factors, and one as a margin).  It counts more than a solve holds: no
+    build or solve makes the dense A (a program keeps A's nonzeros), and
+    the two products sit in the buffers of the Schur complement and its
+    copy.  Those terms stay so that the refusals do not move: blocks over
+    46 (moment programs) and 65 (Gram programs), ``over_sdp_cap.json`` and
+    a 50 x 50 ``gamma2_corr``."""
     m, n_psd = k * d * (d + 1) // 2 + n_linear, k * d * d
     return 8 * (m * (n_psd + n_linear) + 4 * m * n_psd + 4 * m * m)
 
@@ -258,12 +306,14 @@ def _max_ratio(x, dx):
 
 class _Compiled:
     """A program's constraints as the engine reads them, every array
-    read-only.  A's nonzeros in row-major order (``rows``, ``cols``,
-    ``vals``): A v, A^T w and the Schur right-hand side are each one
+    read-only, all made from the program's nonzeros (no dense A is made).
+    A's nonzeros in row-major order (``rows``, ``cols``, ``vals``, the
+    program's own): A v, A^T w and the Schur right-hand side are each one
     bincount over them, which adds in this fixed order.  For the PSD
     blocks' Schur term, the rows with a PSD nonzero, wherever they sit
-    (``psd_rows``), and their coefficients: block j's A_ij side by side
-    (``A_wide``, (k, d, m_psd d)) and A's PSD columns as rows (``A_psd_T``).
+    (``psd_rows``), and their coefficients, written by index: block j's
+    A_ij side by side (``A_wide``, (k, d, m_psd d)) and A's PSD columns as
+    rows (``A_psd_T``).
     A row that touches only the linear block gets only the linear block's
     term sum_t A_it A_lt x_t / s_t.  For that term, the pairs of the linear
     block's nonzeros (t, r) that share a column t, in the order of t, then
@@ -272,16 +322,23 @@ class _Compiled:
     coefficients (``pair_val``) and t (``pair_t``)."""
 
     def __init__(self, prog: SdpProgram):
-        k, d, m, A = len(prog.block_dims), prog.block_dims[0], prog.n_constraints, prog.A
-        psd, lin = A[:, :k * d * d], A[:, prog.span[LINEAR]]
-        self.rows, self.cols = np.nonzero(A)
-        self.vals = A[A != 0]
-        self.psd_rows = np.flatnonzero(psd.any(axis=1))
-        psd = psd[self.psd_rows]
-        self.A_wide = psd.reshape(-1, k, d, d).transpose(1, 2, 0, 3).reshape(k, d, -1)
-        self.A_psd_T = psd.T.copy()
-        t, r = np.nonzero(lin.T)
-        lo, hi, v = np.searchsorted(t, t), np.searchsorted(t, t, "right"), lin[r, t]
+        k, d, m = len(prog.block_dims), prog.block_dims[0], prog.n_constraints
+        self.rows, self.cols, self.vals = prog._nonzeros()
+        psd = self.cols < k * d * d
+        r, t, v = self.rows[psd], self.cols[psd], self.vals[psd]
+        has_psd = np.bincount(r, minlength=m) > 0
+        self.psd_rows = np.flatnonzero(has_psd)
+        r = (np.cumsum(has_psd) - 1)[r]  # each nonzero's row among the PSD rows
+        # Column t of A is entry (t // d, t % d) of the (k d, d) stack of blocks.
+        self.A_psd_T = np.zeros((k * d * d, len(self.psd_rows)))
+        self.A_psd_T[t, r] = v
+        self.A_wide = np.zeros((k, d, len(self.psd_rows) * d))
+        self.A_wide.reshape(k * d, -1, d)[t // d, r, t % d] = v
+        # The linear block's nonzeros by column t, then row r.
+        lin = np.flatnonzero(~psd)
+        lin = lin[np.argsort(self.cols[lin], kind="stable")]
+        r, t, v = self.rows[lin], self.cols[lin] - k * d * d, self.vals[lin]
+        lo, hi = np.searchsorted(t, t), np.searchsorted(t, t, "right")
         p = np.repeat(np.arange(len(t)), hi - lo)
         q = np.arange(len(p)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
         self.lin_at, self.pair_bin = np.unique(r[p] * m + r[q], return_inverse=True)
@@ -306,13 +363,19 @@ def solve_sdp(prog: SdpProgram) -> SdpSolution:
     def stack(v):  # the PSD blocks of v's rows, as one (..., k, d, d) view
         return v[..., psd].reshape(*v.shape[:-1], k, d, d)
 
-    # Buffers that every iteration reuses: the Schur complement M, its
-    # symmetrized copy Ms, and the products that give M's entries among the
-    # rows that touch a PSD block (Mp, which sits in Ms until Ms is made).
+    # Two buffers that every iteration reuses, each holding in turn arrays
+    # whose lives do not overlap: the products that give the Schur
+    # complement's entries among the rows that touch a PSD block (XA in the
+    # first, XAS in the second, and those entries, Mp, in the first), then
+    # the Schur complement M (second) and its symmetrized copy Ms (first).
     m_psd, psd_block = len(comp.psd_rows), np.ix_(comp.psd_rows, comp.psd_rows)
-    XA, XAS = np.empty((k, d, m_psd * d)), np.empty((m_psd, k, d, d))
-    M, Ms = np.empty((m, m)), np.empty((m, m))
-    Mp, Ms_diag = Ms.reshape(-1)[:m_psd * m_psd].reshape(m_psd, m_psd), Ms.reshape(-1)[::m + 1]
+    first, second = (np.empty(max(m * m, k * d * d * m_psd)) for _ in range(2))
+
+    def view(buf, *shape):
+        return buf[:math.prod(shape)].reshape(shape)
+
+    XA, Mp, Ms = view(first, k, d, m_psd * d), view(first, m_psd, m_psd), view(first, m, m)
+    XAS, M, Ms_diag = view(second, m_psd, k, d, d), view(second, m, m), Ms.reshape(-1)[::m + 1]
 
     scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(c).max(initial=0.0)))
     # The primal iterate X and the dual slack S are the rows of XS, so that
