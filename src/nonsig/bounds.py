@@ -31,7 +31,7 @@ from .core import (
     validate,
     vertex_table_matrix,
 )
-from .lp import _FEAS_TOL, _TIE_REL, LinearProgram, solve_lp
+from .lp import _FEAS_TOL, _TIE_REL, FactoredMatrix, LinearProgram, solve_lp
 from .sdp import LINEAR, SdpProgram, solve_sdp
 
 
@@ -81,20 +81,25 @@ def _require_valid(p: ConditionalDistribution, eps: float = 0.0) -> None:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
 
 
-def _min_l1_combination(twin: np.ndarray, target: np.ndarray, overlap: np.ndarray,
+def _min_l1_combination(S: FactoredMatrix, target: np.ndarray, overlap: np.ndarray,
                         name: str, alpha: float = 1.0):
     """min sum |q| s.t. S q = target o r with r in [1, alpha] on every row,
     as an LP over the split q = q+ - q-, then r (at alpha = 1, no r).
 
-    ``twin`` is [S, -S], with S of full row rank, so phase 1 leaves no
-    redundant row and the equality multipliers have no null directions.
+    S is a vertex matrix in factored form (``lp.FactoredMatrix``, from the
+    single-party factors of ``_DataMap.factors`` or ``_DataMap.signs``),
+    with full row rank, so phase 1 leaves no redundant row and the equality
+    multipliers have no null directions.  The LP's matrix is
+    [S, -S | -diag(target)] (``FactoredMatrix.split``; at alpha = 1 no
+    dense block): the simplex reads it through the factors, and no array
+    of S's entries is made but the columns the crash and the bases pick.
     Returns the optimum, the LP's record, the weights q and the multipliers
     y (at alpha = 1 an optimal dual functional: |y . column| <= 1 on every
-    column of S, and y . target is the optimum).  S is read only for the
-    crash: the callers take a certificate's normalization from
+    column of S, and y . target is the optimum).  No certificate reads S:
+    the callers take a certificate's normalization from
     ``core.best_local_response`` on the coefficients it carries, the
     package's one local-bound computation, so it checks independently of
-    this LP and does not round by S's memory layout.
+    this LP.
 
     The simplex starts from a crash basis and skips phase 1.  Every
     column of [S, -S] has a negated twin, so any m independent columns of
@@ -115,14 +120,13 @@ def _min_l1_combination(twin: np.ndarray, target: np.ndarray, overlap: np.ndarra
     at their lower bound 1, where the rows read S q = target again, so
     the same basis is feasible.
     """
-    m, V = twin.shape[0], twin.shape[1] // 2
-    S = twin[:, :V]
+    m, V = S.shape
     cols = _pivoted_columns(S, np.abs(overlap @ S))
     weights = np.linalg.solve(S[:, cols], target)
     start = np.where(weights < -_FEAS_TOL, cols + V, cols)
     k = 0 if alpha == 1.0 else m  # r columns
     sol = solve_lp(LinearProgram(c=np.append(np.ones(2 * V), np.zeros(k)),
-                                 A_eq=twin if k == 0 else np.hstack([twin, -np.diag(target)]),
+                                 A_eq=S.split(-np.diag(target) if k else None),
                                  b_eq=target if k == 0 else np.zeros(m),
                                  lb=np.append(np.zeros(2 * V), np.ones(k)),
                                  ub=np.append(np.full(2 * V, np.inf), np.full(k, alpha))),
@@ -135,17 +139,20 @@ def _min_l1_combination(twin: np.ndarray, target: np.ndarray, overlap: np.ndarra
 _SCORE_FLOOR = 1e-3
 
 
-def _pivoted_columns(S: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """m column indices of the m x V matrix S, chosen by pivoted
-    Gram-Schmidt weighted by ``score`` (V values >= 0); independent when
-    S has full row rank.
+def _pivoted_columns(S: FactoredMatrix, score: np.ndarray) -> np.ndarray:
+    """m column indices of the m x V matrix S, a vertex matrix in factored
+    form, chosen by pivoted Gram-Schmidt weighted by ``score`` (V values
+    >= 0); independent when S has full row rank.
 
     Each step takes the column with the largest squared norm outside the
     span of those taken, times (score / max score + ``_SCORE_FLOOR``)^4,
     the first within ``_TIE_REL`` of the largest, so that rounding
     (which varies with the BLAS thread count) cannot reorder the picks.
     Equal scores give plain QR with column pivoting.  Each step downdates
-    that weighted criterion by one product with S.
+    that weighted criterion by one product v @ S, F^T V G through the
+    factors.  The squared column norms are the products of the factors'
+    (exact: S's entries are 0 and +-1), and a picked column is an outer
+    product of two factor columns.
 
     One Gram-Schmidt pass per column suffices: the norm factor keeps the
     picked columns well conditioned (condition below ~1e3 on the vertex
@@ -156,15 +163,20 @@ def _pivoted_columns(S: np.ndarray, score: np.ndarray) -> np.ndarray:
     top = score.max()
     weight = (score / top + _SCORE_FLOOR) ** 4 if top > 0 else np.ones_like(score)
     Q = np.zeros((m, m))  # rows: orthonormal basis of the picked columns
-    crit = np.einsum("ij,ij->j", S, S) * weight
+    crit = np.multiply.outer(*(np.einsum("ij,ij->j", F, F) for F in (S.outer, S.inner)))
+    crit = crit.reshape(-1) * weight
     cols = np.empty(m, dtype=int)
     for k in range(m):
         j = int((crit >= crit.max() * (1.0 - _TIE_REL)).argmax())
         cols[k] = j
-        v = S[:, j] - (Q @ S[:, j]) @ Q
+        s = S[:, j]
+        v = s - (Q @ s) @ Q
         v /= math.sqrt(v @ v)
         Q[k] = v
-        crit -= weight * (v @ S) ** 2
+        drop = v @ S
+        drop *= drop
+        drop *= weight
+        crit -= drop
         crit[j] = -np.inf
     return cols
 
@@ -188,17 +200,16 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     affine hull of the local vertices, so a non-optimal LP is an engine
     failure, not a property of p.  All but the right-hand side and the
     crash basis depends only on the alphabet and is built once per
-    alphabet, by its cached data map (``_data_map``): the LP's matrix, the
-    twin [S, -S], is written from the two parties' single-party tables,
-    with no vertex tables, and the simplex runs on that read-only matrix
-    itself, with no copy.
+    alphabet, by its cached data map (``_data_map``): the LP's matrix
+    [S, -S] is read through S's two single-party factors
+    (``_DataMap.factors``), with no vertex tables and no array of S.
     """
     _require_valid(p)
     alph = p.alphabets
     cg = _vertex_map(alph)
     rhs = cg.data_rhs(p.table)
-    value, record, q, y = _min_l1_combination(cg.twin, rhs, cg._unit_tables.T @ p.flat(),
-                                              "nu_tilde")
+    value, record, q, y = _min_l1_combination(FactoredMatrix(*cg.factors), rhs,
+                                              cg._unit_tables.T @ p.flat(), "nu_tilde")
     Q = cg.span
     coeffs = (Q @ (Q.T @ cg.fold(y).reshape(-1))).reshape(alph.shape)
     model = AffineModel.from_vertex_weights(alph, q)
@@ -216,11 +227,14 @@ def nu_tilde(p: ConditionalDistribution) -> BoundResult:
     )
 
 
-def _indicators(n_inputs: int, n_outcomes: int) -> np.ndarray:
-    """[x, a, k]: 1.0 where one party's deterministic strategy k (in the
-    order of ``deterministic_strategies``) answers a to input x, else 0.0."""
+def _party_matrix(n_inputs: int, n_outcomes: int) -> np.ndarray:
+    """One party's factor of the local vertices' coordinates: a column per
+    deterministic strategy k (in the order of ``deterministic_strategies``),
+    row 0 all ones and row 1 + x (n_outcomes - 1) + a the indicator that k
+    answers a to input x, for a < n_outcomes - 1."""
     strategies = deterministic_strategies(n_inputs, n_outcomes)
-    return (strategies.T[:, None, :] == np.arange(n_outcomes)[:, None]).astype(float)
+    answers = strategies.T[:, None, :] == np.arange(n_outcomes - 1)[:, None]  # [x, a, k]
+    return np.concatenate([np.ones((1, len(strategies))), answers.reshape(-1, len(strategies))])
 
 
 def _budget_rows(alph: Alphabets) -> np.ndarray:
@@ -304,9 +318,10 @@ class _DataMap:
 
     Every array and SDP structure that depends only on the alphabet and
     that a later call reads is built on first use and kept, read-only, with
-    the map (``_data_map``): ``twin`` = [S, -S], S the coordinates of the
-    local vertices, written from the two single-party indicator tables
-    (no vertex table is built); ``_unit_tables``, the map T
+    the map (``_data_map``): ``factors``, the two single-party matrices and
+    the row order whose Kronecker product is S, the coordinates of the
+    local vertices (no vertex table and no array of S is built);
+    ``_unit_tables``, the map T
     from coordinates to tables, whose transpose gives ``nu_tilde``'s crash
     score; ``span``, an orthonormal basis of the non-signaling tables,
     which span the vertex tables; ``moment_cells``, the cells of the d x d
@@ -314,8 +329,8 @@ class _DataMap:
     ``moment_sdp`` and ``moment_eps_sdp``, the moment programs at eps = 0
     and eps > 0 without their data (``_moment_structure``, which builds
     their other rows); and, on a binary alphabet (nx, ny, 2, 2),
-    ``signs``: the sign LPs' [S, -S], written from the sign vectors, and
-    those vectors (``_sign_vertex_matrix``), and ``corr_sdp`` and
+    ``signs``: the sign vectors u and v whose products u v^T are the sign
+    LPs' columns (``_sign_factors``), and ``corr_sdp`` and
     ``bias_sdp``, the Gram programs of ``gamma2_corr`` and
     ``games.quantum_bias`` without their data.  Each SDP structure is a
     frozen ``SdpProgram``, compiled once; a call solves its ``with_data``
@@ -330,26 +345,24 @@ class _DataMap:
         self.n = (1 + nx * (na - 1)) * (1 + ny * (nb - 1))  # coordinates
 
     @functools.cached_property
-    def twin(self) -> np.ndarray:
-        """[S, -S], S the coordinates of the local vertices in the order of
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(R, L, rows) with S = P (R (x) L) (``lp.FactoredMatrix``), S the
+        coordinates of the local vertices in the order of
         ``vertex_table_matrix`` (column k pairs Alice's strategy k % na^nx
-        with Bob's k // na^nx), written in place from the two single-party
-        indicator tables: the cells as their outer products, each marginal
-        row as one party's indicators, the normalization as ones.  The
-        entries are exact products of 0s and 1s, so S is the
-        ``data_rhs`` of the vertex tables bit for bit."""
+        with Bob's k // na^nx).  R and L are Bob's and Alice's
+        ``_party_matrix``; row j * len(L) + i of R (x) L, Bob's row j times
+        Alice's row i, is coordinate ``rows[j * len(L) + i]``: a cell when
+        both are indicators, a marginal when one is the row of ones, the
+        normalization when both are.  The entries are exact products of 0s
+        and 1s, so S is the ``data_rhs`` of the vertex tables bit for bit."""
         nx, ny, na, nb = self.alph.shape
-        alice, bob = _indicators(nx, na), _indicators(ny, nb)  # [x, a, k]
-        twin = np.empty((self.n, 2, bob.shape[-1], alice.shape[-1]))
-        S = twin[:, 0]
-        cell, mA, mB, norm = self._split(S)
-        np.multiply(alice[:, None, :-1, None, None, :], bob[None, :, None, :-1, :, None],
-                    out=cell.reshape(nx, ny, na - 1, nb - 1, *S.shape[1:]))
-        mA[...] = alice[:, :-1, None, :].reshape(-1, 1, alice.shape[-1])
-        mB[...] = bob[:, :-1, :, None].reshape(-1, bob.shape[-1], 1)
-        norm[...] = 1.0
-        np.negative(S, out=twin[:, 1])
-        return _read_only(twin.reshape(self.n, -1))
+        alice, bob = _party_matrix(nx, na), _party_matrix(ny, nb)
+        rows = np.empty((len(bob), len(alice)), dtype=np.intp)
+        cell, mA, mB, norm = self._split(np.arange(self.n))
+        rows[1:, 1:] = cell.reshape(nx, ny, na - 1, nb - 1).transpose(1, 3, 0, 2).reshape(
+            ny * (nb - 1), nx * (na - 1))
+        rows[0, 1:], rows[1:, 0], rows[0, 0] = mA, mB, norm[0]
+        return tuple(_read_only(arr) for arr in (bob, alice, rows.reshape(-1)))
 
     @functools.cached_property
     def _unit_tables(self) -> np.ndarray:
@@ -382,8 +395,8 @@ class _DataMap:
         return _read_only(_sym_outer(alice[:, None, :, None], bob[None, :, None, :]))
 
     @functools.cached_property
-    def signs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(_read_only(arr) for arr in _sign_vertex_matrix(self.alph.nx, self.alph.ny))
+    def signs(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(_read_only(arr) for arr in _sign_factors(self.alph.nx, self.alph.ny))
 
     @functools.cached_property
     def moment_sdp(self) -> SdpProgram:
@@ -619,29 +632,21 @@ def gamma2_tilde_1_eps(p: ConditionalDistribution, eps: float) -> BoundResult:
 # Correlation-space quantities
 
 
-def _sign_vertex_matrix(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The split [S, -S] of the min-L1 LPs over sign vertices, and the sign
-    vectors of S's columns.
+def _sign_factors(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sign vectors us (rows u in {+-1}^nx with u_0 = +1) and vs (the
+    same for ny) of the min-L1 LPs over sign vertices.
 
-    S has one column per pair +-u v^T of rank-one sign matrices, u in
-    {+-1}^nx etc.: the flattened u v^T with u_0 = v_0 = +1, 2^(nx+ny-2)
-    columns.  u v^T = (-u)(-v)^T, so these columns and their negations are
-    every sign vertex once.  S is written in place as u (x) v, then negated
-    into the right half.  The array is column-major, each column's entries
-    contiguous: the crash's BLAS products with S round by its layout, and
-    this is the layout the sign-vertex reports were computed with.  No
-    normalization reads S: a certificate's comes from
+    Their S has one column per pair +-u v^T of rank-one sign matrices: the
+    flattened u v^T, column k from ``us[k // len(vs)]`` and
+    ``vs[k % len(vs)]``, 2^(nx+ny-2) columns.  u v^T = (-u)(-v)^T, so these
+    columns and their negations are every sign vertex once.  S is
+    us^T (x) vs^T with its rows in place (``lp.FactoredMatrix``); no array
+    of it is made.  No normalization reads S: a certificate's comes from
     ``core.best_local_response``, the package's one local-bound
-    computation.  Column k of S is built from
-    ``us[k // len(vs)]`` and ``vs[k % len(vs)]``, rows of the returned
-    ``us`` and ``vs``.
+    computation.
     """
-    us = SIGNS[deterministic_strategies(nx, 2, range(2 ** (nx - 1)))]
-    vs = SIGNS[deterministic_strategies(ny, 2, range(2 ** (ny - 1)))]
-    cols = np.empty((2, len(us), len(vs), nx, ny))
-    np.multiply(us[:, None, :, None], vs[None, :, None, :], out=cols[0])
-    np.negative(cols[0], out=cols[1])
-    return cols.reshape(-1, nx * ny).T, us, vs
+    return (SIGNS[deterministic_strategies(nx, 2, range(2 ** (nx - 1)))],
+            SIGNS[deterministic_strategies(ny, 2, range(2 ** (ny - 1)))])
 
 
 def _correlation_matrix(C, bound: float = 1.0) -> np.ndarray:
@@ -668,7 +673,8 @@ def _sign_mass(C: np.ndarray, alpha: float, name: str) -> float:
     if not np.all(C):
         return np.inf
     target = 1.0 / C.reshape(-1)
-    return _min_l1_combination(cg.signs[0], target, target, name, alpha)[0]
+    us, vs = cg.signs
+    return _min_l1_combination(FactoredMatrix(us.T, vs.T), target, target, name, alpha)[0]
 
 
 def nu_corr(C: np.ndarray) -> BoundResult:
@@ -679,9 +685,10 @@ def nu_corr(C: np.ndarray) -> BoundResult:
     over them is max |B(vertex)|."""
     C = _correlation_matrix(C)
     nx, ny = C.shape
-    twin, us, vs = _vertex_map(Alphabets(nx, ny, 2, 2), "sign vertices").signs
+    us, vs = _vertex_map(Alphabets(nx, ny, 2, 2), "sign vertices").signs
     target = C.reshape(-1)
-    value, record, q, y = _min_l1_combination(twin, target, target, "nu_corr")
+    value, record, q, y = _min_l1_combination(FactoredMatrix(us.T, vs.T), target, target,
+                                              "nu_corr")
     corr_B = y.reshape(nx, ny)
     coeffs = np.einsum("xy,a,b->xyab", corr_B, SIGNS, SIGNS)
     bell = BellFunctional(

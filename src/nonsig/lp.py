@@ -1,4 +1,4 @@
-"""Dense linear programming engine.
+"""Linear programming engine over a dense or a factored constraint matrix.
 
 Two-phase revised primal simplex with bounded variables.  Pricing and the
 ratio test are numpy operations over all columns and rows.  Pricing is
@@ -7,7 +7,7 @@ the columns whose move off their bound lowers the objective, it enters the
 one with the largest d_j^2 / gamma_j, where d is the reduced cost and
 gamma_j = 1 + ||B^-1 a_j||^2 the squared length of the column's edge, the
 first index among those within a relative ``_TIE_REL`` of it.  The weights
-are computed from the basis at the start of each phase, one column block
+are computed from the basis at the start of each phase, one row block
 of B^-1 A at a time in one work buffer of at most ``_WEIGHT_BLOCK`` bytes,
 so that B^-1 A is never held whole and no block is a fresh array: blocks
 large enough to be mapped from the OS cost hundreds of page faults per
@@ -42,10 +42,24 @@ dense and refactorized periodically.  A singular basis matrix at a
 refactorization, or finite data whose products overflow (a numerical
 breakdown), ends the solve with status ``numerical-error`` instead of
 raising ``LinAlgError`` or a floating-point warning.
+
+The simplex reads its matrix A through three operations only, in numpy's
+own syntax: a block of columns ``A[:, j]`` (one column for an int j, an
+(m, k) array for a slice or index array), row-vector products ``Y @ A``
+(also ``np.matmul(Y, A, out=...)``) and products ``A @ x``.  A dense array
+implements them, and so does ``FactoredMatrix``: [K, -K | E] with
+K = P (F (x) G) held as two small factors and a row order P, and E an
+optional dense block.  A column of K is an outer product of one column of
+each factor, Y @ K is F^T Y G with Y read through P, and A @ x reads only
+the columns where x is nonzero.  The min-L1 LPs of ``bounds`` take their
+vertex matrices in this form, so no array of their V vertices' m
+coordinates exists: the engine's largest arrays are its vectors of length
+2V.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -61,14 +75,140 @@ _COND_LIMIT = 1e10
 _BLAND_AFTER = 50
 # Relative band within which pricing and ratio-test scores tie.
 _TIE_REL = 1e-9
-# Bytes of the one work buffer that holds a column block of B^-1 A while the
-# start weights are built.  It bounds memory on large LPs, and it keeps the
+# Bytes of the one work buffer that holds a row block of B^-1 A, and the sums
+# so far, while the start weights are built.  It bounds memory on large LPs, and it keeps the
 # buffer small enough that the allocator serves it from its heap: 512 KiB
 # blocks, each product and its square a fresh array, were mapped from and
 # returned to the OS on every solve, 220-370 minor page faults per 3x3x3x3
 # nu_tilde or 6x6 nu_corr.  The bound is set by those faults, not by a
 # cache size.
 _WEIGHT_BLOCK = 1 << 16
+
+
+class FactoredMatrix:
+    """The m x n matrix [K, -K | E], or K alone, with K = P (F (x) G).
+
+    F (``outer``, r1 x c1) and G (``inner``, r2 x c2) are dense factors:
+    column c * c2 + d of F (x) G is the Kronecker product of F's column c
+    and G's column d, and its row i * r2 + k is row ``rows[i * r2 + k]``
+    of K (``rows`` None: the same row).  With ``negated`` the columns of
+    -K follow those of K; ``extra``, a dense (m, e) block E, follows them.
+    The simplex reads it as it reads a dense array (the module docstring):
+    columns, ``Y @ A`` and ``A @ x``, each from the factors, with no m x n
+    array.  A column of K is a product of two factor entries and a sign,
+    so on factors of small integers the columns equal those of the dense
+    matrix exactly.
+    """
+
+    def __init__(self, outer: np.ndarray, inner: np.ndarray, rows: np.ndarray | None = None,
+                 negated: bool = False, extra: np.ndarray | None = None):
+        self.outer, self.inner, self.rows = outer, inner, rows
+        if not (np.isfinite(outer).all() and np.isfinite(inner).all()):
+            raise ValueError("a factored matrix needs finite factors")
+        m = outer.shape[0] * inner.shape[0]
+        self.n_kron = outer.shape[1] * inner.shape[1]  # columns of K
+        self._grid = (outer.shape[0], inner.shape[0])  # the rows of F (x) G
+        self._cells = (outer.shape[1], inner.shape[1])  # the columns of K
+        self._outer_T = np.ascontiguousarray(outer.T)
+        # Entry r of column j of [K, -K] is _outer_cols[j // c2, r] *
+        # _inner_cols[j % c2, r]: F's and G's columns with their entries
+        # repeated in K's row order, one contiguous row each, F's followed by
+        # their negations, so that a column is one product.
+        order = np.arange(m) if rows is None else np.argsort(rows)
+        outer_cols = outer[order // inner.shape[0]].T
+        self._outer_cols = np.concatenate([outer_cols, -outer_cols])
+        self._inner_cols = np.ascontiguousarray(inner[order % inner.shape[0]].T)
+        self._set_columns(negated, extra)
+
+    def _set_columns(self, negated: bool, extra: np.ndarray | None):
+        m = self._inner_cols.shape[1]
+        if extra is not None and not (extra.shape[0] == m and np.isfinite(extra).all()):
+            raise ValueError(f"the extra block needs {m} rows of finite entries")
+        self.negated, self.extra = negated, extra
+        self.n_factored = 2 * self.n_kron if negated else self.n_kron
+        self.shape = (m, self.n_factored + (0 if extra is None else extra.shape[1]))
+
+    def _sharing_factors(self, negated: bool, extra: np.ndarray | None) -> FactoredMatrix:
+        """[K, -K | extra] (``negated``) or [K | extra] of this K, sharing its
+        factor arrays."""
+        new = copy.copy(self)
+        new._set_columns(negated, extra)
+        return new
+
+    def split(self, extra: np.ndarray | None = None) -> FactoredMatrix:
+        """[K, -K | extra] of this K."""
+        return self._sharing_factors(True, extra)
+
+    def unsplit(self) -> FactoredMatrix:
+        """[K | E] of this [K, -K | E]."""
+        return self._sharing_factors(False, self.extra)
+
+    def with_columns(self, block: np.ndarray) -> FactoredMatrix:
+        """This matrix with the dense columns ``block`` appended."""
+        extra = block if self.extra is None else np.hstack([self.extra, block])
+        return self._sharing_factors(self.negated, extra)
+
+    def __getitem__(self, key) -> np.ndarray:
+        """``A[:, j]``: column j (an int), or the columns j (a slice, an
+        index array or a boolean mask) as a new (m, k) array."""
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] == slice(None)):
+            raise IndexError("a factored matrix is read by whole columns, A[:, j]")
+        j = key[1]
+        if isinstance(j, (int, np.integer)):
+            if j >= self.n_factored:
+                return self.extra[:, j - self.n_factored]
+            c, d = divmod(int(j), self._cells[1])
+            return self._outer_cols[c] * self._inner_cols[d]
+        if isinstance(j, slice):
+            j = np.arange(*j.indices(self.shape[1]))
+        j = np.asarray(j)
+        if j.dtype == bool:
+            j = np.flatnonzero(j)
+        if self.extra is None:
+            return self._kron_columns(j)
+        in_kron = j < self.n_factored
+        if in_kron.all():
+            return self._kron_columns(j)
+        out = np.empty((self.shape[0], j.size))
+        out[:, in_kron] = self._kron_columns(j[in_kron])
+        out[:, ~in_kron] = self.extra[:, j[~in_kron] - self.n_factored]
+        return out
+
+    def _kron_columns(self, j: np.ndarray) -> np.ndarray:
+        c, d = np.divmod(j, self._cells[1])
+        return (self._outer_cols[c] * self._inner_cols[d]).T
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        """Y @ A and np.matmul(Y, A, out=...) for Y of shape (m,) or (k, m):
+        F^T Y G on K's columns, with Y's entries in the order of F (x) G's
+        rows."""
+        if ufunc is not np.matmul or method != "__call__" or kwargs or inputs[1] is not self:
+            return NotImplemented
+        Y = np.asarray(inputs[0], dtype=float)
+        lead = Y.shape[:-1]
+        Yk = Y if self.rows is None else Y[self.rows] if Y.ndim == 1 else Y[:, self.rows]
+        YG = Yk.reshape(*lead, *self._grid) @ self.inner
+        if out is None and self.shape[1] == self.n_kron:
+            return (self._outer_T @ YG).reshape(*lead, -1)
+        out = np.empty((*lead, self.shape[1])) if out is None else out[0]
+        K = out[..., :self.n_kron]
+        # Splitting K's last axis in two is always a view of out.
+        np.matmul(self._outer_T, YG, out=K.reshape(*lead, *self._cells))
+        if self.negated:
+            np.negative(K, out=out[..., self.n_kron:self.n_factored])
+        if self.extra is not None:
+            np.matmul(Y, self.extra, out=out[..., self.n_factored:])
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        """A @ x for a vector x, from the columns where x is nonzero."""
+        x = np.asarray(x, dtype=float)
+        head = x[:self.n_factored]
+        nonzero = np.flatnonzero(head)
+        out = self[:, nonzero] @ head[nonzero] if nonzero.size else np.zeros(self.shape[0])
+        if self.extra is not None:
+            out += self.extra @ x[self.n_factored:]
+        return out
 
 
 @dataclass
@@ -78,10 +218,12 @@ class LinearProgram:
     Lower bounds default to 0 and must be finite; upper bounds may be
     +inf, and lb == ub fixes a variable.  All other data must be finite.
     Free variables are handled by the caller via the split v = v+ - v-.
+    A_eq may be a ``FactoredMatrix`` (which checks its own entries) when
+    there is no A_ub.
     """
 
     c: np.ndarray
-    A_eq: np.ndarray | None = None
+    A_eq: np.ndarray | FactoredMatrix | None = None
     b_eq: np.ndarray | None = None
     A_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
@@ -94,7 +236,10 @@ class LinearProgram:
         for name in ("A_eq", "A_ub"):
             A = getattr(self, name)
             if A is not None:
-                A = np.atleast_2d(np.asarray(A, dtype=float))
+                if not isinstance(A, FactoredMatrix):
+                    A = np.atleast_2d(np.asarray(A, dtype=float))
+                elif name == "A_ub" or self.A_ub is not None:
+                    raise ValueError("a factored matrix is taken only as A_eq, without A_ub")
                 if A.shape[1] != n:
                     raise ValueError(f"{name} has {A.shape[1]} columns, expected {n}")
                 setattr(self, name, A)
@@ -119,7 +264,8 @@ class LinearProgram:
         # finiteness with no temporary the size of the matrix.
         for name in ("A_eq", "b_eq", "A_ub", "b_ub"):
             M = getattr(self, name)
-            if M is not None and not np.isfinite([M.min(initial=0.0), M.max(initial=0.0)]).all():
+            if (isinstance(M, np.ndarray)
+                    and not np.isfinite([M.min(initial=0.0), M.max(initial=0.0)]).all()):
                 raise ValueError(f"{name} contains non-finite entries")
 
     @property
@@ -178,11 +324,11 @@ class _Simplex:
         self.recompute_xB()
 
     def recompute_xB(self):
-        nonbasic = ~self.in_basis
-        xN = self.nonbasic_values()[nonbasic]
+        xN = self.nonbasic_values()
+        xN[self.basis] = 0.0
         # With every nonbasic value 0 (as in the min-L1 LPs) the product
         # is 0 and b - 0 is b exactly, so it is skipped.
-        rhs = self.b - self.A[:, nonbasic] @ xN if xN.any() else self.b
+        rhs = self.b - self.A @ xN if xN.any() else self.b
         self.xB = self.Binv @ rhs
 
     def nonbasic_values(self):
@@ -208,20 +354,29 @@ class _Simplex:
         return c - (c[self.basis] @ self.Binv) @ self.A
 
     def edge_weights(self):
-        """gamma_j = 1 + ||B^-1 a_j||^2 for every column, one column block
-        of B^-1 A at a time in a work buffer of at most ``_WEIGHT_BLOCK``
-        bytes (one column when a column alone is larger)."""
-        m, n = self.m, self.n
-        gamma = np.empty(n)
-        step = max(1, _WEIGHT_BLOCK // (8 * m))
-        buf = np.empty(m * min(step, n))
-        for s in range(0, n, step):
-            W = buf[:m * min(step, n - s)].reshape(m, -1)
-            np.matmul(self.Binv, self.A[:, s:s + step], out=W)
-            W *= W
-            W.sum(axis=0, out=gamma[s:s + step])
-        gamma += 1.0
-        return gamma
+        """gamma_j = 1 + ||B^-1 a_j||^2 = 1 + sum_i (e_i^T B^-1 A)_j^2 for
+        every column, from one row block of B^-1 A at a time, each a product
+        ``B^-1[rows] @ A``, in a work buffer of at most ``_WEIGHT_BLOCK``
+        bytes (two rows when a row alone is larger).  The buffer's first row
+        holds the sums so far, so a block is added into gamma with no
+        temporary.  On a factored [K, -K | E] the columns of -K have K's
+        weights, so the products run over [K | E] only."""
+        A, twins = self.A, 0
+        if isinstance(A, FactoredMatrix) and A.negated:
+            A, twins = A.unsplit(), A.n_kron
+        m, n = A.shape
+        weights = np.ones(twins + n)
+        gamma = weights[twins:]  # [-K | E] has [K | E]'s weights
+        step = max(1, _WEIGHT_BLOCK // (8 * n) - 1)
+        buf = np.empty((1 + min(step, m)) * n)
+        for s in range(0, m, step):
+            W = buf[:(1 + min(step, m - s)) * n].reshape(-1, n)
+            W[0] = gamma
+            np.matmul(self.Binv[s:s + step], A, out=W[1:])
+            np.square(W[1:], out=W[1:])
+            W.sum(axis=0, out=gamma)
+        weights[:twins] = gamma[:twins]
+        return weights
 
     def iterate(self, c, max_iter):
         """Run pivots for objective c.  Returns status string.
@@ -452,8 +607,8 @@ def _start_from(sx: _Simplex, basis: np.ndarray, scale: float) -> bool:
     return bool(np.all(sx.xB >= sx.lo[basis] - tol) and np.all(sx.xB <= sx.up[basis] + tol))
 
 
-def _artificial_start(A: np.ndarray, A_full: np.ndarray | None, b: np.ndarray,
-                      lo: np.ndarray, up: np.ndarray) -> _Simplex:
+def _artificial_start(A: np.ndarray | FactoredMatrix, A_full: np.ndarray | None,
+                      b: np.ndarray, lo: np.ndarray, up: np.ndarray) -> _Simplex:
     """The simplex over [A D] at the artificial basis D, every other column
     at its lower bound.
 
@@ -461,17 +616,22 @@ def _artificial_start(A: np.ndarray, A_full: np.ndarray | None, b: np.ndarray,
     |b - A lo| >= 0.  It is written into the last m columns of ``A_full``,
     whose first columns already hold A, or, when ``A_full`` is None (A is
     then the caller's A_eq), into a new copy of A: the one copy of A_eq an
-    equality-only solve makes, and only when phase 1 runs.  The start needs
-    no check: D is its own inverse, and the values are finite because the
-    data is and an overflow raises.
+    equality-only solve makes, and only when phase 1 runs.  A factored A
+    is not copied: D joins its dense block (``FactoredMatrix.with_columns``).
+    The start needs no check: D is its own inverse, and the values are
+    finite because the data is and an overflow raises.
     """
     m, n = A.shape
-    if A_full is None:
-        A_full = np.zeros((m, n + m))
-        A_full[:, :n] = A
     resid = b - A @ lo if lo.any() else b
     arts = n + np.arange(m)
-    A_full[np.arange(m), arts] = np.where(resid >= 0, 1.0, -1.0)
+    signs = np.where(resid >= 0, 1.0, -1.0)
+    if isinstance(A, FactoredMatrix):
+        A_full = A.with_columns(np.diag(signs))
+    else:
+        if A_full is None:
+            A_full = np.zeros((m, n + m))
+            A_full[:, :n] = A
+        A_full[np.arange(m), arts] = signs
     sx = _Simplex(A_full, b, np.concatenate([lo, np.zeros(m)]),
                   np.concatenate([up, np.full(m, np.inf)]))
     sx.basis = arts

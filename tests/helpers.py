@@ -11,7 +11,8 @@ a PR box whose inputs and outcomes are relabelled at random.
 
 import numpy as np
 
-from nonsig.core import Alphabets, ConditionalDistribution, vertex_table_matrix
+from nonsig.core import (Alphabets, ConditionalDistribution, SIGNS, deterministic_strategies,
+                         vertex_table_matrix)
 from nonsig.lp import LinearProgram, solve_lp
 
 
@@ -115,3 +116,43 @@ def random_correlation_rep(rng, nx, ny, scale=0.4):
         rep = CorrelationRep(C, MA, MB)
         if rep.min_implied_probability() >= 0.0:
             return rep
+
+
+def local_twin(cg) -> np.ndarray:
+    """The dense [S, -S] of the nu_tilde LP of a data map ``cg``
+    (``bounds._DataMap``), S the Collins-Gisin coordinates of the local
+    vertices in the order of ``vertex_table_matrix``: the oracle of the
+    factored form.  Written from the two single-party indicator tables: the
+    cells as their outer products, each marginal row as one party's
+    indicators, the normalization as ones."""
+    nx, ny, na, nb = cg.alph.shape
+
+    def indicators(n_inputs, n_outcomes):  # [x, a, k]
+        strategies = deterministic_strategies(n_inputs, n_outcomes)
+        return (strategies.T[:, None, :] == np.arange(n_outcomes)[:, None]).astype(float)
+
+    alice, bob = indicators(nx, na), indicators(ny, nb)
+    twin = np.empty((cg.n, 2, bob.shape[-1], alice.shape[-1]))
+    S = twin[:, 0]
+    cell, mA, mB, norm = cg._split(S)
+    np.multiply(alice[:, None, :-1, None, None, :], bob[None, :, None, :-1, :, None],
+                out=cell.reshape(nx, ny, na - 1, nb - 1, *S.shape[1:]))
+    mA[...] = alice[:, :-1, None, :].reshape(-1, 1, alice.shape[-1])
+    mB[...] = bob[:, :-1, :, None].reshape(-1, bob.shape[-1], 1)
+    norm[...] = 1.0
+    np.negative(S, out=twin[:, 1])
+    return twin.reshape(cg.n, -1)
+
+
+def sign_twin(nx: int, ny: int):
+    """The dense [S, -S] of the min-L1 LPs over sign vertices, and the sign
+    vectors us and vs of S's columns: column k of S is the flattened
+    us[k // len(vs)] vs[k % len(vs)]^T, with u_0 = v_0 = +1.  The oracle
+    of the factored form; column-major, as the sign reports were first
+    computed with."""
+    us = SIGNS[deterministic_strategies(nx, 2, range(2 ** (nx - 1)))]
+    vs = SIGNS[deterministic_strategies(ny, 2, range(2 ** (ny - 1)))]
+    cols = np.empty((2, len(us), len(vs), nx, ny))
+    np.multiply(us[:, None, :, None], vs[None, :, None, :], out=cols[0])
+    np.negative(cols[0], out=cols[1])
+    return cols.reshape(-1, nx * ny).T, us, vs

@@ -4,6 +4,9 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -50,13 +53,15 @@ from nonsig.core import (
     vertex_table_matrix,
 )
 from nonsig import lp
-from nonsig.lp import LinearProgram, solve_lp
+from nonsig.lp import FactoredMatrix, LinearProgram, solve_lp
 from helpers import (
+    local_twin,
     random_correlation_rep,
     random_local_mixture,
     random_nonlocal,
     random_nonsignaling,
     random_nonsignaling_vertex,
+    sign_twin,
 )
 
 
@@ -236,7 +241,7 @@ class TestCrashStart:
         for n in range(3, 7):
             C = np.where(np.random.default_rng([23, n]).uniform(size=(n, n)) < 0.5, -1.0, 1.0)
             res = nu_corr(C)
-            S = _left_half(bounds._sign_vertex_matrix(*C.shape)[0])
+            S = _left_half(sign_twin(*C.shape)[0])
             assert res.value == pytest.approx(self.plain_min_l1(S, C.reshape(-1)), abs=1e-9)
             bell = res.dual_certificate
             self.check_functional(bell.coeffs, bell.value_on_correlations(C), res.value)
@@ -264,6 +269,131 @@ def _pivoted_columns_loop(S, score):
     return cols
 
 
+def _local_vertex_matrix(shape):
+    """The factored S of an alphabet's data map, and its dense oracle."""
+    cg = bounds._data_map(Alphabets(*shape))
+    return FactoredMatrix(*cg.factors), _left_half(local_twin(cg))
+
+
+def _sign_vertex_matrix(shape):
+    """The factored S of a sign shape, and its dense oracle."""
+    us, vs = bounds._data_map(Alphabets(*shape, 2, 2)).signs
+    return FactoredMatrix(us.T, vs.T), _left_half(sign_twin(*shape)[0])
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestFactoredMatrix:
+    """The min-L1 LPs' matrices read through their single-party factors
+    (``lp.FactoredMatrix``) against the dense [S, -S] (``helpers``):
+    columns, Y @ A and A @ x, with and without a dense block, on eight
+    local alphabets and every sign shape n x m with 2 <= n, m <= 6."""
+
+    LOCAL = [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 3, 2), (3, 3, 3, 3),
+             (2, 3, 2, 4), (1, 4, 5, 2), (4, 4, 3, 3)]
+    SIGN = [(n, m) for n in range(2, 7) for m in range(2, 7)]
+    CASES = [pytest.param(_local_vertex_matrix, shape, id="x".join(map(str, shape)))
+             for shape in LOCAL] + [
+        pytest.param(_sign_vertex_matrix, shape, id="signs-%dx%d" % shape) for shape in SIGN]
+
+    @staticmethod
+    def twins(build, shape):
+        """[S, -S | E] factored and dense, E a seeded integer block."""
+        S, dense = build(shape)
+        rng = np.random.default_rng([41, *shape])
+        E = rng.integers(-3, 4, size=(S.shape[0], 5)).astype(float)
+        return rng, [(S.split(), np.hstack([dense, -dense])),
+                     (S.split(E), np.hstack([dense, -dense, E]))]
+
+    @pytest.mark.parametrize("build, shape", CASES)
+    def test_columns(self, build, shape):
+        rng, pairs = self.twins(build, shape)
+        for A, D in pairs:
+            assert A.shape == D.shape
+            assert A[:, :].tobytes() == np.ascontiguousarray(D).tobytes()
+            picks = rng.choice(D.shape[1], size=min(40, D.shape[1]), replace=False)
+            assert np.array_equal(A[:, picks], D[:, picks])
+            mask = np.zeros(D.shape[1], dtype=bool)
+            mask[picks] = True
+            assert np.array_equal(A[:, mask], D[:, mask])
+            assert np.array_equal(A[:, 3:D.shape[1]:7], D[:, 3:D.shape[1]:7])
+            for j in [0, D.shape[1] // 2, D.shape[1] - 1, *picks[:5]]:
+                assert A[:, int(j)].tobytes() == np.ascontiguousarray(D[:, j]).tobytes()
+
+    @pytest.mark.parametrize("build, shape", CASES)
+    def test_products_are_exact_on_integers(self, build, shape):
+        # Every partial sum is an integer below 2^53: any order is exact.
+        rng, pairs = self.twins(build, shape)
+        for A, D in pairs:
+            Y = rng.integers(-9, 10, size=(3, D.shape[0])).astype(float)
+            assert np.array_equal(Y @ A, Y @ D)
+            assert np.array_equal(Y[0] @ A, Y[0] @ D)
+            out = np.empty((3, D.shape[1]))
+            assert np.matmul(Y, A, out=out) is out and np.array_equal(out, Y @ D)
+            x = np.zeros(D.shape[1])
+            x[rng.choice(D.shape[1], size=min(30, D.shape[1]), replace=False)] = \
+                rng.integers(1, 9, size=min(30, D.shape[1]))
+            assert np.array_equal(A @ x, D @ x)
+            assert np.array_equal(A @ np.zeros(D.shape[1]), np.zeros(D.shape[0]))
+
+    @pytest.mark.parametrize("build, shape", CASES)
+    def test_products_on_floats(self, build, shape):
+        # To 1e-15 of the sum of the terms' magnitudes, |Y| @ |A|.
+        rng, pairs = self.twins(build, shape)
+        for A, D in pairs:
+            Y = rng.normal(size=(2, D.shape[0]))
+            scale = np.abs(Y) @ np.abs(D)
+            assert np.all(np.abs(Y @ A - Y @ D) <= 1e-15 * scale)
+
+    @staticmethod
+    def outputs(sol):
+        return (sol.status, sol.iterations, sol.x.tobytes(), sol.dual_eq.tobytes(),
+                sol.objective, sol.duality_gap, sol.basis)
+
+    @pytest.mark.parametrize("build, shape", [
+        pytest.param(_local_vertex_matrix, (2, 2, 3, 3), id="2x2x3x3"),
+        pytest.param(_local_vertex_matrix, (3, 3, 2, 2), id="3x3x2x2"),
+        pytest.param(_sign_vertex_matrix, (4, 5), id="signs-4x5"),
+        pytest.param(_sign_vertex_matrix, (5, 5), id="signs-5x5")])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_two_phase_solve_matches_the_dense_program(self, build, shape, alpha):
+        # With no start basis phase 1 runs, its artificial columns joining
+        # the factored matrix's dense block: the same pivots and solution,
+        # bit for bit, as on the dense [S, -S | -diag(t)].
+        S, dense = build(shape)
+        m, V = S.shape
+        t = np.random.default_rng([43, *shape]).uniform(0.2, 1.0, size=m)
+        k = 0 if alpha == 1.0 else m
+        E = -np.diag(t) if k else None
+        data = dict(c=np.append(np.ones(2 * V), np.zeros(k)), b_eq=np.zeros(m) if k else t,
+                    lb=np.append(np.zeros(2 * V), np.ones(k)),
+                    ub=np.append(np.full(2 * V, np.inf), np.full(k, alpha)))
+        factored = solve_lp(LinearProgram(A_eq=S.split(E), **data))
+        plain = solve_lp(LinearProgram(
+            A_eq=np.hstack([dense, -dense] + ([E] if k else [])), **data))
+        assert factored.status == "optimal"
+        np.testing.assert_equal(self.outputs(factored), self.outputs(plain))
+
+    def test_taken_only_as_the_equality_matrix(self):
+        S = _sign_vertex_matrix((2, 2))[0].split()
+        with pytest.raises(ValueError, match="only as A_eq"):
+            LinearProgram(c=np.ones(8), A_eq=S, b_eq=np.ones(4), A_ub=np.ones((1, 8)),
+                          b_ub=[1.0])
+        with pytest.raises(ValueError, match="only as A_eq"):
+            LinearProgram(c=np.ones(8), A_ub=S, b_ub=np.ones(4))
+        with pytest.raises(ValueError, match="finite"):
+            S.split(np.full((4, 1), np.nan))
+
+    @pytest.mark.parametrize("build, shape", CASES)
+    def test_crash_picks_the_loop_columns(self, build, shape):
+        S, dense = build(shape)
+        rng = np.random.default_rng([42, *shape])
+        for score in [rng.uniform(size=S.shape[1]) for _ in range(2)] + [np.ones(S.shape[1])]:
+            assert bounds._pivoted_columns(S, score).tolist() == \
+                _pivoted_columns_loop(dense, score)
+
+
 class TestMinL1Path:
     # The alphabets and sign shapes of the LP goldens.
     LOCAL = [(2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3)]
@@ -272,19 +402,18 @@ class TestMinL1Path:
     @classmethod
     def vertex_matrices(cls):
         for shape in cls.LOCAL:
-            twin = bounds._data_map(Alphabets(*shape)).twin
-            yield shape, twin[:, :twin.shape[1] // 2]
+            yield shape, *_local_vertex_matrix(shape)
         for shape in cls.SIGN:
-            twin = bounds._data_map(Alphabets(*shape, 2, 2)).signs[0]
-            yield shape, twin[:, :twin.shape[1] // 2]
+            yield shape, *_sign_vertex_matrix(shape)
 
     def test_crash_columns_match_the_loop(self):
-        # Random scores, and equal scores (plain pivoted QR).
-        for shape, S in self.vertex_matrices():
+        # The crash on the factored S picks the columns that the loop picks
+        # on the dense S: random scores, and equal scores (plain pivoted QR).
+        for shape, S, dense in self.vertex_matrices():
             rng = np.random.default_rng(list(shape))
             for score in [rng.uniform(size=S.shape[1]) for _ in range(5)] + [np.ones(S.shape[1])]:
                 cols = bounds._pivoted_columns(S, score)
-                assert cols.tolist() == _pivoted_columns_loop(S, score), shape
+                assert cols.tolist() == _pivoted_columns_loop(dense, score), shape
 
     def test_warm_3333_nu_tilde_stays_under_1_mib(self):
         # Traced memory of one call on a warm alphabet: the LP's standard
@@ -309,27 +438,66 @@ class TestMinL1Path:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("solve", ["nu_tilde 4x4x3x3", "nu_corr 8x8"])
-    def test_peaks_against_the_twin(self, solve):
-        # A cold call holds the twin [S, -S] it builds and little else: no
-        # vertex tables, no second copy of S, no standard-form copy.  A warm
-        # call adds the solver's work arrays above the map, O(columns) and
-        # O(rows^2).  Both are measured in bytes of the twin.
+    @pytest.mark.parametrize("solve, limit", [("nu_tilde 4x4x3x3", 3.0), ("nu_corr 8x8", 6.0)])
+    def test_peaks_against_the_twin(self, solve, limit):
+        # Neither a cold call nor a warm one holds the twin [S, -S] (8.5 and
+        # 16.8 MB here), or any other m x 2V array: the map keeps S's two
+        # single-party factors, and the solver's work arrays are O(columns)
+        # and O(rows^2).  A cold call peaked at 9.9 and 20.0 MiB (tracemalloc)
+        # when the map wrote the twin; both now stay under ``limit`` MiB.
         if solve.startswith("nu_tilde"):
             alph = Alphabets(4, 4, 3, 3)
             points = [random_nonlocal(np.random.default_rng([30, k]), alph) for k in range(2)]
             calls = [lambda p=p: nu_tilde(p) for p in points]
-            twin = lambda: bounds._data_map(alph).twin
         else:
             signs = [np.where(np.random.default_rng([31, k]).uniform(size=(8, 8)) < 0.5, -1.0, 1.0)
                      for k in range(2)]
             calls = [lambda C=C: nu_corr(C) for C in signs]
-            twin = lambda: bounds._data_map(Alphabets(8, 8, 2, 2)).signs[0]
         bounds._data_map.cache_clear()
         cold = self.traced_peak(calls[0])
         warm = self.traced_peak(calls[1])
-        assert cold <= 1.5 * twin().nbytes
-        assert warm <= 0.5 * twin().nbytes
+        assert cold <= limit * 2**20
+        assert warm <= limit * 2**20
+
+    def test_warm_8x8_nu_corr_alpha_holds_no_copy_of_the_twin(self):
+        # At alpha != 1 the r columns -diag(target) are the factored
+        # matrix's dense block: no copy of [S, -S] (16.8 MB here; a warm
+        # call peaked at 36.1 MiB with one).
+        C = np.where(np.random.default_rng([31, 0]).uniform(size=(8, 8)) < 0.5, -1.0, 1.0)
+        nu_corr_alpha(C, 1.5)  # warms the shape's data map
+        assert self.traced_peak(lambda: nu_corr_alpha(C, 1.5)) < 8 * 2**20
+
+    def test_cold_4444_nu_tilde(self):
+        # The 4x4x4x4 LP: 169 rows and 2 x 65,536 columns, whose dense
+        # [S, -S] is 177 MB.  From a cold map (tracing starts after the draw,
+        # which builds the vertex tables) it keeps its value and pivot count
+        # and peaks at a small part of that.  It runs on one OpenBLAS thread
+        # in a process of its own: at this size the last bits of the value
+        # depend on the thread count (1.7177693766270934 at 2 and 4).
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "tests")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", COLD_4444], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        value, iterations, peak = json.loads(proc.stdout)
+        assert value == 1.7177693766270465
+        assert iterations == 1066
+        assert peak < 32 * 2**20
+
+
+COLD_4444 = """
+import json, tracemalloc
+import numpy as np
+from helpers import random_nonlocal
+from nonsig.bounds import nu_tilde
+from nonsig.core import Alphabets
+p = random_nonlocal(np.random.default_rng(5), Alphabets(4, 4, 4, 4))
+tracemalloc.start()
+res = nu_tilde(p)
+print(json.dumps([res.value, res.diagnostics["iterations"], tracemalloc.get_traced_memory()[1]]))
+"""
 
 
 class TestLpCache:
@@ -356,7 +524,7 @@ class TestLpCache:
                 call()
 
     def test_no_vertex_tables(self, monkeypatch):
-        # The twin is written from the two single-party tables: nu_tilde,
+        # The LP reads S through its two single-party factors: nu_tilde,
         # the local Bell functional and gap_check's LP never make the
         # vertex tables, on a cold map or a warm one.
         def refused(alph):
@@ -379,7 +547,7 @@ class TestLpCache:
         nu_corr(CHSH_SIGNS)
         assert bounds._data_map.cache_info().currsize == 1
         cg = bounds._data_map(B22)
-        assert {"twin", "signs"} <= set(vars(cg))
+        assert {"factors", "signs"} <= set(vars(cg))
 
     def test_one_cache_of_8_maps_in_all(self):
         # Five alphabets and five sign shapes, ten distinct maps, through
@@ -601,14 +769,16 @@ class TestDataMap:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_twin_is_the_split_of_the_vertex_coordinates(self, shape):
-        # Written from the single-party tables, the twin is [S, -S] with S
-        # the coordinates of the vertex tables, bit for bit, and read-only.
+        # Read through the single-party factors, the LP's matrix is [S, -S]
+        # with S the coordinates of the vertex tables, bit for bit; the
+        # factors are read-only.
         alph = Alphabets(*shape)
         cg = bounds._DataMap(alph)
         S = cg.data_rhs(vertex_table_matrix(alph).reshape(*shape, -1))
-        assert cg.twin.shape == (self.size(shape), 2 * alph.vertex_count)
-        assert cg.twin.tobytes() == np.hstack([S, -S]).tobytes()
-        assert not cg.twin.flags.writeable
+        twin = FactoredMatrix(*cg.factors).split()
+        assert twin.shape == (self.size(shape), 2 * alph.vertex_count)
+        assert twin[:, :].tobytes() == np.hstack([S, -S]).tobytes()
+        assert not any(arr.flags.writeable for arr in cg.factors)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_fold_is_the_adjoint(self, shape):
@@ -677,7 +847,8 @@ class TestCorrelationQuantities:
                     for ub in np.ndindex(*(2,) * nx) for vb in np.ndindex(*(2,) * ny)
                     if ub[0] == vb[0] == 0]
             S = np.array(cols).T
-            assert np.array_equal(bounds._sign_vertex_matrix(nx, ny)[0], np.hstack([S, -S]))
+            us, vs = bounds._sign_factors(nx, ny)
+            assert np.array_equal(FactoredMatrix(us.T, vs.T).split()[:, :], np.hstack([S, -S]))
         C = np.random.default_rng(8).uniform(-0.9, 0.9, size=(3, 4))
         d = nu_corr(C).diagnostics
         recon = sum(w * np.outer(u, v) for w, (u, v) in zip(d["weights"], d["sign_pairs"]))
@@ -815,7 +986,8 @@ class TestSignVertices:
 
     @pytest.mark.parametrize("nx, ny", SHAPES)
     def test_one_column_per_pair(self, nx, ny):
-        S = _left_half(bounds._sign_vertex_matrix(nx, ny)[0])
+        us, vs = bounds._sign_factors(nx, ny)
+        S = FactoredMatrix(us.T, vs.T)[:, :]
         every = all_sign_vertices(nx, ny)[0]
         full = _distinct_columns(every)
         assert len(full) == 2 ** (nx + ny - 1)
@@ -826,11 +998,11 @@ class TestSignVertices:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_twin_is_the_split_of_the_sign_vertices(self, n):
-        # [S, -S], bit for bit, with S's columns the flattened u v^T in the
-        # order of its sign vectors.
-        twin, us, vs = bounds._sign_vertex_matrix(n, n)
+        # Read through the sign vectors, [S, -S], bit for bit, with S's
+        # columns the flattened u v^T in the order of its sign vectors.
+        us, vs = bounds._sign_factors(n, n)
         S = np.array([np.outer(u, v).ravel() for u in us for v in vs]).T
-        assert twin.tobytes() == np.hstack([S, -S]).tobytes()
+        assert FactoredMatrix(us.T, vs.T).split()[:, :].tobytes() == np.hstack([S, -S]).tobytes()
 
     @staticmethod
     def matrices():
@@ -841,10 +1013,11 @@ class TestSignVertices:
 
     @staticmethod
     def use_all_sign_vertices(monkeypatch):
-        """Build the same LPs over every sign vertex: the [S, -S] split then
-        holds each distinct column four times.  The equal-bias and
-        epsilon_pub LPs take their columns through ``bounds`` too.  The sign
-        arrays are cached on each binary alphabet's data map, so a fresh
+        """Build the same LPs over every sign vertex: with every sign vector
+        as a factor column, the [S, -S] split holds each distinct column
+        four times.  The equal-bias and epsilon_pub LPs take their columns
+        through ``bounds`` too.  The sign vectors are cached on each binary
+        alphabet's data map, so a fresh
         map cache stands in for the test's duration: every shape is built
         anew, and no map over all sign vertices outlives the test.  Returns
         the shapes built."""
@@ -852,10 +1025,9 @@ class TestSignVertices:
 
         def every_sign_vertex(nx, ny):
             built.append((nx, ny))
-            S, us, vs = all_sign_vertices(nx, ny)
-            return np.hstack([S, -S]), us, vs
+            return all_sign_vertices(nx, ny)[1:]
 
-        monkeypatch.setattr(bounds, "_sign_vertex_matrix", every_sign_vertex)
+        monkeypatch.setattr(bounds, "_sign_factors", every_sign_vertex)
         monkeypatch.setattr(bounds, "_data_map", functools.lru_cache(
             maxsize=bounds._L1_CACHE)(bounds._data_map.__wrapped__))
         return built

@@ -366,7 +366,7 @@ class TestExitCodes:
 
     def test_nu_over_vertex_cap_is_refused_before_any_array(self, capsys, monkeypatch):
         # 2^21 local vertices: the map's cap check refuses them before the
-        # twin, or anything else of the alphabet, is built.
+        # single-party factors, or anything else of the alphabet, are built.
         monkeypatch.delenv("NONSIG_VERTEX_CAP", raising=False)
         assert_refused_lean(capsys, ["nu", str(INPUTS / "over_vertex_cap.json")],
                             "2097152 local vertices (cap 2000000)")

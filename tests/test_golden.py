@@ -84,7 +84,7 @@ def test_lp_certificates_hold_without_the_solver(case):
 
 def _cached_arrays(obj) -> dict:
     """The arrays an object holds, by attribute name; a tuple of arrays
-    (``signs``) counts as one entry."""
+    (``factors``, ``signs``) counts as one entry."""
     return {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)
             or isinstance(v, tuple) and all(isinstance(a, np.ndarray) for a in v)}
 
@@ -98,14 +98,14 @@ def _assert_read_only(arrays):
 
 def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
     # Each LP case runs on a cleared cache, then again on what the first
-    # run cached.  A sign shape's cold run makes its sign matrix once, and
-    # the warm run none; a local alphabet's twin is written from the two
-    # single-party tables, so nu and bell make no vertex matrix at all;
-    # nu-eps builds no data map and makes its vertex matrix on every call.
-    # Each data map holds the arrays its LP reads, and every array the
-    # cache holds is read-only.
+    # run cached.  A sign shape's cold run makes its sign vectors once, and
+    # the warm run none; a local alphabet's LP reads its vertex matrix
+    # through the two single-party factors, so nu and bell make no vertex
+    # matrix at all; nu-eps builds no data map and makes its vertex matrix
+    # on every call.  Each data map holds the arrays its LP reads, and
+    # every array the cache holds is read-only.
     builds, maps, built = [], [], {}
-    for name in ("vertex_table_matrix", "_sign_vertex_matrix"):
+    for name in ("vertex_table_matrix", "_sign_factors"):
         make = getattr(bounds, name)
         monkeypatch.setattr(bounds, name, lambda *a, make=make: builds.append(a) or make(*a))
     new_map = bounds._DataMap
@@ -121,7 +121,7 @@ def test_lp_reports_do_not_depend_on_the_cache(capsys, monkeypatch):
         assert counts == ([1, 1] if case.startswith("nu-eps") else
                           [1, 0] if case.startswith("nu-corr") else [0, 0]), case
         built[case] = [sorted(_cached_arrays(cg)) for cg in maps[first:]]
-    lp = ["_unit_tables", "span", "twin"]
+    lp = ["_unit_tables", "factors", "span"]
     assert built == {"nu": [lp], "nu-eps": [], "bell": [lp],
                      "nu-corr-chsh": [["signs"]], "nu-corr-sylvester6": [["signs"]],
                      "nu-3333": [lp], "nu-eps-2233": []}
@@ -147,8 +147,9 @@ def test_moment_reports_do_not_depend_on_the_cache(capsys, monkeypatch, tmp_path
     # cold run builds its alphabet's data map once, and builds and compiles
     # its SDP structure once; the warm run builds and compiles none, and
     # reads the moment cells the cold run cached.  No run makes a vertex
-    # matrix: gap-check's LP writes its twin from single-party tables.  xor-bias reads the CHSH game: chsh.json's
-    # sign matrix on uniform inputs.
+    # matrix: gap-check's LP reads its vertex matrix through single-party
+    # factors.  xor-bias reads the CHSH game: chsh.json's sign matrix on
+    # uniform inputs.
     path = INPUTS / inp
     C = json.loads(path.read_text()).get("C")
     if command == "xor-bias":
@@ -185,7 +186,7 @@ def test_moment_reports_do_not_depend_on_the_cache(capsys, monkeypatch, tmp_path
     assert sorted(_cached_arrays(prog._compiled)) == ["A_psd_T", "A_wide", "cols", "lin_at",
                                                       "pair_bin", "pair_t", "pair_val",
                                                       "psd_rows", "rows", "vals"]
-    lp = ["_unit_tables", "span", "twin"] if command == "gap-check" else []
+    lp = ["_unit_tables", "factors", "span"] if command == "gap-check" else []
     moments = ["moment_cells"] if command in MOMENT_FORMS else []
     assert sorted(_cached_arrays(cg)) == sorted(lp + moments)
     assert cells[0] is cells[1] and (cells[0] is not None) == bool(moments)

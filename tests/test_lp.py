@@ -10,8 +10,8 @@ from nonsig import bounds
 from nonsig.bounds import nu_corr, nu_tilde, nu_tilde_eps
 from nonsig.core import Alphabets, best_local_response, pr_box
 from nonsig import lp
-from nonsig.lp import LinearProgram, LpSolution, _Simplex, solve_lp
-from helpers import nonsignaling_equalities, random_nonlocal
+from nonsig.lp import FactoredMatrix, LinearProgram, LpSolution, _Simplex, solve_lp
+from helpers import local_twin, nonsignaling_equalities, random_nonlocal
 
 
 def brute_force_minimum(prog):
@@ -473,30 +473,36 @@ class TestStartBasis:
 
     def test_read_only_matrix_is_not_copied(self):
         # An equality-only program from a usable start runs phase 2 on the
-        # caller's A_eq itself: the same solution, bit for bit, as on a
-        # writable copy, and no m x n array (a copy would take 1.1 MiB).
+        # caller's A_eq itself, read-only or factored: the same solution,
+        # bit for bit, on the factored [S, -S], on the dense one made
+        # read-only and on a writable copy, and no m x n array (a copy
+        # would take 1.1 MiB).
         p = random_nonlocal(np.random.default_rng(29), Alphabets(3, 3, 3, 3))
         cg = bounds._data_map(p.alphabets)
-        twin = cg.twin
-        V = twin.shape[1] // 2
+        S = FactoredMatrix(*cg.factors)
+        V = S.shape[1]
         target = cg.data_rhs(p.table)
-        S = twin[:, :V]
         cols = bounds._pivoted_columns(S, np.abs(cg._unit_tables.T @ p.flat() @ S))
-        start = np.where(np.linalg.solve(twin[:, cols], target) < -lp._FEAS_TOL, cols + V, cols)
-        progs = [LinearProgram(c=np.ones(2 * V), A_eq=A, b_eq=target) for A in (twin, twin.copy())]
-        assert not progs[0].A_eq.flags.writeable and progs[0].A_eq is twin
-        tracemalloc.start()
-        try:
-            sol = solve_lp(progs[0], start_basis=start)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sol.status == "optimal" and peak < twin.nbytes // 2
-        again = solve_lp(progs[1], start_basis=start)
-        for name in ("x", "dual_eq", "dual_ub", "basis"):
-            assert getattr(sol, name).tobytes() == getattr(again, name).tobytes(), name
-        for name in ("status", "iterations", "objective", "duality_gap"):
-            assert getattr(sol, name) == getattr(again, name), name
+        start = np.where(np.linalg.solve(S[:, cols], target) < -lp._FEAS_TOL, cols + V, cols)
+        twin = local_twin(cg)
+        twin.flags.writeable = False
+        matrices = (S.split(), twin, twin.copy())
+        progs = [LinearProgram(c=np.ones(2 * V), A_eq=A, b_eq=target) for A in matrices]
+        assert all(prog.A_eq is A for prog, A in zip(progs, matrices[:2]))
+        sols = []
+        for prog in progs:
+            tracemalloc.start()
+            try:
+                sols.append(solve_lp(prog, start_basis=start))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sols[-1].status == "optimal" and peak < twin.nbytes // 2
+        for again in sols[1:]:
+            for name in ("x", "dual_eq", "dual_ub", "basis"):
+                assert getattr(sols[0], name).tobytes() == getattr(again, name).tobytes(), name
+            for name in ("status", "iterations", "objective", "duality_gap"):
+                assert getattr(sols[0], name) == getattr(again, name), name
 
     @pytest.mark.parametrize("start", [
         pytest.param([0, 1], id="too-short"),
@@ -527,16 +533,19 @@ class TestDeterminism:
 
 
 class TestEdgeWeights:
-    """The start weights are built one column block at a time in a work
-    buffer of at most ``_WEIGHT_BLOCK`` bytes."""
+    """The start weights are built one row block of B^-1 A at a time in a
+    work buffer of at most ``_WEIGHT_BLOCK`` bytes, whose first row holds
+    the sums so far."""
 
     M = 49  # rows of the 3x3x3x3 nu_tilde LP
 
-    @pytest.mark.parametrize("blocks, extra", [(0, 80), (3, 0), (3, 1)],
-                             ids=["below-one-block", "multiple", "one-past"])
-    def test_blocks_give_the_one_shot_weights(self, blocks, extra):
+    @pytest.mark.parametrize("rows", [49, 7, 16], ids=["below-one-block", "multiple", "one-past"])
+    def test_blocks_give_the_one_shot_weights(self, rows):
+        # n columns give blocks of ``rows`` rows: 49 in one block, 7 blocks
+        # of 7, or 3 blocks of 16 and one of 1.
         m = self.M
-        n = blocks * (lp._WEIGHT_BLOCK // (8 * m)) + extra  # 167 columns a block
+        n = lp._WEIGHT_BLOCK // (8 * (rows + 1))
+        assert lp._WEIGHT_BLOCK // (8 * n) - 1 == rows
         rng = np.random.default_rng(n)
         sx = _Simplex(rng.normal(size=(m, n)), np.zeros(m), None, None)
         sx.Binv = rng.normal(size=(m, m))
@@ -548,7 +557,7 @@ class TestEdgeWeights:
         # artificials.  4 KiB covers the call's Python objects (the block
         # views' array headers); a fresh array for each block of B^-1 A and
         # for its square would take ~1 MiB here.
-        twin = bounds._data_map(Alphabets(3, 3, 3, 3)).twin
+        twin = local_twin(bounds._data_map(Alphabets(3, 3, 3, 3)))
         m = twin.shape[0]
         assert m == self.M
         sx = _Simplex(np.hstack([twin, np.eye(m)]), np.zeros(m), None, None)
