@@ -438,8 +438,8 @@ class TestMinL1Path:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("solve, limit", [("nu_tilde 4x4x3x3", 3.0), ("nu_corr 8x8", 6.0)])
-    def test_peaks_against_the_twin(self, solve, limit):
+    @pytest.mark.parametrize("solve", ["nu_tilde 4x4x3x3", "nu_corr 8x8"])
+    def test_peaks_against_the_twin(self, solve):
         # Neither a cold call nor a warm one holds the twin [S, -S] (8.5 and
         # 16.8 MB here), or any other m x 2V array: the map keeps S's two
         # single-party factors, and the solver's work arrays are O(columns)
@@ -453,6 +453,7 @@ class TestMinL1Path:
             signs = [np.where(np.random.default_rng([31, k]).uniform(size=(8, 8)) < 0.5, -1.0, 1.0)
                      for k in range(2)]
             calls = [lambda C=C: nu_corr(C) for C in signs]
+        limit = {"nu_tilde 4x4x3x3": 3.0, "nu_corr 8x8": 6.0}[solve]
         bounds._data_map.cache_clear()
         cold = self.traced_peak(calls[0])
         warm = self.traced_peak(calls[1])
